@@ -29,7 +29,7 @@ from .intpoly import (
 from .algnum import RationalFunctionW, symmetric_descent
 from . import linalg
 from .hyplattice import build, reflection_factor, signature_and_renormalize, unimodularity_gate
-from .salemlib import compute_L0, is_unramified_salem, load_store
+from .salemlib import SalemDataError, compute_L0, is_unramified_salem, load_store
 from .setup2 import enumerate_setup2
 from . import cli
 from . import picard2 as p2
@@ -46,8 +46,6 @@ from .fpfsiegel import (
     theta_closed_form_4vars,
     typeII_iterate_identity,
 )
-
-Z2 = IntPoly([-1, 0, 1])
 
 PSI_523_COEFFS = (-1, -2, 0, 2, 1, 0, -1, -2, 0, 1, 1)
 
@@ -149,7 +147,8 @@ def _salem_lambda(psi: IntPoly):
 
     roots = isolate_real_roots(psi)
     above = [r for r in roots if sign_at(IntPoly([-1, 1]), r) > 0]
-    assert len(above) == 1
+    if len(above) != 1:
+        raise SalemDataError("Salem polynomial must have a unique root > 1")
     return above[0]
 
 
@@ -160,14 +159,14 @@ def criterion_L0():
 
 def criterion_trace_sequence():
     store = load_store()
-    phi = Z2 * store[(20, 1)].salem_poly
+    phi = cli.Z2 * store[(20, 1)].salem_poly
     got = newton_traces(phi, 8)
     return got == [1, 3, 1, 3, 6, 3, 1, 3], f"{got}"
 
 
 def criterion_rho18_pipeline():
     store = load_store()
-    phi = Z2 * store[(4, 1)].salem_poly * cyclotomic(8) * cyclotomic(12) * cyclotomic(30)
+    phi = cli.Z2 * store[(4, 1)].salem_poly * cyclotomic(8) * cyclotomic(12) * cyclotomic(30)
     psi = _setup2()[522].psi()
     model = build(phi, psi)
     if not unimodularity_gate(model):
@@ -340,7 +339,7 @@ def criterion_structural_properties(n_pairs: int = 200):
         s = rng.choice(entries)
         csets = cli.cyclotomic_sets(20 - s.degree) if s.degree < 20 else [()]
         cset = rng.choice(csets)
-        phi = Z2 * s.salem_poly
+        phi = cli.Z2 * s.salem_poly
         for j in cset:
             phi = phi * cyclotomic(j)
         if rng.random() < 0.5:

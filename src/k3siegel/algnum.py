@@ -1,17 +1,21 @@
 """Exact real algebraic numbers and number field arithmetic.
 
-Real roots are isolated by Sturm sequences over exact rationals and
-carried around as (squarefree minimal polynomial, isolating interval)
-pairs that can be refined on demand.  Sign evaluation of a polynomial
+Real roots are counted and isolated with one Sturm chain, an integer
+pseudo-remainder sequence whose terms are evaluated at rational points
+n/d in integers only, and carried around as (squarefree minimal
+polynomial, isolating interval) pairs that can be refined on demand.  Sign evaluation of a polynomial
 at an algebraic point is decided exactly: a gcd test for the zero case,
 interval refinement otherwise.  On top of that sit elements of a number
 field QQ[w]/(m(w)), univariate rational functions, and the symmetric
 descent delta + 1/delta -> w used to rewrite eigenvalue equations in
-the trace variable.
+the trace variable.  Minimal polynomials of values f(alpha) come from
+the package's one resultant (``intpoly.resultant``) and one Lagrange
+interpolation (``intpoly.interpolate``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +24,9 @@ from .intpoly import (
     PolynomialDomainError,
     RatPoly,
     gcd,
+    interpolate,
     rat_gcd,
+    resultant,
     squarefree_part,
 )
 
@@ -29,38 +35,77 @@ from .intpoly import (
 # Sturm sequences and root isolation / counting
 # ---------------------------------------------------------------------------
 
-def sturm_chain(p: IntPoly) -> list[RatPoly]:
-    """Sturm chain of the squarefree part of p, over QQ."""
-    sf = squarefree_part(p).to_rat()
-    chain = [sf, sf.derivative()]
-    while not chain[-1].is_zero():
-        _, r = chain[-2].divmod(chain[-1])
-        chain.append(-r)
-    chain.pop()
+TWO = Fraction(2)
+
+
+def _signed_rem(f: list[int], g: list[int]) -> list[int]:
+    """A positive multiple of the rational remainder of f by g, in
+    integers: the elimination r <- lc(g) r - head z^k g is applied until
+    deg r < deg g, and the accumulated multiplier lc(g)^steps is
+    corrected when negative."""
+    r = list(f)
+    lc = g[-1]
+    steps = 0
+    while r and len(r) >= len(g):
+        head = r[-1]
+        if head == 0:
+            r.pop()
+            continue
+        k = len(r) - len(g)
+        r = [c * lc for c in r]
+        for i, c in enumerate(g):
+            r[k + i] -= head * c
+        r.pop()
+        steps += 1
+        while r and r[-1] == 0:
+            r.pop()
+    if lc < 0 and steps % 2 == 1:
+        r = [-c for c in r]
+    return r
+
+
+def sturm_chain(p: IntPoly) -> list[list[int]]:
+    """Signed remainder sequence p, p', -rem(p, p'), ... over ZZ, as
+    ascending coefficient lists.
+
+    Each remainder is a positive multiple of the rational one (see
+    ``_signed_rem``), negated and divided by its content, so the terms
+    have the signs of the rational Sturm sequence at every point.  p
+    need not be squarefree: the last term is gcd(p, p') up to a
+    positive factor, and Sturm's theorem counts the distinct roots
+    between two points that are not roots of p.
+    """
+    f, g = list(p.coeffs), list(p.derivative().coeffs)
+    chain = [f]
+    while g:
+        chain.append(g)
+        r = _signed_rem(f, g)
+        if not r:
+            break
+        content = math.gcd(*r)
+        f, g = g, [-c // content for c in r]
     return chain
 
 
-def _sign_variations(values: list[Fraction]) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+def _scaled_value(coeffs, n: int, d: int) -> int:
+    """d^m q(n/d) = sum c_k n^k d^(m-k) for q of degree m, in integers
+    only; for d > 0 it has the sign of q(n/d).  Plain Horner when d == 1."""
+    acc = 0
+    if d == 1:
+        for c in reversed(coeffs):
+            acc = acc * n + c
+        return acc
+    dk = 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
 
 
-def _variations_at(chain: list[RatPoly], x: Fraction) -> int:
-    return _sign_variations([q(x) for q in chain])
-
-
-def _variations_at_inf(chain: list[RatPoly], positive: bool) -> int:
-    vals = []
-    for q in chain:
-        if q.is_zero():
-            vals.append(Fraction(0))
-        else:
-            lc = q.leading()
-            if positive:
-                vals.append(lc)
-            else:
-                vals.append(lc if q.degree % 2 == 0 else -lc)
-    return _sign_variations(vals)
+def _variations_at(chain: list[list[int]], x: Fraction) -> int:
+    n, d = x.numerator, x.denominator
+    signs = [v > 0 for v in (_scaled_value(q, n, d) for q in chain) if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots_in(p: IntPoly, a: Fraction, b: Fraction) -> int:
@@ -74,21 +119,15 @@ def count_roots_in(p: IntPoly, a: Fraction, b: Fraction) -> int:
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise PolynomialDomainError("empty interval")
-    sf = squarefree_part(p)
     for end in (a, b):
-        while sf(end) == 0:
-            q, _ = sf.to_rat().divmod(RatPoly([-end, 1]))
-            sf = q.clear_denominators()
-    chain = sturm_chain(sf)
+        n, d = end.numerator, end.denominator
+        while _scaled_value(p.coeffs, n, d) == 0:
+            p = p // IntPoly([-n, d])
+    chain = sturm_chain(p)
     return _variations_at(chain, a) - _variations_at(chain, b)
 
 
-def count_real_roots(p: IntPoly) -> int:
-    chain = sturm_chain(p)
-    return _variations_at_inf(chain, False) - _variations_at_inf(chain, True)
-
-
-def _root_bound(p: IntPoly) -> Fraction:
+def root_bound(p: IntPoly) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
     lc = abs(p.leading())
     m = max(abs(c) for c in p.coeffs[:-1]) if p.degree > 0 else 0
@@ -175,7 +214,7 @@ def isolate_real_roots(p: IntPoly) -> list[AlgebraicReal]:
         return []
     sf = squarefree_part(p)
     chain = sturm_chain(sf)
-    bound = _root_bound(sf)
+    bound = root_bound(sf)
     lo, hi = -bound, bound
     total = _variations_at(chain, lo) - _variations_at(chain, hi)
     out: list[tuple[Fraction, Fraction]] = []
@@ -201,6 +240,16 @@ def isolate_real_roots(p: IntPoly) -> list[AlgebraicReal]:
             r1.refine((r1.hi - r1.lo) / 4)
             r2.refine((r2.hi - r2.lo) / 4)
     return roots
+
+
+def refine_off_two(roots: list[AlgebraicReal]) -> None:
+    """Refine each isolating interval until it excludes -2 and 2, so the
+    interval shows on which side of +-2 its root lies.  Neither point
+    may be a root."""
+    for r in roots:
+        for end in (-TWO, TWO):
+            while r.lo <= end <= r.hi:
+                r.refine((r.hi - r.lo) / 4)
 
 
 def sign_at(p, x: AlgebraicReal) -> int:
@@ -527,32 +576,16 @@ def ratfunc_compare(f: RationalFunctionW, c, x: AlgebraicReal) -> int:
 # minimal polynomials of values f(alpha)
 # ---------------------------------------------------------------------------
 
-def resultant_rat(u: RatPoly, v: RatPoly) -> Fraction:
-    """Resultant over QQ by monic Euclid with exact factor tracking."""
-    if u.is_zero() or v.is_zero():
-        raise PolynomialDomainError("resultant of zero polynomial")
-    a, b = u, v
-    res = Fraction(1)
-    while True:
-        da, db = a.degree, b.degree
-        if db < 0:
-            return Fraction(0)
-        if db == 0:
-            return res * b.coeffs[0] ** da
-        _, r = a.divmod(b)
-        dr = r.degree
-        res *= Fraction(-1) ** (da * db) * b.leading() ** (da - dr)
-        a, b = b, r
-
-
 def minpoly_of_value(f: RationalFunctionW, alpha: AlgebraicReal) -> IntPoly:
     """Minimal polynomial over QQ of f(alpha).
 
     Computed as the squarefree part of Res_w(m(w), x den(w) - num(w)),
     interpolated from rational specializations of x; primitive with
-    positive leading coefficient.  Since m is monic the specialization
-    is exact for every x.  When m is irreducible (the case in every
-    pipeline use: m is a Salem trace polynomial) the squarefree
+    positive leading coefficient.  Each specialization G is scaled to
+    an integer polynomial G = c G_int, and Res(m, G) = c^deg(m)
+    Res(m, G_int) because the scale only multiplies the values of G at
+    the deg(m) roots of the monic m.  When m is irreducible (the case
+    in every pipeline use: m is a Salem trace polynomial) the squarefree
     resultant is exactly the minimal polynomial, so no factor selection
     is needed; minimality requires m irreducible.
     """
@@ -565,33 +598,16 @@ def minpoly_of_value(f: RationalFunctionW, alpha: AlgebraicReal) -> IntPoly:
     deg = m.degree
     xs = [Fraction(k) for k in range(deg + 1)]
     ys = []
-    num, den = f.num, f.den
     for x0 in xs:
-        ys.append(resultant_rat(m.to_rat(), den * x0 - num))
-    # Lagrange interpolation of R(x) with rational values
-    coeffs = [Fraction(0)] * (deg + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        basis = [Fraction(1)]
-        dn = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] += c * (-xj)
-                nxt[k + 1] += c
-            basis = nxt
-            dn *= xi - xj
-        w = yi / dn
-        for k, c in enumerate(basis):
-            coeffs[k] += c * w
-    r = RatPoly(coeffs).clear_denominators()
+        g = f.den * x0 - f.num
+        g_int = g.clear_denominators()
+        ys.append((g.leading() / g_int.leading()) ** deg * resultant(m, g_int))
+    r = interpolate(xs, ys).clear_denominators()
     if r.degree < 1:
         raise PolynomialDomainError("degenerate resultant in minpoly_of_value")
     p = squarefree_part(r)
-    assert p.degree <= deg
+    if p.degree > deg:
+        raise PolynomialDomainError("minimal polynomial of f(alpha) exceeds deg m")
     return p.primitive()
 
 

@@ -43,7 +43,7 @@ from .hodgeclass import dissect_and_classify
 from .hyplattice import LatticeBuildError, build, signature_and_renormalize, unimodularity_gate
 from .picardweyl import PipelineError, analyze_root_system
 from .salemlib import SalemStore, load_store
-from .setup2 import Setup2Candidate, enumerate_setup2
+from .setup2 import S4, Setup2Candidate, enumerate_setup2
 
 Z2 = IntPoly([-1, 0, 1])
 
@@ -283,9 +283,6 @@ def _map_tasks(fn, tasks, workers: int):
 
     with mp.Pool(workers) as pool:
         return pool.map(fn, tasks, chunksize=1)
-
-
-S4 = IntPoly([1, -1, -1, -1, 1])
 
 
 def _resultant_unit_table(candidates: list[Setup2Candidate],

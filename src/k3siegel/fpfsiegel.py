@@ -25,12 +25,14 @@ from fractions import Fraction
 
 from .intpoly import IntPoly, RatPoly
 from .algnum import (
+    TWO,
     AlgebraicReal,
     RationalFunctionW,
     is_algebraic_integer,
     isolate_real_roots,
     minpoly_of_value,
     ratfunc_compare,
+    refine_off_two,
     symmetric_descent,
 )
 from .symbolic import MPoly, MRat
@@ -206,13 +208,8 @@ def _interval_roots(st: IntPoly) -> list[AlgebraicReal]:
     """tau_1 > tau_2 > ... : the roots of a Salem trace polynomial in
     (-2, 2); index 0 of the returned list is tau_1."""
     roots = isolate_real_roots(st)
-    two = Fraction(2)
-    for r in roots:
-        while not (r.hi < two or r.lo > two):
-            r.refine((r.hi - r.lo) / 4)
-        while not (r.hi < -two or r.lo > -two):
-            r.refine((r.hi - r.lo) / 4)
-    inside = [r for r in roots if -two < r.lo and r.hi < two]
+    refine_off_two(roots)
+    inside = [r for r in roots if -TWO < r.lo and r.hi < TWO]
     if len(inside) != len(roots) - 1:
         raise FpfInconsistency("trace polynomial does not have the Salem root pattern")
     return inside
@@ -419,10 +416,6 @@ def jet_closed_forms(n: int) -> JetClosedForms:
     a20_n = (MRat.of(n * (n - 1), _NV4) + MRat(a20) * n
              + (dm / omd) * inner * MRat(a01) * MRat(b10))
     return JetClosedForms(n, MRat.of(n, _NV4), a01_n, b10_n, a20_n)
-
-
-def theta_from_jets(state: JetState) -> MRat:
-    return state.theta()
 
 
 def base_theta_4vars() -> MPoly:

@@ -17,7 +17,6 @@ disjoint, never compared through floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .intpoly import (
     IntPoly,
@@ -25,10 +24,19 @@ from .intpoly import (
     squarefree_part,
     trace_polynomial,
 )
-from .algnum import AlgebraicReal, algebraic_equal, isolate_real_roots, sign_at
+from .algnum import (
+    TWO,
+    AlgebraicReal,
+    algebraic_equal,
+    isolate_real_roots,
+    refine_off_two,
+    sign_at,
+)
 from .salemlib import is_salem
 
-TWO = Fraction(2)
+
+class PipelineError(RuntimeError):
+    """Internal inconsistency: data contradicting the accepted-gate theory."""
 
 
 @dataclass
@@ -84,7 +92,7 @@ def _disjointify(roots: list[AlgebraicReal]) -> None:
         for a, b in zip(ordered, ordered[1:]):
             if a.is_point() and b.is_point():
                 if a.lo == b.lo:
-                    raise AssertionError("distinct roots with identical value")
+                    raise PipelineError("distinct roots with identical value")
                 continue
             if a.hi >= b.lo:
                 a.refine((a.hi - a.lo) / 4)
@@ -120,11 +128,7 @@ def dissect(phi: IntPoly, psi: IntPoly) -> ClusterDissection:
     def above_two(r: AlgebraicReal) -> bool:
         return r.lo > TWO
 
-    for r in a_roots + b_roots:
-        while not (r.hi < -TWO or r.lo > -TWO):
-            r.refine((r.hi - r.lo) / 4)
-        while not (r.hi < TWO or r.lo > TWO):
-            r.refine((r.hi - r.lo) / 4)
+    refine_off_two(a_roots + b_roots)
 
     d.a_on = [r for r in a_roots if on_interval(r)]
     d.b_on = [r for r in b_roots if on_interval(r)]
@@ -152,7 +156,7 @@ def dissect(phi: IntPoly, psi: IntPoly) -> ClusterDissection:
             a_clusters.append(block)
         elif i + 1 < len(runs) and runs[i + 1][0] == "B":
             # cannot happen: maximal runs alternate
-            raise AssertionError("non-alternating cluster runs")
+            raise PipelineError("non-alternating cluster runs")
     if runs and runs[-1][0] == "B":
         a_clusters.append([])
     d.a_clusters = a_clusters
@@ -188,7 +192,7 @@ def _constraint_holds(name: str | None, d: ClusterDissection) -> bool:
         return len(ac[-1]) == 1 and len(bc[-1]) == 2
     if name == "doubles_adjacent":
         return _adjacent_doubles(d) is not None
-    raise AssertionError(f"unknown constraint {name}")
+    raise PipelineError(f"unknown constraint {name}")
 
 
 def _adjacent_doubles(d: ClusterDissection):
@@ -224,7 +228,7 @@ def _special_trace(rule: str, d: ClusterDissection) -> AlgebraicReal:
         a_block, b_block, a_above = _adjacent_doubles(d)
         # inner element of the four: the A-side one facing the B-double
         return a_block[-1] if a_above else a_block[0]
-    raise AssertionError(f"unknown trace rule {rule}")
+    raise PipelineError(f"unknown trace rule {rule}")
 
 
 def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
@@ -266,7 +270,8 @@ def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
                             rejection_reason="special trace is not conjugate to the Salem number")
     st_roots = isolate_real_roots(salem_tr)
     index = next(j for j, r in enumerate(st_roots) if algebraic_equal(r, tau))
-    assert index >= 1, "special trace must lie in (-2, 2)"
+    if index < 1:
+        raise PipelineError("special trace must lie in (-2, 2)")
     c_indices = {n: m for n, m in cyclo.items() if n not in (1, 2)}
     return HodgeVerdict(accepted=True, case_number=case, special_trace=tau,
                         special_trace_index=index, salem_factor=residual,

@@ -70,12 +70,6 @@ class LatticeModel:
     renormalized: bool = False
     xi: list = field(default_factory=list)
 
-    def form(self, u: list, v: list) -> int:
-        g = self.gram
-        return sum(ui * g[i][j] * vj
-                   for i, ui in enumerate(u) if ui
-                   for j, vj in enumerate(v) if vj)
-
 
 def companion(p: IntPoly) -> list:
     """Companion matrix sending e_i -> e_(i+1), last column from p."""
@@ -153,8 +147,8 @@ def unimodularity_gate(model: LatticeModel) -> bool:
     res = resultant(model.phi, model.psi)
     if abs(res) != 1:
         return False
-    det = linalg.bareiss_det(model.gram)
-    assert abs(det) == 1, "unimodular resultant but non-unimodular Gram matrix"
+    if abs(linalg.bareiss_det(model.gram)) != 1:
+        raise LatticeBuildError("unimodular resultant but non-unimodular Gram matrix")
     return True
 
 

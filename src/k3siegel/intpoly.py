@@ -3,8 +3,9 @@
 A polynomial is stored as a tuple of coefficients in ascending degree
 order with no trailing zeros, so ``IntPoly([1, -1, -1, -1, 1])`` is
 ``z^4 - z^3 - z^2 - z + 1``.  Everything here is bit-exact: resultants
-go through the subresultant remainder sequence, cyclotomic polynomials
-through recursive exact division of ``z^n - 1``, and the palindromic /
+go through the subresultant remainder sequence, interpolation through
+Lagrange's formula over QQ, cyclotomic polynomials through recursive
+exact division of ``z^n - 1``, and the palindromic /
 anti-palindromic trace-polynomial transform is verified by
 back-substitution.  These polynomials are the common currency of the
 whole package (Salem factors, cyclotomic factors, characteristic
@@ -14,6 +15,7 @@ polynomials, trace polynomials).
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -175,10 +177,7 @@ class IntPoly:
         return r.is_zero()
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = _gcd_int(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         """Primitive part with positive leading coefficient."""
@@ -205,12 +204,6 @@ class IntPoly:
         if not body:
             return IntPoly()
         return IntPoly([int(t) for t in body.split(",")])
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class RatPoly:
@@ -323,13 +316,9 @@ class RatPoly:
         the sign is preserved everywhere (needed by exact sign tests)."""
         if self.is_zero():
             return IntPoly()
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // _gcd_int(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = _gcd_int(g, c)
+        g = math.gcd(*ints)
         return IntPoly([c // g for c in ints])
 
 
@@ -435,7 +424,7 @@ def from_trace_polynomial(tr: IntPoly) -> IntPoly:
 def unramified(u: IntPoly) -> bool:
     """True iff |u(1)| = |u(-1)| = 1 (for palindromic u).
 
-    For palindromic even degree 2m this additionally asserts the sign
+    For palindromic even degree 2m this additionally checks the sign
     relation u(1) u(-1) = (-1)^m, a classical constraint on unramified
     palindromic polynomials.
     """
@@ -445,7 +434,8 @@ def unramified(u: IntPoly) -> bool:
     ok = abs(v1) == 1 and abs(v2) == 1
     if ok and u.degree % 2 == 0:
         m = u.degree // 2
-        assert v1 * v2 == (-1) ** m, "sign relation u(1)u(-1) = (-1)^m violated"
+        if v1 * v2 != (-1) ** m:
+            raise PolynomialDomainError("sign relation u(1)u(-1) = (-1)^m violated")
     return ok
 
 
@@ -516,7 +506,7 @@ def cyclotomic_salem_split(u: IntPoly) -> tuple[dict[int, int], IntPoly]:
 
 
 # ---------------------------------------------------------------------------
-# resultants (subresultant PRS) and Newton traces
+# resultants (subresultant PRS), interpolation and Newton traces
 # ---------------------------------------------------------------------------
 
 def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -567,6 +557,30 @@ def resultant(u: IntPoly, v: IntPoly) -> int:
             return s * num
 
 
+def interpolate(xs: Sequence, ys: Sequence) -> RatPoly:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
+    by exact Lagrange interpolation over QQ (the xs pairwise distinct)."""
+    acc = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if yi == 0:
+            continue
+        basis = [Fraction(1)]
+        den = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j == i:
+                continue
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                nxt[k] -= c * xj
+                nxt[k + 1] += c
+            basis = nxt
+            den *= xi - xj
+        w = Fraction(yi) / den
+        for k, c in enumerate(basis):
+            acc[k] += c * w
+    return RatPoly(acc)
+
+
 def newton_traces(phi: IntPoly, n_terms: int) -> list[int]:
     """Power sums sum(lambda_i^n) for n = 1..n_terms of the roots of phi.
 
@@ -592,6 +606,7 @@ def newton_traces(phi: IntPoly, n_terms: int) -> list[int]:
         for j in range(min(n, len(drc))):
             s += drc[j] * inv[n - 1 - j]
         val = -s
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise PolynomialDomainError("non-integral power sum of a monic polynomial")
         out.append(int(val))
     return out

@@ -13,9 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, interpolate
 
 Matrix = list  # list[list[int|Fraction]]
+
+
+class MatrixDomainError(ValueError):
+    """A matrix violating an operation's precondition or postcondition."""
 
 
 def identity(n: int) -> Matrix:
@@ -159,7 +163,7 @@ def charpoly(m: Matrix) -> IntPoly:
     """Characteristic polynomial det(zI - M) of an integer matrix.
 
     Evaluated at n+1 integer points by Bareiss and interpolated over QQ;
-    the result is asserted to be integral and monic.
+    the result is checked to be integral and monic.
     """
     n = len(m)
     if n == 0:
@@ -169,36 +173,10 @@ def charpoly(m: Matrix) -> IntPoly:
     for x in xs:
         a = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
         ys.append(bareiss_det(a))
-    coeffs = _lagrange(xs, ys, n)
-    p = IntPoly(coeffs)
-    assert p.is_monic() and p.degree == n
-    return p
-
-
-def _lagrange(xs: list[int], ys: list[int], deg: int) -> list[int]:
-    acc = [Fraction(0)] * (deg + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                new[k] += c * (-xj)
-                new[k + 1] += c
-            num = new
-            den *= xi - xj
-        f = Fraction(yi) / den
-        for k, c in enumerate(num):
-            acc[k] += c * f
-    out = []
-    for c in acc:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+    p = interpolate(xs, ys)
+    if any(c.denominator != 1 for c in p.coeffs) or p.degree != n or p.leading() != 1:
+        raise MatrixDomainError("interpolated characteristic polynomial is not integral and monic")
+    return IntPoly(p.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +298,8 @@ def short_vectors(gram: Matrix, norm: int, reduce_first: bool = True) -> list[tu
             s = a[i][j] - sum(d[k] * r[k][i] * r[k][j] for k in range(i))
             if j == i:
                 d[i] = s
-                assert s > 0, "short_vectors requires a positive definite Gram matrix"
+                if s <= 0:
+                    raise MatrixDomainError("short_vectors requires a positive definite Gram matrix")
             else:
                 r[i][j] = s / d[i]
 

@@ -138,7 +138,8 @@ def _field_consts(field_of):
 def _odd_part(n: int) -> IntPoly:
     """p_n with h_n(x) = x p_n(x^2), for odd n."""
     hn = hn_poly(n)
-    assert all(hn[k] == 0 for k in range(0, hn.degree + 1, 2))
+    if any(hn[k] for k in range(0, hn.degree + 1, 2)):
+        raise CertificationError(f"h_{n} is not an odd polynomial")
     return IntPoly([hn[2 * k + 1] for k in range((hn.degree + 1) // 2)])
 
 
@@ -204,7 +205,8 @@ def eliminant(n: int, tau, field_of) -> list:
     cancel = fp_gcd(numerator, denominator)
     if len(cancel) > 1:
         numerator, rem = fp_divmod(numerator, cancel)
-        assert not rem
+        if rem:
+            raise CertificationError("gcd does not divide the eliminant numerator")
     return fp_monic(numerator)
 
 

@@ -19,13 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .intpoly import IntPoly, cyclotomic_salem_split
-from .hodgeclass import HodgeVerdict
+from .hodgeclass import HodgeVerdict, PipelineError
 from .hyplattice import RANK, LatticeModel, companion
 from . import linalg
-
-
-class PipelineError(RuntimeError):
-    """Internal inconsistency: data contradicting the accepted-gate theory."""
 
 
 @dataclass
@@ -50,7 +46,7 @@ def picard_lattice(model: LatticeModel, verdict: HodgeVerdict) -> PicardData:
         for k, c in enumerate(s_poly.coeffs):
             vec[i + k] = c
         basis.append(vec)
-    gram_pic = [[model.form(u, v) for v in basis] for u in basis]
+    gram_pic = [[_pic_form(model.gram, u, v) for v in basis] for u in basis]
     pos, neg, zero = linalg.inertia(gram_pic)
     if (pos, neg, zero) != (0, rho, 0):
         raise PipelineError("Picard form is not negative definite")

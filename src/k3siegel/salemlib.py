@@ -39,7 +39,13 @@ from .intpoly import (
     unramified,
     PALINDROMIC,
 )
-from .algnum import AlgebraicReal, algebraic_compare, count_roots_in, isolate_real_roots
+from .algnum import (
+    AlgebraicReal,
+    algebraic_compare,
+    count_roots_in,
+    isolate_real_roots,
+    root_bound,
+)
 
 
 class SalemDataError(ValueError):
@@ -63,7 +69,7 @@ def is_salem(u: IntPoly) -> bool:
     m = tr.degree
     if squarefree_part(tr) != tr.primitive():
         return False
-    if count_roots_in(tr, Fraction(2), Fraction(2) + _trace_bound(tr)) != 1:
+    if count_roots_in(tr, Fraction(2), Fraction(2) + root_bound(tr)) != 1:
         return False
     if count_roots_in(tr, Fraction(-2), Fraction(2)) != m - 1:
         return False
@@ -73,22 +79,17 @@ def is_salem(u: IntPoly) -> bool:
     return not cyclo_part
 
 
-def _trace_bound(tr: IntPoly) -> Fraction:
-    lc = abs(tr.leading())
-    mx = max(abs(c) for c in tr.coeffs)
-    return Fraction(mx, lc) + 2
-
-
 def is_unramified_salem(u: IntPoly) -> bool:
     """Salem and unramified (|u(1)| = |u(-1)| = 1); such polynomials
-    necessarily have degree congruent to 2 mod 4, which is asserted."""
+    necessarily have degree congruent to 2 mod 4, which is checked."""
     if u.degree < 4 or u.degree % 2 != 0 or palindrome_kind(u) != PALINDROMIC:
         return False
     if not is_salem(u):
         return False
     if not unramified(u):
         return False
-    assert u.degree % 4 == 2, "unramified Salem polynomial of degree not 2 mod 4"
+    if u.degree % 4 != 2:
+        raise SalemDataError("unramified Salem polynomial of degree not 2 mod 4")
     return True
 
 
@@ -129,7 +130,8 @@ class SalemEntry:
                 f"entry ({self.degree},{self.index}): trace round-trip failed")
         roots = [r for r in isolate_real_roots(self.salem_poly) if r.sign() > 0]
         lam = [r for r in roots if sign_greater_one(r)]
-        assert len(lam) == 1, "Salem polynomial must have a unique root > 1"
+        if len(lam) != 1:
+            raise SalemDataError("Salem polynomial must have a unique root > 1")
         self.lam = lam[0]
 
     @property

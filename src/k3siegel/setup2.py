@@ -12,9 +12,10 @@ Two filters make the 3.9M-word sweep fast without giving up exactness:
 the resultant is the field norm of psi reduced modulo the quartic,
 evaluated modulo two 31-bit primes over numpy int64 lanes (anything
 passing is re-verified in exact integer arithmetic), and the root count
-uses an all-integer Sturm chain on the trace polynomial.  Survivors are
-sorted lexicographically by (c1, ..., c11) with the numeric order
--2 < -1 < 0 < 1 < 2 and numbered from 1.
+is the package's one integer Sturm chain (``algnum.count_roots_in``) on
+the trace polynomial, evaluated at -2 and 2 by integer Horner.
+Survivors are sorted lexicographically by (c1, ..., c11) with the
+numeric order -2 < -1 < 0 < 1 < 2 and numbered from 1.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intpoly import IntPoly
-from .algnum import hn_poly
+from .algnum import count_roots_in, hn_poly
 
 S4 = IntPoly([1, -1, -1, -1, 1])
 
@@ -102,73 +103,6 @@ def _trace_map() -> list[list[int]]:
     return rows
 
 
-def _signed_mod(f: list[int], g: list[int]) -> list[int]:
-    """r with r = sign * (f mod g) for a positive sign: the elimination
-    r <- lc(g) r - head z^k g is applied repeatedly and the accumulated
-    multiplier lc(g)^steps is corrected when negative."""
-    r = list(f)
-    lc = g[-1]
-    steps = 0
-    while r and len(r) >= len(g):
-        head = r[-1]
-        if head == 0:
-            r.pop()
-            continue
-        k = len(r) - len(g)
-        r = [c * lc for c in r]
-        for i, c in enumerate(g):
-            r[k + i] -= head * c
-        r.pop()
-        steps += 1
-        while r and r[-1] == 0:
-            r.pop()
-    if lc < 0 and steps % 2 == 1:
-        r = [-c for c in r]
-    return r
-
-
-def integer_sturm_count(coeffs: list[int], a: int, b: int) -> int:
-    """Distinct real roots in (a, b) of an integer polynomial, all in
-    integer arithmetic (sign-corrected pseudo-remainder Sturm chain)."""
-    import math
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    p0 = trim(list(coeffs))
-    p1 = trim([i * c for i, c in enumerate(p0)][1:])
-    chain = [p0, p1]
-    while chain[-1]:
-        r = _signed_mod(chain[-2], chain[-1])
-        if not r:
-            break
-        r = [-c for c in r]
-        g = 0
-        for c in r:
-            g = math.gcd(g, c)
-        chain.append([c // g for c in r])
-
-    def variations(x):
-        signs = []
-        for p in chain:
-            acc = 0
-            for c in reversed(p):
-                acc = acc * x + c
-            if acc:
-                signs.append(acc > 0)
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-    return variations(a) - variations(b)
-
-
-def _psi_coeff_vector(word) -> list[int]:
-    c = list(word)
-    half = [1] + c
-    return half + list(reversed(half[:-1]))
-
-
 def enumerate_setup2(chunk: int = 1 << 18, validate: bool = True) -> list[Setup2Candidate]:
     """All solution words, sorted lexicographically, numbered from 1.
 
@@ -219,8 +153,7 @@ def enumerate_setup2(chunk: int = 1 << 18, validate: bool = True) -> list[Setup2
     for word in exact_words:
         vec = [1] + list(word)
         trace = [sum(tmap[m][k] * vec[k] for k in range(12)) for m in range(12)]
-        n_roots = integer_sturm_count(trace, -2, 2)
-        if n_roots in (8, 10):
+        if count_roots_in(IntPoly(trace), -2, 2) in (8, 10):
             out.append(word)
     out.sort()
     return [Setup2Candidate(i, w) for i, w in enumerate(out, start=1)]

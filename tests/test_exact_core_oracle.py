@@ -1,0 +1,142 @@
+"""Differential tests of the exact polynomial core against sympy.
+
+sympy is an independent implementation: these tests compare the one
+integer Sturm chain (root counting and isolation), the subresultant
+resultant, the minimal polynomials interpolated from it and the
+Lagrange-interpolated characteristic polynomial with it on random
+inputs.
+"""
+
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
+
+from k3siegel import linalg
+from k3siegel.algnum import (
+    RationalFunctionW,
+    count_roots_in,
+    isolate_real_roots,
+    minpoly_of_value,
+)
+from k3siegel.intpoly import IntPoly, RatPoly, resultant
+
+X = sympy.Symbol("x")
+W = sympy.Symbol("w")
+EXAMPLES = settings(max_examples=100, deadline=None)
+
+
+def int_polys(min_degree=0, max_degree=8, bound=20):
+    return st.lists(st.integers(-bound, bound), min_size=min_degree,
+                    max_size=max_degree).flatmap(
+        lambda low: st.integers(-bound, bound).filter(bool).map(
+            lambda lead: IntPoly(low + [lead])))
+
+
+def monic_polys(min_degree=1, max_degree=6, bound=9):
+    return st.lists(st.integers(-bound, bound), min_size=min_degree,
+                    max_size=max_degree).map(lambda low: IntPoly(low + [1]))
+
+
+fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
+
+
+def to_sympy(p, var=X) -> sympy.Poly:
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       if isinstance(c, Fraction) else c
+                       for c in reversed(p.coeffs)], var)
+
+
+def sylvester_resultant(u, v):
+    """The resultant by definition: the Sylvester determinant.  (sympy's
+    own ``resultant`` gets the sign wrong for some degree patterns, such
+    as Res(x - 2, x^3 + 1) = 9, which it gives as -9.)"""
+    return sylvester(to_sympy(u).as_expr(), to_sympy(v).as_expr(), X).det()
+
+
+def sympy_roots_in_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
+    """sympy counts distinct roots on the closed interval; endpoint roots
+    of the squarefree part are taken off."""
+    sf = to_sympy(p).sqf_part()
+    ra = sympy.Rational(a.numerator, a.denominator)
+    rb = sympy.Rational(b.numerator, b.denominator)
+    return sf.count_roots(ra, rb) - (sf.eval(ra) == 0) - (sf.eval(rb) == 0)
+
+
+@EXAMPLES
+@given(int_polys(), fractions, fractions)
+def test_count_roots_in_matches_sympy(p, a, b):
+    if a == b:
+        return
+    a, b = min(a, b), max(a, b)
+    assert count_roots_in(p, a, b) == sympy_roots_in_open(p, a, b)
+
+
+@EXAMPLES
+@given(int_polys(min_degree=1).map(lambda p: p * p.derivative() if p.degree > 1 else p),
+       fractions)
+def test_count_roots_in_repeated_roots_and_endpoint_roots(p, a):
+    # p times its derivative has repeated roots; the endpoint a is made a root
+    p = p * IntPoly([-a.numerator, a.denominator])
+    assert count_roots_in(p, a, a + 3) == sympy_roots_in_open(p, a, a + 3)
+    assert count_roots_in(p, a - 3, a) == sympy_roots_in_open(p, a - 3, a)
+
+
+@EXAMPLES
+@given(int_polys(min_degree=1))
+def test_isolate_real_roots_matches_sympy(p):
+    roots = isolate_real_roots(p)
+    sf = to_sympy(p).sqf_part()
+    assert len(roots) == sf.count_roots()
+    for r in roots:
+        lo = sympy.Rational(r.lo.numerator, r.lo.denominator)
+        hi = sympy.Rational(r.hi.numerator, r.hi.denominator)
+        assert sf.count_roots(lo, hi) == 1
+    for upper, lower in zip(roots, roots[1:]):
+        assert lower.hi <= upper.lo and (lower.lo, lower.hi) != (upper.lo, upper.hi)
+
+
+@EXAMPLES
+@given(int_polys(max_degree=6), int_polys(max_degree=6))
+def test_resultant_matches_sylvester_determinant(u, v):
+    assert resultant(u, v) == sylvester_resultant(u, v)
+
+
+@EXAMPLES
+@given(monic_polys(), st.lists(fractions, min_size=1, max_size=6).filter(lambda cs: cs[-1] != 0))
+def test_resultant_of_monic_and_scaled_rational_polynomial(m, coeffs):
+    # minpoly_of_value's specialization: Res(m, G) for rational G from
+    # the integer resultant of its cleared-denominator multiple
+    g = RatPoly(coeffs)
+    g_int = g.clear_denominators()
+    scaled = (g.leading() / g_int.leading()) ** m.degree * resultant(m, g_int)
+    assert scaled == sylvester_resultant(m, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([IntPoly([-3, -1, 1]), IntPoly([1, -3, 0, 1]), IntPoly([-2, 0, 0, 1])]),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=2).filter(any))
+def test_minpoly_of_value_matches_sympy(m, num, den):
+    # each m is irreducible of degree > deg den, so den(alpha) != 0
+    f = RationalFunctionW(RatPoly(num), RatPoly(den))
+    got = minpoly_of_value(f, isolate_real_roots(m)[0])
+    # independent route: the bivariate resultant, squarefree and primitive
+    res = sylvester(to_sympy(m, W).as_expr(),
+                    X * to_sympy(f.den, W).as_expr() - to_sympy(f.num, W).as_expr(), W).det()
+    want = sympy.Poly(res, X).sqf_part()
+    want = want.primitive()[1]
+    if want.LC() < 0:
+        want = -want
+    assert [int(c) for c in reversed(got.coeffs)] == [int(c) for c in want.all_coeffs()]
+
+
+@EXAMPLES
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_charpoly_matches_sympy(m):
+    want = sympy.Matrix(m).charpoly(X).all_coeffs()
+    assert list(reversed(linalg.charpoly(m).coeffs)) == want

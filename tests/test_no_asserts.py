@@ -1,0 +1,46 @@
+"""Weight-bearing checks in the package must survive ``python -O``.
+
+``-O`` strips ``assert`` statements, so every check in ``src/k3siegel``
+raises a typed exception instead.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _offences(path: Path) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Assert):
+            out.append(f"{path.name}:{node.lineno}: assert")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                out.append(f"{path.name}:{node.lineno}: raise AssertionError")
+    return out
+
+
+def test_no_assert_in_package():
+    files = sorted((SRC / "k3siegel").glob("*.py"))
+    assert files
+    offences = [o for f in files for o in _offences(f)]
+    assert offences == []
+
+
+def test_typed_error_under_optimize():
+    code = ("from k3siegel import linalg\n"
+            "try:\n"
+            "    linalg.short_vectors([[-2]], 2)\n"
+            "except linalg.MatrixDomainError:\n"
+            "    print('typed error')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "typed error"
