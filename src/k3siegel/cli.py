@@ -41,7 +41,7 @@ from .fpfsiegel import (
 )
 from .hodgeclass import dissect_and_classify
 from .hyplattice import LatticeBuildError, build, signature_and_renormalize, unimodularity_gate
-from .picardweyl import PipelineError, analyze_root_system
+from .picardweyl import analyze_root_system
 from .salemlib import SalemStore, load_store
 from .setup2 import S4, Setup2Candidate, enumerate_setup2
 
@@ -69,6 +69,10 @@ class AnalysisRow:
 
     def accepted(self) -> bool:
         return self.rejection is None
+
+    def faulted(self) -> bool:
+        """An exception past the build; searches never filter these out."""
+        return (self.rejection or "").startswith("internal")
 
     def to_csv(self) -> list[str]:
         return [
@@ -114,7 +118,13 @@ def salem_label(degree: int, index: int) -> str:
 def analyze_pair(phi: IntPoly, psi: IntPoly,
                  s_label: str = "", c_label: str = "",
                  aux_s_label: str = "", aux_c_label: str = "") -> AnalysisRow:
-    """Full pipeline for one explicit pair; never raises on bad pairs."""
+    """Full pipeline for one explicit pair; never raises on bad pairs.
+
+    A failed build precondition is the rejection; any other exception
+    past the build becomes an "internal:" rejection, so one bad pair
+    cannot abort a search; the searches keep that row and the CLI then
+    exits 1.
+    """
     row = AnalysisRow(s_label=s_label, c_label=c_label,
                       aux_s_label=aux_s_label, aux_c_label=aux_c_label)
     try:
@@ -122,67 +132,57 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
     except LatticeBuildError as exc:
         row.rejection = str(exc)
         return row
-    if not unimodularity_gate(model):
-        row.rejection = "resultant is not a unit"
-        return row
-    model = signature_and_renormalize(model)
-    if model.signature != (3, 19):
-        row.rejection = f"signature {model.signature} after renormalization"
-        return row
-    verdict = dissect_and_classify(phi, psi)
-    if not verdict.accepted:
-        row.rejection = verdict.rejection_reason
-        return row
-    if not row.s_label:
-        row.s_label = verdict.salem_factor.text()
-    if not row.c_label:
-        row.c_label = cyclo_label(verdict.cyclo_indices)
-    row.st_index = verdict.special_trace_index
     try:
-        pic, report = analyze_root_system(model, verdict)
-    except PipelineError as exc:
-        row.rejection = f"internal: {exc}"
-        return row
-    row.dynkin = report.dynkin_name()
-    row.phi1_tilde = report.phi1_tilde_name()
-    row.trace_a_tilde = report.trace_a_tilde
-
-    # verdict routing
-    j = verdict.special_trace_index
-    if (pic.rho == 2 and row.dynkin == "A1"
-            and report.phi1_tilde_factors == {1: 1, 2: 1}):
-        if not p2.trace_check(verdict.salem_factor):
-            row.note = "needs manual analysis: rank-2 trace pattern"
+        if not unimodularity_gate(model):
+            row.rejection = "resultant is not a unit"
             return row
-        rep2 = p2.full_analysis(verdict.salem_trace, verdict.salem_factor)
-        v_pm = rep2.grid[("p_pm", j)]
-        v_p = rep2.grid[("p", j)]
-        row.verdicts = [v_pm, v_p]
-        row.sd = f"{v_pm}{v_p}"
-        return row
-    try:
+        model = signature_and_renormalize(model)
+        if model.signature != (3, 19):
+            row.rejection = f"signature {model.signature} after renormalization"
+            return row
+        verdict = dissect_and_classify(phi, psi)
+        if not verdict.accepted:
+            row.rejection = verdict.rejection_reason
+            return row
+        if not row.s_label:
+            row.s_label = verdict.salem_factor.text()
+        if not row.c_label:
+            row.c_label = cyclo_label(verdict.cyclo_indices)
+        row.st_index = verdict.special_trace_index
+        pic, report = analyze_root_system(model, verdict)
+        row.dynkin = report.dynkin_name()
+        row.phi1_tilde = report.phi1_tilde_name()
+        row.trace_a_tilde = report.trace_a_tilde
+
+        # verdict routing
+        j = verdict.special_trace_index
+        if (pic.rho == 2 and row.dynkin == "A1"
+                and report.phi1_tilde_factors == {1: 1, 2: 1}):
+            if not p2.trace_check(verdict.salem_factor):
+                row.note = "needs manual analysis: rank-2 trace pattern"
+                return row
+            rep2 = p2.full_analysis(verdict.salem_trace, verdict.salem_factor)
+            v_pm = rep2.grid[("p_pm", j)]
+            v_p = rep2.grid[("p", j)]
+            row.verdicts = [v_pm, v_p]
+            row.sd = f"{v_pm}{v_p}"
+            return row
         contribs = [component_contribution(a.component.label, a.component.rank,
                                            "moved" if a.kind == "moved" else a.kind)
                     for a in report.component_actions]
         budget = saito_budget(report.trace_a_tilde, contribs)
-    except NeedsManualAnalysis as exc:
-        row.note = f"needs manual analysis: {exc}"
-        return row
-    except Exception as exc:  # budget inconsistency: report, never crash a search
-        row.rejection = f"internal: {exc}"
-        return row
-    if budget.free_multiplicity != 1:
-        row.note = (f"needs manual analysis: free multiplicity "
-                    f"{budget.free_multiplicity}")
-        return row
-    try:
+        if budget.free_multiplicity != 1:
+            row.note = (f"needs manual analysis: free multiplicity "
+                        f"{budget.free_multiplicity}")
+            return row
         p_func = derive_P(contribs, budget.n_f_total)
         v = siegel_verdict_P(p_func, verdict.salem_trace, j)
-    except Exception as exc:
+        row.verdicts = [v]
+        row.sd = str(v)
+    except NeedsManualAnalysis as exc:  # raised by component_contribution
+        row.note = f"needs manual analysis: {exc}"
+    except Exception as exc:  # the per-pair fault boundary
         row.rejection = f"internal: {exc}"
-        return row
-    row.verdicts = [v]
-    row.sd = str(v)
     return row
 
 
@@ -265,7 +265,7 @@ def search_setup1(store: SalemStore, degree: int,
                 tasks.append((phi, psi, s_lab, c_lab, s_aux, c_aux))
     results = _map_tasks(_run_analysis_task, tasks, workers)
     for row in results:
-        if row.accepted() or include_rejections:
+        if row.accepted() or row.faulted() or include_rejections:
             rows.append(row)
     rows.sort(key=lambda r: (r.s_label, r.c_label, r.aux_s_label, r.aux_c_label))
     return rows
@@ -332,7 +332,7 @@ def search_setup2(workers: int = 1, include_rejections: bool = False,
                     aux_c_label=str(cand.id),
                     rejection="resultant is not a unit"))
     results = _map_tasks(_run_analysis_task, tasks, workers)
-    rows = [r for r in results if r.accepted() or include_rejections]
+    rows = [r for r in results if r.accepted() or r.faulted() or include_rejections]
     rows.extend(rejected)
     rows.sort(key=lambda r: (r.s_label, r.c_label,
                              int(r.aux_c_label) if r.aux_c_label.isdigit() else 0))
@@ -459,13 +459,12 @@ def main(argv: list[str] | None = None) -> int:
                                  include_rejections=args.include_rejections,
                                  workers=workers)
         _write_out(emit(rows, args.format), args.out)
-        bad = [r for r in rows if r.rejection and r.rejection.startswith("internal")]
-        return 1 if bad else 0
+        return 1 if any(r.faulted() for r in rows) else 0
 
     if args.command == "analyze":
         row = analyze_pair(IntPoly.from_text(args.phi), IntPoly.from_text(args.psi))
         _write_out(emit([row], args.format), args.out)
-        return 1 if (row.rejection or "").startswith("internal") else 0
+        return 1 if row.faulted() else 0
 
     if args.command == "picard2":
         st = p2.ST20_1 if args.st == "builtin" else _poly_arg(args.st)

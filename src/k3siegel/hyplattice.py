@@ -9,20 +9,21 @@ to 2).  The lattice is unimodular exactly when Res(phi, psi) = +-1, and
 after renormalization (negate if the index is positive) the accepted
 pairs carry the intersection form of a K3 lattice, of signature (3,19).
 
-Everything is integer arithmetic; rejection conditions are returned as
-data rather than raised, so bulk searches can tally failure causes.
+The pipeline path (build, unimodularity gate, signature) is integer
+arithmetic.  The companion B of psi is built only on demand, by exact
+rational solves, for the structural check that C = A^(-1) B is a
+reflection; no verdict reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .intpoly import (
     ANTI_PALINDROMIC,
     PALINDROMIC,
     IntPoly,
-    gcd,
     palindrome_kind,
     resultant,
 )
@@ -58,17 +59,19 @@ def series_coefficients(psi: IntPoly, phi: IntPoly, count: int) -> list[int]:
 
 @dataclass
 class LatticeModel:
-    """The lattice data for one pair, in the A-orbit basis r, Ar, ..."""
+    """The lattice data for one pair, in the A-orbit basis r, Ar, ...
+
+    Only what the pipeline reads; the matrix of B is computed on demand
+    by reflection_factor, for the structural checks.
+    """
 
     phi: IntPoly
     psi: IntPoly
     a_mat: list            # companion of phi (A-basis coordinates)
-    b_mat: list            # matrix of B in the A-basis (integral)
     gram: list             # xi_|i-j| Toeplitz form, possibly renormalized
-    gram_b: list           # same form in the B-orbit basis
+    resultant: int         # Res(phi, psi), nonzero; the unimodularity gate reads it
     signature: tuple[int, int] = (0, 0)
     renormalized: bool = False
-    xi: list = field(default_factory=list)
 
 
 def companion(p: IntPoly) -> list:
@@ -88,8 +91,10 @@ def _b_matrix_in_a_basis(phi: IntPoly, psi: IntPoly) -> list:
     In standard coordinates A and B are the two companion matrices and
     C = A^(-1) B is the reflection negating r = A^(-1) B e_n - e_n; the
     orbit r, Ar, ..., A^21 r is a basis of the common lattice, and B is
-    expressed on it by exact rational solves (the result must be
-    integral, which is asserted).
+    expressed on it by exact rational solves.  The result must be
+    integral; a fractional entry raises LatticeBuildError.  Past the
+    build preconditions phi(0) = -1, so A^(-1), r and C are integral and
+    B = AC preserves the lattice.
     """
     n = phi.degree
     a_std = companion(phi)
@@ -127,25 +132,19 @@ def build(phi: IntPoly, psi: IntPoly) -> LatticeModel:
         raise LatticeBuildError("phi must be anti-palindromic")
     if palindrome_kind(psi) != PALINDROMIC:
         raise LatticeBuildError("psi must be palindromic")
-    if gcd(phi, psi).degree > 0:
+    res = resultant(phi, psi)
+    if res == 0:
         raise LatticeBuildError("phi and psi must be coprime")
 
-    xi = series_coefficients(psi, phi, RANK - 1)
-    xs = [2] + xi
+    xs = [2] + series_coefficients(psi, phi, RANK - 1)
     gram = [[xs[abs(i - j)] for j in range(RANK)] for i in range(RANK)]
-    xi_b = series_coefficients(phi, psi, RANK - 1)
-    xs_b = [2] + xi_b
-    gram_b = [[xs_b[abs(i - j)] for j in range(RANK)] for i in range(RANK)]
-    a_mat = companion(phi)
-    b_mat = _b_matrix_in_a_basis(phi, psi)
-    return LatticeModel(phi=phi, psi=psi, a_mat=a_mat, b_mat=b_mat,
-                        gram=gram, gram_b=gram_b, xi=xs)
+    return LatticeModel(phi=phi, psi=psi, a_mat=companion(phi), gram=gram,
+                        resultant=res)
 
 
 def unimodularity_gate(model: LatticeModel) -> bool:
     """Res(phi, psi) = +-1, cross-checked against |det gram| = 1."""
-    res = resultant(model.phi, model.psi)
-    if abs(res) != 1:
+    if abs(model.resultant) != 1:
         return False
     if abs(linalg.bareiss_det(model.gram)) != 1:
         raise LatticeBuildError("unimodular resultant but non-unimodular Gram matrix")
@@ -163,7 +162,6 @@ def signature_and_renormalize(model: LatticeModel) -> LatticeModel:
         raise LatticeBuildError("singular Gram matrix past the unimodularity gate")
     if pos - neg > 0:
         model.gram = linalg.mat_neg(model.gram)
-        model.gram_b = linalg.mat_neg(model.gram_b)
         model.renormalized = True
         pos, neg = neg, pos
     model.signature = (pos, neg)
@@ -171,20 +169,10 @@ def signature_and_renormalize(model: LatticeModel) -> LatticeModel:
 
 
 def reflection_factor(model: LatticeModel) -> list:
-    """C = A^(-1) B on the A-basis; an involution with rank(C - I) = 1."""
-    a_inv = linalg.inverse(model.a_mat)
-    c = linalg.mat_mul(a_inv, model.b_mat)
+    """C = A^(-1) B on the A-basis; an involution with rank(C - I) = 1.
+
+    B is built here, from the companion of psi, and not kept.
+    """
+    b_mat = _b_matrix_in_a_basis(model.phi, model.psi)
+    c = linalg.mat_mul(linalg.inverse(model.a_mat), b_mat)
     return [[int(x) for x in row] for row in c]
-
-
-def basis_change_to_b(model: LatticeModel) -> list:
-    """Integral T with columns the B-orbit basis vectors r, Br, ... in
-    A-basis coordinates; satisfies T^t gram T = gram_b."""
-    n = RANK
-    cols = []
-    cur = [0] * n
-    cur[0] = 1
-    for _ in range(n):
-        cols.append(list(cur))
-        cur = linalg.mat_vec(model.b_mat, cur)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]

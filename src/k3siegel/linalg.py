@@ -183,8 +183,8 @@ def charpoly(m: Matrix) -> IntPoly:
 # lattice reduction and short vector enumeration
 # ---------------------------------------------------------------------------
 
-def lll_reduce(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> tuple[Matrix, Matrix]:
-    """LLL-reduce a positive definite integer Gram matrix.
+def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix]:
+    """LLL-reduce a positive definite integer Gram matrix, with delta = 3/4.
 
     Returns (reduced Gram, U) with U unimodular and
     reduced = U * gram * U^T.  Gram-matrix formulation: the running Gram
@@ -192,6 +192,7 @@ def lll_reduce(gram: Matrix, delta: Fraction = Fraction(3, 4)) -> tuple[Matrix, 
     no basis vectors are ever needed.  Exact rationals throughout.
     """
     n = len(gram)
+    delta = Fraction(3, 4)
     u = identity(n)
     cur = [[Fraction(x) for x in row] for row in gram]  # = U gram U^T
 
@@ -273,22 +274,19 @@ def _ceil_minus(c: Fraction, num: int, den: int) -> int:
     return -_floor_plus(-c, num, den)
 
 
-def short_vectors(gram: Matrix, norm: int, reduce_first: bool = True) -> list[tuple[int, ...]]:
+def short_vectors(gram: Matrix, norm: int) -> list[tuple[int, ...]]:
     """All integer vectors x != 0 with x^T gram x == norm, up to sign.
 
     gram must be positive definite.  One representative per +-pair is
     returned (last nonzero coordinate positive); callers close under
     negation when they need the full set.  Exact Fincke-Pohst on the
-    rational Cholesky decomposition, with an optional LLL preprocessing
-    pass that affects speed only, never results.
+    rational Cholesky decomposition of the LLL-reduced Gram matrix; the
+    reduction affects speed only, never results.
     """
     n = len(gram)
     if n == 0:
         return []
-    if reduce_first and n > 1:
-        red, u = lll_reduce(gram)
-    else:
-        red, u = [list(r) for r in gram], identity(n)
+    red, u = lll_reduce(gram)
     # rational Cholesky: red = R^T D R with R unit upper triangular
     d = [Fraction(0)] * n
     r = [[Fraction(0)] * n for _ in range(n)]

@@ -82,7 +82,6 @@ class RootSystemReport:
     phi1_tilde: IntPoly = IntPoly([1])
     phi1_tilde_factors: dict = field(default_factory=dict)
     trace_a_tilde: int = 0
-    simple_permutation: list = field(default_factory=list)
     component_actions: list = field(default_factory=list)
 
     def dynkin_name(self) -> str:
@@ -317,7 +316,6 @@ class ComponentAction:
 def action_analysis(pic: PicardData, report: RootSystemReport) -> RootSystemReport:
     """Permutation of the simple roots under Atilde, per component."""
     if pic.rho == 0 or not report.simple_roots:
-        report.simple_permutation = []
         report.component_actions = []
         return report
     index = {v: i for i, v in enumerate(report.simple_roots)}
@@ -327,7 +325,6 @@ def action_analysis(pic: PicardData, report: RootSystemReport) -> RootSystemRepo
         if img not in index:
             raise PipelineError("image of a simple root is not simple")
         perm.append(index[img])
-    report.simple_permutation = perm
 
     comp_of = {}
     for ci, comp in enumerate(report.components):

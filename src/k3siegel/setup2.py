@@ -31,6 +31,7 @@ S4 = IntPoly([1, -1, -1, -1, 1])
 
 _P1 = 2_147_483_647
 _P2 = 2_147_483_629
+_CHUNK = 1 << 18   # words per numpy sweep; bounds memory, not results
 
 
 @dataclass(frozen=True)
@@ -103,19 +104,20 @@ def _trace_map() -> list[list[int]]:
     return rows
 
 
-def enumerate_setup2(chunk: int = 1 << 18, validate: bool = True) -> list[Setup2Candidate]:
+def enumerate_setup2() -> list[Setup2Candidate]:
     """All solution words, sorted lexicographically, numbered from 1.
 
-    The numpy sweep filters on the resultant condition modulo two
-    primes; exact integer recomputation of the norm and the integer
-    Sturm root count make the final list independent of the filter.
+    The numpy sweep, in chunks of _CHUNK words, filters on the resultant
+    condition modulo two primes; every hit is re-verified by exact
+    integer recomputation of the norm, and the integer Sturm root count
+    follows, so the final list is independent of the filter.
     """
     basis = np.array(_power_basis_mod_s4(), dtype=np.int64)  # 23 x 4
     mats = np.array(_norm_matrices(), dtype=np.int64)        # 4 x 4 x 4
     total = 5 ** 9
     exact_words = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = np.empty((idx.size, 9), dtype=np.int64)
         rest = idx.copy()
         for j in range(8, -1, -1):
@@ -142,10 +144,8 @@ def enumerate_setup2(chunk: int = 1 << 18, validate: bool = True) -> list[Setup2
             hits = np.nonzero(keep)[0]
             for h in hits:
                 word = tuple(int(x) for x in c[h]) + (int(c10[h]), int(c11[h]))
-                if validate:
-                    rv = [int(x) for x in r[h]]
-                    if abs(norm_mod_s4(rv)) != 1:
-                        continue
+                if abs(norm_mod_s4([int(x) for x in r[h]])) != 1:
+                    continue
                 exact_words.append(word)
 
     tmap = _trace_map()

@@ -3,7 +3,8 @@ import os
 import tempfile
 
 from k3siegel.intpoly import IntPoly, cyclotomic
-from k3siegel import cli
+from k3siegel import cli, hyplattice, linalg
+from k3siegel.picardweyl import PipelineError
 from k3siegel.salemlib import load_store
 from k3siegel.setup2 import enumerate_setup2
 
@@ -50,6 +51,53 @@ def test_analyze_entry6():
     assert (row.st_index, row.dynkin, row.phi1_tilde, row.trace_a_tilde) == \
         (2, "E6^2", "C1^4 C2^4 C4^2", -1)
     assert row.sd == "S"
+
+
+def test_pipeline_never_builds_b(monkeypatch):
+    # no verdict reads the B-matrix, so the pipeline never solves for it
+    def refuse(*args, **kwargs):
+        raise RuntimeError("B-matrix solve on the pipeline path")
+
+    monkeypatch.setattr(hyplattice, "_b_matrix_in_a_basis", refuse)
+    monkeypatch.setattr(linalg, "solve", refuse)
+    phi = Z2 * STORE[(18, 22)].salem_poly * cyclotomic(3)
+    psi = STORE[(10, 1)].salem_poly * cyclotomic(36)
+    row = cli.analyze_pair(phi, psi)
+    assert row.rejection == "signature (11, 11) after renormalization"
+    phi = Z2 * STORE[(10, 1)].salem_poly * cyclotomic(4) * cyclotomic(16)
+    psi = STORE[(6, 1)].salem_poly * cyclotomic(40)
+    row = cli.analyze_pair(phi, psi)
+    assert (row.st_index, row.dynkin, row.phi1_tilde, row.trace_a_tilde, row.sd) == \
+        (2, "E6^2", "C1^4 C2^4 C4^2", -1, "S")
+
+
+def test_fault_in_a_stage_becomes_an_internal_row(monkeypatch, capsys):
+    def broken(phi, psi):
+        raise PipelineError("cluster stage failed")
+
+    monkeypatch.setattr(cli, "dissect_and_classify", broken)
+    phi = Z2 * STORE[(18, 22)].salem_poly * cyclotomic(4)
+    psi = STORE[(6, 1)].salem_poly * cyclotomic(48)
+    row = cli.analyze_pair(phi, psi)
+    assert row.rejection == "internal: cluster stage failed"
+    rc = cli.main(["analyze", "--phi", phi.text(), "--psi", psi.text()])
+    assert rc == 1
+    assert "rejected: internal: cluster stage failed" in capsys.readouterr().out
+
+
+def test_search_keeps_internal_rows_and_fails(monkeypatch, tmp_path):
+    # a fault is never filtered out with the rejections, so it fails the run
+    def broken(phi, psi):
+        raise PipelineError("cluster stage failed")
+
+    monkeypatch.setattr(cli, "dissect_and_classify", broken)
+    out = tmp_path / "rows.csv"
+    rc = cli.main(["search", "--setup1", "--degree", "20", "--workers", "1",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "internal: cluster stage failed" in out.read_text()
+    rows = cli.search_setup1(STORE, 20)
+    assert rows and all(r.faulted() for r in rows)
 
 
 def test_emit_roundtrip():

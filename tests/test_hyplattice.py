@@ -3,10 +3,10 @@ import random
 import pytest
 
 from k3siegel.intpoly import IntPoly, cyclotomic, from_trace_polynomial, resultant
-from k3siegel import linalg
+from k3siegel import hyplattice, linalg
 from k3siegel.hyplattice import (
     LatticeBuildError,
-    basis_change_to_b,
+    _b_matrix_in_a_basis,
     build,
     reflection_factor,
     series_coefficients,
@@ -78,12 +78,27 @@ def test_gate_fails_on_bad_resultant():
     assert psi(1) == -70
     model = build(PHI_ROW1, psi)
     assert not unimodularity_gate(model)
-    assert abs(resultant(PHI_ROW1, psi)) != 1
+    assert model.resultant == resultant(PHI_ROW1, psi)
+    assert abs(model.resultant) != 1
+
+
+def test_resultant_computed_once_per_pair(monkeypatch):
+    # build keeps Res(phi, psi) for the gate instead of recomputing it
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return resultant(u, v)
+
+    monkeypatch.setattr(hyplattice, "resultant", counting)
+    assert unimodularity_gate(build(PHI_ROW1, PSI_ROW1))
+    assert len(calls) == 1
 
 
 def test_isometry_invariants_row1():
     model = signature_and_renormalize(build(PHI_ROW1, PSI_ROW1))
-    a, b, g = model.a_mat, model.b_mat, model.gram
+    a, g = model.a_mat, model.gram
+    b = _b_matrix_in_a_basis(model.phi, model.psi)
     at_g_a = linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), g), a)
     assert linalg.mat_eq(at_g_a, g)
     bt_g_b = linalg.mat_mul(linalg.mat_mul(linalg.transpose(b), g), b)
@@ -108,13 +123,27 @@ def test_reflection_factor_row1():
     # C negates r = e_1 in the A-basis
     col0 = [c[i][0] for i in range(22)]
     assert col0 == [-1] + [0] * 21
+    # C is the orthogonal reflection in r: C = I - e_1 (r, .), with the
+    # form of the un-renormalized Gram matrix; ties B (from the companion
+    # of psi) to the Gram matrix (from the series psi/phi)
+    refl = linalg.identity(22)
+    refl[0] = [refl[0][j] - model.gram[0][j] for j in range(22)]
+    assert linalg.mat_eq(c, refl)
 
 
 def test_basis_change_congruence():
+    # T has columns r, Br, ..., B^21 r in A-basis coordinates; it carries
+    # the form onto the Toeplitz form of the series phi/psi
     model = build(PHI_ROW1, PSI_ROW1)
-    t = basis_change_to_b(model)
+    b = _b_matrix_in_a_basis(model.phi, model.psi)
+    cols = [[1] + [0] * 21]
+    for _ in range(21):
+        cols.append(linalg.mat_vec(b, cols[-1]))
+    t = linalg.transpose(cols)
+    xs = [2] + series_coefficients(PHI_ROW1, PSI_ROW1, 21)
+    gram_b = [[xs[abs(i - j)] for j in range(22)] for i in range(22)]
     tt = linalg.mat_mul(linalg.mat_mul(linalg.transpose(t), model.gram), t)
-    assert linalg.mat_eq(tt, model.gram_b)
+    assert linalg.mat_eq(tt, gram_b)
 
 
 def test_det_equals_resultant_various():
