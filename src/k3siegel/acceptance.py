@@ -159,14 +159,14 @@ def criterion_L0():
 
 def criterion_trace_sequence():
     store = load_store()
-    phi = cli.Z2 * store[(20, 1)].salem_poly
+    phi = cli.phi_of(store[(20, 1)].salem_poly, ())
     got = newton_traces(phi, 8)
     return got == [1, 3, 1, 3, 6, 3, 1, 3], f"{got}"
 
 
 def criterion_rho18_pipeline():
     store = load_store()
-    phi = cli.Z2 * store[(4, 1)].salem_poly * cyclotomic(8) * cyclotomic(12) * cyclotomic(30)
+    phi = cli.phi_of(store[(4, 1)].salem_poly, (8, 12, 30))
     psi = _setup2()[522].psi()
     model = build(phi, psi)
     if not unimodularity_gate(model):
@@ -329,25 +329,19 @@ def criterion_structural_properties(n_pairs: int = 200):
     cands = _setup2()
     entries = list(store.entries.values())
     unram = store.unramified_entries()
-    from .salemlib import compute_L0 as _l0
-
-    l0 = sorted(_l0(16))
+    l0 = sorted(compute_L0(16))
     checked = 0
     tried = 0
     while checked < n_pairs and tried < 20 * n_pairs:
         tried += 1
         s = rng.choice(entries)
-        csets = cli.cyclotomic_sets(20 - s.degree) if s.degree < 20 else [()]
-        cset = rng.choice(csets)
-        phi = cli.Z2 * s.salem_poly
-        for j in cset:
-            phi = phi * cyclotomic(j)
+        phi = cli.phi_of(s.salem_poly, rng.choice(cli.cyclotomic_sets(20 - s.degree)))
         if rng.random() < 0.5:
             psi = rng.choice(cands).psi()
         else:
             e = rng.choice(unram)
             need = 22 - e.degree
-            subsets = cli.cyclotomic_sets(need, allowed=l0) if need else [()]
+            subsets = cli.cyclotomic_sets(need, allowed=l0)
             if not subsets:
                 continue
             psi = e.salem_poly

@@ -211,13 +211,29 @@ def cyclotomic_sets(total_degree: int, min_index: int = 3,
                 rec(q + 1, left - d, acc)
                 acc.pop()
 
-    if total_degree == 0:
-        return [()]
     rec(0, total_degree, [])
     return sorted(out)
 
 
-def psi_candidates_setup1(store: SalemStore) -> list[tuple[IntPoly, str, str]]:
+def phi_of(s_poly: IntPoly, cset) -> IntPoly:
+    """phi = (z^2 - 1) S prod C_j over the cyclotomic indices j in cset."""
+    phi = Z2 * s_poly
+    for j in cset:
+        phi = phi * cyclotomic(j)
+    return phi
+
+
+@dataclass(frozen=True)
+class Setup1Psi:
+    """A setup1 psi, read through .psi() as a census word is."""
+
+    poly: IntPoly
+
+    def psi(self) -> IntPoly:
+        return self.poly
+
+
+def psi_candidates_setup1(store: SalemStore) -> list[tuple[Setup1Psi, str, str]]:
     """(psi, s label, c label) for every unramified Salem entry times an
     admissible unramified cyclotomic tail from L0."""
     from .salemlib import compute_L0
@@ -225,12 +241,11 @@ def psi_candidates_setup1(store: SalemStore) -> list[tuple[IntPoly, str, str]]:
     l0 = sorted(compute_L0(16))
     out = []
     for entry in store.unramified_entries():
-        need = 22 - entry.degree
-        for ls in cyclotomic_sets(need, allowed=l0) if need else [()]:
+        for ls in cyclotomic_sets(22 - entry.degree, allowed=l0):
             psi = entry.salem_poly
             for l in ls:
                 psi = psi * cyclotomic(l)
-            out.append((psi, salem_label(*entry.key), cyclo_label(list(ls))))
+            out.append((Setup1Psi(psi), salem_label(*entry.key), cyclo_label(list(ls))))
     return out
 
 
@@ -241,7 +256,6 @@ def search_setup1(store: SalemStore, degree: int,
     """The principal search: S of the given degree from the store, C over
     cyclotomic sets of degree 20 - degree (indices >= 3), psi from the
     unramified Salem entries with unramified cyclotomic tails."""
-    rows = []
     psis = psi_candidates_setup1(store)
     entries = [e for e in store.of_degree(degree)
                if not index_range or index_range[0] <= e.index <= index_range[1]]
@@ -252,28 +266,62 @@ def search_setup1(store: SalemStore, degree: int,
     if not psis:
         return [AnalysisRow(rejection="data unavailable: no unramified Salem "
                                       "entries in the store")]
-    tasks = []
-    for entry in entries:
-        s_poly = entry.salem_poly
-        s_lab = salem_label(*entry.key)
-        for cset in cyclotomic_sets(20 - degree):
-            phi = Z2 * s_poly
-            for j in cset:
-                phi = phi * cyclotomic(j)
+    return _search([(e.salem_poly, salem_label(*e.key)) for e in entries], psis,
+                   include_rejections, workers)
+
+
+def search_setup2(workers: int = 1, include_rejections: bool = False,
+                  candidates: list[Setup2Candidate] | None = None) -> list[AnalysisRow]:
+    """The Picard-number-18 search: phi = (z^2-1) S4 C with deg C = 16,
+    psi over the enumerated auxiliary polynomials."""
+    if candidates is None:
+        candidates = enumerate_setup2()
+    return _search([(S4, salem_label(4, 1))],
+                   [(c, "", str(c.id)) for c in candidates],
+                   include_rejections, workers)
+
+
+def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple],
+            include_rejections: bool, workers: int) -> list[AnalysisRow]:
+    """Pair phi = (z^2-1) S prod C_j, for each (S, label) and each cyclotomic
+    set of degree 20 - deg S, with every (item with .psi(), s label, c label).
+
+    Res is multiplicative, so a pair is unimodular exactly when each factor
+    resultant, Res(Z2 S, psi) and every Res(C_j, psi), is +-1.  When none
+    is 0 and one is not +-1, the pair is rejected here with the row
+    analyze_pair would give; a zero one leaves the pair to analyze_pair,
+    the one place that rejects it as not coprime.  Rows are sorted by
+    their labels, psi ids numerically.
+    """
+    polys = [rec.psi() for rec, _, _ in psis]
+    csets = {s.degree: cyclotomic_sets(20 - s.degree) for s, _ in salems}
+    pool = sorted({j for sets in csets.values() for cs in sets for j in cs})
+    units = _resultant_unit_table([rec for rec, _, _ in psis], pool)
+    rows, tasks = [], []
+    for s_poly, s_lab in salems:
+        base = phi_of(s_poly, ())
+        base_units = [_factor_unit(base, psi) for psi in polys]
+        for cset in csets[s_poly.degree]:
+            phi = phi_of(s_poly, cset)
             c_lab = cyclo_label(list(cset))
-            for psi, s_aux, c_aux in psis:
-                tasks.append((phi, psi, s_lab, c_lab, s_aux, c_aux))
+            for pos, (psi, (_, s_aux, c_aux)) in enumerate(zip(polys, psis)):
+                flags = [base_units[pos]] + [units[j][pos] for j in cset]
+                if all(flags) or None in flags:
+                    tasks.append((phi, psi, s_lab, c_lab, s_aux, c_aux))
+                elif include_rejections:
+                    rows.append(AnalysisRow(s_label=s_lab, c_label=c_lab,
+                                            aux_s_label=s_aux, aux_c_label=c_aux,
+                                            rejection="resultant is not a unit"))
     results = _map_tasks(_run_analysis_task, tasks, workers)
-    for row in results:
-        if row.accepted() or row.faulted() or include_rejections:
-            rows.append(row)
-    rows.sort(key=lambda r: (r.s_label, r.c_label, r.aux_s_label, r.aux_c_label))
+    rows += [r for r in results if r.accepted() or r.faulted() or include_rejections]
+    rows.sort(key=lambda r: (r.s_label, r.c_label, r.aux_s_label,
+                             (0, int(r.aux_c_label)) if r.aux_c_label.isdigit()
+                             else (1, r.aux_c_label)))
     return rows
 
 
 def _run_analysis_task(task):
-    phi, psi, s_lab, c_lab, s_aux, c_aux = task
-    return analyze_pair(phi, psi, s_lab, c_lab, s_aux, c_aux)
+    return analyze_pair(*task)
 
 
 def _map_tasks(fn, tasks, workers: int):
@@ -285,65 +333,27 @@ def _map_tasks(fn, tasks, workers: int):
         return pool.map(fn, tasks, chunksize=1)
 
 
-def _resultant_unit_table(candidates: list[Setup2Candidate],
-                          pool: list[int]) -> dict[int, list[bool]]:
-    """|Res(C_j, psi_i)| == 1 for every cyclotomic index j in the pool;
-    flags are positional, parallel to the candidate list.  Computed via
-    reduction modulo the monic C_j, so each resultant is tiny."""
-    table: dict[int, list[bool]] = {}
-    for j in pool:
-        cj = cyclotomic(j)
-        flags = []
-        for cand in candidates:
-            psi = cand.psi()
-            _, r = psi.divmod(cj)
-            if r.is_zero():
-                flags.append(False)
-                continue
-            flags.append(abs(resultant(cj, r)) == 1)
-        table[j] = flags
-    return table
+def _factor_unit(f: IntPoly, psi: IntPoly) -> bool | None:
+    """|Res(f, psi)| == 1 for a monic f, None when it is 0; psi is reduced
+    modulo f first, so the resultant is small."""
+    _, r = psi.divmod(f)
+    res = 0 if r.is_zero() else resultant(f, r)
+    return None if res == 0 else abs(res) == 1
 
 
-def search_setup2(workers: int = 1, include_rejections: bool = False,
-                  candidates: list[Setup2Candidate] | None = None) -> list[AnalysisRow]:
-    """The Picard-number-18 search: phi = (z^2-1) S4 C with deg C = 16,
-    psi over the enumerated auxiliary polynomials."""
-    if candidates is None:
-        candidates = enumerate_setup2()
-    csets = cyclotomic_sets(16)
-    pool = sorted({j for cs in csets for j in cs})
-    units = _resultant_unit_table(candidates, pool)
-
-    tasks = []
-    rejected = []
-    for cset in csets:
-        phi = Z2 * S4
-        for j in cset:
-            phi = phi * cyclotomic(j)
-        c_lab = cyclo_label(list(cset))
-        for pos, cand in enumerate(candidates):
-            if all(units[j][pos] for j in cset):
-                tasks.append((phi, cand.psi(), salem_label(4, 1), c_lab,
-                              "", str(cand.id)))
-            elif include_rejections:
-                rejected.append(AnalysisRow(
-                    s_label=salem_label(4, 1), c_label=c_lab,
-                    aux_c_label=str(cand.id),
-                    rejection="resultant is not a unit"))
-    results = _map_tasks(_run_analysis_task, tasks, workers)
-    rows = [r for r in results if r.accepted() or r.faulted() or include_rejections]
-    rows.extend(rejected)
-    rows.sort(key=lambda r: (r.s_label, r.c_label,
-                             int(r.aux_c_label) if r.aux_c_label.isdigit() else 0))
-    return rows
+def _resultant_unit_table(candidates: list, pool: list[int]) -> dict[int, list]:
+    """_factor_unit(C_j, psi) for every cyclotomic index j in the pool and
+    every candidate (an item with .psi()); flags are positional, parallel
+    to the candidate list, and None where C_j divides psi."""
+    psis = [cand.psi() for cand in candidates]
+    return {j: [_factor_unit(cyclotomic(j), psi) for psi in psis] for j in pool}
 
 
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
-def emit(rows: list[AnalysisRow], fmt: str = "csv", path: str | None = None) -> str:
+def emit(rows: list[AnalysisRow], fmt: str = "csv") -> str:
     """Serialize rows; deterministic order is the caller's order."""
     if fmt == "csv":
         buf = io.StringIO()
@@ -351,15 +361,10 @@ def emit(rows: list[AnalysisRow], fmt: str = "csv", path: str | None = None) -> 
         writer.writerow(CSV_COLUMNS)
         for r in rows:
             writer.writerow(r.to_csv())
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = json.dumps([r.to_json() for r in rows], indent=1) + "\n"
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+        return buf.getvalue()
+    if fmt == "json":
+        return json.dumps([r.to_json() for r in rows], indent=1) + "\n"
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def parse_rows_json(text: str) -> list[AnalysisRow]:

@@ -2,11 +2,13 @@ import json
 import os
 import tempfile
 
+import pytest
+
 from k3siegel.intpoly import IntPoly, cyclotomic
 from k3siegel import cli, hyplattice, linalg
 from k3siegel.picardweyl import PipelineError
 from k3siegel.salemlib import load_store
-from k3siegel.setup2 import enumerate_setup2
+from k3siegel.setup2 import S4, enumerate_setup2
 
 STORE = load_store()
 Z2 = IntPoly([-1, 0, 1])
@@ -114,13 +116,74 @@ def test_emit_roundtrip():
     assert lines[1] == "S22^(18),C4,S1^(6),C48,tau4,A1^2,C1 C2 C4,-1,S"
 
 
-def test_search_setup2_worker_independence():
-    subset = CANDS[500:560]
-    rows1 = cli.search_setup2(workers=1, candidates=subset)
-    rows2 = cli.search_setup2(workers=2, candidates=subset)
+@pytest.mark.parametrize("search, marker", [
+    pytest.param(lambda workers: cli.search_setup2(workers=workers, candidates=CANDS[500:560]),
+                 "523", id="setup2"),
+    pytest.param(lambda workers: cli.search_setup1(STORE, 18, include_rejections=True,
+                                                   workers=workers),
+                 "C48", id="setup1-18"),
+])
+def test_search_setup2_worker_independence(search, marker):
+    rows1 = search(1)
+    rows2 = search(2)
     assert cli.emit(rows1, "csv") == cli.emit(rows2, "csv")
-    ids = [r.aux_c_label for r in rows1]
-    assert "523" in ids
+    ids = [r.aux_c_label for r in rows1 if r.accepted()]
+    assert marker in ids
+
+
+def _cset(label):
+    return () if label == "1" else tuple(int(tok[1:]) for tok in label.split())
+
+
+def _salem(label):
+    index, degree = label[1:-1].split("^(")
+    return STORE[(int(degree), int(index))].salem_poly
+
+
+def _setup1_pair(row):
+    psi = _salem(row.aux_s_label)
+    for l in _cset(row.aux_c_label):
+        psi = psi * cyclotomic(l)
+    return cli.phi_of(_salem(row.s_label), _cset(row.c_label)), psi
+
+
+def test_setup1_prefilter_is_exact(monkeypatch):
+    # the factor prefilter decides pairs in setup1, and only as the
+    # pipeline would decide them
+    analyzed = []
+    pipeline = cli.analyze_pair
+
+    def record(phi, psi, *labels):
+        analyzed.append(labels)
+        return pipeline(phi, psi, *labels)
+
+    monkeypatch.setattr(cli, "analyze_pair", record)
+    rows = cli.search_setup1(STORE, 18, include_rejections=True)
+    assert len(rows) == 78 and len(analyzed) == 11
+    for row in rows:
+        want = pipeline(*_setup1_pair(row), row.s_label, row.c_label,
+                        row.aux_s_label, row.aux_c_label)
+        assert row.to_json() == want.to_json()
+    # Res(C3, psi) = 4, but psi shares S22^(18) with phi: a zero factor
+    # resultant leaves the pair to analyze_pair
+    shared = ("S22^(18)", "C3", "S22^(18)", "C12")
+    assert shared in analyzed
+    assert [r.rejection for r in rows if (r.s_label, r.c_label, r.aux_s_label,
+                                          r.aux_c_label) == shared] == \
+        ["phi and psi must be coprime"]
+
+
+def test_setup2_shared_cyclotomic_factor_is_not_coprime():
+    cand = CANDS[68]
+    assert cand.id == 69 and cyclotomic(30).divides(cand.psi())
+    rows = cli.search_setup2(include_rejections=True, candidates=[cand])
+    with_c30 = [r for r in rows if 30 in _cset(r.c_label)]
+    assert with_c30
+    for row in with_c30:
+        assert row.rejection == "phi and psi must be coprime"
+        want = cli.analyze_pair(cli.phi_of(S4, _cset(row.c_label)), cand.psi(),
+                                row.s_label, row.c_label, "", "69")
+        assert row.to_json() == want.to_json()
 
 
 def test_cli_main_analyze(capsys):

@@ -25,23 +25,33 @@ EXPECTED_PM = ["S", "S", "H", "S", "S", "S", "H", "H", "S"]
 EXPECTED_P = ["S", "S", "S", "S", "S", "S", "S", "S", "H"]
 
 
+# the eliminations take seconds each; every test reads the same results
+@pytest.fixture(scope="module")
+def eliminants():
+    return eliminate(3), eliminate(7)
+
+
+@pytest.fixture(scope="module")
+def solved():
+    return solve_B_and_P()
+
+
 def test_trace_check():
     assert trace_check()
     # the degree-4 Salem polynomial has Tr(F^3) > 1: different pattern
     assert not trace_check(IntPoly([1, -1, -1, -1, 1]))
 
 
-def test_eliminant_degrees():
-    e3 = eliminate(3)
-    e7 = eliminate(7)
+def test_eliminant_degrees(eliminants):
+    e3, e7 = eliminants
     assert len(e3) - 1 == 4      # (B - Q) times a cubic
     assert len(e7) - 1 == 12     # (B - Q) times a degree-11 factor
     g = fp_gcd(e3, e7)
     assert len(g) - 1 == 1
 
 
-def test_remaining_factors_coprime():
-    e3, e7 = eliminate(3), eliminate(7)
+def test_remaining_factors_coprime(eliminants):
+    e3, e7 = eliminants
     g = fp_gcd(e3, e7)
     r3, rem3 = fp_divmod(e3, g)
     r7, rem7 = fp_divmod(e7, g)
@@ -50,8 +60,8 @@ def test_remaining_factors_coprime():
     assert len(fp_gcd(r3, r7)) - 1 == 0  # no common roots
 
 
-def test_solve_matches_closed_forms():
-    report = solve_B_and_P()
+def test_solve_matches_closed_forms(solved):
+    report = solved
     assert report.q_func == expected_Q()
     assert report.p_func == expected_P()
     assert report.certificates["h3_separation"]
@@ -73,8 +83,8 @@ def test_exclusion_cases_ii_iii():
     assert zgcd(ST20_1, ST20_1) == ST20_1
 
 
-def test_verdict_grid():
-    report = classify_grid(solve_B_and_P())
+def test_verdict_grid(solved):
+    report = classify_grid(solved)
     pm = [str(report.grid[("p_pm", j)]) for j in range(1, 10)]
     p = [str(report.grid[("p", j)]) for j in range(1, 10)]
     assert pm == EXPECTED_PM
@@ -93,10 +103,10 @@ def test_full_analysis_certificates():
     assert report.e3_degree == 4 and report.e7_degree == 12
 
 
-def test_grid_reproduces_rank2_search_patterns():
+def test_grid_reproduces_rank2_search_patterns(solved):
     # the S/H letters of the fifteen rank-2 search rows are the grid
     # columns at each row's special trace index
-    report = classify_grid(solve_B_and_P())
+    report = classify_grid(solved)
     rows = [(7, "HS"), (6, "SS"), (9, "SH"), (6, "SS"), (5, "SS"),
             (3, "HS"), (4, "SS"), (7, "HS"), (1, "SS"), (6, "SS"),
             (3, "HS"), (3, "HS"), (5, "SS"), (1, "SS"), (3, "HS")]
