@@ -1,11 +1,13 @@
 """Exact linear algebra over ZZ and QQ used by the lattice machinery.
 
 Matrices are plain lists of lists (row-major) of ints or Fractions.
-Determinants use fraction-free Bareiss elimination, inertia uses
-symmetric pivoting over the rationals (Sylvester's law), short vectors
-come from an exact Fincke-Pohst enumeration on a rational Cholesky
-decomposition, optionally after an integral LLL reduction of the Gram
-matrix.  Nothing here ever touches floating point.
+Determinants use fraction-free Bareiss elimination.  Every symmetric
+integer matrix goes through one fraction-free symmetric elimination,
+whose integer minors give the inertia (Jacobi's sign rule and
+Sylvester's law), drive the all-integer LLL reduction, and give the
+LDL^T decomposition on which an exact Fincke-Pohst enumeration finds
+short vectors of the LLL-reduced Gram matrix.  Nothing here ever
+touches floating point.
 """
 
 from __future__ import annotations
@@ -105,58 +107,57 @@ def inverse(a: Matrix) -> Matrix:
     return solve(a, identity(len(a)))
 
 
-def inertia(m: Matrix) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric rational matrix.
+def _symmetric_bareiss(m: Matrix) -> tuple[list[int], Matrix, int]:
+    """Fraction-free symmetric elimination of a symmetric integer matrix.
 
-    Exact symmetric Gaussian pivoting: congruence transformations only,
-    so the counts are certified by Sylvester's law of inertia.
+    Right-looking Bareiss, a[i][j] = (a[i][j] p - a[i][k] a[k][j]) / prev,
+    exact in ZZ.  Step k pivots on the first nonzero diagonal entry at or
+    after k by a symmetric swap; when that whole diagonal is zero it adds
+    row and column j to i, making a[i][i] = 2 a[i][j].  Both moves are
+    unimodular congruences, so each pivot is a leading principal minor of
+    an integer matrix congruent to m.  Returns (minors, lam, zero):
+    minors[0] = 1 and minors[k] is the k-th such minor; zero is the size
+    of the block left when the remaining entries all vanish; for i > j,
+    lam[i][j] is the bordered minor lambda_ij = minors[j+1] mu_ij of the
+    integral LLL (Cohen, section 2.6).  A positive definite m is never
+    pivoted, so its minors and lam are m's own.
     """
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    pos = neg = zero = 0
-    idx = list(range(n))
-    k = 0
-    while k < n:
-        # find a nonzero diagonal pivot
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+    a = [list(row) for row in m]
+    n = len(a)
+    minors = [1]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i]), None)
         if piv is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
+            off = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
             if off is None:
-                zero += n - k
-                break
-            i, j = off
-            # congruence: add row/col j to i, making a[i][i] = 2 a[i][j] != 0
-            for c in range(k, n):
-                a[i][c] += a[j][c]
-            for r in range(k, n):
-                a[r][i] += a[r][j]
-            piv = i
+                return minors, a, n - k
+            piv, j = off
+            a[piv] = [x + y for x, y in zip(a[piv], a[j])]
+            for row in a:
+                row[piv] += row[j]
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             for row in a:
                 row[k], row[piv] = row[piv], row[k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        p, prev, row_k = a[k][k], minors[-1], a[k]
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-        for i in range(k + 1, n):
-            a[k][i] = Fraction(0)
-            a[i][k] = Fraction(0)
-        k += 1
-    return pos, neg, zero
+            row, f = a[i], a[i][k]
+            row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], row_k[k + 1:])]
+        minors.append(p)
+    return minors, a, 0
+
+
+def inertia(m: Matrix) -> tuple[int, int, int]:
+    """Signature (positive, negative, zero) of a symmetric integer matrix.
+
+    Jacobi's sign rule on the minors of the symmetric elimination: the
+    k-th pivot of the congruent diagonal form has the sign of
+    minors[k] / minors[k-1], so Sylvester's law of inertia certifies
+    the counts.
+    """
+    minors, _, zero = _symmetric_bareiss(m)
+    neg = sum(1 for p, q in zip(minors, minors[1:]) if (p > 0) != (q > 0))
+    return len(minors) - 1 - neg, neg, zero
 
 
 def charpoly(m: Matrix) -> IntPoly:
@@ -189,12 +190,15 @@ def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix]:
     Returns (reduced Gram, U) with U unimodular and
     reduced = U * gram * U^T.  Gram-matrix formulation: the running Gram
     matrix is updated in place under the congruence row operations, so
-    no basis vectors are ever needed.  Exact rationals throughout.
+    no basis vectors are ever needed.  All-integer (Cohen, section 2.6):
+    size reduction and the Lovasz test read the minors d_i and bordered
+    minors lambda_ij of the symmetric elimination, which is rerun after
+    every swap.  Raises MatrixDomainError unless every minor is positive
+    (Sylvester's criterion).
     """
     n = len(gram)
-    delta = Fraction(3, 4)
     u = identity(n)
-    cur = [[Fraction(x) for x in row] for row in gram]  # = U gram U^T
+    cur = [list(row) for row in gram]  # = U gram U^T
 
     def row_op(k, j, q):
         u[k] = [a - q * b for a, b in zip(u[k], u[j])]
@@ -209,44 +213,34 @@ def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix]:
         for r_ in range(n):
             cur[r_][k], cur[r_][k - 1] = cur[r_][k - 1], cur[r_][k]
 
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar = [Fraction(0)] * n
-        for i in range(n):
-            for j in range(i):
-                mu[i][j] = (cur[i][j] - sum(mu[i][k] * mu[j][k] * bstar[k]
-                                            for k in range(j))) / bstar[j]
-            bstar[i] = cur[i][i] - sum(mu[i][k] ** 2 * bstar[k] for k in range(i))
-        return mu, bstar
-
-    mu, bstar = gso()
+    d, lam, zero = _symmetric_bareiss(cur)
+    if zero or any(x <= 0 for x in d):
+        raise MatrixDomainError("lll_reduce requires a positive definite Gram matrix")
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = _round_half(mu[k][j])
+            q = _round_half(lam[k][j], d[j + 1])
             if q != 0:
                 row_op(k, j, q)
-                # size reduction leaves bstar fixed and shifts mu row k
+                # size reduction leaves d fixed and shifts lambda row k
                 for l in range(j):
-                    mu[k][l] -= q * mu[j][l]
-                mu[k][j] -= q
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+                    lam[k][l] -= q * lam[j][l]
+                lam[k][j] -= q * d[j + 1]
+        if 4 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= 3 * d[k] ** 2:
             k += 1
         else:
             swap(k)
-            mu, bstar = gso()
+            d, lam, _ = _symmetric_bareiss(cur)
             k = max(k - 1, 1)
-    red = [[int(x) for x in row] for row in cur]
-    return red, u
+    return cur, u
 
 
-def _round_half(x: Fraction) -> int:
-    # nearest integer, ties toward zero
-    n, d = x.numerator, x.denominator
-    q, r = divmod(abs(n), d)
-    if 2 * r > d:
+def _round_half(num: int, den: int) -> int:
+    # nearest integer to num/den (den > 0), ties toward zero
+    q, r = divmod(abs(num), den)
+    if 2 * r > den:
         q += 1
-    return q if n >= 0 else -q
+    return q if num >= 0 else -q
 
 
 def _int_range_around(c: Fraction, radius_sq: Fraction) -> range:
@@ -280,26 +274,17 @@ def short_vectors(gram: Matrix, norm: int) -> list[tuple[int, ...]]:
     gram must be positive definite.  One representative per +-pair is
     returned (last nonzero coordinate positive); callers close under
     negation when they need the full set.  Exact Fincke-Pohst on the
-    rational Cholesky decomposition of the LLL-reduced Gram matrix; the
-    reduction affects speed only, never results.
+    LDL^T decomposition that the symmetric elimination reads off the
+    LLL-reduced Gram matrix; the reduction affects speed only, never
+    results.
     """
     n = len(gram)
     if n == 0:
         return []
     red, u = lll_reduce(gram)
-    # rational Cholesky: red = R^T D R with R unit upper triangular
-    d = [Fraction(0)] * n
-    r = [[Fraction(0)] * n for _ in range(n)]
-    a = [[Fraction(x) for x in row] for row in red]
-    for i in range(n):
-        for j in range(i, n):
-            s = a[i][j] - sum(d[k] * r[k][i] * r[k][j] for k in range(i))
-            if j == i:
-                d[i] = s
-                if s <= 0:
-                    raise MatrixDomainError("short_vectors requires a positive definite Gram matrix")
-            else:
-                r[i][j] = s / d[i]
+    # red = R^T D R with d_i = D_(i+1)/D_i and r_ij = lambda_ji/D_(i+1)
+    minors, lam, _ = _symmetric_bareiss(red)
+    d = [Fraction(minors[i + 1], minors[i]) for i in range(n)]
 
     target = Fraction(norm)
     found: list[tuple[int, ...]] = []
@@ -310,7 +295,7 @@ def short_vectors(gram: Matrix, norm: int) -> list[tuple[int, ...]]:
             if any(x):
                 found.append(tuple(x))
             return
-        c = -sum(r[i][j] * x[j] for j in range(i + 1, n))
+        c = Fraction(-sum(lam[j][i] * x[j] for j in range(i + 1, n)), minors[i + 1])
         for t in _int_range_around(c, remaining / d[i]):
             x[i] = t
             used = d[i] * (t - c) ** 2
@@ -322,7 +307,6 @@ def short_vectors(gram: Matrix, norm: int) -> list[tuple[int, ...]]:
     out = set()
     for v in found:
         w = mat_vec(transpose(u), list(v))
-        w = [int(c) for c in w]
         if sum(wi * gram[i][j] * wj for i, wi in enumerate(w) for j, wj in enumerate(w)) != norm:
             continue
         # canonical sign: last nonzero coordinate positive

@@ -2,9 +2,9 @@
 
 sympy is an independent implementation: these tests compare the one
 integer Sturm chain (root counting and isolation), the subresultant
-resultant, the minimal polynomials interpolated from it and the
-Lagrange-interpolated characteristic polynomial with it on random
-inputs.
+resultant, the minimal polynomials interpolated from it, the
+Lagrange-interpolated characteristic polynomial and the inertia read off
+the fraction-free symmetric elimination with it on random inputs.
 """
 
 from fractions import Fraction
@@ -140,3 +140,51 @@ def test_minpoly_of_value_matches_sympy(m, num, den):
 def test_charpoly_matches_sympy(m):
     want = sympy.Matrix(m).charpoly(X).all_coeffs()
     assert list(reversed(linalg.charpoly(m).coeffs)) == want
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices, n <= 7, often with a zero diagonal
+    (so the elimination must pivot or add a row) or a repeated
+    row and column (so it is singular)."""
+    n = draw(st.integers(1, 7))
+    m = [[0] * n for _ in range(n)]
+    zero_diagonal = draw(st.booleans())
+    for i in range(n):
+        for j in range(i, n):
+            if not (i == j and zero_diagonal):
+                m[i][j] = m[j][i] = draw(st.integers(-4, 4))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        m[i] = list(m[j])
+        for row in m:
+            row[i] = row[j]
+    return m
+
+
+def descartes_inertia(m):
+    """(positive, negative, zero) eigenvalue counts from sympy's
+    characteristic polynomial: its roots are all real, so Descartes'
+    rule of signs counts them exactly."""
+    cp = [int(c) for c in sympy.Matrix(m).charpoly(X).all_coeffs()]
+    zero = 0
+    while cp[-1] == 0:
+        cp.pop()
+        zero += 1
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    deg = len(cp) - 1
+    return changes(cp), changes([c * (-1) ** (deg - i) for i, c in enumerate(cp)]), zero
+
+
+@EXAMPLES
+@given(symmetric_matrices())
+def test_inertia_matches_sympy(m):
+    assert linalg.inertia(m) == descartes_inertia(m)
+    det = sympy.Matrix(m).det()
+    if det:
+        minors, _, zero = linalg._symmetric_bareiss(m)
+        assert zero == 0 and minors[-1] == det

@@ -2,8 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from k3siegel.intpoly import IntPoly
 from k3siegel.linalg import (
+    MatrixDomainError,
     bareiss_det,
     charpoly,
     identity,
@@ -155,3 +158,37 @@ def test_lll_preserves_lattice():
         assert mat_eq(red, mat_mul(mat_mul(u, g), transpose(u)))
         assert abs(bareiss_det(u)) == 1
         assert bareiss_det(red) == bareiss_det(g)
+        # the LLL conditions, on a Gram-Schmidt of red computed here
+        mu, bstar = fraction_gso(red)
+        for i in range(n):
+            for j in range(i):
+                assert abs(mu[i][j]) <= Fraction(1, 2)
+        for k in range(1, n):
+            assert bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]
+
+
+def fraction_gso(gram):
+    """Gram-Schmidt coefficients mu and squared norms |b*_i|^2 over QQ."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[i][k] * mu[j][k] * bstar[k]
+                                         for k in range(j))) / bstar[j]
+        bstar[i] = gram[i][i] - sum(mu[i][k] ** 2 * bstar[k] for k in range(i))
+    return mu, bstar
+
+
+@pytest.mark.parametrize("gram", [
+    [[0, 0], [0, 0]],
+    [[1, 1], [1, 1]],
+    [[2, 0, 0], [0, 0, 0], [0, 0, 2]],
+    [[-2]],
+    [[2, 3], [3, 2]],
+])
+def test_semidefinite_or_indefinite_gram_is_a_typed_error(gram):
+    with pytest.raises(MatrixDomainError, match="positive definite"):
+        lll_reduce(gram)
+    with pytest.raises(MatrixDomainError, match="positive definite"):
+        short_vectors(gram, 2)
