@@ -30,7 +30,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .intpoly import IntPoly, cyclotomic, euler_phi, resultant
+from .intpoly import IntPoly, cyclotomic, euler_phi, resultant, trace_polynomial
 from . import picard2 as p2
 from .fpfsiegel import (
     NeedsManualAnalysis,
@@ -290,17 +290,19 @@ def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple],
     resultant, Res(Z2 S, psi) and every Res(C_j, psi), is +-1.  When none
     is 0 and one is not +-1, the pair is rejected here with the row
     analyze_pair would give; a zero one leaves the pair to analyze_pair,
-    the one place that rejects it as not coprime.  Rows are sorted by
-    their labels, psi ids numerically.
+    the one place that rejects it as not coprime.  S and every psi are
+    monic palindromic of even degree, so the factors are decided on trace
+    polynomials.  Rows are sorted by their labels, psi ids numerically.
     """
     polys = [rec.psi() for rec, _, _ in psis]
+    traces = [trace_polynomial(psi) for psi in polys]
     csets = {s.degree: cyclotomic_sets(20 - s.degree) for s, _ in salems}
     pool = sorted({j for sets in csets.values() for cs in sets for j in cs})
     units = _resultant_unit_table([rec for rec, _, _ in psis], pool)
     rows, tasks = [], []
     for s_poly, s_lab in salems:
-        base = phi_of(s_poly, ())
-        base_units = [_factor_unit(base, psi) for psi in polys]
+        s_trace = trace_polynomial(s_poly)
+        base_units = [_base_unit(s_trace, psi, tr) for psi, tr in zip(polys, traces)]
         for cset in csets[s_poly.degree]:
             phi = phi_of(s_poly, cset)
             c_lab = cyclo_label(list(cset))
@@ -341,12 +343,31 @@ def _factor_unit(f: IntPoly, psi: IntPoly) -> bool | None:
     return None if res == 0 else abs(res) == 1
 
 
+def _base_unit(s_trace: IntPoly, psi: IntPoly, psi_trace: IntPoly) -> bool | None:
+    """_factor_unit((z^2 - 1) S, psi) for a palindromic S with trace
+    polynomial s_trace: the resultant is psi(1) psi(-1) Res(S, psi), and
+    Res(S, psi) is halved as in _resultant_unit_table."""
+    ends = psi(1) * psi(-1)
+    flag = _factor_unit(s_trace, psi_trace)
+    return None if ends == 0 or flag is None else flag and abs(ends) == 1
+
+
 def _resultant_unit_table(candidates: list, pool: list[int]) -> dict[int, list]:
-    """_factor_unit(C_j, psi) for every cyclotomic index j in the pool and
-    every candidate (an item with .psi()); flags are positional, parallel
-    to the candidate list, and None where C_j divides psi."""
-    psis = [cand.psi() for cand in candidates]
-    return {j: [_factor_unit(cyclotomic(j), psi) for psi in psis] for j in pool}
+    """_factor_unit(C_j, psi) for every cyclotomic index j >= 3 in the pool
+    and every candidate (an item with .psi()); flags are positional,
+    parallel to the candidate list, and None where C_j divides psi.
+
+    Each flag is decided at half the degree: for monic palindromic p and
+    q of even degree with trace polynomials P and Q, Res(p, q) =
+    Res(P, Q)^2, since the roots of p pair as a, 1/a and
+    q(a) = a^m Q(a + 1/a).
+    """
+    traces = [trace_polynomial(cand.psi()) for cand in candidates]
+    table = {}
+    for j in pool:
+        t_j = trace_polynomial(cyclotomic(j))
+        table[j] = [_factor_unit(t_j, tr) for tr in traces]
+    return table
 
 
 # ---------------------------------------------------------------------------

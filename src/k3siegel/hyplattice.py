@@ -10,9 +10,10 @@ after renormalization (negate if the index is positive) the accepted
 pairs carry the intersection form of a K3 lattice, of signature (3,19).
 
 The pipeline path (build, unimodularity gate, signature) is integer
-arithmetic.  The companion B of psi is built only on demand, by exact
-rational solves, for the structural check that C = A^(-1) B is a
-reflection; no verdict reads it.
+arithmetic, with one symmetric elimination of the Gram matrix.  The
+companion B of psi is built only on demand, by exact rational solves,
+for the structural check that C = A^(-1) B is a reflection; no verdict
+reads it.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class LatticeModel:
     resultant: int         # Res(phi, psi), nonzero; the unimodularity gate reads it
     signature: tuple[int, int] = (0, 0)
     renormalized: bool = False
+    elimination: tuple | None = None  # (inertia, det) of gram, see _eliminate
 
 
 def companion(p: IntPoly) -> list:
@@ -142,11 +144,19 @@ def build(phi: IntPoly, psi: IntPoly) -> LatticeModel:
                         resultant=res)
 
 
+def _eliminate(model: LatticeModel) -> tuple[tuple[int, int, int], int]:
+    """Inertia and determinant of the Gram matrix, from the one symmetric
+    elimination the unimodularity gate and the signature both read."""
+    if model.elimination is None:
+        model.elimination = linalg.inertia_and_det(model.gram)
+    return model.elimination
+
+
 def unimodularity_gate(model: LatticeModel) -> bool:
     """Res(phi, psi) = +-1, cross-checked against |det gram| = 1."""
     if abs(model.resultant) != 1:
         return False
-    if abs(linalg.bareiss_det(model.gram)) != 1:
+    if abs(_eliminate(model)[1]) != 1:
         raise LatticeBuildError("unimodular resultant but non-unimodular Gram matrix")
     return True
 
@@ -157,13 +167,14 @@ def signature_and_renormalize(model: LatticeModel) -> LatticeModel:
     The renormalized bilinear form is the intersection form used by all
     downstream Picard-lattice computations.
     """
-    pos, neg, zero = linalg.inertia(model.gram)
+    (pos, neg, zero), det = _eliminate(model)
     if zero:
         raise LatticeBuildError("singular Gram matrix past the unimodularity gate")
     if pos - neg > 0:
         model.gram = linalg.mat_neg(model.gram)
         model.renormalized = True
         pos, neg = neg, pos
+        model.elimination = (pos, neg, zero), det  # RANK is even
     model.signature = (pos, neg)
     return model
 

@@ -394,15 +394,14 @@ def trace_polynomial(u: IntPoly) -> IntPoly:
     m = u.degree // 2
     rem = list(u.coeffs) + [0] * (2 * m + 1 - len(u.coeffs))
     out = [0] * (m + 1)
-    # peel off U_k * z^(m-k) (z^2+1)^k from the top coefficient downwards
-    zz1 = IntPoly([1, 0, 1])
+    # peel off U_k z^(m-k) (z^2+1)^k = U_k sum_i C(k, i) z^(m-k+2i) from
+    # the top coefficient downwards
     for k in range(m, -1, -1):
         c = rem[m + k]
         out[k] = c
         if c:
-            term = (zz1 ** k).shift(m - k) * c
-            for i, t in enumerate(term.coeffs):
-                rem[i] -= t
+            for i in range(k + 1):
+                rem[m - k + 2 * i] -= c * math.comb(k, i)
     if any(rem):
         raise PolynomialDomainError("trace polynomial back-substitution failed")
     return IntPoly(out)

@@ -147,17 +147,23 @@ def _symmetric_bareiss(m: Matrix) -> tuple[list[int], Matrix, int]:
     return minors, a, 0
 
 
-def inertia(m: Matrix) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric integer matrix.
+def inertia_and_det(m: Matrix) -> tuple[tuple[int, int, int], int]:
+    """Signature (positive, negative, zero) and determinant of a symmetric
+    integer matrix, from one symmetric elimination.
 
-    Jacobi's sign rule on the minors of the symmetric elimination: the
-    k-th pivot of the congruent diagonal form has the sign of
-    minors[k] / minors[k-1], so Sylvester's law of inertia certifies
-    the counts.
+    Jacobi's sign rule on the minors: the k-th pivot of the congruent
+    diagonal form has the sign of minors[k] / minors[k-1], so Sylvester's
+    law of inertia certifies the counts.  The congruences are unimodular,
+    so the last minor is det m, which is 0 when a zero block is left.
     """
     minors, _, zero = _symmetric_bareiss(m)
     neg = sum(1 for p, q in zip(minors, minors[1:]) if (p > 0) != (q > 0))
-    return len(minors) - 1 - neg, neg, zero
+    return (len(minors) - 1 - neg, neg, zero), 0 if zero else minors[-1]
+
+
+def inertia(m: Matrix) -> tuple[int, int, int]:
+    """Signature (positive, negative, zero) of a symmetric integer matrix."""
+    return inertia_and_det(m)[0]
 
 
 def charpoly(m: Matrix) -> IntPoly:

@@ -8,14 +8,18 @@ A word survives when the trace polynomial of psi has ten or eight roots
 in (-2, 2) and the resultant with the quartic Salem polynomial
 z^4 - z^3 - z^2 - z + 1 is +-1.
 
-Two filters make the 3.9M-word sweep fast without giving up exactness:
-the resultant is the field norm of psi reduced modulo the quartic,
-evaluated modulo two 31-bit primes over numpy int64 lanes (anything
-passing is re-verified in exact integer arithmetic), and the root count
-is the package's one integer Sturm chain (``algnum.count_roots_in``) on
-the trace polynomial, evaluated at -2 and 2 by integer Horner.
-Survivors are sorted lexicographically by (c1, ..., c11) with the
-numeric order -2 < -1 < 0 < 1 < 2 and numbered from 1.
+Both conditions are read off the trace polynomial Psi of psi, which is
+linear in the word.  For monic palindromic p and q of even degree with
+trace polynomials P and Q, Res(p, q) = Res(P, Q)^2: the roots of p pair
+as alpha, 1/alpha and q(alpha) = alpha^m Q(alpha + 1/alpha).  The trace
+polynomial of the quartic is W = w^2 - w - 3, so the resultant is
+N(Psi mod W)^2 with N(a + b w) = a^2 + ab - 3b^2, and (a, b) is one
+2x12 integer map of the word.  The 3.9M-word sweep evaluates N over
+numpy int64 lanes, exactly (``_norm_map`` bounds every lane), and the
+root count is the package's one integer Sturm chain
+(``algnum.count_roots_in``) on Psi, evaluated at -2 and 2 by integer
+Horner.  Survivors are sorted lexicographically by (c1, ..., c11) with
+the numeric order -2 < -1 < 0 < 1 < 2 and numbered from 1.
 """
 
 from __future__ import annotations
@@ -24,13 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intpoly import IntPoly
+from .intpoly import IntPoly, PolynomialDomainError
 from .algnum import count_roots_in, hn_poly
 
 S4 = IntPoly([1, -1, -1, -1, 1])
 
-_P1 = 2_147_483_647
-_P2 = 2_147_483_629
 _CHUNK = 1 << 18   # words per numpy sweep; bounds memory, not results
 
 
@@ -47,50 +49,6 @@ class Setup2Candidate:
         return IntPoly(half + list(reversed(half[:-1])))
 
 
-def _power_basis_mod_s4() -> list[list[int]]:
-    """z^k mod S4 for k = 0..22, as length-4 integer vectors."""
-    rows = []
-    cur = [1, 0, 0, 0]
-    for _ in range(23):
-        rows.append(list(cur))
-        # multiply by z and reduce with z^4 = z^3 + z^2 + z - 1
-        top = cur[3]
-        cur = [-top, cur[0] + top, cur[1] + top, cur[2] + top]
-    return rows
-
-
-def _norm_matrices() -> list[list[list[int]]]:
-    """Multiplication-by-z^j maps (4x4) modulo S4, j = 0..3."""
-    basis = _power_basis_mod_s4()
-    mats = []
-    for j in range(4):
-        cols = [basis[i + j] for i in range(4)]
-        mats.append([[cols[c][r] for c in range(4)] for r in range(4)])
-    return mats
-
-
-def norm_mod_s4(rvec) -> int:
-    """Field norm of r0 + r1 a + r2 a^2 + r3 a^3 in ZZ[a]/(S4), exact."""
-    mats = _norm_matrices()
-    cols = [[sum(m[r][c] * rvec[c] for c in range(4)) for r in range(4)] for m in mats]
-    a = [[cols[j][i] for j in range(4)] for i in range(4)]
-    return _det4(a)
-
-
-def _det4(a) -> int:
-    m01 = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m01[(i, j)] = a[0][i] * a[1][j] - a[0][j] * a[1][i]
-    m23 = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m23[(i, j)] = a[2][i] * a[3][j] - a[2][j] * a[3][i]
-    return (m01[(0, 1)] * m23[(2, 3)] - m01[(0, 2)] * m23[(1, 3)]
-            + m01[(0, 3)] * m23[(1, 2)] + m01[(1, 2)] * m23[(0, 3)]
-            - m01[(1, 3)] * m23[(0, 2)] + m01[(2, 3)] * m23[(0, 1)])
-
-
 def _trace_map() -> list[list[int]]:
     """Integer matrix taking (1, c1..c11) to the 12 coefficients of the
     trace polynomial: psi = sum c'_k (z^k + z^(22-k)) + c11 z^11 gives
@@ -104,18 +62,48 @@ def _trace_map() -> list[list[int]]:
     return rows
 
 
+# |1|, |c1|..|c9|, |c10|, |c11|: the largest entry of each word column
+_WORD_BOUNDS = (1,) + (2,) * 9 + (9, 21)
+
+
+def _norm(a, b):
+    """N(a + b w) = a^2 + ab - 3b^2, the norm of Z[w]/(W); Res(W, Psi) when
+    Psi = a + b w mod W.  Integers or numpy arrays alike."""
+    return a * a + a * b - 3 * b * b
+
+
+def _norm_map() -> np.ndarray:
+    """2x12 integer map taking (1, c1..c11) to (a, b), Psi = a + b w mod W.
+
+    The trace map composed with the reduction of w^m modulo
+    W = w^2 - w - 3, by w (a + b w) = 3b + (a + b) w.  The word ranges
+    bound |a| and |b|; PolynomialDomainError is raised unless every term
+    of N = a^2 + ab - 3b^2 then stays exact in int64.
+    """
+    tmap = _trace_map()
+    red = [(1, 0)]
+    for _ in range(11):
+        a, b = red[-1]
+        red.append((3 * b, a + b))
+    nmap = [[sum(red[m][i] * tmap[m][k] for m in range(12)) for k in range(12)]
+            for i in range(2)]
+    a_max, b_max = (sum(abs(x) * r for x, r in zip(row, _WORD_BOUNDS)) for row in nmap)
+    if a_max * a_max + a_max * b_max + 3 * b_max * b_max >= 1 << 63:
+        raise PolynomialDomainError(f"norm bounds |a| <= {a_max}, |b| <= {b_max} "
+                                    "overflow int64")
+    return np.array(nmap, dtype=np.int64)
+
+
 def enumerate_setup2() -> list[Setup2Candidate]:
     """All solution words, sorted lexicographically, numbered from 1.
 
-    The numpy sweep, in chunks of _CHUNK words, filters on the resultant
-    condition modulo two primes; every hit is re-verified by exact
-    integer recomputation of the norm, and the integer Sturm root count
-    follows, so the final list is independent of the filter.
+    The numpy sweep, in chunks of _CHUNK words, keeps the words whose
+    norm N(Psi mod W) is +-1, which is exact (see _norm_map); the
+    integer Sturm root count on Psi follows.
     """
-    basis = np.array(_power_basis_mod_s4(), dtype=np.int64)  # 23 x 4
-    mats = np.array(_norm_matrices(), dtype=np.int64)        # 4 x 4 x 4
+    nmap = _norm_map()
     total = 5 ** 9
-    exact_words = []
+    norm_words = []
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         digits = np.empty((idx.size, 9), dtype=np.int64)
@@ -126,50 +114,20 @@ def enumerate_setup2() -> list[Setup2Candidate]:
         c = digits  # columns c1..c9
         c10 = -1 - c[:, 1] - c[:, 3] - c[:, 5] - c[:, 7]
         sodd = c[:, 0] + c[:, 2] + c[:, 4] + c[:, 6] + c[:, 8]
+        part = c @ nmap[:, 1:10].T + nmap[:, 0] + c10[:, None] * nmap[:, 10]
         for sign in (1, -1):
             c11 = sign - 2 * sodd
-            # r = sum over the 23 coefficients of psi of coeff * (z^k mod S4)
-            r = np.zeros((idx.size, 4), dtype=np.int64)
-            r += basis[0] + basis[22]
-            for j in range(1, 10):
-                r += c[:, j - 1, None] * (basis[j] + basis[22 - j])
-            r += c10[:, None] * (basis[10] + basis[12])
-            r += c11[:, None] * basis[11]
-            keep = None
-            for p in (_P1, _P2):
-                cols = [(r @ mats[j].T) % p for j in range(4)]
-                det = _det4_mod(cols, p)
-                ok = (det == 1 % p) | (det == (p - 1))
-                keep = ok if keep is None else (keep & ok)
-            hits = np.nonzero(keep)[0]
-            for h in hits:
-                word = tuple(int(x) for x in c[h]) + (int(c10[h]), int(c11[h]))
-                if abs(norm_mod_s4([int(x) for x in r[h]])) != 1:
-                    continue
-                exact_words.append(word)
+            ab = part + c11[:, None] * nmap[:, 11]
+            norm = _norm(ab[:, 0], ab[:, 1])
+            for h in np.nonzero((norm == 1) | (norm == -1))[0]:
+                norm_words.append(tuple(int(x) for x in c[h]) + (int(c10[h]), int(c11[h])))
 
     tmap = _trace_map()
     out = []
-    for word in exact_words:
+    for word in norm_words:
         vec = [1] + list(word)
         trace = [sum(tmap[m][k] * vec[k] for k in range(12)) for m in range(12)]
         if count_roots_in(IntPoly(trace), -2, 2) in (8, 10):
             out.append(word)
     out.sort()
     return [Setup2Candidate(i, w) for i, w in enumerate(out, start=1)]
-
-
-def _det4_mod(cols, p):
-    a = [[cols[j][:, i] for j in range(4)] for i in range(4)]
-    m01 = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m01[(i, j)] = (a[0][i] * a[1][j] - a[0][j] * a[1][i]) % p
-    m23 = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            m23[(i, j)] = (a[2][i] * a[3][j] - a[2][j] * a[3][i]) % p
-    det = (m01[(0, 1)] * m23[(2, 3)] % p - m01[(0, 2)] * m23[(1, 3)] % p
-           + m01[(0, 3)] * m23[(1, 2)] % p + m01[(1, 2)] * m23[(0, 3)] % p
-           - m01[(1, 3)] * m23[(0, 2)] % p + m01[(2, 3)] * m23[(0, 1)] % p) % p
-    return det

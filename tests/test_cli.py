@@ -1,10 +1,12 @@
+import hashlib
 import json
 import os
+import random
 import tempfile
 
 import pytest
 
-from k3siegel.intpoly import IntPoly, cyclotomic
+from k3siegel.intpoly import IntPoly, cyclotomic, trace_polynomial
 from k3siegel import cli, hyplattice, linalg
 from k3siegel.picardweyl import PipelineError
 from k3siegel.salemlib import load_store
@@ -173,6 +175,33 @@ def test_setup1_prefilter_is_exact(monkeypatch):
         ["phi and psi must be coprime"]
 
 
+def test_prefilter_table_matches_full_degree_resultants():
+    # the table decides each Res(C_j, psi) on trace polynomials; it must
+    # give the full-degree flag, None included where C_j divides psi
+    pool = sorted({j for cs in cli.cyclotomic_sets(16) for j in cs})
+    sample = random.Random(17).sample(CANDS, 100)
+    sample += [c for c in CANDS if c.id in (69, 510) and c not in sample]
+    table = cli._resultant_unit_table(sample, pool)
+    for j in pool:
+        assert table[j] == [cli._factor_unit(cyclotomic(j), c.psi()) for c in sample]
+    assert {c.id for c, flag in zip(sample, table[30]) if flag is None} >= {69, 510}
+
+
+def test_base_factor_split_matches_full_degree_resultant():
+    # Res((z^2-1) S, psi) = psi(1) psi(-1) Res(S, psi), the second factor on
+    # trace polynomials: for a Salem factor of every store degree, against
+    # units, a ramified psi, a psi sharing S and a psi vanishing at -1
+    lehmer = STORE[(10, 1)].salem_poly
+    psis = [c.psi() for c in CANDS[::101]]
+    psis += [lehmer * cyclotomic(4) * cyclotomic(5) * cyclotomic(7),
+             IntPoly([1, 2, 1]) * STORE[(20, 1)].salem_poly]
+    degrees = sorted({key[0] for key in STORE.keys()})
+    for s_poly in [STORE.of_degree(d)[0].salem_poly for d in degrees]:
+        for psi in psis + [s_poly * lehmer]:
+            want = cli._factor_unit(Z2 * s_poly, psi)
+            assert cli._base_unit(trace_polynomial(s_poly), psi, trace_polynomial(psi)) == want
+
+
 def test_setup2_shared_cyclotomic_factor_is_not_coprime():
     cand = CANDS[68]
     assert cand.id == 69 and cyclotomic(30).divides(cand.psi())
@@ -203,6 +232,11 @@ def test_cli_main_setup2_enum(tmp_path, capsys):
     assert len(data) == 1019
     assert data[522]["id"] == 523
     assert data[522]["coeffs"] == [-1, -2, 0, 2, 1, 0, -1, -2, 0, 1, 1]
+    # the census CSV, byte for byte
+    out = tmp_path / "cands.csv"
+    assert cli.main(["setup2-enum", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "81b0ef4078f9a222196f7beeab97a6e084da95d0d3908ce5c1d527de5b86a570"
 
 
 def test_empty_emit():

@@ -2,9 +2,10 @@
 
 sympy is an independent implementation: these tests compare the one
 integer Sturm chain (root counting and isolation), the subresultant
-resultant, the minimal polynomials interpolated from it, the
-Lagrange-interpolated characteristic polynomial and the inertia read off
-the fraction-free symmetric elimination with it on random inputs.
+resultant, its halving on trace polynomials, the minimal polynomials
+interpolated from it, the Lagrange-interpolated characteristic
+polynomial and the inertia and determinant read off the fraction-free
+symmetric elimination with it on random inputs.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from k3siegel.algnum import (
     isolate_real_roots,
     minpoly_of_value,
 )
-from k3siegel.intpoly import IntPoly, RatPoly, resultant
+from k3siegel.intpoly import IntPoly, RatPoly, from_trace_polynomial, resultant
 
 X = sympy.Symbol("x")
 W = sympy.Symbol("w")
@@ -105,6 +106,15 @@ def test_resultant_matches_sylvester_determinant(u, v):
 
 
 @EXAMPLES
+@given(monic_polys(max_degree=5), monic_polys(max_degree=5))
+def test_resultant_of_palindromic_pair_is_square_of_trace_resultant(tp, tq):
+    # monic palindromic p, q of even degree with trace polynomials P, Q:
+    # Res(p, q) = Res(P, Q)^2, the identity the census and the prefilter use
+    p, q = from_trace_polynomial(tp), from_trace_polynomial(tq)
+    assert resultant(tp, tq) ** 2 == sylvester_resultant(p, q)
+
+
+@EXAMPLES
 @given(monic_polys(), st.lists(fractions, min_size=1, max_size=6).filter(lambda cs: cs[-1] != 0))
 def test_resultant_of_monic_and_scaled_rational_polynomial(m, coeffs):
     # minpoly_of_value's specialization: Res(m, G) for rational G from
@@ -183,8 +193,4 @@ def descartes_inertia(m):
 @EXAMPLES
 @given(symmetric_matrices())
 def test_inertia_matches_sympy(m):
-    assert linalg.inertia(m) == descartes_inertia(m)
-    det = sympy.Matrix(m).det()
-    if det:
-        minors, _, zero = linalg._symmetric_bareiss(m)
-        assert zero == 0 and minors[-1] == det
+    assert linalg.inertia_and_det(m) == (descartes_inertia(m), sympy.Matrix(m).det())

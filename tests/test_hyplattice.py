@@ -95,6 +95,49 @@ def test_resultant_computed_once_per_pair(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("order", ["gate first", "signature first"])
+def test_gram_eliminated_once_per_pair(monkeypatch, order):
+    # the gate's |det| = 1 cross-check and the signature read one symmetric
+    # elimination, in either call order (the pipeline's and demo 03's)
+    calls = []
+    eliminate = linalg._symmetric_bareiss
+
+    def counting(m):
+        calls.append(m)
+        return eliminate(m)
+
+    def refuse(m):
+        raise RuntimeError("second elimination of the Gram matrix")
+
+    monkeypatch.setattr(linalg, "_symmetric_bareiss", counting)
+    monkeypatch.setattr(linalg, "bareiss_det", refuse)
+    model = build(PHI_E9, PSI_523)
+    if order == "gate first":
+        assert unimodularity_gate(model)
+        model = signature_and_renormalize(model)
+    else:
+        model = signature_and_renormalize(model)
+        assert unimodularity_gate(model)
+    assert model.signature == (3, 19) and model.renormalized
+    gram = model.gram
+    assert signature_and_renormalize(model).signature == (3, 19)  # idempotent
+    assert model.gram is gram
+    assert len(calls) == 1
+
+
+def test_gram_checks_keep_their_texts():
+    # a unit resultant read against a Gram whose determinant is not a unit,
+    # and a singular Gram reaching the signature
+    model = build(PHI_ROW1, PSI_ROW1)
+    model.resultant, model.gram = 1, [[2, 1], [1, 2]]
+    with pytest.raises(LatticeBuildError, match="non-unimodular Gram matrix"):
+        unimodularity_gate(model)
+    model = build(PHI_ROW1, PSI_ROW1)
+    model.gram = [[2, 2], [2, 2]]
+    with pytest.raises(LatticeBuildError, match="singular Gram matrix past the unimodularity gate"):
+        signature_and_renormalize(model)
+
+
 def test_isometry_invariants_row1():
     model = signature_and_renormalize(build(PHI_ROW1, PSI_ROW1))
     a, g = model.a_mat, model.gram

@@ -1,20 +1,37 @@
 import random
 
+import pytest
 import sympy
+from sympy.polys.subresultants_qq_zz import sylvester
 
-from k3siegel.intpoly import IntPoly, resultant
+from k3siegel import setup2
+from k3siegel.intpoly import IntPoly, PolynomialDomainError, resultant
 from k3siegel.algnum import count_roots_in
 from k3siegel.salemlib import is_unramified_salem
 from k3siegel.setup2 import (
     S4,
     Setup2Candidate,
-    _power_basis_mod_s4,
+    _norm,
+    _norm_map,
     enumerate_setup2,
-    norm_mod_s4,
 )
 
 CANDS = enumerate_setup2()
 X = sympy.Symbol("x")
+NORM_MAP = _norm_map().tolist()
+
+
+def word_norm(word) -> int:
+    """N(Psi mod W) of a word, from the census's norm map, in Python ints."""
+    vec = (1,) + tuple(word)
+    a, b = (sum(m * v for m, v in zip(row, vec)) for row in NORM_MAP)
+    return _norm(a, b)
+
+
+def sylvester_resultant(u: IntPoly, v: IntPoly) -> int:
+    """Res(u, v) as the Sylvester determinant, computed by sympy."""
+    expr = [sympy.Poly(list(reversed(p.coeffs)), X).as_expr() for p in (u, v)]
+    return int(sylvester(*expr, X).det())
 
 
 def sympy_roots_in_open(p: IntPoly, a: int, b: int) -> int:
@@ -79,19 +96,24 @@ def test_rejected_words_fail_a_condition():
         ok_roots = sympy_roots_in_open(tr, -2, 2) in (8, 10)
         ok_res = abs(resultant(S4, psi)) == 1
         assert not (ok_roots and ok_res)
+        assert word_norm(word) ** 2 == resultant(S4, psi)
+        assert (abs(word_norm(word)) == 1) == ok_res
         checked += 1
 
 
 def test_norm_equals_resultant():
-    basis = _power_basis_mod_s4()
     rng = random.Random(3)
     for cand in rng.sample(CANDS, 10):
-        psi = cand.psi()
-        r = [0, 0, 0, 0]
-        for k in range(23):
-            for i in range(4):
-                r[i] += psi[k] * basis[k][i]
-        assert norm_mod_s4(r) == resultant(S4, psi)
+        assert word_norm(cand.coeffs) ** 2 == sylvester_resultant(S4, cand.psi())
+
+
+def test_norm_map_keeps_every_lane_exact(monkeypatch):
+    # over the word ranges the map's (a, b) keep N exact in int64; a map
+    # that outgrows int64 raises a typed error, not a wrapped census
+    assert int(abs(_norm_map()).max()) == 144
+    monkeypatch.setattr(setup2, "_WORD_BOUNDS", (1 << 31,) * 12)
+    with pytest.raises(PolynomialDomainError):
+        _norm_map()
 
 
 def test_integer_sturm_matches_rational():
