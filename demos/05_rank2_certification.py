@@ -7,7 +7,7 @@ eigenvalue data; eliminating over the number field K = QQ(tau) of the
 degree-20 Salem trace polynomial leaves a unique common root
 B = Q(tau), and back-substitution gives A^2 = P(tau) in closed form.
 Exact sign tests at the nine conjugates tau_1 > ... > tau_9 classify
-every fixed point.  Takes half a minute or so.
+every fixed point.  Takes a few seconds.
 """
 
 from k3siegel import picard2

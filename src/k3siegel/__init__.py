@@ -16,7 +16,6 @@ from .hodgeclass import dissect_and_classify
 from .picardweyl import analyze_root_system
 from .fpfsiegel import derive_P, siegel_verdict_P, siegel_verdict_Q
 from .setup2 import enumerate_setup2
-from .cli import AnalysisRow, analyze_pair, search_setup1, search_setup2
 
 __version__ = "0.1.0"
 
@@ -29,3 +28,11 @@ __all__ = [
     "enumerate_setup2", "AnalysisRow", "analyze_pair",
     "search_setup1", "search_setup2",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: load cli on first use, so ``python -m k3siegel.cli`` imports it first
+    if name in ("AnalysisRow", "analyze_pair", "search_setup1", "search_setup2"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

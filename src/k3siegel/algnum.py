@@ -418,18 +418,6 @@ class NumberFieldElem:
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self._coerce(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __repr__(self):
         return f"NumberFieldElem({self.rep!r} mod {self.modulus.text()})"
 

@@ -202,6 +202,12 @@ def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix]:
     every swap.  Raises MatrixDomainError unless every minor is positive
     (Sylvester's criterion).
     """
+    return _lll(gram)[:2]
+
+
+def _lll(gram: Matrix) -> tuple[Matrix, Matrix, list[int], Matrix]:
+    """``lll_reduce`` plus the minors and the bordered minors lambda_ij (i > j)
+    of the reduced Gram, kept exact through size reduction (Cohen, 2.6)."""
     n = len(gram)
     u = identity(n)
     cur = [list(row) for row in gram]  # = U gram U^T
@@ -238,7 +244,7 @@ def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix]:
             swap(k)
             d, lam, _ = _symmetric_bareiss(cur)
             k = max(k - 1, 1)
-    return cur, u
+    return cur, u, d, lam
 
 
 def _round_half(num: int, den: int) -> int:
@@ -280,16 +286,15 @@ def short_vectors(gram: Matrix, norm: int) -> list[tuple[int, ...]]:
     gram must be positive definite.  One representative per +-pair is
     returned (last nonzero coordinate positive); callers close under
     negation when they need the full set.  Exact Fincke-Pohst on the
-    LDL^T decomposition that the symmetric elimination reads off the
-    LLL-reduced Gram matrix; the reduction affects speed only, never
-    results.
+    LDL^T decomposition of the LLL-reduced Gram matrix, read from the
+    minors the reduction ends with; the reduction affects speed only,
+    never results.
     """
     n = len(gram)
     if n == 0:
         return []
-    red, u = lll_reduce(gram)
+    red, u, minors, lam = _lll(gram)
     # red = R^T D R with d_i = D_(i+1)/D_i and r_ij = lambda_ji/D_(i+1)
-    minors, lam, _ = _symmetric_bareiss(red)
     d = [Fraction(minors[i + 1], minors[i]) for i in range(n)]
 
     target = Fraction(norm)

@@ -13,16 +13,23 @@ B = Q(tau) and then A^2 = P(tau) in closed form.  Exact sign tests of
 Q and P at the conjugates tau_1 > ... > tau_9 then classify every
 fixed point as a Siegel center or a hyperbolic point.
 
-Everything is exact arithmetic over K; the case exclusions are
-certified by trivial-gcd witnesses against the minimal polynomials.
+Everything is exact.  E_n's numerator and denominator are built in
+Z[w][B] (tau = w) and cancelled by one subresultant PRS with checked
+exact divisions, over Z[w]/(st) (integer polynomials modulo the monic
+trace polynomial) for E_3 and E_7 and over Z[w] for the formal
+case-ii/iii run; gcd and numerator then move once into K or QQ(w),
+where E_n is made monic.  gcd(E_3, E_7) runs through the same PRS.
+The case exclusions are certified by trivial-gcd witnesses against
+the minimal polynomials.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .intpoly import IntPoly, RatPoly, gcd as zgcd, newton_traces
+from .intpoly import IntPoly, PolynomialDomainError, gcd as zgcd, newton_traces
 from .algnum import NumberFieldElem, RationalFunctionW, hn_poly
 from .fpfsiegel import siegel_verdict_P, siegel_verdict_Q
 
@@ -37,7 +44,8 @@ class CertificationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over an arbitrary field (duck-typed coefficients)
+# dense polynomials in B, as ascending coefficient lists over a ring or a
+# field, and one subresultant PRS over the domains Z[w] and Z[w]/(st)
 # ---------------------------------------------------------------------------
 
 def _trim(c: list) -> list:
@@ -49,162 +57,176 @@ def _trim(c: list) -> list:
 def fp_add(a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return _trim(out)
-
-
-def fp_neg(a: list) -> list:
-    return [-x for x in a]
+    return _trim([x + y for x, y in zip(a, b)] + a[len(b):])
 
 
 def fp_sub(a: list, b: list) -> list:
-    return fp_add(a, fp_neg(b))
+    return fp_add(a, [-x for x in b])
 
 
 def fp_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    zero = (a or b)[0] * 0
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
+        if not x.is_zero():
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
     return _trim(out)
 
 
-def fp_scale(a: list, c) -> list:
-    return _trim([x * c for x in a])
-
-
 def fp_divmod(a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = _trim(list(a))
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], rem
-    lb_inv = 1 / b[-1]
-    zero = b[-1] * 0
-    quo = [zero] * (len(rem) - db)
-    while rem and len(rem) - 1 >= db:
-        k = len(rem) - 1 - db
-        q = rem[-1] * lb_inv
-        quo[k] = q
+    """Quotient and remainder over a field."""
+    rem, db, inv = _trim(list(a)), len(b) - 1, 1 / b[-1]
+    quo = [b[-1] * 0] * max(len(rem) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        q = quo[k] = rem[k + db] * inv
         for i in range(db + 1):
             rem[k + i] = rem[k + i] - q * b[i]
-        rem.pop()  # the leading term cancels exactly over a field
-        _trim(rem)
-    return _trim(quo), rem
+    return _trim(quo), _trim(rem[:db])
 
 
 def fp_monic(a: list) -> list:
-    if not a:
-        return a
     inv = 1 / a[-1]
     return [x * inv for x in a]
 
 
-def fp_gcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while b:
-        _, r = fp_divmod(a, b)
-        a, b = b, r
-    return fp_monic(a)
-
-
 def fp_eval(a: list, x):
-    if not a:
-        raise ValueError("evaluating the zero polynomial needs a zero element")
     acc = a[-1]
     for c in reversed(a[:-1]):
         acc = acc * x + c
     return acc
 
 
+class IntegralRing:
+    """Z[w] (mod None) or Z[w]/(mod) for a monic integer mod, a domain
+    when mod is irreducible.  Elements are IntPolys in w reduced modulo
+    mod; ``divide`` is exact division, checked, and ``to_field`` moves an
+    element into QQ(w) or K = QQ[w]/(mod)."""
+
+    def __init__(self, mod: IntPoly | None = None):
+        self.mod = mod
+
+    def reduce(self, a: IntPoly) -> IntPoly:
+        return a if self.mod is None else a.divmod(self.mod)[1]
+
+    def mul(self, a: IntPoly, b: IntPoly) -> IntPoly:
+        return self.reduce(a * b)
+
+    def to_field(self, a: IntPoly):
+        return RationalFunctionW.of(a) if self.mod is None else NumberFieldElem.of(self.mod, a)
+
+    def divide(self, values: list, c: IntPoly) -> list:
+        """The quotients v / c; CertificationError unless each lies in the ring.
+
+        In Z[w]/(mod), q solves M q = v for the multiplication matrix M of
+        c on 1, w, w^2, ...: fraction-free Gauss-Jordan (Bareiss) ends with
+        det M q on the right, and det M must divide it."""
+        if self.mod is None:
+            try:
+                return [v // c for v in values]
+            except PolynomialDomainError:
+                raise CertificationError("inexact division in Z[w]") from None
+        n, prev = self.mod.degree, 1
+        cols = [self.reduce(c.shift(j)) for j in range(n)]
+        rows = [[col[i] for col in cols] + [v[i] for v in values] for i in range(n)]
+        for k in range(n):
+            piv = next((i for i in range(k, n) if rows[i][k]), None)
+            if piv is None:
+                raise CertificationError("division by a zero divisor of Z[w]/(st)")
+            rows[k], rows[piv] = rows[piv], rows[k]
+            p, row_k = rows[k][k], rows[k]
+            rows = [row if i == k else [(x * p - row[k] * y) // prev for x, y in zip(row, row_k)]
+                    for i, row in enumerate(rows)]
+            prev = p
+        quotients = [[divmod(row[n + j], prev) for row in rows] for j in range(len(values))]
+        if any(r for q in quotients for _, r in q):
+            raise CertificationError("inexact division in Z[w]/(st)")
+        return [IntPoly(x for x, _ in q) for q in quotients]
+
+
+def subresultant_gcd(ring: IntegralRing, a: list, b: list) -> list:
+    """gcd(a, b) in ring[B] up to a nonzero ring factor, constant if trivial:
+    the last nonzero term of the subresultant PRS (Collins; Brown; Cohen,
+    *A Course in Computational Algebraic Number Theory*, section 3.3)."""
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = IntPoly([1])
+    while b:
+        delta = len(a) - len(b)
+        r = list(a)  # becomes prem(a, b) = lc(b)^(delta+1) a mod b
+        for k in range(delta, -1, -1):
+            head = r.pop()  # lc(b) head - head lc(b) cancels at the top
+            r = [ring.mul(c, b[-1]) for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[k + i] = r[k + i] - ring.mul(head, c)
+        if len(_trim(r)) <= 1:
+            return r or b
+        a, b = b, ring.divide(r, ring.mul(g, ring.reduce(h ** delta)))
+        g = a[-1]
+        if delta:
+            h = ring.divide([ring.reduce(g ** delta)], ring.reduce(h ** (delta - 1)))[0]
+    return a
+
+
+def k_gcd(a: list, b: list) -> list:
+    """Monic gcd in K[B] of nonzero polynomials over K = QQ[w]/(st): the
+    subresultant PRS over Z[w]/(st) after clearing denominators."""
+    def integral(p: list) -> list:
+        den = math.lcm(*(c.denominator for x in p for c in x.rep.coeffs))
+        return [IntPoly(c * den for c in x.rep.coeffs) for x in p]
+
+    ring = IntegralRing(a[0].modulus)
+    return fp_monic([ring.to_field(c) for c in subresultant_gcd(ring, integral(a), integral(b))])
+
+
 # ---------------------------------------------------------------------------
 # the elimination
 # ---------------------------------------------------------------------------
 
-def _field_consts(field_of):
-    one = field_of(1)
-    zero = field_of(0)
-    return zero, one
+def _fixed_point_fraction(n: int) -> tuple[list, list]:
+    """Numerator and denominator of the n-th condition, in Z[w][B] with tau = w.
 
-
-def _odd_part(n: int) -> IntPoly:
-    """p_n with h_n(x) = x p_n(x^2), for odd n."""
-    hn = hn_poly(n)
-    if any(hn[k] for k in range(0, hn.degree + 1, 2)):
-        raise CertificationError(f"h_{n} is not an odd polynomial")
-    return IntPoly([hn[2 * k + 1] for k in range((hn.degree + 1) // 2)])
-
-
-def eliminant(n: int, tau, field_of) -> list:
-    """The polynomial condition E_n(B) over the field.
-
-    tau is the image of w in the field; field_of embeds rationals and
-    integer polynomials in w.  The fixed point formula for the n-th
-    iterate, with A eliminated through
-    A = ((tau+1) B + 2 - tau^2) / (sigma (B + 1 - tau)),
+    The fixed point formula for the n-th iterate, with A eliminated
+    through A = ((tau+1) B + 2 - tau^2) / (sigma (B + 1 - tau)),
     reduces (after dividing out sigma, using sigma^2 = tau + 2) to
     g_n = g_n / (h_n(tau) - h_n(B)) + V / ((tau+2)(g_n V - U)),
-    where h_n(A) = sigma U(B)/V(B).  The returned E_n is the fully
-    cancelled numerator, monic over the field.
+    where g_n = p_n(tau+2) and h_n(A) = sigma U(B)/V(B).
     """
-    zero, one = _field_consts(field_of)
-    tau2 = tau + one + one
+    one, tau2, hn = IntPoly([1]), IntPoly([2, 1]), hn_poly(n)
+    if any(hn.coeffs[0::2]):
+        raise CertificationError(f"h_{n} is not an odd polynomial")
+    pn = IntPoly(hn.coeffs[1::2])  # h_n(x) = x p_n(x^2)
+    k = pn.degree
+    g = fp_eval([IntPoly([c]) for c in pn.coeffs], tau2)  # p_n(tau+2)
 
-    pn = _odd_part(n)
-    g = fp_eval([field_of(pn[k]) for k in range(pn.degree + 1)], tau2)  # p_n(tau+2)
-    hn = hn_poly(n)
-    t_val = fp_eval([field_of(hn[k]) for k in range(hn.degree + 1)], tau)  # h_n(tau)
+    def power(p: list, e: int) -> list:
+        return functools.reduce(fp_mul, [p] * e, [one])
 
     # N(B) = (tau+1) B + 2 - tau^2 ; D(B) = (tau+2)(B + 1 - tau)
-    n_poly = [one + one - tau * tau, tau + one]
-    d_poly = [tau2 * (one - tau), tau2]
-
-    k = pn.degree
-    n2 = fp_mul(n_poly, n_poly)
-    d2 = fp_mul(d_poly, d_poly)
-    # h_n(A) = sigma U/V: U = N * sum_i q_i (tau+2)^i N^(2i) D^(2(k-i)), V = D^(2k+1)
-    tau2_pow = [one]
-    for _ in range(k):
-        tau2_pow.append(tau2_pow[-1] * tau2)
-    u_core: list = []
-    for i in range(k + 1):
-        qi = pn[i]
-        if qi == 0:
-            continue
-        term = [field_of(qi) * tau2_pow[i]]
-        for _ in range(i):
-            term = fp_mul(term, n2)
-        for _ in range(k - i):
-            term = fp_mul(term, d2)
-        u_core = fp_add(u_core, term)
-    u_poly = fp_mul(n_poly, u_core)
-    v_poly = [one]
-    for _ in range(2 * k + 1):
-        v_poly = fp_mul(v_poly, d_poly)
-
-    hnb = [field_of(hn[j]) for j in range(hn.degree + 1)]  # h_n(B) in B
-    t_minus_h = fp_sub([t_val], hnb)
-    gv_minus_u = fp_sub(fp_scale(v_poly, g), u_poly)
-
+    n_poly, d_poly = [IntPoly([2, 0, -1]), IntPoly([1, 1])], [IntPoly([2, -1, -1]), tau2]
+    # h_n(A) = sigma U/V: U = N sum_i q_i (tau+2)^i N^(2i) D^(2(k-i)), V = D^(2k+1)
+    u_poly = fp_mul(n_poly, functools.reduce(fp_add, (
+        fp_mul([tau2 ** i * pn[i]], fp_mul(power(n_poly, 2 * i), power(d_poly, 2 * (k - i))))
+        for i in range(k + 1))))
+    v_poly = power(d_poly, 2 * k + 1)
+    t_minus_h = fp_sub([hn], [IntPoly([c]) for c in hn.coeffs])  # h_n(tau) - h_n(B)
+    gv_minus_u = fp_sub(fp_mul([g], v_poly), u_poly)
     # numerator of g - g/(T - h_n(B)) - V/((tau+2)(g V - U)) over the
     # common denominator (T - h_n(B)) (tau+2) (g V - U)
-    term1 = fp_scale(fp_mul(t_minus_h, gv_minus_u), g * tau2)
-    term2 = fp_scale(gv_minus_u, g * tau2)
-    term3 = fp_mul(v_poly, t_minus_h)
-    numerator = fp_sub(fp_sub(term1, term2), term3)
-    denominator = fp_mul(t_minus_h, gv_minus_u)
+    den = fp_mul(t_minus_h, gv_minus_u)
+    return fp_sub(fp_mul([g * tau2], fp_sub(den, gv_minus_u)), fp_mul(v_poly, t_minus_h)), den
 
-    cancel = fp_gcd(numerator, denominator)
+
+def eliminant(n: int, ring: IntegralRing) -> list:
+    """E_n(B), fully cancelled and monic over the field of fractions of ring:
+    the PRS over ring finds the common factor of numerator and denominator,
+    and both numerator and factor move into the field once for the division."""
+    num, den = ([ring.reduce(c) for c in p] for p in _fixed_point_fraction(n))
+    cancel = subresultant_gcd(ring, _trim(num), _trim(den))
+    numerator = [ring.to_field(c) for c in num]
     if len(cancel) > 1:
-        numerator, rem = fp_divmod(numerator, cancel)
+        numerator, rem = fp_divmod(numerator, fp_monic([ring.to_field(c) for c in cancel]))
         if rem:
             raise CertificationError("gcd does not divide the eliminant numerator")
     return fp_monic(numerator)
@@ -250,27 +272,9 @@ def trace_check(salem_poly: IntPoly = S20_1, exponents=(1, 3, 7)) -> bool:
     return all(traces[n - 1] == 1 for n in exponents)
 
 
-def _nf(st: IntPoly):
-    def field_of(value):
-        if isinstance(value, IntPoly):
-            return NumberFieldElem.of(st, value)
-        return NumberFieldElem.of(st, Fraction(value))
-    return field_of
-
-
-def _rat_field():
-    def field_of(value):
-        if isinstance(value, IntPoly):
-            return RationalFunctionW.of(value)
-        return RationalFunctionW.of(Fraction(value))
-    return field_of
-
-
 def eliminate(n: int, st: IntPoly = ST20_1) -> list:
     """E_n(B) over K = QQ[w]/(st); monic, fully cancelled."""
-    field_of = _nf(st)
-    tau = NumberFieldElem(st, RatPoly([0, 1]))
-    return eliminant(n, tau, field_of)
+    return eliminant(n, IntegralRing(st))
 
 
 def expected_Q() -> RationalFunctionW:
@@ -301,7 +305,7 @@ def solve_B_and_P(st: IntPoly = ST20_1) -> Picard2Report:
     e7 = eliminate(7, st)
     report.e3_degree = len(e3) - 1
     report.e7_degree = len(e7) - 1
-    g = fp_gcd(e3, e7)
+    g = k_gcd(e3, e7)
     if len(g) != 2:
         raise CertificationError(f"gcd of eliminants has degree {len(g) - 1}, not 1")
     b_root: NumberFieldElem = -g[0]
@@ -317,11 +321,9 @@ def solve_B_and_P(st: IntPoly = ST20_1) -> Picard2Report:
     report.p_func = num * num / ((w + 2) * den * den)
 
     # derived certificate: h_n(tau) != h_n(B) in K for n = 3, 7
-    field_of = _nf(st)
-    tau = NumberFieldElem(st, RatPoly([0, 1]))
+    tau = NumberFieldElem.of(st, IntPoly([0, 1]))
     for n in (3, 7):
-        hn = hn_poly(n)
-        coeffs = [field_of(hn[k]) for k in range(hn.degree + 1)]
+        coeffs = [NumberFieldElem.of(st, c) for c in hn_poly(n).coeffs]
         diff = fp_eval(coeffs, tau) - fp_eval(coeffs, b_root)
         if diff.is_zero():
             raise CertificationError(f"h_{n}(tau) = h_{n}(B): on-curve eigenvalue collision")
@@ -374,10 +376,7 @@ def exclude_cases_ii_iii(st: IntPoly = ST20_1) -> IntPoly:
     must be coprime to the Salem trace polynomial; the full numerator is
     returned after both gcd certificates pass.
     """
-    field_of = _rat_field()
-    tau = RationalFunctionW.variable()
-    e3 = eliminant(3, tau, field_of)
-    value = fp_eval(e3, field_of(2))
+    value = fp_eval(eliminant(3, IntegralRing()), RationalFunctionW.of(2))
     if value.is_zero():
         raise CertificationError("B = 2 satisfies the n = 3 eliminant identically")
     numerator = value.num.clear_denominators()

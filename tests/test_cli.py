@@ -2,7 +2,10 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +240,28 @@ def test_cli_main_setup2_enum(tmp_path, capsys):
     assert cli.main(["setup2-enum", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "81b0ef4078f9a222196f7beeab97a6e084da95d0d3908ce5c1d527de5b86a570"
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "1930261ddbed9e11c9300eecb872a81030957f475ab27980d37bba5338941b1a"),
+    ("text", "2fd502567ae5d34bfb902d8d4b519eac0864665b2f57e3f4a12d7410d49cec57"),
+])
+def test_cli_main_picard2_bytes(tmp_path, fmt, digest):
+    # the rank-2 report, byte for byte; the JSON also holds both case
+    # exclusion numerators, so it covers the elimination over Z[w] too
+    out = tmp_path / f"picard2.{fmt}"
+    assert cli.main(["picard2", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_module_runs_without_runtime_warning():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "k3siegel.cli",
+                           "--help"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 def test_empty_emit():

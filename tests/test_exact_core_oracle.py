@@ -4,12 +4,15 @@ sympy is an independent implementation: these tests compare the one
 integer Sturm chain (root counting and isolation), the subresultant
 resultant, its halving on trace polynomials, the minimal polynomials
 interpolated from it, the Lagrange-interpolated characteristic
-polynomial and the inertia and determinant read off the fraction-free
-symmetric elimination with it on random inputs.
+polynomial, the inertia and determinant read off the fraction-free
+symmetric elimination and the subresultant gcd of the rank-2
+elimination over Z[w] with it on random inputs.  Over Z[w]/(st) that
+gcd is checked against Euclid's algorithm in the number field.
 """
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +20,22 @@ from sympy.polys.subresultants_qq_zz import sylvester
 
 from k3siegel import linalg
 from k3siegel.algnum import (
+    NumberFieldElem,
     RationalFunctionW,
     count_roots_in,
     isolate_real_roots,
     minpoly_of_value,
 )
 from k3siegel.intpoly import IntPoly, RatPoly, from_trace_polynomial, resultant
+from k3siegel.picard2 import (
+    ST20_1,
+    IntegralRing,
+    fp_divmod,
+    fp_monic,
+    fp_mul,
+    k_gcd,
+    subresultant_gcd,
+)
 
 X = sympy.Symbol("x")
 W = sympy.Symbol("w")
@@ -194,3 +207,74 @@ def descartes_inertia(m):
 @given(symmetric_matrices())
 def test_inertia_matches_sympy(m):
     assert linalg.inertia_and_det(m) == (descartes_inertia(m), sympy.Matrix(m).det())
+
+
+B = sympy.Symbol("B")
+
+
+def zw_polys(max_degree=2, w_degree=2, bound=3):
+    """Nonzero polynomials in B over Z[w], as lists of IntPolys."""
+    coeff = st.lists(st.integers(-bound, bound), max_size=w_degree + 1).map(IntPoly)
+    return st.lists(coeff, min_size=1, max_size=max_degree + 1).map(
+        lambda cs: cs[:-1] + [cs[-1] or IntPoly([1])])
+
+
+def zw_to_sympy(p):
+    return sum(to_sympy(c, W).as_expr() * B ** i for i, c in enumerate(p))
+
+
+@EXAMPLES
+@given(zw_polys(), zw_polys(), zw_polys())
+def test_subresultant_gcd_over_zw_matches_sympy(a, b, c):
+    # a planted common factor c, so most gcds are not trivial
+    f, g = fp_mul(a, c), fp_mul(b, c)
+    got = zw_to_sympy(subresultant_gcd(IntegralRing(), f, g))
+    want = sympy.gcd(zw_to_sympy(f), zw_to_sympy(g))
+    # equal up to an associate: a nonzero factor free of B
+    ratio = sympy.cancel(got / want)
+    assert ratio != 0 and not ratio.has(B)
+
+
+def field_euclid(a, b):
+    """The reference gcd over a field: Euclid's algorithm, made monic."""
+    while b:
+        a, b = b, fp_divmod(a, b)[1]
+    return fp_monic(a)
+
+
+def k_polys(mod, max_degree=2):
+    """Nonzero polynomials in B over K = QQ[w]/(mod)."""
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    coeff = st.lists(small, min_size=mod.degree, max_size=mod.degree).map(
+        lambda cs: NumberFieldElem.of(mod, RatPoly(cs)))
+    return st.lists(coeff, min_size=1, max_size=max_degree + 1).filter(
+        lambda cs: not cs[-1].is_zero())
+
+
+MODULI = pytest.mark.parametrize("mod", [IntPoly([-3, -1, 1]), ST20_1],
+                                 ids=["w2-w-3", "ST20_1"])
+
+
+@MODULI
+def test_subresultant_gcd_over_zw_mod_st_matches_field_euclid(mod):
+    @EXAMPLES
+    @given(k_polys(mod), k_polys(mod), k_polys(mod))
+    def check(a, b, c):
+        # a planted common factor c, so most gcds are not trivial
+        f, g = fp_mul(a, c), fp_mul(b, c)
+        assert k_gcd(f, g) == field_euclid(f, g)
+
+    check()
+
+
+@MODULI
+def test_exact_division_in_zw_mod_st(mod):
+    @EXAMPLES
+    @given(st.lists(st.integers(-9, 9), min_size=mod.degree, max_size=mod.degree),
+           st.lists(st.integers(-9, 9), min_size=mod.degree, max_size=mod.degree).filter(any))
+    def check(q, c):
+        ring = IntegralRing(mod)
+        q, c = IntPoly(q), IntPoly(c)
+        assert ring.divide([ring.mul(q, c)], c) == [q]
+
+    check()

@@ -7,6 +7,8 @@ import pytest
 from k3siegel.intpoly import IntPoly
 from k3siegel.linalg import (
     MatrixDomainError,
+    _lll,
+    _symmetric_bareiss,
     bareiss_det,
     charpoly,
     identity,
@@ -165,6 +167,23 @@ def test_lll_preserves_lattice():
                 assert abs(mu[i][j]) <= Fraction(1, 2)
         for k in range(1, n):
             assert bstar[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar[k - 1]
+
+
+def test_lll_hands_over_the_elimination_of_the_reduced_gram():
+    # short_vectors reads the minors and bordered minors lambda_ij (i > j)
+    # that the reduction ends with; they are those of the reduced Gram
+    rng = random.Random(47)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        g = mat_mul(b, transpose(b))
+        for i in range(n):
+            g[i][i] += 1  # force positive definite
+        red, u, minors, lam = _lll(g)
+        assert (red, u) == lll_reduce(g)
+        want_minors, want_lam, zero = _symmetric_bareiss(red)
+        assert zero == 0 and minors == want_minors
+        assert all(lam[i][j] == want_lam[i][j] for i in range(n) for j in range(i))
 
 
 def fraction_gso(gram):

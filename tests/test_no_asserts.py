@@ -33,15 +33,21 @@ def test_no_assert_in_package():
 
 
 def test_typed_error_under_optimize():
-    code = ("from k3siegel import linalg\n"
+    code = ("from k3siegel import linalg, picard2\n"
+            "from k3siegel.intpoly import IntPoly\n"
             "for gram in ([[-2]], [[1, 1], [1, 1]]):\n"
             "    try:\n"
             "        linalg.short_vectors(gram, 2)\n"
             "    except linalg.MatrixDomainError:\n"
-            "        print('typed error')\n")
+            "        print('typed error')\n"
+            "ring = picard2.IntegralRing(IntPoly([-3, -1, 1]))\n"
+            "try:\n"
+            "    ring.divide([IntPoly([1])], IntPoly([2]))\n"
+            "except picard2.CertificationError:\n"
+            "    print('typed error')\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 2
+    assert done.stdout.split() == ["typed", "error"] * 3

@@ -8,6 +8,7 @@ from k3siegel.picard2 import (
     S20_1,
     ST20_1,
     CertificationError,
+    IntegralRing,
     classify_grid,
     eliminate,
     exclude_case_iv,
@@ -15,8 +16,8 @@ from k3siegel.picard2 import (
     expected_P,
     expected_Q,
     fp_divmod,
-    fp_gcd,
     full_analysis,
+    k_gcd,
     solve_B_and_P,
     trace_check,
 )
@@ -25,7 +26,7 @@ EXPECTED_PM = ["S", "S", "H", "S", "S", "S", "H", "H", "S"]
 EXPECTED_P = ["S", "S", "S", "S", "S", "S", "S", "S", "H"]
 
 
-# the eliminations take seconds each; every test reads the same results
+# every test reads the same eliminations
 @pytest.fixture(scope="module")
 def eliminants():
     return eliminate(3), eliminate(7)
@@ -46,18 +47,18 @@ def test_eliminant_degrees(eliminants):
     e3, e7 = eliminants
     assert len(e3) - 1 == 4      # (B - Q) times a cubic
     assert len(e7) - 1 == 12     # (B - Q) times a degree-11 factor
-    g = fp_gcd(e3, e7)
+    g = k_gcd(e3, e7)
     assert len(g) - 1 == 1
 
 
 def test_remaining_factors_coprime(eliminants):
     e3, e7 = eliminants
-    g = fp_gcd(e3, e7)
+    g = k_gcd(e3, e7)
     r3, rem3 = fp_divmod(e3, g)
     r7, rem7 = fp_divmod(e7, g)
     assert not rem3 and not rem7
     assert len(r3) - 1 == 3 and len(r7) - 1 == 11
-    assert len(fp_gcd(r3, r7)) - 1 == 0  # no common roots
+    assert len(k_gcd(r3, r7)) - 1 == 0  # no common roots
 
 
 def test_solve_matches_closed_forms(solved):
@@ -113,3 +114,15 @@ def test_grid_reproduces_rank2_search_patterns(solved):
     for j, letters in rows:
         got = f"{report.grid[('p_pm', j)]}{report.grid[('p', j)]}"
         assert got == letters
+
+
+@pytest.mark.parametrize("ring, value, divisor", [
+    (IntegralRing(IntPoly([-3, -1, 1])), IntPoly([1]), IntPoly([2])),   # 1 / 2 in Z[w]/(st)
+    (IntegralRing(ST20_1), IntPoly([1]), IntPoly([2])),
+    (IntegralRing(IntPoly([-1, 0, 1])), IntPoly([1]), IntPoly([-1, 1])),  # w - 1 divides zero
+    (IntegralRing(), IntPoly([1, 1]), IntPoly([2])),                      # (w + 1) / 2 in Z[w]
+    (IntegralRing(), IntPoly([0, 1]), IntPoly([1, 1])),                   # w / (w + 1)
+])
+def test_inexact_division_is_a_typed_error(ring, value, divisor):
+    with pytest.raises(CertificationError):
+        ring.divide([value], divisor)
