@@ -22,7 +22,6 @@ from .intpoly import (
     newton_traces,
     palindrome_kind,
     reciprocal,
-    resultant,
     trace_polynomial,
     PALINDROMIC,
 )
@@ -369,7 +368,7 @@ def criterion_structural_properties(n_pairs: int = 200):
             colj = [ci[i][j] for i in range(22)]
             if any(col0[i] * colj[k] - col0[k] * colj[i] for i in range(22) for k in range(22)):
                 return False, "rank(C - I) > 1"
-        if abs(linalg.bareiss_det(g)) != abs(resultant(phi, psi)):
+        if abs(linalg.bareiss_det(g)) != abs(model.resultant):
             return False, "det gram differs from the resultant"
         checked += 1
 

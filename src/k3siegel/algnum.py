@@ -9,7 +9,7 @@ interval refinement otherwise.  On top of that sit elements of a number
 field QQ[w]/(m(w)), univariate rational functions, and the symmetric
 descent delta + 1/delta -> w used to rewrite eigenvalue equations in
 the trace variable.  Minimal polynomials of values f(alpha) come from
-the package's one resultant (``intpoly.resultant``) and one Lagrange
+the package's one resultant (``intpoly.resultant``) and one Newton
 interpolation (``intpoly.interpolate``).
 """
 

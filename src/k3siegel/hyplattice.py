@@ -11,15 +11,14 @@ pairs carry the intersection form of a K3 lattice, of signature (3,19).
 
 The pipeline path (build, unimodularity gate, signature) is integer
 arithmetic, with one symmetric elimination of the Gram matrix.  The
-companion B of psi is built only on demand, by exact rational solves,
-for the structural check that C = A^(-1) B is a reflection; no verdict
-reads it.
+companion B of psi is built only for the structural check that
+C = A^(-1) B is a reflection, in integers: B = A (I - e_0 g_0^T), tied
+to psi by one integer matrix identity; no verdict reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .intpoly import (
     ANTI_PALINDROMIC,
@@ -87,41 +86,45 @@ def companion(p: IntPoly) -> list:
     return m
 
 
+def _companion_inverse_apply(p: IntPoly, x: list) -> list:
+    """A^(-1) x for the companion A of a monic p with p(0) = -1.
+
+    A e_i = e_(i+1) and A e_(n-1) = -sum p_i e_i, so A^(-1) is the shift
+    (A^(-1) x)_k = x_(k+1) + x_0 p_(k+1), with x_n = 0 and p_n = 1.
+    """
+    n = p.degree
+    return [(x[k + 1] if k + 1 < n else 0) + x[0] * p[k + 1] for k in range(n)]
+
+
 def _b_matrix_in_a_basis(phi: IntPoly, psi: IntPoly) -> list:
     """Matrix of the companion B of psi on the A-orbit basis of r.
 
-    In standard coordinates A and B are the two companion matrices and
-    C = A^(-1) B is the reflection negating r = A^(-1) B e_n - e_n; the
-    orbit r, Ar, ..., A^21 r is a basis of the common lattice, and B is
-    expressed on it by exact rational solves.  The result must be
-    integral; a fractional entry raises LatticeBuildError.  Past the
-    build preconditions phi(0) = -1, so A^(-1), r and C are integral and
-    B = AC preserves the lattice.
+    On that basis C = A^(-1) B is the reflection in r = e_0, so
+    B = A (I - e_0 g_0^T) with g_0 = [2, xi_1, ..., xi_21] row 0 of the
+    Gram matrix: A with g_0 taken off its row 1.  The tie to psi is
+    independent of the series: in standard coordinates, with A and B_std
+    the companions of phi and psi, r = A^(-1) B_std e_n - e_n and the
+    integral P = [r, Ar, ..., A^21 r] must satisfy P B = B_std P with
+    det P != 0, else LatticeBuildError.  phi(0) = -1 (true past the
+    build preconditions) makes A^(-1) an integer shift.
     """
     n = phi.degree
-    a_std = companion(phi)
-    b_std = companion(psi)
-    e_last = [[0] for _ in range(n)]
-    e_last[n - 1][0] = 1
-    v = linalg.solve(a_std, linalg.mat_mul(b_std, e_last))
-    r = [v[i][0] - (1 if i == n - 1 else 0) for i in range(n)]
-    cols = []
-    cur = [Fraction(x) for x in r]
-    for _ in range(n):
-        cols.append(cur)
-        cur = linalg.mat_vec(a_std, cur)
-    p_mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    b_on_basis = linalg.solve(p_mat, linalg.mat_mul(b_std, p_mat))
-    out = []
-    for row in b_on_basis:
-        irow = []
-        for x in row:
-            fx = Fraction(x)
-            if fx.denominator != 1:
-                raise LatticeBuildError("B does not stabilize the A-orbit lattice")
-            irow.append(int(fx))
-        out.append(irow)
-    return out
+    if phi[0] != -1:
+        raise LatticeBuildError("phi(0) must be -1 for an integral A^(-1)")
+    a_std, b_std = companion(phi), companion(psi)
+    g0 = [2] + series_coefficients(psi, phi, n - 1)
+    b_mat = [list(row) for row in a_std]
+    b_mat[1] = [x - g for x, g in zip(b_mat[1], g0)]
+    r = _companion_inverse_apply(phi, [row[n - 1] for row in b_std])
+    r[n - 1] -= 1
+    cols = [r]
+    for _ in range(n - 1):
+        cols.append(linalg.mat_vec(a_std, cols[-1]))
+    p_mat = linalg.transpose(cols)
+    if (not linalg.mat_eq(linalg.mat_mul(p_mat, b_mat), linalg.mat_mul(b_std, p_mat))
+            or linalg.bareiss_det(p_mat) == 0):
+        raise LatticeBuildError("B does not match the companion of psi on the A-orbit basis")
+    return b_mat
 
 
 def build(phi: IntPoly, psi: IntPoly) -> LatticeModel:
@@ -182,8 +185,8 @@ def signature_and_renormalize(model: LatticeModel) -> LatticeModel:
 def reflection_factor(model: LatticeModel) -> list:
     """C = A^(-1) B on the A-basis; an involution with rank(C - I) = 1.
 
-    B is built here, from the companion of psi, and not kept.
+    B is built here, by _b_matrix_in_a_basis, and not kept; C is its
+    columns pushed through the integer shift A^(-1).
     """
-    b_mat = _b_matrix_in_a_basis(model.phi, model.psi)
-    c = linalg.mat_mul(linalg.inverse(model.a_mat), b_mat)
-    return [[int(x) for x in row] for row in c]
+    b_cols = linalg.transpose(_b_matrix_in_a_basis(model.phi, model.psi))
+    return linalg.transpose([_companion_inverse_apply(model.phi, col) for col in b_cols])

@@ -4,7 +4,7 @@ A polynomial is stored as a tuple of coefficients in ascending degree
 order with no trailing zeros, so ``IntPoly([1, -1, -1, -1, 1])`` is
 ``z^4 - z^3 - z^2 - z + 1``.  Everything here is bit-exact: resultants
 go through the subresultant remainder sequence, interpolation through
-Lagrange's formula over QQ, cyclotomic polynomials through recursive
+Newton's divided differences over QQ, cyclotomic polynomials through recursive
 exact division of ``z^n - 1``, and the palindromic /
 anti-palindromic trace-polynomial transform is verified by
 back-substitution.  These polynomials are the common currency of the
@@ -558,25 +558,21 @@ def resultant(u: IntPoly, v: IntPoly) -> int:
 
 def interpolate(xs: Sequence, ys: Sequence) -> RatPoly:
     """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
-    by exact Lagrange interpolation over QQ (the xs pairwise distinct)."""
-    acc = [Fraction(0)] * len(xs)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        basis = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] -= c * xj
-                nxt[k + 1] += c
-            basis = nxt
-            den *= xi - xj
-        w = Fraction(yi) / den
-        for k, c in enumerate(basis):
-            acc[k] += c * w
+    by exact Newton divided differences over QQ (the xs pairwise
+    distinct): O(n^2) rational operations for the table and for
+    expanding the Newton form."""
+    xs = [Fraction(x) for x in xs]
+    dd = [Fraction(y) for y in ys]
+    n = len(xs)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    acc: list[Fraction] = []
+    for k in range(n - 1, -1, -1):
+        # acc <- acc * (z - xs[k]) + dd[k], Horner on the Newton form
+        acc = [dd[k]] + acc
+        for i in range(len(acc) - 1):
+            acc[i] -= xs[k] * acc[i + 1]
     return RatPoly(acc)
 
 

@@ -103,10 +103,6 @@ def solve(a: Matrix, rhs: Matrix) -> Matrix:
     return [row[n:] for row in aug]
 
 
-def inverse(a: Matrix) -> Matrix:
-    return solve(a, identity(len(a)))
-
-
 def _symmetric_bareiss(m: Matrix) -> tuple[list[int], Matrix, int]:
     """Fraction-free symmetric elimination of a symmetric integer matrix.
 

@@ -61,11 +61,12 @@ def test_analyze_entry6():
 
 
 def test_pipeline_never_builds_b(monkeypatch):
-    # no verdict reads the B-matrix, so the pipeline never solves for it
+    # no verdict reads the B-matrix, so the pipeline never builds it
     def refuse(*args, **kwargs):
-        raise RuntimeError("B-matrix solve on the pipeline path")
+        raise RuntimeError("B-matrix built on the pipeline path")
 
     monkeypatch.setattr(hyplattice, "_b_matrix_in_a_basis", refuse)
+    monkeypatch.setattr(hyplattice, "reflection_factor", refuse)
     monkeypatch.setattr(linalg, "solve", refuse)
     phi = Z2 * STORE[(18, 22)].salem_poly * cyclotomic(3)
     psi = STORE[(10, 1)].salem_poly * cyclotomic(36)

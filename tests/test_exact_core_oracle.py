@@ -3,13 +3,15 @@
 sympy is an independent implementation: these tests compare the one
 integer Sturm chain (root counting and isolation), the subresultant
 resultant, its halving on trace polynomials, the minimal polynomials
-interpolated from it, the Lagrange-interpolated characteristic
-polynomial, the inertia and determinant read off the fraction-free
-symmetric elimination and the subresultant gcd of the rank-2
-elimination over Z[w] with it on random inputs.  Over Z[w]/(st) that
-gcd is checked against Euclid's algorithm in the number field.
+interpolated from it, the Newton interpolation and the characteristic
+polynomial interpolated by it, the inertia and determinant read off the
+fraction-free symmetric elimination, the integer matrix of B on the
+A-orbit basis and the subresultant gcd of the rank-2 elimination over
+Z[w] with it on random inputs.  Over Z[w]/(st) that gcd is checked
+against Euclid's algorithm in the number field.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from k3siegel import linalg
+from k3siegel import cli, linalg
 from k3siegel.algnum import (
     NumberFieldElem,
     RationalFunctionW,
@@ -26,7 +28,16 @@ from k3siegel.algnum import (
     isolate_real_roots,
     minpoly_of_value,
 )
-from k3siegel.intpoly import IntPoly, RatPoly, from_trace_polynomial, resultant
+from k3siegel.hyplattice import _b_matrix_in_a_basis
+from k3siegel.intpoly import (
+    IntPoly,
+    RatPoly,
+    cyclotomic,
+    from_trace_polynomial,
+    gcd as zgcd,
+    interpolate,
+    resultant,
+)
 from k3siegel.picard2 import (
     ST20_1,
     IntegralRing,
@@ -36,6 +47,7 @@ from k3siegel.picard2 import (
     k_gcd,
     subresultant_gcd,
 )
+from k3siegel.salemlib import load_store
 
 X = sympy.Symbol("x")
 W = sympy.Symbol("w")
@@ -154,6 +166,15 @@ def test_minpoly_of_value_matches_sympy(m, num, den):
     if want.LC() < 0:
         want = -want
     assert [int(c) for c in reversed(got.coeffs)] == [int(c) for c in want.all_coeffs()]
+
+
+@EXAMPLES
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), fractions), max_size=12))
+def test_interpolate_matches_sympy(ys):
+    xs = list(range(len(ys)))
+    want = sympy.interpolate([(x, sympy.Rational(y.numerator, y.denominator))
+                              for x, y in zip(xs, ys)], X) if ys else 0
+    assert to_sympy(interpolate(xs, ys)) == sympy.Poly(want, X)
 
 
 @EXAMPLES
@@ -278,3 +299,47 @@ def test_exact_division_in_zw_mod_st(mod):
         assert ring.divide([ring.mul(q, c)], c) == [q]
 
     check()
+
+
+STORE = load_store()
+
+
+def sympy_b_on_orbit_basis(phi, psi):
+    """P^(-1) B_std P by sympy's rational solves: A and B_std the companions
+    of phi and psi, r = A^(-1) B_std e_n - e_n, P = [r, Ar, ..., A^21 r]."""
+    a = sympy.Matrix.companion(to_sympy(phi))
+    b = sympy.Matrix.companion(to_sympy(psi))
+    e = sympy.zeros(a.rows, 1)
+    e[a.rows - 1] = 1
+    cols = [a.LUsolve(b * e) - e]
+    for _ in range(a.rows - 1):
+        cols.append(a * cols[-1])
+    p = sympy.Matrix.hstack(*cols)
+    return p.LUsolve(b * p).tolist()
+
+
+def coprime_pairs(count, seed):
+    """Seeded coprime pairs phi = (z^2 - 1) S prod C_j, psi = T prod C_k of
+    degree 22, with Salem factors S != T of degree >= 12 from the store."""
+    rng = random.Random(seed)
+    entries = [e for e in STORE.entries.values() if e.degree >= 12]
+    pairs = []
+    while len(pairs) < count:
+        s, t = rng.sample(entries, 2)
+        phi = cli.phi_of(s.salem_poly, rng.choice(cli.cyclotomic_sets(20 - s.degree)))
+        psi = t.salem_poly
+        for j in rng.choice(cli.cyclotomic_sets(22 - t.degree)):
+            psi = psi * cyclotomic(j)
+        if zgcd(phi, psi).degree == 0:
+            pairs.append((phi, psi))
+    return pairs
+
+
+ROW1 = (IntPoly([-1, 0, 1]) * STORE[(20, 1)].salem_poly,
+        STORE[(10, 1)].salem_poly * cyclotomic(21))
+
+
+@pytest.mark.parametrize("phi, psi", [ROW1] + coprime_pairs(5, seed=8),
+                         ids=["row1"] + [f"pair{i}" for i in range(5)])
+def test_b_matrix_matches_sympy_basis_change(phi, psi):
+    assert _b_matrix_in_a_basis(phi, psi) == sympy_b_on_orbit_basis(phi, psi)

@@ -174,6 +174,24 @@ def test_reflection_factor_row1():
     assert linalg.mat_eq(c, refl)
 
 
+def test_b_matrix_tie_to_psi_is_a_typed_error(monkeypatch):
+    # B is read off the series psi/phi; P B = B_std P ties it to psi itself
+    model = build(PHI_ROW1, PSI_ROW1)
+
+    def perturbed(psi, phi, count):
+        xs = series_coefficients(psi, phi, count)
+        xs[3] += 1
+        return xs
+
+    monkeypatch.setattr(hyplattice, "series_coefficients", perturbed)
+    for call in (lambda: _b_matrix_in_a_basis(PHI_ROW1, PSI_ROW1),
+                 lambda: reflection_factor(model)):
+        with pytest.raises(LatticeBuildError, match="B does not match the companion of psi"):
+            call()
+    with pytest.raises(LatticeBuildError, match=r"phi\(0\) must be -1"):
+        _b_matrix_in_a_basis(PSI_ROW1, PHI_ROW1)
+
+
 def test_basis_change_congruence():
     # T has columns r, Br, ..., B^21 r in A-basis coordinates; it carries
     # the form onto the Toeplitz form of the series phi/psi

@@ -44,10 +44,20 @@ def test_typed_error_under_optimize():
             "try:\n"
             "    ring.divide([IntPoly([1])], IntPoly([2]))\n"
             "except picard2.CertificationError:\n"
+            "    print('typed error')\n"
+            "from k3siegel import hyplattice, salemlib\n"
+            "from k3siegel.intpoly import cyclotomic\n"
+            "store = salemlib.load_store()\n"
+            "phi = IntPoly([-1, 0, 1]) * store[(20, 1)].salem_poly\n"
+            "psi = store[(10, 1)].salem_poly * cyclotomic(21)\n"
+            "hyplattice.series_coefficients = lambda psi, phi, count: [0] * count\n"
+            "try:\n"
+            "    hyplattice._b_matrix_in_a_basis(phi, psi)\n"
+            "except hyplattice.LatticeBuildError:\n"
             "    print('typed error')\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 3
+    assert done.stdout.split() == ["typed", "error"] * 4
