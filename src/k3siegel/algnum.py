@@ -1,16 +1,17 @@
 """Exact real algebraic numbers and number field arithmetic.
 
 Real roots are counted and isolated with one Sturm chain, an integer
-pseudo-remainder sequence whose terms are evaluated at rational points
+signed remainder sequence whose terms are evaluated at rational points
 n/d in integers only, and carried around as (squarefree minimal
-polynomial, isolating interval) pairs that can be refined on demand.  Sign evaluation of a polynomial
-at an algebraic point is decided exactly: a gcd test for the zero case,
-interval refinement otherwise.  On top of that sit elements of a number
-field QQ[w]/(m(w)), univariate rational functions, and the symmetric
+polynomial, isolating interval) pairs that can be refined on demand.
+Sign evaluation of a polynomial at an algebraic point is decided
+exactly: a gcd test for the zero case, interval refinement otherwise.
+On top of that sit elements of a number field QQ[w]/(m(w)), univariate
+rational functions kept coprime by a gcd in ZZ, and the symmetric
 descent delta + 1/delta -> w used to rewrite eigenvalue equations in
-the trace variable.  Minimal polynomials of values f(alpha) come from
-the package's one resultant (``intpoly.resultant``) and one Newton
-interpolation (``intpoly.interpolate``).
+the trace variable.  Every gcd and resultant reads the package's one
+subresultant PRS (``intpoly.subresultants``); minimal polynomials of
+values f(alpha) also read ``intpoly.interpolate``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .intpoly import (
     RatPoly,
     gcd,
     interpolate,
-    rat_gcd,
     resultant,
     squarefree_part,
 )
@@ -440,13 +440,15 @@ class RationalFunctionW:
         if num.is_zero():
             num, den = RatPoly(), RatPoly([1])
         else:
-            g = rat_gcd(num, den)
+            # num/den = c n/d for primitive integer n, d; cancel their gcd in ZZ
+            n, d = num.clear_denominators(), den.clear_denominators()
+            c = num.leading() * d.leading() / (den.leading() * n.leading())
+            g = gcd(n, d)
             if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
-            lc = den.leading()
-            num = num * (Fraction(1) / lc)
-            den = den * (Fraction(1) / lc)
+                n, d = n // g, d // g
+            lc = d.leading()
+            num = RatPoly([x * c / lc for x in n.coeffs])
+            den = RatPoly([Fraction(x, lc) for x in d.coeffs])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

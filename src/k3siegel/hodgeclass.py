@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .intpoly import (
     IntPoly,
     cyclotomic_salem_split,
-    squarefree_part,
+    gcd,
     trace_polynomial,
 )
 from .algnum import (
@@ -107,9 +107,9 @@ def dissect(phi: IntPoly, psi: IntPoly) -> ClusterDissection:
     psi_tr = trace_polynomial(psi)
     d = ClusterDissection(phi_trace=phi_tr, psi_trace=psi_tr)
 
-    if squarefree_part(phi_tr) != phi_tr.primitive():
+    if gcd(phi_tr, phi_tr.derivative()).degree > 0:
         d.flags.append("multiple root of Phi")
-    if squarefree_part(psi_tr) != psi_tr.primitive():
+    if gcd(psi_tr, psi_tr.derivative()).degree > 0:
         d.flags.append("multiple root of Psi")
     if phi_tr(TWO) == 0 or phi_tr(-TWO) == 0:
         d.flags.append("Phi vanishes at +-2")

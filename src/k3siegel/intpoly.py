@@ -2,11 +2,12 @@
 
 A polynomial is stored as a tuple of coefficients in ascending degree
 order with no trailing zeros, so ``IntPoly([1, -1, -1, -1, 1])`` is
-``z^4 - z^3 - z^2 - z + 1``.  Everything here is bit-exact: resultants
-go through the subresultant remainder sequence, interpolation through
-Newton's divided differences over QQ, cyclotomic polynomials through recursive
-exact division of ``z^n - 1``, and the palindromic /
-anti-palindromic trace-polynomial transform is verified by
+``z^4 - z^3 - z^2 - z + 1``.  Everything here is bit-exact: every
+resultant and gcd reads one subresultant remainder sequence, generic
+over the coefficient ring (ZZ here, Z[w] and Z[w]/(st) in ``picard2``),
+interpolation is Newton's divided differences over QQ, cyclotomic
+polynomials come from exact division of ``z^n - 1``, and the
+(anti-)palindromic trace-polynomial transform is verified by
 back-substitution.  These polynomials are the common currency of the
 whole package (Salem factors, cyclotomic factors, characteristic
 polynomials, trace polynomials).
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -284,9 +286,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if other.is_zero():
             raise PolynomialDomainError("division by zero polynomial")
@@ -305,12 +304,6 @@ class RatPoly:
                 rem[k + i] -= q * c
         return RatPoly(quo), RatPoly(rem)
 
-    def monic(self) -> "RatPoly":
-        if self.is_zero():
-            return self
-        lc = self.leading()
-        return RatPoly([c / lc for c in self.coeffs])
-
     def clear_denominators(self) -> IntPoly:
         """Primitive integer multiple of self by a positive rational, so
         the sign is preserved everywhere (needed by exact sign tests)."""
@@ -320,33 +313,6 @@ class RatPoly:
         ints = [int(c * den) for c in self.coeffs]
         g = math.gcd(*ints)
         return IntPoly([c // g for c in ints])
-
-
-def rat_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd in QQ[z] by the Euclidean algorithm."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
-
-
-def gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd in ZZ[z] (positive leading coefficient)."""
-    g = rat_gcd(a.to_rat(), b.to_rat())
-    if g.is_zero():
-        return IntPoly()
-    return g.clear_denominators().primitive()
-
-
-def squarefree_part(p: IntPoly) -> IntPoly:
-    """p / gcd(p, p'), primitive with positive leading coefficient."""
-    if p.is_zero():
-        raise PolynomialDomainError("zero polynomial")
-    g = gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.primitive()
-    q, _ = p.to_rat().divmod(g.to_rat())
-    return q.clear_denominators().primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +471,67 @@ def cyclotomic_salem_split(u: IntPoly) -> tuple[dict[int, int], IntPoly]:
 
 
 # ---------------------------------------------------------------------------
-# resultants (subresultant PRS), interpolation and Newton traces
+# the subresultant PRS, and the resultants and gcds read off it
 # ---------------------------------------------------------------------------
 
-def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over ZZ."""
-    d = a.degree - b.degree
-    rem = a * (b.leading() ** (d + 1))
-    _, r = rem.divmod(b)
-    return r
+class IntegerRing:
+    """ZZ as a coefficient ring of ``subresultants``, which reads ``one``,
+    ``reduce``, ``mul`` and ``divide``, an exact division of a list of
+    values, checked."""
+
+    one, mul, reduce = 1, staticmethod(operator.mul), staticmethod(operator.pos)
+
+    @staticmethod
+    def divide(values: list[int], c: int) -> list[int]:
+        if any(v % c for v in values):
+            raise PolynomialDomainError("inexact division in ZZ")
+        return [v // c for v in values]
+
+
+Z = IntegerRing()
+
+
+def subresultants(ring, a: list, b: list):
+    """The subresultant PRS of a, b over an integral domain (Collins; Brown;
+    Cohen, *A Course in Computational Algebraic Number Theory*, 3.3.1) on
+    ascending coefficient lists, len(a) >= len(b) >= 1.
+
+    Yields each consecutive pair (a, b) with the running h, the input
+    pair first, and stops after a pair whose b is constant or leaves a
+    zero pseudo-remainder, so the last b is gcd(a, b) up to a nonzero
+    factor of the ring.  The pseudo-remainder lc(b)^(delta+1) a mod b is
+    built by r <- lc(b) r - head z^k b; the division by g h^delta is
+    exact, and checked."""
+    mul, g, h = ring.mul, ring.one, ring.one
+    while True:
+        yield a, b, h
+        if len(b) == 1:
+            return
+        delta, lc = len(a) - len(b), b[-1]
+        r = list(a)
+        for k in range(delta, -1, -1):
+            head = r.pop()  # lc(b) head - head lc(b) cancels at the top
+            r = [mul(c, lc) for c in r]
+            for i, c in enumerate(b[:-1]):
+                r[k + i] = r[k + i] - mul(head, c)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return
+        a, b = b, ring.divide(r, mul(g, ring.reduce(h ** delta)))
+        g = a[-1]
+        if delta:
+            h = ring.divide([ring.reduce(g ** delta)], ring.reduce(h ** (delta - 1)))[0]
+
+
+def last_subresultant(ring, a: list, b: list) -> list:
+    """gcd(a, b) of nonzero a, b up to a nonzero factor of the ring: the
+    last nonzero term of their subresultant PRS, constant if trivial."""
+    if len(a) < len(b):
+        a, b = b, a
+    for _, b, _ in subresultants(ring, a, b):
+        pass
+    return b
 
 
 def resultant(u: IntPoly, v: IntPoly) -> int:
@@ -526,34 +544,33 @@ def resultant(u: IntPoly, v: IntPoly) -> int:
     """
     if u.is_zero() or v.is_zero():
         raise PolynomialDomainError("resultant of zero polynomial")
-    a, b = u, v
-    s = 1
-    if a.degree < b.degree:
-        if (a.degree * b.degree) % 2 == 1:
-            s = -1
+    a, b, s = list(u.coeffs), list(v.coeffs), 1
+    if len(a) < len(b):
+        s = (-1) ** (u.degree * v.degree)
         a, b = b, a
-    if b.degree == 0:
-        return s * b.coeffs[0] ** a.degree
-    g, h = 1, 1
-    while True:
-        delta = a.degree - b.degree
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+    for a, b, h in subresultants(Z, a, b):
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
             s = -s
-        r = _prem(a, b)
-        if r.is_zero():
-            return 0
-        den = g * h ** delta
-        a, b = b, IntPoly([c // den for c in r.coeffs])
-        g = a.leading()
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g ** delta // h ** (delta - 1)
-        if b.degree == 0:
-            num = b.coeffs[0] ** a.degree
-            if a.degree > 1:
-                num //= h ** (a.degree - 1)
-            return s * num
+    if len(b) > 1:
+        return 0
+    da = len(a) - 1  # b = [b0] ends the PRS: Res = s b0^da / h^(da-1)
+    return s * Z.divide([b[0] ** da], h ** max(da - 1, 0))[0]
+
+
+def gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd in ZZ[z] (positive leading coefficient); gcd(a, 0) is
+    a.primitive()."""
+    if a.is_zero() or b.is_zero():
+        return (a or b).primitive()
+    return IntPoly(last_subresultant(Z, list(a.coeffs), list(b.coeffs))).primitive()
+
+
+def squarefree_part(p: IntPoly) -> IntPoly:
+    """p / gcd(p, p'), primitive with positive leading coefficient (the
+    exact quotient of two such polynomials is one, by Gauss's lemma)."""
+    if p.is_zero():
+        raise PolynomialDomainError("zero polynomial")
+    return p.primitive() // gcd(p, p.derivative())
 
 
 def interpolate(xs: Sequence, ys: Sequence) -> RatPoly:

@@ -14,11 +14,12 @@ Q and P at the conjugates tau_1 > ... > tau_9 then classify every
 fixed point as a Siegel center or a hyperbolic point.
 
 Everything is exact.  E_n's numerator and denominator are built in
-Z[w][B] (tau = w) and cancelled by one subresultant PRS with checked
-exact divisions, over Z[w]/(st) (integer polynomials modulo the monic
-trace polynomial) for E_3 and E_7 and over Z[w] for the formal
-case-ii/iii run; gcd and numerator then move once into K or QQ(w),
-where E_n is made monic.  gcd(E_3, E_7) runs through the same PRS.
+Z[w][B] (tau = w) and cancelled by the package's one subresultant PRS
+(``intpoly.subresultants``) with checked exact divisions, over Z[w]/(st)
+(integer polynomials modulo the monic trace polynomial) for E_3 and E_7
+and over Z[w] for the formal case-ii/iii run; gcd and numerator then
+move once into K or QQ(w), where E_n is made monic.  gcd(E_3, E_7)
+runs through the same PRS.
 The case exclusions are certified by trivial-gcd witnesses against
 the minimal polynomials.
 """
@@ -29,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .intpoly import IntPoly, PolynomialDomainError, gcd as zgcd, newton_traces
+from .intpoly import IntPoly, PolynomialDomainError, gcd as zgcd, last_subresultant, newton_traces
 from .algnum import NumberFieldElem, RationalFunctionW, hn_poly
 from .fpfsiegel import siegel_verdict_P, siegel_verdict_Q
 
@@ -45,7 +46,7 @@ class CertificationError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # dense polynomials in B, as ascending coefficient lists over a ring or a
-# field, and one subresultant PRS over the domains Z[w] and Z[w]/(st)
+# field, and the domains Z[w] and Z[w]/(st) for the subresultant PRS
 # ---------------------------------------------------------------------------
 
 def _trim(c: list) -> list:
@@ -100,9 +101,12 @@ def fp_eval(a: list, x):
 
 class IntegralRing:
     """Z[w] (mod None) or Z[w]/(mod) for a monic integer mod, a domain
-    when mod is irreducible.  Elements are IntPolys in w reduced modulo
+    when mod is irreducible, as a coefficient ring of
+    ``intpoly.subresultants``.  Elements are IntPolys in w reduced modulo
     mod; ``divide`` is exact division, checked, and ``to_field`` moves an
     element into QQ(w) or K = QQ[w]/(mod)."""
+
+    one = IntPoly([1])
 
     def __init__(self, mod: IntPoly | None = None):
         self.mod = mod
@@ -145,30 +149,6 @@ class IntegralRing:
         return [IntPoly(x for x, _ in q) for q in quotients]
 
 
-def subresultant_gcd(ring: IntegralRing, a: list, b: list) -> list:
-    """gcd(a, b) in ring[B] up to a nonzero ring factor, constant if trivial:
-    the last nonzero term of the subresultant PRS (Collins; Brown; Cohen,
-    *A Course in Computational Algebraic Number Theory*, section 3.3)."""
-    if len(a) < len(b):
-        a, b = b, a
-    g = h = IntPoly([1])
-    while b:
-        delta = len(a) - len(b)
-        r = list(a)  # becomes prem(a, b) = lc(b)^(delta+1) a mod b
-        for k in range(delta, -1, -1):
-            head = r.pop()  # lc(b) head - head lc(b) cancels at the top
-            r = [ring.mul(c, b[-1]) for c in r]
-            for i, c in enumerate(b[:-1]):
-                r[k + i] = r[k + i] - ring.mul(head, c)
-        if len(_trim(r)) <= 1:
-            return r or b
-        a, b = b, ring.divide(r, ring.mul(g, ring.reduce(h ** delta)))
-        g = a[-1]
-        if delta:
-            h = ring.divide([ring.reduce(g ** delta)], ring.reduce(h ** (delta - 1)))[0]
-    return a
-
-
 def k_gcd(a: list, b: list) -> list:
     """Monic gcd in K[B] of nonzero polynomials over K = QQ[w]/(st): the
     subresultant PRS over Z[w]/(st) after clearing denominators."""
@@ -177,7 +157,7 @@ def k_gcd(a: list, b: list) -> list:
         return [IntPoly(c * den for c in x.rep.coeffs) for x in p]
 
     ring = IntegralRing(a[0].modulus)
-    return fp_monic([ring.to_field(c) for c in subresultant_gcd(ring, integral(a), integral(b))])
+    return fp_monic([ring.to_field(c) for c in last_subresultant(ring, integral(a), integral(b))])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +203,7 @@ def eliminant(n: int, ring: IntegralRing) -> list:
     the PRS over ring finds the common factor of numerator and denominator,
     and both numerator and factor move into the field once for the division."""
     num, den = ([ring.reduce(c) for c in p] for p in _fixed_point_fraction(n))
-    cancel = subresultant_gcd(ring, _trim(num), _trim(den))
+    cancel = last_subresultant(ring, _trim(num), _trim(den))
     numerator = [ring.to_field(c) for c in num]
     if len(cancel) > 1:
         numerator, rem = fp_divmod(numerator, fp_monic([ring.to_field(c) for c in cancel]))

@@ -33,8 +33,8 @@ from .intpoly import (
     cyclotomic_indices_up_to_degree,
     cyclotomic_salem_split,
     from_trace_polynomial,
+    gcd,
     palindrome_kind,
-    squarefree_part,
     trace_polynomial,
     unramified,
     PALINDROMIC,
@@ -67,7 +67,7 @@ def is_salem(u: IntPoly) -> bool:
         return False
     tr = trace_polynomial(u)
     m = tr.degree
-    if squarefree_part(tr) != tr.primitive():
+    if gcd(tr, tr.derivative()).degree > 0:
         return False
     if count_roots_in(tr, Fraction(2), Fraction(2) + root_bound(tr)) != 1:
         return False

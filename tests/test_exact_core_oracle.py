@@ -1,14 +1,15 @@
 """Differential tests of the exact polynomial core against sympy.
 
 sympy is an independent implementation: these tests compare the one
-integer Sturm chain (root counting and isolation), the subresultant
-resultant, its halving on trace polynomials, the minimal polynomials
-interpolated from it, the Newton interpolation and the characteristic
-polynomial interpolated by it, the inertia and determinant read off the
-fraction-free symmetric elimination, the integer matrix of B on the
-A-orbit basis and the subresultant gcd of the rank-2 elimination over
-Z[w] with it on random inputs.  Over Z[w]/(st) that gcd is checked
-against Euclid's algorithm in the number field.
+integer Sturm chain (root counting and isolation), the resultant and
+the gcd read off the one subresultant PRS, the coprime normal form of
+rational functions, the resultant's halving on trace polynomials, the
+minimal polynomials interpolated from it, the Newton interpolation and
+the characteristic polynomial interpolated by it, the inertia and
+determinant read off the fraction-free symmetric elimination, the
+integer matrix of B on the A-orbit basis and the PRS gcd of the rank-2
+elimination over Z[w] with it on random inputs.  Over Z[w]/(st) that
+gcd is checked against Euclid's algorithm in the number field.
 """
 
 import random
@@ -36,6 +37,7 @@ from k3siegel.intpoly import (
     from_trace_polynomial,
     gcd as zgcd,
     interpolate,
+    last_subresultant,
     resultant,
 )
 from k3siegel.picard2 import (
@@ -45,7 +47,6 @@ from k3siegel.picard2 import (
     fp_monic,
     fp_mul,
     k_gcd,
-    subresultant_gcd,
 )
 from k3siegel.salemlib import load_store
 
@@ -128,6 +129,65 @@ def test_isolate_real_roots_matches_sympy(p):
 @given(int_polys(max_degree=6), int_polys(max_degree=6))
 def test_resultant_matches_sylvester_determinant(u, v):
     assert resultant(u, v) == sylvester_resultant(u, v)
+
+
+def sympy_coeffs(expr) -> list:
+    """Ascending coefficients of a polynomial expression in x, [] for zero."""
+    p = sympy.Poly(expr, X)
+    return [] if p.is_zero else list(reversed(p.all_coeffs()))
+
+
+def sympy_primitive(expr) -> list:
+    """The primitive part with positive leading coefficient, ascending."""
+    cs = sympy_coeffs(expr)
+    if not cs:
+        return []
+    content = sympy.gcd_list(cs) * (1 if cs[-1] > 0 else -1)
+    return [c / content for c in cs]
+
+
+maybe_zero_polys = st.one_of(st.just(IntPoly()), int_polys(max_degree=5))
+contents = st.integers(-6, 6).filter(bool)
+
+
+@EXAMPLES
+@given(maybe_zero_polys, maybe_zero_polys, int_polys(max_degree=3), contents, contents)
+def test_gcd_matches_sympy(a, b, c, ka, kb):
+    # a planted common factor c (constant when deg c = 0), nontrivial
+    # contents ka, kb, negative leading coefficients, zero inputs
+    f, g = a * c * ka, b * c * kb
+    want = sympy.gcd(to_sympy(f).as_expr(), to_sympy(g).as_expr())
+    assert list(zgcd(f, g).coeffs) == sympy_primitive(want)
+
+
+def rational_coeffs(p: RatPoly) -> list:
+    return [sympy.Rational(c.numerator, c.denominator) for c in p.coeffs]
+
+
+@EXAMPLES
+@given(st.lists(fractions, max_size=5), st.lists(fractions, min_size=1, max_size=5).filter(any),
+       st.lists(fractions, min_size=1, max_size=3).filter(any))
+def test_rational_function_normal_form_matches_sympy_cancel(num, den, common):
+    # num/den with a planted common factor: coprime num and monic den
+    c = RatPoly(common)
+    f = RationalFunctionW(RatPoly(num) * c, RatPoly(den) * c)
+    n, d = sympy.fraction(sympy.cancel(to_sympy(RatPoly(num) * c).as_expr()
+                                       / to_sympy(RatPoly(den) * c).as_expr()))
+    lc = sympy.Poly(d, X).LC()
+    if sympy_coeffs(n):
+        assert rational_coeffs(f.num) == sympy_coeffs(n / lc)
+        assert rational_coeffs(f.den) == sympy_coeffs(d / lc)
+    else:
+        assert f.num.is_zero() and f.den == RatPoly([1])
+
+
+@EXAMPLES
+@given(int_polys(max_degree=6), int_polys(max_degree=6),
+       st.one_of(st.just(IntPoly([1])), int_polys(min_degree=1, max_degree=2)))
+def test_resultant_vanishes_iff_gcd_is_nontrivial(a, b, c):
+    # the two readers of the one subresultant PRS agree
+    u, v = a * c, b * c
+    assert (resultant(u, v) == 0) == (zgcd(u, v).degree > 0)
 
 
 @EXAMPLES
@@ -249,7 +309,7 @@ def zw_to_sympy(p):
 def test_subresultant_gcd_over_zw_matches_sympy(a, b, c):
     # a planted common factor c, so most gcds are not trivial
     f, g = fp_mul(a, c), fp_mul(b, c)
-    got = zw_to_sympy(subresultant_gcd(IntegralRing(), f, g))
+    got = zw_to_sympy(last_subresultant(IntegralRing(), f, g))
     want = sympy.gcd(zw_to_sympy(f), zw_to_sympy(g))
     # equal up to an associate: a nonzero factor free of B
     ratio = sympy.cancel(got / want)

@@ -25,6 +25,8 @@ from k3siegel.intpoly import (
     trace_polynomial,
     unramified,
 )
+from k3siegel import intpoly, picard2
+from k3siegel.algnum import RationalFunctionW
 from k3siegel.linalg import bareiss_det
 
 Z4 = IntPoly([1, -1, -1, -1, 1])          # z^4 - z^3 - z^2 - z + 1
@@ -252,6 +254,32 @@ def test_gcd_and_squarefree():
     assert gcd(a, b) == IntPoly([1, 1])
     p = IntPoly([1, 1]) ** 3 * IntPoly([-2, 1])
     assert squarefree_part(p) == IntPoly([1, 1]) * IntPoly([-2, 1])
+
+
+def test_every_resultant_and_gcd_reads_the_one_subresultant_loop(monkeypatch):
+    rings = []
+    loop = intpoly.subresultants
+
+    def counting(ring, a, b):
+        rings.append(ring)
+        return loop(ring, a, b)
+
+    monkeypatch.setattr(intpoly, "subresultants", counting)
+    u, v = IntPoly([1, 0, 1]), IntPoly([-1, 1]) * IntPoly([1, 1])
+    readers = {
+        "resultant": lambda: resultant(u, v),
+        "gcd": lambda: gcd(u * v, v),
+        "RationalFunctionW": lambda: RationalFunctionW(u.to_rat(), v.to_rat()),
+        "eliminant": lambda: picard2.eliminant(3, picard2.IntegralRing(ST20_1)),
+    }
+    for name, read in readers.items():
+        rings.clear()
+        read()
+        assert rings, name
+    assert isinstance(rings[0], picard2.IntegralRing)
+    for gone in ("rat_gcd", "_prem"):
+        assert not hasattr(intpoly, gone)
+    assert not hasattr(picard2, "subresultant_gcd")
 
 
 def test_divmod_and_rat():

@@ -45,6 +45,11 @@ def test_typed_error_under_optimize():
             "    ring.divide([IntPoly([1])], IntPoly([2]))\n"
             "except picard2.CertificationError:\n"
             "    print('typed error')\n"
+            "from k3siegel import intpoly\n"
+            "try:\n"
+            "    intpoly.Z.divide([1], 2)\n"
+            "except intpoly.PolynomialDomainError:\n"
+            "    print('typed error')\n"
             "from k3siegel import hyplattice, salemlib\n"
             "from k3siegel.intpoly import cyclotomic\n"
             "store = salemlib.load_store()\n"
@@ -60,4 +65,4 @@ def test_typed_error_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 4
+    assert done.stdout.split() == ["typed", "error"] * 5
