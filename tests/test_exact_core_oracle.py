@@ -2,7 +2,8 @@
 
 sympy is an independent implementation: these tests compare the one
 integer Sturm chain (root counting and isolation), the resultant and
-the gcd read off the one subresultant PRS, the coprime normal form of
+the gcd read off the one subresultant PRS, the census's Descartes
+bound on the roots in (-2, 2), the coprime normal form of
 rational functions, the resultant's halving on trace polynomials, the
 minimal polynomials interpolated from it, the Newton interpolation and
 the characteristic polynomial interpolated by it, the inertia and
@@ -15,9 +16,10 @@ gcd is checked against Euclid's algorithm in the number field.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
@@ -49,6 +51,7 @@ from k3siegel.picard2 import (
     k_gcd,
 )
 from k3siegel.salemlib import load_store
+from k3siegel.setup2 import _descartes_bound, _descartes_maps
 
 X = sympy.Symbol("x")
 W = sympy.Symbol("w")
@@ -109,6 +112,36 @@ def test_count_roots_in_repeated_roots_and_endpoint_roots(p, a):
     p = p * IntPoly([-a.numerator, a.denominator])
     assert count_roots_in(p, a, a + 3) == sympy_roots_in_open(p, a, a + 3)
     assert count_roots_in(p, a - 3, a) == sympy_roots_in_open(p, a - 3, a)
+
+
+# partition points of the census's eight pieces of (-2, 2), roots near
+# the ends and the ends themselves, as (numerator, denominator)
+PLANTED = [(p, 2) for p in range(-3, 4)] + [(15, 8), (-15, 8), (2, 1), (-2, 1)]
+DESCARTES_MAPS = _descartes_maps()[1]
+
+
+@st.composite
+def planted_polys(draw):
+    """Nonzero integer polynomials of degree <= 11: up to four planted
+    roots (repeats allowed) times a random factor, squared or not.  The
+    coefficients stay below 2^29, so Q_k stays exact in int64."""
+    roots = draw(st.lists(st.sampled_from(PLANTED), max_size=4))
+    p = draw(int_polys(max_degree=(11 - len(roots)) // 2, bound=9))
+    if draw(st.booleans()):
+        p = p * p
+    for n, d in roots:
+        p = p * IntPoly([-n, d])
+    return p
+
+
+@EXAMPLES
+@given(planted_polys())
+@example(IntPoly([-1, 2]))          # a root at the partition point 1/2
+@example(IntPoly([-1, 2, 0, 1]))    # a zero coefficient inside a Q_k
+def test_descartes_bound_covers_distinct_roots(p):
+    row = np.array([list(p.coeffs) + [0] * (12 - len(p.coeffs))], dtype=np.int64)
+    bound = int(_descartes_bound(row, DESCARTES_MAPS)[0])
+    assert bound >= sympy_roots_in_open(p, Fraction(-2), Fraction(2))
 
 
 @EXAMPLES

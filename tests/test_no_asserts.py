@@ -59,10 +59,16 @@ def test_typed_error_under_optimize():
             "try:\n"
             "    hyplattice._b_matrix_in_a_basis(phi, psi)\n"
             "except hyplattice.LatticeBuildError:\n"
+            "    print('typed error')\n"
+            "from k3siegel import setup2\n"
+            "setup2._WORD_BOUNDS = (1 << 31,) * 12\n"
+            "try:\n"
+            "    setup2._descartes_maps()\n"
+            "except intpoly.PolynomialDomainError:\n"
             "    print('typed error')\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 5
+    assert done.stdout.split() == ["typed", "error"] * 6

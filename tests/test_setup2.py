@@ -1,17 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from k3siegel import setup2
-from k3siegel.intpoly import IntPoly, PolynomialDomainError, resultant
+from k3siegel.intpoly import IntPoly, PolynomialDomainError, resultant, trace_polynomial
 from k3siegel.algnum import count_roots_in
 from k3siegel.salemlib import is_unramified_salem
 from k3siegel.setup2 import (
     S4,
     Setup2Candidate,
+    _descartes_maps,
     _norm,
+    _norm_hits,
     _norm_map,
     enumerate_setup2,
 )
@@ -72,7 +75,6 @@ def test_all_candidates_satisfy_conditions():
         assert c[10] in (1 - 2 * sum(c[0:9:2]), -1 - 2 * sum(c[0:9:2]))
         assert psi(1) * psi(-1) == -1
         assert abs(resultant(S4, psi)) == 1
-        from k3siegel.intpoly import trace_polynomial
         tr = trace_polynomial(psi)
         assert sympy_roots_in_open(tr, -2, 2) in (8, 10)
 
@@ -91,7 +93,6 @@ def test_rejected_words_fail_a_condition():
         if word in accepted:
             continue
         psi = Setup2Candidate(0, word).psi()
-        from k3siegel.intpoly import trace_polynomial
         tr = trace_polynomial(psi)
         ok_roots = sympy_roots_in_open(tr, -2, 2) in (8, 10)
         ok_res = abs(resultant(S4, psi)) == 1
@@ -124,3 +125,63 @@ def test_integer_sturm_matches_rational():
         if p(2) == 0 or p(-2) == 0:
             continue
         assert count_roots_in(p, -2, 2) == sympy_roots_in_open(p, -2, 2)
+
+
+def digit_sweep_hits() -> set:
+    """The norm hits by decoding every base-5 word index into its digit
+    columns, chunk by chunk: the census sweep before it split the words
+    into two halves."""
+    nmap = _norm_map()
+    total, chunk = 5 ** 9, 1 << 18
+    hits = set()
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        c = np.empty((idx.size, 9), dtype=np.int64)
+        for j in range(8, -1, -1):
+            c[:, j] = idx % 5 - 2
+            idx //= 5
+        c10 = -1 - c[:, 1] - c[:, 3] - c[:, 5] - c[:, 7]
+        sodd = c[:, 0] + c[:, 2] + c[:, 4] + c[:, 6] + c[:, 8]
+        part = c @ nmap[:, 1:10].T + nmap[:, 0] + c10[:, None] * nmap[:, 10]
+        for sign in (1, -1):
+            c11 = sign - 2 * sodd
+            ab = part + c11[:, None] * nmap[:, 11]
+            for h in np.nonzero(np.abs(_norm(ab[:, 0], ab[:, 1])) == 1)[0]:
+                hits.add(tuple(c[h].tolist()) + (int(c10[h]), int(c11[h])))
+    return hits
+
+
+def test_broadcast_sweep_finds_the_digit_sweep_hits():
+    words = _norm_hits()
+    hits = {tuple(w[1:].tolist()) for w in words}
+    assert (words[:, 0] == 1).all()
+    assert len(hits) == len(words) == 6902
+    assert hits == digit_sweep_hits()
+    tmap = _descartes_maps()[0]
+    rng = random.Random(10)
+    for w in rng.sample(list(words), 40):
+        psi = Setup2Candidate(0, tuple(w[1:].tolist())).psi()
+        assert (w @ tmap.T).tolist() == list(trace_polynomial(psi).coeffs)
+
+
+def test_descartes_gate_leaves_few_words_to_sturm(monkeypatch):
+    calls = []
+
+    def counting(p, a, b):
+        calls.append(p)
+        return count_roots_in(p, a, b)
+
+    monkeypatch.setattr(setup2, "count_roots_in", counting)
+    assert enumerate_setup2() == CANDS
+    assert len(CANDS) <= len(calls) < 2000
+
+
+def test_descartes_maps_keep_every_lane_exact(monkeypatch):
+    # the trace coefficients and every piece's Q stay far inside int64;
+    # maps that outgrow it raise a typed error
+    tmap, dmaps = _descartes_maps()
+    assert dmaps.shape == (setup2._PIECES, 12, 12)
+    assert int(abs(dmaps).max()) == 459841536
+    monkeypatch.setattr(setup2, "_WORD_BOUNDS", (1 << 31,) * 12)
+    with pytest.raises(PolynomialDomainError):
+        _descartes_maps()
