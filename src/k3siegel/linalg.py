@@ -4,16 +4,19 @@ Matrices are plain lists of lists (row-major) of ints or Fractions.
 Determinants use fraction-free Bareiss elimination.  Every symmetric
 integer matrix goes through one fraction-free symmetric elimination,
 whose integer minors give the inertia (Jacobi's sign rule and
-Sylvester's law), drive the all-integer LLL reduction, and give the
-LDL^T decomposition on which an exact Fincke-Pohst enumeration finds
-short vectors of the LLL-reduced Gram matrix.  Nothing here ever
-touches floating point.
+Sylvester's law) and drive the all-integer LLL reduction.  The
+reduction updates those minors in place through size reduction and
+swaps (Cohen's integral LLL), and ends with the LDL^T decomposition of
+the reduced Gram matrix on which a Fincke-Pohst enumeration in scaled
+integers finds its short vectors.  Nothing here ever touches floating
+point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from .intpoly import IntPoly, interpolate
 
@@ -35,7 +38,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: list) -> list:
-    return [sum(row[i] * v[i] for i in range(len(v))) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -194,16 +197,18 @@ def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix]:
     matrix is updated in place under the congruence row operations, so
     no basis vectors are ever needed.  All-integer (Cohen, section 2.6):
     size reduction and the Lovasz test read the minors d_i and bordered
-    minors lambda_ij of the symmetric elimination, which is rerun after
-    every swap.  Raises MatrixDomainError unless every minor is positive
-    (Sylvester's criterion).
+    minors lambda_ij of one symmetric elimination, which size reduction
+    and every swap then update in place by exact integer divisions
+    (Cohen, Algorithm 2.6.7).  Raises MatrixDomainError unless every
+    minor is positive (Sylvester's criterion).
     """
     return _lll(gram)[:2]
 
 
 def _lll(gram: Matrix) -> tuple[Matrix, Matrix, list[int], Matrix]:
     """``lll_reduce`` plus the minors and the bordered minors lambda_ij (i > j)
-    of the reduced Gram, kept exact through size reduction (Cohen, 2.6)."""
+    of the reduced Gram, kept exact through size reduction and swaps
+    (Cohen, 2.6)."""
     n = len(gram)
     u = identity(n)
     cur = [list(row) for row in gram]  # = U gram U^T
@@ -227,8 +232,8 @@ def _lll(gram: Matrix) -> tuple[Matrix, Matrix, list[int], Matrix]:
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = _round_half(lam[k][j], d[j + 1])
-            if q != 0:
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                q = _round_half(lam[k][j], d[j + 1])
                 row_op(k, j, q)
                 # size reduction leaves d fixed and shifts lambda row k
                 for l in range(j):
@@ -238,9 +243,33 @@ def _lll(gram: Matrix) -> tuple[Matrix, Matrix, list[int], Matrix]:
             k += 1
         else:
             swap(k)
-            d, lam, _ = _symmetric_bareiss(cur)
+            _swap_minors(d, lam, k)
             k = max(k - 1, 1)
     return cur, u, d, lam
+
+
+def _swap_minors(d: list[int], lam: Matrix, k: int) -> None:
+    """Update the minors d and the bordered minors lambda_ij (i > j) in
+    place for the swap of basis vectors k - 1 and k (Cohen, Algorithm
+    2.6.7, SWAPI).  Only d[k] and the lambda entries in rows and columns
+    k - 1 and k change; every division is exact in ZZ, and a remainder
+    raises MatrixDomainError.
+    """
+    lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+    l = lam[k][k - 1]
+    b = _exact_div(d[k - 1] * d[k + 1] + l * l, d[k])
+    for row in lam[k + 1:]:
+        t = row[k]
+        row[k] = _exact_div(d[k + 1] * row[k - 1] - l * t, d[k])
+        row[k - 1] = _exact_div(b * t + l * row[k], d[k + 1])
+    d[k] = b
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise MatrixDomainError(f"inexact division {num} / {den} in the LLL swap update")
+    return q
 
 
 def _round_half(num: int, den: int) -> int:
@@ -251,76 +280,59 @@ def _round_half(num: int, den: int) -> int:
     return q if num >= 0 else -q
 
 
-def _int_range_around(c: Fraction, radius_sq: Fraction) -> range:
-    """Integers t with (t - c)^2 <= radius_sq, exactly."""
-    if radius_sq < 0:
-        return range(0)
-    # t in [c - r, c + r]; bounds via integer sqrt of scaled quantities
-    num, den = radius_sq.numerator, radius_sq.denominator
-    # r = sqrt(num/den); floor((a/b) + r) etc. computed exactly
-    lo = _ceil_minus(c, num, den)
-    hi = _floor_plus(c, num, den)
-    return range(lo, hi + 1)
-
-
-def _floor_plus(c: Fraction, num: int, den: int) -> int:
-    # floor(c + sqrt(num/den))
-    a, b = c.numerator, c.denominator
-    # floor((a*den + b*sqrt(num*den)) / (b*den))
-    s = isqrt(num * den * b * b)
-    return (a * den + s) // (b * den)
-
-
-def _ceil_minus(c: Fraction, num: int, den: int) -> int:
-    # ceil(c - sqrt(num/den)) = -floor(-c + sqrt(num/den))
-    return -_floor_plus(-c, num, den)
-
-
 def short_vectors(gram: Matrix, norm: int) -> list[tuple[int, ...]]:
     """All integer vectors x != 0 with x^T gram x == norm, up to sign.
 
     gram must be positive definite.  One representative per +-pair is
-    returned (last nonzero coordinate positive); callers close under
-    negation when they need the full set.  Exact Fincke-Pohst on the
-    LDL^T decomposition of the LLL-reduced Gram matrix, read from the
-    minors the reduction ends with; the reduction affects speed only,
-    never results.
+    returned (last nonzero coordinate positive), sorted; callers close
+    under negation when they need the full set.  Exact Fincke-Pohst on
+    the LLL-reduced Gram matrix, in integers: with D_i the minors the
+    reduction ends with (D_0 = 1) and s_i = sum_{j>i} lambda_ji x_j,
+
+        L x^T red x = sum_i w_i (D_(i+1) x_i + s_i)^2,
+        w_i = L / (D_i D_(i+1)),  L = lcm_i(D_i D_(i+1)),
+
+    so each coordinate's range is an integer square root of the budget
+    norm * L that the coordinates above it leave.  The reduction affects
+    speed only, never results.
     """
     n = len(gram)
     if n == 0:
         return []
-    red, u, minors, lam = _lll(gram)
-    # red = R^T D R with d_i = D_(i+1)/D_i and r_ij = lambda_ji/D_(i+1)
-    d = [Fraction(minors[i + 1], minors[i]) for i in range(n)]
-
-    target = Fraction(norm)
-    found: list[tuple[int, ...]] = []
+    _, u, minors, lam = _lll(gram)
+    if norm <= 0:
+        return []
+    scale = lcm(*(p * q for p, q in zip(minors, minors[1:])))
+    weight = [scale // (p * q) for p, q in zip(minors, minors[1:])]
+    found: list[list[int]] = []
     x = [0] * n
 
-    def descend(i: int, remaining: Fraction):
+    def descend(i: int, rem: int, top: bool):
+        # top: every coordinate above i is zero, so x_i >= 0 fixes the sign
         if i < 0:
-            if any(x):
-                found.append(tuple(x))
+            if rem == 0:
+                found.append(list(x))
             return
-        c = Fraction(-sum(lam[j][i] * x[j] for j in range(i + 1, n)), minors[i + 1])
-        for t in _int_range_around(c, remaining / d[i]):
+        p, w = minors[i + 1], weight[i]
+        s = sum(lam[j][i] * x[j] for j in range(i + 1, n) if x[j])
+        r = isqrt(rem // w)
+        for t in range(0 if top else -((r + s) // p), (r - s) // p + 1):
             x[i] = t
-            used = d[i] * (t - c) ** 2
-            if used <= remaining:
-                descend(i - 1, remaining - used)
+            descend(i - 1, rem - w * (p * t + s) ** 2, top and not t)
         x[i] = 0
 
-    descend(n - 1, target)
-    out = set()
+    descend(n - 1, norm * scale, True)
+    ut = transpose(u)
+    out = []
     for v in found:
-        w = mat_vec(transpose(u), list(v))
-        if sum(wi * gram[i][j] * wj for i, wi in enumerate(w) for j, wj in enumerate(w)) != norm:
-            continue
+        w = mat_vec(ut, v)
+        if sum(wi * sum(map(mul, row, w)) for row, wi in zip(gram, w) if wi) != norm:
+            raise MatrixDomainError("short vector off its norm: the reduction or the descent is broken")
         # canonical sign: last nonzero coordinate positive
         for c in reversed(w):
             if c != 0:
                 if c < 0:
                     w = [-t for t in w]
                 break
-        out.add(tuple(w))
+        out.append(tuple(w))
     return sorted(out)

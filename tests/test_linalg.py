@@ -2,13 +2,16 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
+from k3siegel import linalg
 from k3siegel.intpoly import IntPoly
 from k3siegel.linalg import (
     MatrixDomainError,
     _lll,
+    _swap_minors,
     _symmetric_bareiss,
     bareiss_det,
     charpoly,
@@ -149,6 +152,139 @@ def test_short_vectors_random_vs_box():
         assert short_vectors(g, norm) == box_short_vectors(g, norm)
         trials += 1
 
+
+def unreduced_gram(rng, n, even=False):
+    """(gram, gram0, a) with gram = a gram0 a^T: gram0 = b b^T + I (or twice
+    that, an even lattice) is positive definite with |x_i| <= sqrt(norm) on
+    its vectors of a given norm; a is a random unimodular matrix built from
+    elementary row operations with large multipliers, so gram is far from
+    reduced."""
+    b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    g0 = mat_mul(b, transpose(b))
+    for i in range(n):
+        g0[i][i] += 1
+    if even:
+        g0 = [[2 * x for x in row] for row in g0]
+    a = identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            q = rng.choice([-5, -4, -3, -2, 2, 3, 4, 5])
+            a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+    if rng.random() < 0.5:
+        a[0] = [-x for x in a[0]]
+    return mat_mul(mat_mul(a, g0), transpose(a)), g0, a
+
+
+def exact_box_vectors(gram, max_norm):
+    """{x != 0 : x^T gram x <= max_norm} by brute force over the box
+    |x_i| <= sqrt(max_norm (gram^-1)_ii), which contains them all."""
+    n = len(gram)
+    inv = sympy.Matrix(gram).inv()
+    bounds = [int(sympy.floor(sympy.sqrt(max_norm * inv[i, i]))) for i in range(n)]
+    box = np.array(list(itertools.product(*(range(-r, r + 1) for r in bounds))), dtype=np.int64)
+    q = np.einsum("vi,ij,vj->v", box, np.array(gram, dtype=np.int64), box)
+    keep = (q > 0) & (q <= max_norm)
+    return box[keep].tolist(), q[keep].tolist()
+
+
+def mat_vec_int(m, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in m]
+
+
+def canonical(v):
+    for c in reversed(v):
+        if c != 0:
+            return tuple(v) if c > 0 else tuple(-t for t in v)
+    return tuple(v)
+
+
+def test_short_vectors_unreduced_vs_box():
+    # far-from-reduced Grams of size 1 to 6 with large off-diagonal entries,
+    # norms -1 to 6, odd norms of even lattices; the oracle enumerates the reduced gram0 by brute force and carries
+    # each vector y to x = a^-T y, so that x^T gram x = y^T gram0 y
+    rng = random.Random(29)
+    largest = 0
+    empty = 0
+    for trial in range(36):
+        n = 1 + trial % 6
+        gram, g0, a = unreduced_gram(rng, n, even=trial % 4 == 3)
+        largest = max(largest, max(abs(gram[i][j]) for i in range(n) for j in range(n) if i != j)
+                      if n > 1 else 0)
+        a_inv_t = [[int(x) for x in row] for row in sympy.Matrix(a).inv().T.tolist()]
+        box, norms = exact_box_vectors(g0, 6)
+        for norm in range(-1, 7):
+            want = sorted({canonical(mat_vec_int(a_inv_t, y)) for y, q in zip(box, norms)
+                           if q == norm})
+            got = short_vectors(gram, norm)
+            assert got == want, (gram, norm)
+            assert got == sorted(got)
+            assert all(canonical(v) == v for v in got)
+            assert not any(tuple(-c for c in v) in set(got) for v in got)
+            empty += norm > 0 and not got
+    assert largest > 100 and empty > 10
+
+
+def test_swap_minors_matches_fresh_elimination():
+    # Cohen's SWAPI update of d and lambda (i > j) for the swap of basis
+    # vectors k - 1 and k equals the elimination of the swapped Gram
+    rng = random.Random(41)
+    for trial in range(60):
+        n = 2 + trial % 7
+        gram = unreduced_gram(rng, n)[0] if trial % 2 else \
+            unreduced_gram(rng, n, even=True)[1]
+        for k in range(1, n):
+            order = list(range(n))
+            order[k - 1], order[k] = k, k - 1
+            swapped = [[gram[i][j] for j in order] for i in order]
+            d, lam, _ = _symmetric_bareiss(gram)
+            _swap_minors(d, lam, k)
+            want_d, want_lam, zero = _symmetric_bareiss(swapped)
+            assert zero == 0 and d == want_d
+            assert all(lam[i][j] == want_lam[i][j] for i in range(n) for j in range(i))
+
+
+def test_swap_minors_inexact_division_is_a_typed_error():
+    # d and lambda that no Gram matrix has: B = (d0 d2 + lambda^2) / d1 = 3/2
+    d, lam = [1, 2, 3], [[2, 0], [0, 3]]
+    with pytest.raises(MatrixDomainError, match="inexact division"):
+        _swap_minors(d, lam, 1)
+
+
+def test_one_elimination_per_short_vectors_call(monkeypatch):
+    calls, swaps = [], []
+    eliminate, swap = linalg._symmetric_bareiss, linalg._swap_minors
+
+    def counting(m):
+        calls.append(m)
+        return eliminate(m)
+
+    def counting_swap(d, lam, k):
+        swaps.append(k)
+        return swap(d, lam, k)
+
+    monkeypatch.setattr(linalg, "_symmetric_bareiss", counting)
+    monkeypatch.setattr(linalg, "_swap_minors", counting_swap)
+    gram = unreduced_gram(random.Random(5), 6)[0]
+    short_vectors(gram, 4)
+    assert len(calls) == 1 and len(swaps) > 5
+    lll_reduce(gram)
+    assert len(calls) == 2
+
+
+def test_short_vector_off_its_norm_is_a_typed_error(monkeypatch):
+    # a U that does not match the minors maps a descent leaf of norm 2
+    # to a vector of another norm; the leaf check must not drop it quietly
+    lll = linalg._lll
+
+    def wrong_u(gram):
+        red, u, d, lam = lll(gram)
+        u[0] = [x + y for x, y in zip(u[0], u[1])]
+        return red, u, d, lam
+
+    monkeypatch.setattr(linalg, "_lll", wrong_u)
+    with pytest.raises(MatrixDomainError, match="off its norm"):
+        short_vectors([[2, 0], [0, 3]], 2)
 
 def test_lll_preserves_lattice():
     rng = random.Random(31)
