@@ -1,9 +1,12 @@
 """Exact real algebraic numbers and number field arithmetic.
 
 Real roots are counted and isolated with one Sturm chain, an integer
-signed remainder sequence whose terms are evaluated at rational points
-n/d in integers only, and carried around as (squarefree minimal
+signed remainder sequence, and carried around as (squarefree minimal
 polynomial, isolating interval) pairs that can be refined on demand.
+One bisection isolates them, with -2 and 2 as fixed cut points, so an
+interval holds -2 or 2 inside it only when that point is its root.
+Every sign at a rational point n/d, of a Sturm term or of any other
+polynomial, is taken by one integer evaluation (``_scaled_value``).
 Sign evaluation of a polynomial at an algebraic point is decided
 exactly: a gcd test for the zero case, interval refinement otherwise.
 On top of that sit elements of a number field QQ[w]/(m(w)), univariate
@@ -102,6 +105,12 @@ def _scaled_value(coeffs, n: int, d: int) -> int:
     return acc
 
 
+def _sign(p: IntPoly, x: Fraction) -> int:
+    """Sign of p(x) at a rational x, read off ``_scaled_value``."""
+    v = _scaled_value(p.coeffs, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
 def _variations_at(chain: list[list[int]], x: Fraction) -> int:
     n, d = x.numerator, x.denominator
     signs = [v > 0 for v in (_scaled_value(q, n, d) for q in chain) if v]
@@ -154,9 +163,9 @@ class AlgebraicReal:
         # a root sitting on the boundary must be the isolated root itself;
         # collapse to an exact point so interval endpoints are never roots
         if self.lo != self.hi:
-            if self.minpoly(self.lo) == 0:
+            if _sign(self.minpoly, self.lo) == 0:
                 self.hi = self.lo
-            elif self.minpoly(self.hi) == 0:
+            elif _sign(self.minpoly, self.hi) == 0:
                 self.lo = self.hi
 
     def is_point(self) -> bool:
@@ -168,14 +177,14 @@ class AlgebraicReal:
         lo, hi = self.lo, self.hi
         if lo == hi:
             return
-        neg = p(lo) < 0
+        s_lo = _sign(p, lo)
         while hi - lo > width:
             mid = (lo + hi) / 2
-            fm = p(mid)
-            if fm == 0:
+            s_mid = _sign(p, mid)
+            if s_mid == 0:
                 lo = hi = mid
                 break
-            if (fm < 0) == neg:
+            if s_mid == s_lo:
                 lo = mid
             else:
                 hi = mid
@@ -189,67 +198,59 @@ class AlgebraicReal:
         """Sign of the number itself (exact)."""
         return sign_at(IntPoly([0, 1]), self)
 
-    def serialize(self) -> tuple[str, str, str]:
-        return (self.minpoly.text(), str(self.lo), str(self.hi))
-
-    @staticmethod
-    def deserialize(data: tuple[str, str, str]) -> "AlgebraicReal":
-        poly, lo, hi = data
-        return AlgebraicReal(IntPoly.from_text(poly), Fraction(lo), Fraction(hi))
-
     def __repr__(self):
         return f"AlgebraicReal({self.minpoly.text()}, ({self.lo}, {self.hi}))"
+
+
+def _isolating_intervals(sf: IntPoly) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals (lo, hi) of the real roots of a squarefree sf,
+    in descending order, by Sturm bisection on one chain.
+
+    Each open interval holds exactly one root, its endpoints are never
+    roots, and two intervals share at most an endpoint.  -2 and 2 are
+    cut points unless they are roots, so every other interval lies on
+    one side of each.  Raises PolynomialDomainError when sf is not
+    squarefree (the chain ends in gcd(sf, sf') of positive degree).
+    """
+    chain = sturm_chain(sf)
+    if len(chain[-1]) > 1:
+        raise PolynomialDomainError("polynomial is not squarefree")
+    bound = root_bound(sf)
+    cuts = [-bound] + [c for c in (-TWO, TWO) if -bound < c < bound and _sign(sf, c)] + [bound]
+    out: list[tuple[Fraction, Fraction]] = []
+
+    def split(a: Fraction, va: int, b: Fraction, vb: int):
+        # va - vb roots in (a, b); the upper half goes first, so out descends
+        if va - vb == 1:
+            out.append((a, b))
+        elif va > vb:
+            mid = (a + b) / 2
+            while _sign(sf, mid) == 0:
+                mid = (a + 2 * mid) / 3  # nudge off the root, exactly
+            vm = _variations_at(chain, mid)
+            split(mid, vm, b, vb)
+            split(a, va, mid, vm)
+
+    ends = [(x, _variations_at(chain, x)) for x in cuts]
+    for (a, va), (b, vb) in reversed(list(zip(ends, ends[1:]))):
+        split(a, va, b, vb)
+    return out
 
 
 def isolate_real_roots(p: IntPoly) -> list[AlgebraicReal]:
     """All real roots of p in strictly descending order.
 
-    Sturm-based bisection on the squarefree part; the isolating
-    intervals are pairwise disjoint with rational endpoints that are
-    never roots.
+    One Sturm bisection of the squarefree part (``_isolating_intervals``):
+    the open isolating intervals share at most an endpoint, their
+    rational endpoints are never roots, and none holds -2 or 2 inside
+    unless that point is the root it isolates.
     """
     if p.is_zero():
         raise PolynomialDomainError("zero polynomial")
     if p.degree == 0:
         return []
     sf = squarefree_part(p)
-    chain = sturm_chain(sf)
-    bound = root_bound(sf)
-    lo, hi = -bound, bound
-    total = _variations_at(chain, lo) - _variations_at(chain, hi)
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def split(a: Fraction, b: Fraction, count: int):
-        if count == 0:
-            return
-        if count == 1:
-            out.append((a, b))
-            return
-        mid = (a + b) / 2
-        while sf(mid) == 0:
-            mid = (a + 2 * mid) / 3  # nudge off the root, exactly
-        left = _variations_at(chain, a) - _variations_at(chain, mid)
-        split(a, mid, left)
-        split(mid, b, count - left)
-
-    split(lo, hi, total)
-    roots = [AlgebraicReal(sf, a, b) for a, b in sorted(out, key=lambda t: t[0], reverse=True)]
-    # make the isolating intervals pairwise disjoint
-    for r1, r2 in zip(roots, roots[1:]):
-        while r2.hi > r1.lo:
-            r1.refine((r1.hi - r1.lo) / 4)
-            r2.refine((r2.hi - r2.lo) / 4)
-    return roots
-
-
-def refine_off_two(roots: list[AlgebraicReal]) -> None:
-    """Refine each isolating interval until it excludes -2 and 2, so the
-    interval shows on which side of +-2 its root lies.  Neither point
-    may be a root."""
-    for r in roots:
-        for end in (-TWO, TWO):
-            while r.lo <= end <= r.hi:
-                r.refine((r.hi - r.lo) / 4)
+    return [AlgebraicReal(sf, a, b) for a, b in _isolating_intervals(sf)]
 
 
 def sign_at(p, x: AlgebraicReal) -> int:
@@ -263,21 +264,19 @@ def sign_at(p, x: AlgebraicReal) -> int:
     if q.is_zero():
         return 0
     if x.is_point():
-        v = q(x.lo)
-        return 0 if v == 0 else (1 if v > 0 else -1)
+        return _sign(q, x.lo)
     g = gcd(x.minpoly, q)
     # roots of g are roots of the squarefree minpoly, and the only such
     # root in the (open) isolating interval is x itself
     if g.degree > 0 and count_roots_in(g, x.lo, x.hi) == 1:
         return 0
     while True:
-        va, vb = q(x.lo), q(x.hi)
-        if va != 0 and vb != 0 and (va > 0) == (vb > 0) and count_roots_in(q, x.lo, x.hi) == 0:
-            return 1 if va > 0 else -1
+        sa = _sign(q, x.lo)
+        if sa != 0 and sa == _sign(q, x.hi) and count_roots_in(q, x.lo, x.hi) == 0:
+            return sa
         x.refine((x.hi - x.lo) / 4)
         if x.is_point():
-            v = q(x.lo)
-            return 0 if v == 0 else (1 if v > 0 else -1)
+            return _sign(q, x.lo)
 
 
 def algebraic_equal(x: AlgebraicReal, y: AlgebraicReal) -> bool:
@@ -294,9 +293,9 @@ def algebraic_equal(x: AlgebraicReal, y: AlgebraicReal) -> bool:
         if x.is_point() and y.is_point():
             return x.lo == y.lo
         if x.is_point():
-            return y.lo <= x.lo <= y.hi and y.minpoly(x.lo) == 0
+            return y.lo <= x.lo <= y.hi and _sign(y.minpoly, x.lo) == 0
         if y.is_point():
-            return x.lo <= y.lo <= x.hi and x.minpoly(y.lo) == 0
+            return x.lo <= y.lo <= x.hi and _sign(x.minpoly, y.lo) == 0
         if lo < hi and count_roots_in(g, lo, hi) == 1:
             # the common root lies in both isolating intervals, so it is
             # simultaneously x and y
@@ -317,16 +316,6 @@ def algebraic_compare(x: AlgebraicReal, y: AlgebraicReal) -> int:
             return 1
         x.refine((x.hi - x.lo) / 4)
         y.refine((y.hi - y.lo) / 4)
-
-
-def interval_eval(p: RatPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Crude interval extension of p over [lo, hi] (Horner with interval
-    arithmetic); sound, converges as the interval shrinks."""
-    alo = ahi = Fraction(0)
-    for c in reversed(p.coeffs):
-        cands = [alo * lo, alo * hi, ahi * lo, ahi * hi]
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +463,6 @@ class RationalFunctionW:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunctionW):

@@ -32,7 +32,6 @@ from .algnum import (
     isolate_real_roots,
     minpoly_of_value,
     ratfunc_compare,
-    refine_off_two,
     symmetric_descent,
 )
 from .symbolic import MPoly, MRat
@@ -208,8 +207,7 @@ def _interval_roots(st: IntPoly) -> list[AlgebraicReal]:
     """tau_1 > tau_2 > ... : the roots of a Salem trace polynomial in
     (-2, 2); index 0 of the returned list is tau_1."""
     roots = isolate_real_roots(st)
-    refine_off_two(roots)
-    inside = [r for r in roots if -TWO < r.lo and r.hi < TWO]
+    inside = [r for r in roots if -TWO <= r.lo and r.hi <= TWO]
     if len(inside) != len(roots) - 1:
         raise FpfInconsistency("trace polynomial does not have the Salem root pattern")
     return inside

@@ -10,8 +10,10 @@ one of nine admissible patterns; the pattern also locates the special
 trace tau (the trace of the eigenvalue acting on the holomorphic
 2-form), which must be a root of the Salem trace factor of Phi.
 
-All root comparisons are exact: isolating intervals are refined until
-disjoint, never compared through floating point.
+All root comparisons are exact and need no refinement: one Sturm
+bisection of the squarefree product Phi * Psi, cut at -2 and 2, gives
+disjoint isolating intervals in descending order, and an interval holds
+a root of Phi exactly when Phi changes sign across it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .intpoly import (
     IntPoly,
+    PolynomialDomainError,
     cyclotomic_salem_split,
     gcd,
     trace_polynomial,
@@ -27,9 +30,10 @@ from .intpoly import (
 from .algnum import (
     TWO,
     AlgebraicReal,
+    _isolating_intervals,
+    _sign,
     algebraic_equal,
     isolate_real_roots,
-    refine_off_two,
     sign_at,
 )
 from .salemlib import is_salem
@@ -80,26 +84,6 @@ class HodgeVerdict:
     rejection_reason: str | None = None
 
 
-def _disjointify(roots: list[AlgebraicReal]) -> None:
-    """Refine isolating intervals until pairwise strictly disjoint, so
-    interval order is number order.  Touching counts as overlap: an
-    exact rational root of one polynomial may sit on the boundary of
-    another root's interval, and only strict separation orders them."""
-    changed = True
-    while changed:
-        changed = False
-        ordered = sorted(roots, key=lambda r: (r.lo, r.hi))
-        for a, b in zip(ordered, ordered[1:]):
-            if a.is_point() and b.is_point():
-                if a.lo == b.lo:
-                    raise PipelineError("distinct roots with identical value")
-                continue
-            if a.hi >= b.lo:
-                a.refine((a.hi - a.lo) / 4)
-                b.refine((b.hi - b.lo) / 4)
-                changed = True
-
-
 def dissect(phi: IntPoly, psi: IntPoly) -> ClusterDissection:
     """Compute the trace-cluster configuration of a valid (phi, psi) pair."""
     v = phi // IntPoly([-1, 0, 1])
@@ -111,39 +95,34 @@ def dissect(phi: IntPoly, psi: IntPoly) -> ClusterDissection:
         d.flags.append("multiple root of Phi")
     if gcd(psi_tr, psi_tr.derivative()).degree > 0:
         d.flags.append("multiple root of Psi")
-    if phi_tr(TWO) == 0 or phi_tr(-TWO) == 0:
+    if phi_tr(2) == 0 or phi_tr(-2) == 0:
         d.flags.append("Phi vanishes at +-2")
-    if psi_tr(TWO) == 0 or psi_tr(-TWO) == 0:
+    if psi_tr(2) == 0 or psi_tr(-2) == 0:
         d.flags.append("Psi vanishes at +-2")
     if d.flags:
         return d
 
-    a_roots = isolate_real_roots(phi_tr)
-    b_roots = isolate_real_roots(psi_tr)
-    _disjointify(a_roots + b_roots)
-
-    def on_interval(r: AlgebraicReal) -> bool:
-        return r.lo > -TWO and r.hi < TWO
-
-    def above_two(r: AlgebraicReal) -> bool:
-        return r.lo > TWO
-
-    refine_off_two(a_roots + b_roots)
-
-    d.a_on = [r for r in a_roots if on_interval(r)]
-    d.b_on = [r for r in b_roots if on_interval(r)]
-    d.a_gt2_count = sum(1 for r in a_roots if above_two(r))
-    d.b_off_count = psi_tr.degree - len(d.b_on)
-
-    # merge on-interval roots (descending) and take maximal runs
-    tagged = [("A", r) for r in d.a_on] + [("B", r) for r in d.b_on]
-    tagged.sort(key=lambda t: t[1].lo, reverse=True)
+    # Phi and Psi are squarefree here, so their product is unless they
+    # share a root; each interval holds one root of the product
+    try:
+        intervals = _isolating_intervals(phi_tr * psi_tr)
+    except PolynomialDomainError as exc:
+        raise PipelineError("Phi and Psi share a root") from exc
     runs: list[tuple[str, list]] = []
-    for tag, r in tagged:
+    for lo, hi in intervals:
+        is_a = _sign(phi_tr, lo) != _sign(phi_tr, hi)
+        if not (-TWO <= lo and hi <= TWO):
+            if is_a and lo >= TWO:
+                d.a_gt2_count += 1
+            continue
+        tag = "A" if is_a else "B"
+        r = AlgebraicReal(phi_tr if is_a else psi_tr, lo, hi)
+        (d.a_on if is_a else d.b_on).append(r)
         if runs and runs[-1][0] == tag:
             runs[-1][1].append(r)
         else:
             runs.append((tag, [r]))
+    d.b_off_count = psi_tr.degree - len(d.b_on)
 
     b_runs = [block for tag, block in runs if tag == "B"]
     d.s = len(b_runs)

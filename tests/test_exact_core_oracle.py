@@ -1,10 +1,11 @@
 """Differential tests of the exact polynomial core against sympy.
 
 sympy is an independent implementation: these tests compare the one
-integer Sturm chain (root counting and isolation), the resultant and
-the gcd read off the one subresultant PRS, the census's Descartes
-bound on the roots in (-2, 2), the coprime normal form of
-rational functions, the resultant's halving on trace polynomials, the
+integer Sturm chain (root counting, and isolation cut at -2 and 2),
+the trace-cluster interleaving read off one bisection of Phi * Psi,
+the resultant and the gcd read off the one subresultant PRS, the
+census's Descartes bound on the roots in (-2, 2), the coprime normal
+form of rational functions, the resultant's halving on trace polynomials, the
 minimal polynomials interpolated from it, the Newton interpolation and
 the characteristic polynomial interpolated by it, the inertia and
 determinant read off the fraction-free symmetric elimination, the
@@ -13,6 +14,7 @@ elimination over Z[w] with it on random inputs.  Over Z[w]/(st) that
 gcd is checked against Euclid's algorithm in the number field.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from k3siegel import cli, linalg
+from k3siegel.hodgeclass import dissect
 from k3siegel.algnum import (
     NumberFieldElem,
     RationalFunctionW,
@@ -41,6 +44,7 @@ from k3siegel.intpoly import (
     interpolate,
     last_subresultant,
     resultant,
+    trace_polynomial,
 )
 from k3siegel.picard2 import (
     ST20_1,
@@ -146,6 +150,8 @@ def test_descartes_bound_covers_distinct_roots(p):
 
 @EXAMPLES
 @given(int_polys(min_degree=1))
+@example(IntPoly([-4, 0, 1]))       # roots at both cut points
+@example(IntPoly([-5, 0, 1]))       # roots on both sides of both cut points
 def test_isolate_real_roots_matches_sympy(p):
     roots = isolate_real_roots(p)
     sf = to_sympy(p).sqf_part()
@@ -156,6 +162,49 @@ def test_isolate_real_roots_matches_sympy(p):
         assert sf.count_roots(lo, hi) == 1
     for upper, lower in zip(roots, roots[1:]):
         assert lower.hi <= upper.lo and (lower.lo, lower.hi) != (upper.lo, upper.hi)
+    # -2 and 2 are cut points: an interval straddles one only to isolate it
+    for r in roots:
+        for cut in (-2, 2):
+            assert not r.lo < cut < r.hi or sf.eval(cut) == 0
+
+
+# pairwise coprime irreducible trace factors: planted rational roots,
+# none of them 0, +-1 or +-2, and the trace polynomials of cyclotomics
+TRACE_FACTORS = ([IntPoly([-n, d]) for n, d in
+                  [(3, 1), (-3, 1), (5, 2), (-7, 3), (1, 2), (-1, 2), (3, 2), (-4, 3), (7, 4)]]
+                 + [trace_polynomial(cyclotomic(n)) for n in (3, 4, 5, 7, 9, 12, 15)])
+
+
+@st.composite
+def trace_pairs(draw):
+    """(Phi, Psi) coprime and squarefree, split from distinct factors."""
+    chosen = draw(st.lists(st.sampled_from(TRACE_FACTORS), unique_by=lambda f: f.coeffs,
+                           min_size=2, max_size=7))
+    k = draw(st.integers(1, len(chosen) - 1))
+    return math.prod(chosen[:k], start=IntPoly([1])), math.prod(chosen[k:], start=IntPoly([1]))
+
+
+@EXAMPLES
+@given(trace_pairs())
+def test_dissect_matches_sympy(pair):
+    big_phi, big_psi = pair
+    d = dissect(IntPoly([-1, 0, 1]) * from_trace_polynomial(big_phi),
+                from_trace_polynomial(big_psi))
+    assert not d.flags
+    tagged = [(r, tag) for p, tag in ((big_phi, "A"), (big_psi, "B"))
+              for r in sympy.real_roots(to_sympy(p).as_expr(), X)]
+    inside = sorted(((r, t) for r, t in tagged if -2 < r < 2), key=lambda rt: rt[0], reverse=True)
+    expected = "".join(t for _, t in inside)
+    a_runs, b_runs = d.a_clusters, d.b_clusters
+    got = "".join("A" * len(a) + "B" * len(b) for a, b in zip(a_runs, b_runs + [[]]))
+    assert got == expected
+    assert len(a_runs) == len(b_runs) + 1
+    assert d.a_gt2_count == sum(1 for r, t in tagged if t == "A" and r > 2)
+    assert d.b_off_count == big_psi.degree - expected.count("B")
+    for r in d.a_on + d.b_on:
+        lo = sympy.Rational(r.lo.numerator, r.lo.denominator)
+        hi = sympy.Rational(r.hi.numerator, r.hi.denominator)
+        assert to_sympy(r.minpoly).count_roots(lo, hi) == 1
 
 
 @EXAMPLES

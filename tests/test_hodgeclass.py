@@ -1,5 +1,8 @@
+import pytest
+
+from k3siegel import algnum
 from k3siegel.intpoly import IntPoly, cyclotomic
-from k3siegel.hodgeclass import dissect, classify, dissect_and_classify
+from k3siegel.hodgeclass import PipelineError, dissect, classify, dissect_and_classify
 from k3siegel.salemlib import load_store
 
 STORE = load_store()
@@ -77,3 +80,27 @@ def test_wrong_cluster_count_rejected():
     phi = Z2 * STORE[(20, 1)].salem_poly
     v = dissect_and_classify(phi, psi)
     assert not v.accepted
+
+
+def test_dissect_builds_one_sturm_chain(monkeypatch):
+    # Phi * Psi is bisected once; no per-factor isolation, no refinement
+    calls = []
+    chain = algnum.sturm_chain
+
+    def counting(p):
+        calls.append(p)
+        return chain(p)
+
+    monkeypatch.setattr(algnum, "sturm_chain", counting)
+    d = dissect(Z2 * STORE[(20, 1)].salem_poly, STORE[(10, 1)].salem_poly * cyclotomic(21))
+    assert calls == [d.phi_trace * d.psi_trace]
+
+
+def test_shared_root_is_a_typed_error():
+    # Phi and Psi share the Salem trace roots: Phi * Psi is not squarefree
+    s20 = STORE[(20, 1)].salem_poly
+    phi, psi = Z2 * s20, s20 * cyclotomic(3)
+    with pytest.raises(PipelineError, match="Phi and Psi share a root"):
+        dissect(phi, psi)
+    with pytest.raises(PipelineError, match="Phi and Psi share a root"):
+        dissect_and_classify(phi, psi)

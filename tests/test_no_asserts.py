@@ -65,10 +65,16 @@ def test_typed_error_under_optimize():
             "try:\n"
             "    setup2._descartes_maps()\n"
             "except intpoly.PolynomialDomainError:\n"
+            "    print('typed error')\n"
+            "from k3siegel import hodgeclass\n"
+            "s20 = store[(20, 1)].salem_poly\n"
+            "try:\n"
+            "    hodgeclass.dissect(IntPoly([-1, 0, 1]) * s20, s20 * cyclotomic(3))\n"
+            "except hodgeclass.PipelineError:\n"
             "    print('typed error')\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 6
+    assert done.stdout.split() == ["typed", "error"] * 7
