@@ -35,8 +35,8 @@ print("\nE8, trivial action: fixed curves =", e8.n_fixed_curves, " mu =", e8.mu_
 budget = saito_budget(8, [e8])
 print("free multiplicity:", budget.free_multiplicity)
 p = derive_P([e8], budget.n_f_total)
-print("P numerator  :", p.num.clear_denominators().text())
-print("P denominator:", p.den.clear_denominators().text())
+print("P numerator  :", p.num.signed_primitive().text())
+print("P denominator:", p.den.signed_primitive().text())
 
 # the degree-14 Salem factor: P(tau_1) in (0,4) with a conjugate witness
 st = store[(14, 1)].trace_poly

@@ -15,10 +15,11 @@ from k3siegel import picard2
 report = picard2.full_analysis()
 
 print("eliminant degrees:", report.e3_degree, "and", report.e7_degree)
-print("B = Q(tau), Q =", report.q_func.num.clear_denominators().text())
+written = report.to_json()
+print("B = Q(tau), Q =", written["Q_num"])
 print("A^2 = P(tau):")
-print("  num:", report.p_func.num.clear_denominators().text())
-print("  den:", report.p_func.den.clear_denominators().text())
+print("  num:", written["P_num"])
+print("  den:", written["P_den"])
 
 print("\nverdict grid over tau_1 .. tau_9 (S = Siegel disk, H = hyperbolic):")
 pm = " ".join(str(report.grid[("p_pm", j)]) for j in range(1, 10))

@@ -223,8 +223,7 @@ def criterion_closed_form_P():
     w = RationalFunctionW.variable()
 
     def poly(*cs):
-        from .intpoly import RatPoly
-        return RationalFunctionW.of(RatPoly(list(cs)))
+        return RationalFunctionW(IntPoly(cs))
 
     cases = []
     cases.append((derive_P([], 0), poly(1, 2, 1) / poly(2, 1)))
@@ -257,10 +256,9 @@ def criterion_index_sum_identities():
     e8 = component_contribution("E", 8, "trivial")
     d = RationalFunctionW.variable()
     one = RationalFunctionW.of(1)
-    from .intpoly import RatPoly
 
     def poly(*cs):
-        return RationalFunctionW.of(RatPoly(list(cs)))
+        return RationalFunctionW(IntPoly(cs))
 
     explicit = (-d / (1 - d) ** 2 * (one / (1 + d) + (1 + d) / poly(1, 1, 1)
                                      + poly(1, 1, 1, 1) / poly(1, 1, 1, 1, 1))

@@ -9,12 +9,19 @@ Every sign at a rational point n/d, of a Sturm term or of any other
 polynomial, is taken by one integer evaluation (``_scaled_value``).
 Sign evaluation of a polynomial at an algebraic point is decided
 exactly: a gcd test for the zero case, interval refinement otherwise.
-On top of that sit elements of a number field QQ[w]/(m(w)), univariate
-rational functions kept coprime by a gcd in ZZ, and the symmetric
-descent delta + 1/delta -> w used to rewrite eigenvalue equations in
-the trace variable.  Every gcd and resultant reads the package's one
-subresultant PRS (``intpoly.subresultants``); minimal polynomials of
-values f(alpha) also read ``intpoly.interpolate``.
+On top of that sit elements of a number field QQ[w]/(m(w)), kept as an
+integer polynomial reduced mod m over a positive integer, univariate
+rational functions kept as coprime pairs of integer polynomials (the
+normal form of Frac(Z[w])), and the symmetric descent
+delta + 1/delta -> w used to rewrite eigenvalue equations in the trace
+variable.  All of their arithmetic is in integers: one gcd and one
+content gcd normalize each rational function, and one fraction-free
+solve of the multiplication matrix (``multiplication_solve``) inverts
+in the number field and divides exactly in Z[w]/(m) for ``picard2``.
+Every gcd and resultant reads the package's one subresultant PRS
+(``intpoly.subresultants``); minimal polynomials of values f(alpha)
+also read ``intpoly.interpolate``, whose rational polynomial is the
+only one here.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from fractions import Fraction
 from .intpoly import (
     IntPoly,
     PolynomialDomainError,
-    RatPoly,
     gcd,
     interpolate,
     resultant,
@@ -253,14 +259,13 @@ def isolate_real_roots(p: IntPoly) -> list[AlgebraicReal]:
     return [AlgebraicReal(sf, a, b) for a, b in _isolating_intervals(sf)]
 
 
-def sign_at(p, x: AlgebraicReal) -> int:
-    """Exact sign of p(x) for p an IntPoly or RatPoly.
+def sign_at(q: IntPoly, x: AlgebraicReal) -> int:
+    """Exact sign of q(x).
 
-    Zero is decided by a gcd test (zero iff gcd(minpoly, p) has a root
+    Zero is decided by a gcd test (zero iff gcd(minpoly, q) has a root
     in the isolating interval); otherwise the isolating interval is
-    refined until p has constant sign on it.  Always terminates.
+    refined until q has constant sign on it.  Always terminates.
     """
-    q = p.clear_denominators() if isinstance(p, RatPoly) else p
     if q.is_zero():
         return 0
     if x.is_point():
@@ -322,84 +327,109 @@ def algebraic_compare(x: AlgebraicReal, y: AlgebraicReal) -> int:
 # number field elements
 # ---------------------------------------------------------------------------
 
+def multiplication_solve(modulus: IntPoly, c: IntPoly, values: list) -> tuple[list, int]:
+    """Solve c q = v in QQ[w]/(modulus) for each v, over the integers.
+
+    M is the multiplication matrix of c on 1, w, ..., w^(n-1) for the
+    monic modulus of degree n.  Fraction-free Gauss-Jordan (Bareiss)
+    on [M | v ...] ends with d I on the left, d = +-det M, and d q on
+    the right: returns ([d q for each v], d), q as coefficient lists.
+    Raises ZeroDivisionError when M is singular (c a zero divisor).
+    """
+    n, prev = modulus.degree, 1
+    cols = [c.shift(j).divmod(modulus)[1] for j in range(n)]
+    rows = [[col[i] for col in cols] + [v[i] for v in values] for i in range(n)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("element is a zero divisor (modulus not irreducible here)")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        p, row_k = rows[k][k], rows[k]
+        rows = [row if i == k else [(x * p - row[k] * y) // prev for x, y in zip(row, row_k)]
+                for i, row in enumerate(rows)]
+        prev = p
+    return [[row[n + j] for row in rows] for j in range(len(values))], prev
+
+
 class NumberFieldElem:
-    """Element of QQ[w]/(m(w)) for a fixed monic modulus m."""
+    """Element num/den of QQ[w]/(m(w)) for a fixed monic modulus m: num is
+    an IntPoly reduced mod m, den > 0 an integer, and gcd(content(num),
+    den) = 1 (zero is 0/1), so == and hash decide equality."""
 
-    __slots__ = ("modulus", "rep")
+    __slots__ = ("modulus", "num", "den")
 
-    def __init__(self, modulus: IntPoly, rep: RatPoly):
+    def __init__(self, modulus: IntPoly, num: IntPoly, den: int = 1):
         if not modulus.is_monic():
             raise PolynomialDomainError("number field modulus must be monic")
-        _, r = rep.divmod(modulus.to_rat())
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if num.degree >= modulus.degree:
+            num = num.divmod(modulus)[1]
+        g = math.gcd(num.content(), den)  # |den| when num is zero
+        if den < 0:
+            g = -g
+        if g != 1:
+            num, den = IntPoly([c // g for c in num.coeffs]), den // g
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "rep", r)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("NumberFieldElem is immutable")
 
     def __reduce__(self):
-        return (NumberFieldElem, (self.modulus, self.rep))
+        return (NumberFieldElem, (self.modulus, self.num, self.den))
 
     @staticmethod
     def of(modulus: IntPoly, value) -> "NumberFieldElem":
         if isinstance(value, NumberFieldElem):
             return value
-        if isinstance(value, RatPoly):
-            return NumberFieldElem(modulus, value)
         if isinstance(value, IntPoly):
-            return NumberFieldElem(modulus, value.to_rat())
-        return NumberFieldElem(modulus, RatPoly([Fraction(value)]))
+            return NumberFieldElem(modulus, value)
+        c = Fraction(value)
+        return NumberFieldElem(modulus, IntPoly([c.numerator]), c.denominator)
 
     def is_zero(self) -> bool:
-        return self.rep.is_zero()
+        return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, NumberFieldElem) and self.modulus == other.modulus
-                and self.rep == other.rep)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.modulus, self.rep))
+        return hash((self.modulus, self.num, self.den))
 
     def _coerce(self, other) -> "NumberFieldElem":
         return NumberFieldElem.of(self.modulus, other)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return NumberFieldElem(self.modulus, self.rep + o.rep)
+        return NumberFieldElem(self.modulus, self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return NumberFieldElem(self.modulus, self.rep - o.rep)
+        return NumberFieldElem(self.modulus, self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return NumberFieldElem(self.modulus, -self.rep)
+        return NumberFieldElem(self.modulus, -self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return NumberFieldElem(self.modulus, self.rep * o.rep)
+        return NumberFieldElem(self.modulus, self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NumberFieldElem":
-        """Inverse by the extended Euclidean algorithm in QQ[w]."""
+        """den / num, with 1 / num from ``multiplication_solve``."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # r0 = modulus, r1 = rep; maintain t with t * rep = r (mod modulus)
-        r0, r1 = self.modulus.to_rat(), self.rep
-        t0, t1 = RatPoly(), RatPoly([1])
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        if r0.degree != 0:
-            raise ZeroDivisionError("element is a zero divisor (modulus not irreducible here)")
-        inv = t0 * (Fraction(1) / r0.coeffs[0])
-        return NumberFieldElem(self.modulus, inv)
+        (q,), det = multiplication_solve(self.modulus, self.num, [IntPoly([1])])
+        return NumberFieldElem(self.modulus, IntPoly(q) * self.den, det)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -408,36 +438,41 @@ class NumberFieldElem:
         return self._coerce(other) * self.inverse()
 
     def __repr__(self):
-        return f"NumberFieldElem({self.rep!r} mod {self.modulus.text()})"
+        return f"NumberFieldElem({self.num.text()}/{self.den} mod {self.modulus.text()})"
 
 
 # ---------------------------------------------------------------------------
 # univariate rational functions
 # ---------------------------------------------------------------------------
 
+_ONE = IntPoly([1])
+
+
 class RationalFunctionW:
-    """A rational function num/den in one variable, normalized so that
-    gcd(num, den) = 1 and den is monic.  Also used for functions of the
-    eigenvalue variable delta; the variable name carries no semantics.
+    """A rational function num/den in one variable, in the normal form of
+    Frac(Z[w]): num and den are IntPolys with gcd(num, den) = 1 in Z[w],
+    content included, lead(den) > 0, and zero is 0/1.  The form is
+    canonical, so == and hash decide equality.  Also used for functions
+    of the eigenvalue variable delta; the variable name carries no
+    semantics.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: RatPoly, den: RatPoly = RatPoly([1])):
+    def __init__(self, num: IntPoly, den: IntPoly = _ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            num, den = RatPoly(), RatPoly([1])
+            num, den = IntPoly(), _ONE
         else:
-            # num/den = c n/d for primitive integer n, d; cancel their gcd in ZZ
-            n, d = num.clear_denominators(), den.clear_denominators()
-            c = num.leading() * d.leading() / (den.leading() * n.leading())
-            g = gcd(n, d)
+            g = gcd(num, den)
             if g.degree > 0:
-                n, d = n // g, d // g
-            lc = d.leading()
-            num = RatPoly([x * c / lc for x in n.coeffs])
-            den = RatPoly([Fraction(x, lc) for x in d.coeffs])
+                num, den = num // g, den // g
+            c = math.gcd(num.content(), den.content())
+            if den.leading() < 0:
+                c = -c
+            if c != 1:
+                num, den = (IntPoly([x // c for x in p.coeffs]) for p in (num, den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -451,15 +486,14 @@ class RationalFunctionW:
     def of(value) -> "RationalFunctionW":
         if isinstance(value, RationalFunctionW):
             return value
-        if isinstance(value, RatPoly):
-            return RationalFunctionW(value)
         if isinstance(value, IntPoly):
-            return RationalFunctionW(value.to_rat())
-        return RationalFunctionW(RatPoly([Fraction(value)]))
+            return RationalFunctionW(value)
+        c = Fraction(value)
+        return RationalFunctionW(IntPoly([c.numerator]), IntPoly([c.denominator]))
 
     @staticmethod
     def variable() -> "RationalFunctionW":
-        return RationalFunctionW(RatPoly([0, 1]))
+        return RationalFunctionW(IntPoly([0, 1]))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -479,7 +513,8 @@ class RationalFunctionW:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-RationalFunctionW.of(other))
+        o = RationalFunctionW.of(other)
+        return RationalFunctionW(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
         return RationalFunctionW.of(other) - self
@@ -518,34 +553,31 @@ class RationalFunctionW:
         d = self.den(x)
         if d == 0:
             raise ZeroDivisionError("pole at evaluation point")
-        return self.num(x) / d
+        return Fraction(self.num(x), d)
 
     def substitute(self, inner: "RationalFunctionW") -> "RationalFunctionW":
         """Composition self(inner)."""
         num = RationalFunctionW.of(0)
         for c in reversed(self.num.coeffs):
-            num = num * inner + Fraction(c)
+            num = num * inner + c
         den = RationalFunctionW.of(0)
         for c in reversed(self.den.coeffs):
-            den = den * inner + Fraction(c)
+            den = den * inner + c
         return num / den
 
     def __repr__(self):
-        return f"RationalFunctionW({self.num!r} / {self.den!r})"
-
-
-def ratfunc_sign_at(f: RationalFunctionW, x: AlgebraicReal) -> int:
-    """Exact sign of f(x); raises on a pole."""
-    sden = sign_at(f.den, x)
-    if sden == 0:
-        raise ZeroDivisionError("pole at algebraic point")
-    return sign_at(f.num, x) * sden
+        return f"RationalFunctionW({self.num.text()} / {self.den.text()})"
 
 
 def ratfunc_compare(f: RationalFunctionW, c, x: AlgebraicReal) -> int:
-    """Exact sign of f(x) - c at an algebraic point (c rational)."""
-    shifted = f - RationalFunctionW.of(Fraction(c))
-    return ratfunc_sign_at(shifted, x)
+    """Exact sign of f(x) - c at an algebraic point, c = p/q rational with
+    q > 0: the sign of (q num - p den)(x) times that of den(x); raises
+    on a pole."""
+    c = Fraction(c)
+    sden = sign_at(f.den, x)
+    if sden == 0:
+        raise ZeroDivisionError("pole at algebraic point")
+    return sign_at(f.num * c.denominator - f.den * c.numerator, x) * sden
 
 
 # ---------------------------------------------------------------------------
@@ -556,29 +588,21 @@ def minpoly_of_value(f: RationalFunctionW, alpha: AlgebraicReal) -> IntPoly:
     """Minimal polynomial over QQ of f(alpha).
 
     Computed as the squarefree part of Res_w(m(w), x den(w) - num(w)),
-    interpolated from rational specializations of x; primitive with
-    positive leading coefficient.  Each specialization G is scaled to
-    an integer polynomial G = c G_int, and Res(m, G) = c^deg(m)
-    Res(m, G_int) because the scale only multiplies the values of G at
-    the deg(m) roots of the monic m.  When m is irreducible (the case
+    interpolated from its values at the integer nodes x = 0..deg(m),
+    each an integer resultant since num and den are integral; primitive
+    with positive leading coefficient.  When m is irreducible (the case
     in every pipeline use: m is a Salem trace polynomial) the squarefree
     resultant is exactly the minimal polynomial, so no factor selection
     is needed; minimality requires m irreducible.
     """
     m = alpha.minpoly
     if f.num.degree <= 0 and f.den.degree <= 0:
-        c = Fraction(0) if f.num.is_zero() else f.num.coeffs[0] / f.den.coeffs[0]
-        return minpoly_of_rational(c)
+        return minpoly_of_rational(Fraction(f.num[0], f.den[0]))
     if sign_at(f.den, alpha) == 0:
         raise ZeroDivisionError("pole of f at alpha")
     deg = m.degree
-    xs = [Fraction(k) for k in range(deg + 1)]
-    ys = []
-    for x0 in xs:
-        g = f.den * x0 - f.num
-        g_int = g.clear_denominators()
-        ys.append((g.leading() / g_int.leading()) ** deg * resultant(m, g_int))
-    r = interpolate(xs, ys).clear_denominators()
+    xs = range(deg + 1)
+    r = interpolate(xs, [resultant(m, f.den * x0 - f.num) for x0 in xs]).integral()[0]
     if r.degree < 1:
         raise PolynomialDomainError("degenerate resultant in minpoly_of_value")
     p = squarefree_part(r)
@@ -612,13 +636,13 @@ def symmetric_descent(r: RationalFunctionW) -> RationalFunctionW:
     """
     w = RationalFunctionW.variable()
 
-    def reduce_poly(p: RatPoly) -> tuple[RationalFunctionW, RationalFunctionW]:
+    def reduce_poly(p: IntPoly) -> tuple[RationalFunctionW, RationalFunctionW]:
         # evaluate p at delta by Horner in the quotient ring: (a + b*delta)
         a, b = RationalFunctionW.of(0), RationalFunctionW.of(0)
         for c in reversed(p.coeffs):
             # (a + b d) * d = b d^2 + a d = -b + (a + b w) d
             a, b = -b, a + b * w
-            a = a + Fraction(c)
+            a = a + c
         return a, b
 
     def invert(a: RationalFunctionW, b: RationalFunctionW):

@@ -495,20 +495,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "picard2":
         st = p2.ST20_1 if args.st == "builtin" else _poly_arg(args.st)
         sp = p2.S20_1 if args.salem == "builtin" else _poly_arg(args.salem)
-        report = p2.full_analysis(st, sp)
+        report = p2.full_analysis(st, sp).to_json()
         if args.format == "json":
-            text = json.dumps(report.to_json(), indent=1) + "\n"
+            text = json.dumps(report, indent=1) + "\n"
         else:
-            lines = [f"Q(w) num = {report.q_func.num.clear_denominators().text()}",
-                     f"P(w) num = {report.p_func.num.clear_denominators().text()}",
-                     f"P(w) den = {report.p_func.den.clear_denominators().text()}",
-                     f"E3 degree = {report.e3_degree}, E7 degree = {report.e7_degree}"]
-            m = st.degree
-            pm = " ".join(str(report.grid[("p_pm", j)]) for j in range(1, m))
-            pp = " ".join(str(report.grid[("p", j)]) for j in range(1, m))
-            lines.append(f"p+- : {pm}")
-            lines.append(f"p   : {pp}")
-            text = "\n".join(lines) + "\n"
+            text = (f"Q(w) num = {report['Q_num']}\n"
+                    f"P(w) num = {report['P_num']}\n"
+                    f"P(w) den = {report['P_den']}\n"
+                    f"E3 degree = {report['E3_degree']}, E7 degree = {report['E7_degree']}\n"
+                    f"p+- : {' '.join(report['grid']['p_pm'])}\n"
+                    f"p   : {' '.join(report['grid']['p'])}\n")
         _write_out(text, args.out)
         return 0
 

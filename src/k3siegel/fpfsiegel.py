@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intpoly import IntPoly, RatPoly
+from .intpoly import IntPoly
 from .algnum import (
     TWO,
     AlgebraicReal,
@@ -51,7 +51,7 @@ def _delta() -> RationalFunctionW:
 
 def _geom(k: int) -> RationalFunctionW:
     """1 + delta + ... + delta^k."""
-    return RationalFunctionW.of(RatPoly([1] * (k + 1)))
+    return RationalFunctionW(IntPoly([1] * (k + 1)))
 
 
 def lambda_plus(k: int) -> RationalFunctionW:

@@ -1,4 +1,4 @@
-"""Dense exact univariate polynomials over ZZ and QQ.
+"""Dense exact univariate polynomials over ZZ (and QQ for interpolation).
 
 A polynomial is stored as a tuple of coefficients in ascending degree
 order with no trailing zeros, so ``IntPoly([1, -1, -1, -1, 1])`` is
@@ -190,8 +190,13 @@ class IntPoly:
             g = -g
         return IntPoly([c // g for c in self.coeffs])
 
-    def to_rat(self) -> "RatPoly":
-        return RatPoly([Fraction(c) for c in self.coeffs])
+    def signed_primitive(self) -> "IntPoly":
+        """self over its (positive) content: primitive, with the sign of
+        self at every point, so a negative leading coefficient stays."""
+        if self.is_zero():
+            return self
+        g = self.content()
+        return IntPoly([c // g for c in self.coeffs])
 
     def text(self) -> str:
         """Bracketed ascending coefficient list, e.g. "[1,-1,-1,-1,1]"."""
@@ -209,7 +214,9 @@ class IntPoly:
 
 
 class RatPoly:
-    """Polynomial with exact rational coefficients (ascending order)."""
+    """Polynomial with exact rational coefficients (ascending order), as
+    ``interpolate`` returns it.  It carries no arithmetic: callers read
+    its coefficients or its integer form (``integral``)."""
 
     __slots__ = ("coeffs",)
 
@@ -227,16 +234,10 @@ class RatPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def leading(self) -> Fraction:
         if not self.coeffs:
             raise PolynomialDomainError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatPoly) and self.coeffs == other.coeffs
@@ -244,75 +245,19 @@ class RatPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __repr__(self):
         return f"RatPoly({[str(c) for c in self.coeffs]})"
 
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if other.is_zero():
-            raise PolynomialDomainError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = other.degree
-        lc = other.leading()
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            head = rem[k + dd]
-            if head == 0:
-                continue
-            q = head / lc
-            quo[k] = q
-            for i, c in enumerate(dv):
-                rem[k + i] -= q * c
-        return RatPoly(quo), RatPoly(rem)
+    def integral(self) -> tuple[IntPoly, int]:
+        """(n, d) with self = n / d: d > 0 is the lcm of the coefficient
+        denominators."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return IntPoly(c.numerator * (den // c.denominator) for c in self.coeffs), den
 
     def clear_denominators(self) -> IntPoly:
         """Primitive integer multiple of self by a positive rational, so
         the sign is preserved everywhere (needed by exact sign tests)."""
-        if self.is_zero():
-            return IntPoly()
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        return IntPoly([c // g for c in ints])
+        return self.integral()[0].signed_primitive()
 
 
 # ---------------------------------------------------------------------------

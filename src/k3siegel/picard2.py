@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 from .intpoly import IntPoly, PolynomialDomainError, gcd as zgcd, last_subresultant, newton_traces
-from .algnum import NumberFieldElem, RationalFunctionW, hn_poly
+from .algnum import NumberFieldElem, RationalFunctionW, hn_poly, multiplication_solve
 from .fpfsiegel import siegel_verdict_P, siegel_verdict_Q
 
 ST20_1 = IntPoly([1, -15, 21, 35, -49, -28, 35, 9, -10, -1, 1])
@@ -123,27 +123,19 @@ class IntegralRing:
     def divide(self, values: list, c: IntPoly) -> list:
         """The quotients v / c; CertificationError unless each lies in the ring.
 
-        In Z[w]/(mod), q solves M q = v for the multiplication matrix M of
-        c on 1, w, w^2, ...: fraction-free Gauss-Jordan (Bareiss) ends with
-        det M q on the right, and det M must divide it."""
+        In Z[w]/(mod), ``algnum.multiplication_solve`` gives d q for the
+        quotients q and d = +-det of the multiplication matrix of c, and d
+        must divide each d q."""
         if self.mod is None:
             try:
                 return [v // c for v in values]
             except PolynomialDomainError:
                 raise CertificationError("inexact division in Z[w]") from None
-        n, prev = self.mod.degree, 1
-        cols = [self.reduce(c.shift(j)) for j in range(n)]
-        rows = [[col[i] for col in cols] + [v[i] for v in values] for i in range(n)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if rows[i][k]), None)
-            if piv is None:
-                raise CertificationError("division by a zero divisor of Z[w]/(st)")
-            rows[k], rows[piv] = rows[piv], rows[k]
-            p, row_k = rows[k][k], rows[k]
-            rows = [row if i == k else [(x * p - row[k] * y) // prev for x, y in zip(row, row_k)]
-                    for i, row in enumerate(rows)]
-            prev = p
-        quotients = [[divmod(row[n + j], prev) for row in rows] for j in range(len(values))]
+        try:
+            scaled, d = multiplication_solve(self.mod, c, values)
+        except ZeroDivisionError:
+            raise CertificationError("division by a zero divisor of Z[w]/(st)") from None
+        quotients = [[divmod(x, d) for x in q] for q in scaled]
         if any(r for q in quotients for _, r in q):
             raise CertificationError("inexact division in Z[w]/(st)")
         return [IntPoly(x for x, _ in q) for q in quotients]
@@ -153,8 +145,8 @@ def k_gcd(a: list, b: list) -> list:
     """Monic gcd in K[B] of nonzero polynomials over K = QQ[w]/(st): the
     subresultant PRS over Z[w]/(st) after clearing denominators."""
     def integral(p: list) -> list:
-        den = math.lcm(*(c.denominator for x in p for c in x.rep.coeffs))
-        return [IntPoly(c * den for c in x.rep.coeffs) for x in p]
+        den = math.lcm(*(x.den for x in p))
+        return [x.num * (den // x.den) for x in p]
 
     ring = IntegralRing(a[0].modulus)
     return fp_monic([ring.to_field(c) for c in last_subresultant(ring, integral(a), integral(b))])
@@ -233,10 +225,10 @@ class Picard2Report:
             certs[key] = val.text() if isinstance(val, IntPoly) else val
         return {
             "salem_trace": self.salem_trace.text(),
-            "Q_num": self.q_func.num.clear_denominators().text(),
-            "Q_den": self.q_func.den.clear_denominators().text(),
-            "P_num": self.p_func.num.clear_denominators().text(),
-            "P_den": self.p_func.den.clear_denominators().text(),
+            "Q_num": self.q_func.num.signed_primitive().text(),
+            "Q_den": self.q_func.den.signed_primitive().text(),
+            "P_num": self.p_func.num.signed_primitive().text(),
+            "P_den": self.p_func.den.signed_primitive().text(),
             "E3_degree": self.e3_degree,
             "E7_degree": self.e7_degree,
             "grid": grid,
@@ -289,7 +281,7 @@ def solve_B_and_P(st: IntPoly = ST20_1) -> Picard2Report:
     if len(g) != 2:
         raise CertificationError(f"gcd of eliminants has degree {len(g) - 1}, not 1")
     b_root: NumberFieldElem = -g[0]
-    q_poly = RationalFunctionW(b_root.rep)
+    q_poly = RationalFunctionW(b_root.num, IntPoly([b_root.den]))
     report.q_func = q_poly
 
     # A = ((w+1) Q + 2 - w^2) / (sigma (Q + 1 - w)); P = A^2 with sigma^2 = w+2
@@ -337,7 +329,7 @@ def exclude_case_iv(salem_poly: IntPoly = S20_1) -> IntPoly:
     condition = lhs - rhs
     if condition.is_zero():
         raise CertificationError("case-iv condition vanishes identically")
-    numerator = condition.num.clear_denominators()
+    numerator = condition.num.signed_primitive()
     printed = IntPoly([1, 1]) * CASE_IV_FACTOR
     if not printed.divides(numerator):
         raise CertificationError("case-iv numerator lost the printed factor")
@@ -359,7 +351,7 @@ def exclude_cases_ii_iii(st: IntPoly = ST20_1) -> IntPoly:
     value = fp_eval(eliminant(3, IntegralRing()), RationalFunctionW.of(2))
     if value.is_zero():
         raise CertificationError("B = 2 satisfies the n = 3 eliminant identically")
-    numerator = value.num.clear_denominators()
+    numerator = value.num.signed_primitive()
     if not CASE_II_SEPTIC.divides(numerator):
         raise CertificationError("case-ii/iii numerator lost the septic factor")
     if zgcd(numerator, st).degree != 0:

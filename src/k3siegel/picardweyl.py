@@ -18,6 +18,7 @@ reads off how the automorphism permutes the (-2)-curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .intpoly import IntPoly, cyclotomic_salem_split
 from .hodgeclass import HodgeVerdict, PipelineError
@@ -47,7 +48,8 @@ def picard_lattice(model: LatticeModel, verdict: HodgeVerdict) -> PicardData:
         for k, c in enumerate(s_poly.coeffs):
             vec[i + k] = c
         basis.append(vec)
-    gram_pic = [[_pic_form(model.gram, u, v) for v in basis] for u in basis]
+    gram_basis = [linalg.mat_vec(model.gram, v) for v in basis]
+    gram_pic = [[sum(map(mul, u, gv)) for gv in gram_basis] for u in basis]
     pos, neg, zero = linalg.inertia(gram_pic)
     if (pos, neg, zero) != (0, rho, 0):
         raise PipelineError("Picard form is not negative definite")

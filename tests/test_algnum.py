@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3siegel.intpoly import IntPoly, RatPoly, from_trace_polynomial
+from k3siegel import fpfsiegel, intpoly, picard2
+from k3siegel.intpoly import IntPoly, from_trace_polynomial
 from k3siegel.algnum import (
     AlgebraicReal,
     NumberFieldElem,
@@ -93,7 +94,7 @@ def test_algebraic_equal_and_compare():
 
 def test_number_field_arithmetic():
     k = ST4_1  # QQ(tau) with tau^2 = tau + 3
-    tau = NumberFieldElem(k, RatPoly([0, 1]))
+    tau = NumberFieldElem(k, IntPoly([0, 1]))
     assert tau * tau == tau + 3
     x = tau * Fraction(2, 3) - 5
     y = x.inverse()
@@ -106,7 +107,7 @@ def test_rational_function_normalization():
     w = RationalFunctionW.variable()
     f = (w * w - 1) / (w - 1)
     assert f == w + 1
-    assert f.den == RatPoly([1])
+    assert f.den == IntPoly([1])
     g = (w + 1) / (w + 2)
     assert g.den.leading() == 1
     assert (g - g).is_zero()
@@ -211,3 +212,22 @@ def test_hn_multiplicativity(a, b):
     ha = RationalFunctionW.of(hn_poly(a))
     composed = ha.substitute(RationalFunctionW.of(hn_poly(b)))
     assert composed == RationalFunctionW.of(hn_poly(a * b))
+
+
+def test_elimination_and_descent_build_no_ratpoly(monkeypatch):
+    # RationalFunctionW and NumberFieldElem compute in integers only: the
+    # rational polynomial type is what interpolate returns, and nothing more
+    for gone in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "divmod",
+                 "__call__", "__getitem__", "__bool__"):
+        assert gone not in vars(intpoly.RatPoly), gone
+    assert not hasattr(IntPoly, "to_rat")
+
+    def refuse(self, coeffs=()):
+        raise AssertionError("RatPoly constructed")
+
+    monkeypatch.setattr(intpoly.RatPoly, "__init__", refuse)
+    e8 = fpfsiegel.component_contribution("E", 8, "trivial")
+    fpfsiegel.derive_P([e8], 1)
+    d = RationalFunctionW.variable()
+    symmetric_descent((1 + d) ** 2 / d)
+    picard2.solve_B_and_P()

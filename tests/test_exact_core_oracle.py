@@ -5,7 +5,8 @@ integer Sturm chain (root counting, and isolation cut at -2 and 2),
 the trace-cluster interleaving read off one bisection of Phi * Psi,
 the resultant and the gcd read off the one subresultant PRS, the
 census's Descartes bound on the roots in (-2, 2), the coprime normal
-form of rational functions, the resultant's halving on trace polynomials, the
+form of rational functions, number field sums, products and inverses,
+the resultant's halving on trace polynomials, the
 minimal polynomials interpolated from it, the Newton interpolation and
 the characteristic polynomial interpolated by it, the inertia and
 determinant read off the fraction-free symmetric elimination, the
@@ -242,25 +243,35 @@ def test_gcd_matches_sympy(a, b, c, ka, kb):
     assert list(zgcd(f, g).coeffs) == sympy_primitive(want)
 
 
-def rational_coeffs(p: RatPoly) -> list:
-    return [sympy.Rational(c.numerator, c.denominator) for c in p.coeffs]
+def rational_poly(coeffs) -> sympy.Poly:
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      X, domain="QQ")
 
 
 @EXAMPLES
 @given(st.lists(fractions, max_size=5), st.lists(fractions, min_size=1, max_size=5).filter(any),
        st.lists(fractions, min_size=1, max_size=3).filter(any))
 def test_rational_function_normal_form_matches_sympy_cancel(num, den, common):
-    # num/den with a planted common factor: coprime num and monic den
-    c = RatPoly(common)
-    f = RationalFunctionW(RatPoly(num) * c, RatPoly(den) * c)
-    n, d = sympy.fraction(sympy.cancel(to_sympy(RatPoly(num) * c).as_expr()
-                                       / to_sympy(RatPoly(den) * c).as_expr()))
-    lc = sympy.Poly(d, X).LC()
-    if sympy_coeffs(n):
-        assert rational_coeffs(f.num) == sympy_coeffs(n / lc)
-        assert rational_coeffs(f.den) == sympy_coeffs(d / lc)
-    else:
-        assert f.num.is_zero() and f.den == RatPoly([1])
+    # rational num/den with a planted common factor, handed over as the
+    # integer pair (cd num c) / (cn den c) of its cleared denominators
+    c = rational_poly(common)
+    cn, n_int = (rational_poly(num) * c).clear_denoms(convert=True)
+    cd, d_int = (rational_poly(den) * c).clear_denoms(convert=True)
+    f = RationalFunctionW(IntPoly(reversed((n_int * int(cd)).all_coeffs())),
+                          IntPoly(reversed((d_int * int(cn)).all_coeffs())))
+    assert isinstance(f.num, IntPoly) and isinstance(f.den, IntPoly)
+    want_n, want_d = sympy.fraction(sympy.cancel(rational_poly(num).as_expr()
+                                                 / rational_poly(den).as_expr()))
+    if f.num.is_zero():
+        assert want_n == 0 and f.den == IntPoly([1])
+        return
+    # coprime in Z[w], content included, and lead(den) > 0
+    assert zgcd(f.num, f.den) == IntPoly([1])
+    assert math.gcd(f.num.content(), f.den.content()) == 1
+    assert f.den.leading() > 0
+    # the same function as sympy's cancelled quotient
+    assert sympy.expand(to_sympy(f.num).as_expr() * want_d
+                        - to_sympy(f.den).as_expr() * want_n) == 0
 
 
 @EXAMPLES
@@ -298,7 +309,7 @@ def test_resultant_of_monic_and_scaled_rational_polynomial(m, coeffs):
        st.lists(st.integers(-3, 3), min_size=1, max_size=2).filter(any))
 def test_minpoly_of_value_matches_sympy(m, num, den):
     # each m is irreducible of degree > deg den, so den(alpha) != 0
-    f = RationalFunctionW(RatPoly(num), RatPoly(den))
+    f = RationalFunctionW(IntPoly(num), IntPoly(den))
     got = minpoly_of_value(f, isolate_real_roots(m)[0])
     # independent route: the bivariate resultant, squarefree and primitive
     res = sylvester(to_sympy(m, W).as_expr(),
@@ -405,17 +416,54 @@ def field_euclid(a, b):
     return fp_monic(a)
 
 
+def k_elems(mod):
+    """Elements of K = QQ[w]/(mod) with small rational coefficients, as
+    num/den over the lcm of the coefficient denominators."""
+    def elem(cs):
+        den = math.lcm(*(c.denominator for c in cs))
+        return NumberFieldElem(mod, IntPoly(c * den for c in cs), den)
+
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.lists(small, min_size=mod.degree, max_size=mod.degree).map(elem)
+
+
 def k_polys(mod, max_degree=2):
     """Nonzero polynomials in B over K = QQ[w]/(mod)."""
-    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
-    coeff = st.lists(small, min_size=mod.degree, max_size=mod.degree).map(
-        lambda cs: NumberFieldElem.of(mod, RatPoly(cs)))
-    return st.lists(coeff, min_size=1, max_size=max_degree + 1).filter(
+    return st.lists(k_elems(mod), min_size=1, max_size=max_degree + 1).filter(
         lambda cs: not cs[-1].is_zero())
 
 
 MODULI = pytest.mark.parametrize("mod", [IntPoly([-3, -1, 1]), ST20_1],
                                  ids=["w2-w-3", "ST20_1"])
+
+
+def k_to_sympy(x: NumberFieldElem) -> sympy.Poly:
+    return sympy.Poly(to_sympy(x.num, W).as_expr() / x.den, W, domain="QQ")
+
+
+@MODULI
+def test_number_field_arithmetic_matches_sympy(mod):
+    m = sympy.Poly(to_sympy(mod, W).as_expr(), W, domain="QQ")
+
+    @EXAMPLES
+    @given(k_elems(mod), k_elems(mod))
+    def check(a, b):
+        x, y = k_to_sympy(a), k_to_sympy(b)
+        for got, want in ((a + b, x + y), (a * b, (x * y).rem(m))):
+            assert k_to_sympy(got) == want
+            # the normal form: reduced mod m, den > 0, coprime to the content
+            assert got.num.degree < mod.degree and got.den > 0
+            assert math.gcd(got.num.content(), got.den) == 1
+        if not b.is_zero():
+            assert k_to_sympy(b.inverse()) == y.invert(m)
+
+    check()
+
+
+def test_number_field_inverse_of_a_zero_divisor():
+    # w - 1 divides zero in QQ[w]/(w^2 - 1): (w - 1)(w + 1) = 0
+    with pytest.raises(ZeroDivisionError):
+        NumberFieldElem(IntPoly([-1, 0, 1]), IntPoly([-1, 1])).inverse()
 
 
 @MODULI

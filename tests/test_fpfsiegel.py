@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3siegel.intpoly import IntPoly, RatPoly
+from k3siegel.intpoly import IntPoly
 from k3siegel.algnum import RationalFunctionW
 from k3siegel.symbolic import MPoly, MRat
 from k3siegel.fpfsiegel import (
@@ -40,7 +40,7 @@ ONE = RationalFunctionW.of(1)
 
 
 def W(*coeffs):
-    return RationalFunctionW.of(RatPoly(list(coeffs)))
+    return RationalFunctionW(IntPoly(coeffs))
 
 
 def test_lambda_identities():

@@ -45,6 +45,11 @@ def test_typed_error_under_optimize():
             "    ring.divide([IntPoly([1])], IntPoly([2]))\n"
             "except picard2.CertificationError:\n"
             "    print('typed error')\n"
+            "from k3siegel.algnum import NumberFieldElem\n"
+            "try:\n"
+            "    NumberFieldElem(IntPoly([-1, 0, 1]), IntPoly([-1, 1])).inverse()\n"
+            "except ZeroDivisionError:\n"
+            "    print('typed error')\n"
             "from k3siegel import intpoly\n"
             "try:\n"
             "    intpoly.Z.divide([1], 2)\n"
@@ -77,4 +82,4 @@ def test_typed_error_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 7
+    assert done.stdout.split() == ["typed", "error"] * 8
