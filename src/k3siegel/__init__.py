@@ -8,7 +8,7 @@ formulas, and certifies Siegel disks or hyperbolic fixed points, all in
 exact integer/rational arithmetic.
 """
 
-from .intpoly import IntPoly, RatPoly, cyclotomic, resultant, trace_polynomial
+from .intpoly import IntPoly, cyclotomic, resultant, trace_polynomial
 from .algnum import AlgebraicReal, NumberFieldElem, RationalFunctionW, isolate_real_roots
 from .salemlib import SalemStore, is_salem, is_unramified_salem, load_store
 from .hyplattice import LatticeModel, build
@@ -20,7 +20,7 @@ from .setup2 import enumerate_setup2
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntPoly", "RatPoly", "cyclotomic", "resultant", "trace_polynomial",
+    "IntPoly", "cyclotomic", "resultant", "trace_polynomial",
     "AlgebraicReal", "NumberFieldElem", "RationalFunctionW", "isolate_real_roots",
     "SalemStore", "is_salem", "is_unramified_salem", "load_store",
     "LatticeModel", "build", "dissect_and_classify", "analyze_root_system",

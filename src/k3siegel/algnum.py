@@ -20,8 +20,7 @@ solve of the multiplication matrix (``multiplication_solve``) inverts
 in the number field and divides exactly in Z[w]/(m) for ``picard2``.
 Every gcd and resultant reads the package's one subresultant PRS
 (``intpoly.subresultants``); minimal polynomials of values f(alpha)
-also read ``intpoly.interpolate``, whose rational polynomial is the
-only one here.
+also read ``intpoly.interpolate``, which interpolates in integers.
 """
 
 from __future__ import annotations
@@ -549,12 +548,6 @@ class RationalFunctionW:
             n >>= 1
         return result
 
-    def __call__(self, x: Fraction) -> Fraction:
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError("pole at evaluation point")
-        return Fraction(self.num(x), d)
-
     def substitute(self, inner: "RationalFunctionW") -> "RationalFunctionW":
         """Composition self(inner)."""
         num = RationalFunctionW.of(0)
@@ -600,9 +593,14 @@ def minpoly_of_value(f: RationalFunctionW, alpha: AlgebraicReal) -> IntPoly:
         return minpoly_of_rational(Fraction(f.num[0], f.den[0]))
     if sign_at(f.den, alpha) == 0:
         raise ZeroDivisionError("pole of f at alpha")
-    deg = m.degree
-    xs = range(deg + 1)
-    r = interpolate(xs, [resultant(m, f.den * x0 - f.num) for x0 in xs]).integral()[0]
+    # Res_w(m, g) = lc(m)^deg(g) prod g(roots of m); where g = x0 den - num
+    # drops below its generic degree e, the missing powers of lc(m) go back
+    deg, lc, e = m.degree, m.leading(), max(f.num.degree, f.den.degree)
+    ys = []
+    for x0 in range(deg + 1):
+        g = f.den * x0 - f.num
+        ys.append(resultant(m, g) * lc ** (e - g.degree))
+    r = interpolate(ys)
     if r.degree < 1:
         raise PolynomialDomainError("degenerate resultant in minpoly_of_value")
     p = squarefree_part(r)

@@ -18,6 +18,9 @@ Subcommands:
 
 Worker count for searches comes from --workers or K3SIEGEL_WORKERS;
 results are canonically sorted, so output is identical for any count.
+Malformed input (polynomial text that is not a bracketed list of
+integers, a non-integer K3SIEGEL_WORKERS) exits 2 like any usage
+error; exit 1 means a row faulted.
 """
 
 from __future__ import annotations
@@ -30,7 +33,14 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .intpoly import IntPoly, cyclotomic, euler_phi, resultant, trace_polynomial
+from .intpoly import (
+    IntPoly,
+    PolynomialDomainError,
+    cyclotomic,
+    euler_phi,
+    resultant,
+    trace_polynomial,
+)
 from . import picard2 as p2
 from .fpfsiegel import (
     NeedsManualAnalysis,
@@ -403,10 +413,14 @@ def parse_rows_json(text: str) -> list[AnalysisRow]:
 # command line
 # ---------------------------------------------------------------------------
 
-def _workers_arg(args) -> int:
+def _workers_arg(ap: argparse.ArgumentParser, args) -> int:
     if args.workers is not None:
         return args.workers
-    return int(os.environ.get("K3SIEGEL_WORKERS", "1"))
+    value = os.environ.get("K3SIEGEL_WORKERS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        ap.error(f"K3SIEGEL_WORKERS must be an integer, not {value!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -472,8 +486,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "search":
+        workers = _workers_arg(ap, args)
         store = load_store(args.salem_data)
-        workers = _workers_arg(args)
         if args.setup2 or args.degree == 4 and not args.setup1:
             rows = search_setup2(workers=workers,
                                  include_rejections=args.include_rejections)
@@ -488,13 +502,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if any(r.faulted() for r in rows) else 0
 
     if args.command == "analyze":
-        row = analyze_pair(IntPoly.from_text(args.phi), IntPoly.from_text(args.psi))
+        try:
+            phi, psi = IntPoly.from_text(args.phi), IntPoly.from_text(args.psi)
+        except PolynomialDomainError as exc:
+            ap.error(str(exc))
+        row = analyze_pair(phi, psi)
         _write_out(emit([row], args.format), args.out)
         return 1 if row.faulted() else 0
 
     if args.command == "picard2":
-        st = p2.ST20_1 if args.st == "builtin" else _poly_arg(args.st)
-        sp = p2.S20_1 if args.salem == "builtin" else _poly_arg(args.salem)
+        try:
+            st = p2.ST20_1 if args.st == "builtin" else _poly_arg(args.st)
+            sp = p2.S20_1 if args.salem == "builtin" else _poly_arg(args.salem)
+        except PolynomialDomainError as exc:
+            ap.error(str(exc))
         report = p2.full_analysis(st, sp).to_json()
         if args.format == "json":
             text = json.dumps(report, indent=1) + "\n"
@@ -511,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify-tables":
         from .acceptance import run_all
 
-        ok = run_all(fast=args.fast, workers=_workers_arg(args))
+        ok = run_all(fast=args.fast, workers=_workers_arg(ap, args))
         return 0 if ok else 1
 
     return 2

@@ -1,11 +1,11 @@
-"""Dense exact univariate polynomials over ZZ (and QQ for interpolation).
+"""Dense exact univariate polynomials over ZZ.
 
 A polynomial is stored as a tuple of coefficients in ascending degree
 order with no trailing zeros, so ``IntPoly([1, -1, -1, -1, 1])`` is
 ``z^4 - z^3 - z^2 - z + 1``.  Everything here is bit-exact: every
 resultant and gcd reads one subresultant remainder sequence, generic
 over the coefficient ring (ZZ here, Z[w] and Z[w]/(st) in ``picard2``),
-interpolation is Newton's divided differences over QQ, cyclotomic
+interpolation is Newton's divided differences in integers, cyclotomic
 polynomials come from exact division of ``z^n - 1``, and the
 (anti-)palindromic trace-polynomial transform is verified by
 back-substitution.  These polynomials are the common currency of the
@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -210,54 +209,10 @@ class IntPoly:
         body = s[1:-1].strip()
         if not body:
             return IntPoly()
-        return IntPoly([int(t) for t in body.split(",")])
-
-
-class RatPoly:
-    """Polynomial with exact rational coefficients (ascending order), as
-    ``interpolate`` returns it.  It carries no arithmetic: callers read
-    its coefficients or its integer form (``integral``)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = _strip(tuple(Fraction(c) for c in coeffs))
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatPoly is immutable")
-
-    def __reduce__(self):
-        return (RatPoly, (self.coeffs,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise PolynomialDomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"RatPoly({[str(c) for c in self.coeffs]})"
-
-    def integral(self) -> tuple[IntPoly, int]:
-        """(n, d) with self = n / d: d > 0 is the lcm of the coefficient
-        denominators."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return IntPoly(c.numerator * (den // c.denominator) for c in self.coeffs), den
-
-    def clear_denominators(self) -> IntPoly:
-        """Primitive integer multiple of self by a positive rational, so
-        the sign is preserved everywhere (needed by exact sign tests)."""
-        return self.integral()[0].signed_primitive()
+        try:
+            return IntPoly([int(t) for t in body.split(",")])
+        except ValueError:
+            raise PolynomialDomainError(f"bad polynomial text {s!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +473,27 @@ def squarefree_part(p: IntPoly) -> IntPoly:
     return p.primitive() // gcd(p, p.derivative())
 
 
-def interpolate(xs: Sequence, ys: Sequence) -> RatPoly:
-    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
-    by exact Newton divided differences over QQ (the xs pairwise
-    distinct): O(n^2) rational operations for the table and for
-    expanding the Newton form."""
-    xs = [Fraction(x) for x in xs]
-    dd = [Fraction(y) for y in ys]
-    n = len(xs)
+def interpolate(ys: Sequence[int]) -> IntPoly:
+    """The integer polynomial of degree < len(ys) whose value at x = i is
+    ys[i], by Newton's divided differences at the nodes 0..n-1 in
+    integers: the k-th order differences of an integer polynomial are
+    k! times integers, so each order-k step divides exactly by k
+    (Knuth, TAOCP vol. 2, 4.6.4).  A nonzero remainder means no integer
+    polynomial takes these values, and raises."""
+    dd = [int(y) for y in ys]
+    n = len(dd)
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
-    acc: list[Fraction] = []
+            dd[i], r = divmod(dd[i] - dd[i - 1], k)
+            if r:
+                raise PolynomialDomainError("values of no integer polynomial")
+    acc: list[int] = []
     for k in range(n - 1, -1, -1):
-        # acc <- acc * (z - xs[k]) + dd[k], Horner on the Newton form
+        # acc <- acc * (z - k) + dd[k], Horner on the Newton form
         acc = [dd[k]] + acc
         for i in range(len(acc) - 1):
-            acc[i] -= xs[k] * acc[i + 1]
-    return RatPoly(acc)
+            acc[i] -= k * acc[i + 1]
+    return IntPoly(acc)
 
 
 def newton_traces(phi: IntPoly, n_terms: int) -> list[int]:
@@ -543,27 +501,16 @@ def newton_traces(phi: IntPoly, n_terms: int) -> list[int]:
 
     Computed from the logarithmic derivative of the reciprocal polynomial:
     -z d/dz log(phi†(z)) = sum_n Tr(F^n) z^n for the companion F of phi.
+    phi† has constant term 1, so its series inverse is integral.
     """
     if not phi.is_monic():
         raise PolynomialDomainError("newton_traces needs a monic polynomial")
-    rec = reciprocal(phi)  # constant term 1
-    # series inverse of rec up to z^n_terms
-    inv = [Fraction(1)] + [Fraction(0)] * n_terms
-    rc = [Fraction(c) for c in rec.coeffs]
+    rc = reciprocal(phi).coeffs  # constant term 1
+    # series inverse of rc up to z^n_terms
+    inv = [1] + [0] * n_terms
     for k in range(1, n_terms + 1):
-        s = Fraction(0)
-        for j in range(1, min(k, len(rc) - 1) + 1):
-            s += rc[j] * inv[k - j]
-        inv[k] = -s
-    # -z * rec'(z) * inv(z), coefficients 1..n_terms
-    drc = [Fraction((i + 1) * rec[i + 1]) for i in range(len(rc) - 1)]
-    out = []
-    for n in range(1, n_terms + 1):
-        s = Fraction(0)
-        for j in range(min(n, len(drc))):
-            s += drc[j] * inv[n - 1 - j]
-        val = -s
-        if val.denominator != 1:
-            raise PolynomialDomainError("non-integral power sum of a monic polynomial")
-        out.append(int(val))
-    return out
+        inv[k] = -sum(rc[j] * inv[k - j] for j in range(1, min(k, len(rc) - 1) + 1))
+    # -z * rc'(z) * inv(z), coefficients 1..n_terms
+    drc = [(i + 1) * c for i, c in enumerate(rc[1:])]
+    return [-sum(drc[j] * inv[n - 1 - j] for j in range(min(n, len(drc))))
+            for n in range(1, n_terms + 1)]

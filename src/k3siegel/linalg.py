@@ -168,21 +168,17 @@ def inertia(m: Matrix) -> tuple[int, int, int]:
 def charpoly(m: Matrix) -> IntPoly:
     """Characteristic polynomial det(zI - M) of an integer matrix.
 
-    Evaluated at n+1 integer points by Bareiss and interpolated over QQ;
-    the result is checked to be integral and monic.
+    Evaluated at the n+1 integer points 0..n by Bareiss and interpolated
+    in integers; the result is checked to be monic of degree n.
     """
     n = len(m)
     if n == 0:
         return IntPoly([1])
-    xs = list(range(n + 1))
-    ys = []
-    for x in xs:
-        a = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-        ys.append(bareiss_det(a))
-    p = interpolate(xs, ys)
-    if any(c.denominator != 1 for c in p.coeffs) or p.degree != n or p.leading() != 1:
-        raise MatrixDomainError("interpolated characteristic polynomial is not integral and monic")
-    return IntPoly(p.coeffs)
+    p = interpolate([bareiss_det([[(x if i == j else 0) - m[i][j] for j in range(n)]
+                                  for i in range(n)]) for x in range(n + 1)])
+    if p.degree != n or p.leading() != 1:
+        raise MatrixDomainError("interpolated characteristic polynomial is not monic of degree n")
+    return p
 
 
 # ---------------------------------------------------------------------------

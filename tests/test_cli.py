@@ -281,3 +281,19 @@ def test_poly_arg_accepts_files(tmp_path):
     p.write_text("[-3,-1,1]\n")
     assert cli._poly_arg(str(p)) == IntPoly([-3, -1, 1])
     assert cli._poly_arg("[-3,-1,1]") == IntPoly([-3, -1, 1])
+
+
+@pytest.mark.parametrize("argv, workers", [
+    (["analyze", "--phi", "[1,2,]", "--psi", "[1]"], None),
+    (["picard2", "--st", "[1,x]"], None),
+    (["analyze", "--phi", "1,2", "--psi", "[1]"], None),
+    (["search", "--setup1"], "abc"),
+])
+def test_cli_input_errors_exit_2(monkeypatch, capsys, argv, workers):
+    # a malformed argument is a usage error (2), not a faulted row (1)
+    if workers is not None:
+        monkeypatch.setenv("K3SIEGEL_WORKERS", workers)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -6,12 +6,14 @@ the trace-cluster interleaving read off one bisection of Phi * Psi,
 the resultant and the gcd read off the one subresultant PRS, the
 census's Descartes bound on the roots in (-2, 2), the coprime normal
 form of rational functions, number field sums, products and inverses,
-the resultant's halving on trace polynomials, the
-minimal polynomials interpolated from it, the Newton interpolation and
-the characteristic polynomial interpolated by it, the inertia and
-determinant read off the fraction-free symmetric elimination, the
-integer matrix of B on the A-orbit basis and the PRS gcd of the rank-2
-elimination over Z[w] with it on random inputs.  Over Z[w]/(st) that
+the resultant's halving on trace polynomials, the minimal polynomials
+interpolated from it, the Newton interpolation in integers (and its
+refusal of values that no integer polynomial takes), the characteristic
+polynomial interpolated by it, the Newton power sums against traces of
+companion powers, the inertia and determinant read off the
+fraction-free symmetric elimination, the integer matrix of B on the
+A-orbit basis and the PRS gcd of the rank-2 elimination over Z[w] with
+it on random inputs.  Over Z[w]/(st) that
 gcd is checked against Euclid's algorithm in the number field.
 """
 
@@ -38,12 +40,13 @@ from k3siegel.algnum import (
 from k3siegel.hyplattice import _b_matrix_in_a_basis
 from k3siegel.intpoly import (
     IntPoly,
-    RatPoly,
+    PolynomialDomainError,
     cyclotomic,
     from_trace_polynomial,
     gcd as zgcd,
     interpolate,
     last_subresultant,
+    newton_traces,
     resultant,
     trace_polynomial,
 )
@@ -78,10 +81,8 @@ def monic_polys(min_degree=1, max_degree=6, bound=9):
 fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
 
 
-def to_sympy(p, var=X) -> sympy.Poly:
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       if isinstance(c, Fraction) else c
-                       for c in reversed(p.coeffs)], var)
+def to_sympy(p: IntPoly, var=X) -> sympy.Poly:
+    return sympy.Poly(list(reversed(p.coeffs)), var)
 
 
 def sylvester_resultant(u, v):
@@ -292,23 +293,16 @@ def test_resultant_of_palindromic_pair_is_square_of_trace_resultant(tp, tq):
     assert resultant(tp, tq) ** 2 == sylvester_resultant(p, q)
 
 
-@EXAMPLES
-@given(monic_polys(), st.lists(fractions, min_size=1, max_size=6).filter(lambda cs: cs[-1] != 0))
-def test_resultant_of_monic_and_scaled_rational_polynomial(m, coeffs):
-    # minpoly_of_value's specialization: Res(m, G) for rational G from
-    # the integer resultant of its cleared-denominator multiple
-    g = RatPoly(coeffs)
-    g_int = g.clear_denominators()
-    scaled = (g.leading() / g_int.leading()) ** m.degree * resultant(m, g_int)
-    assert scaled == sylvester_resultant(m, g)
-
-
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from([IntPoly([-3, -1, 1]), IntPoly([1, -3, 0, 1]), IntPoly([-2, 0, 0, 1])]),
+@given(st.sampled_from([IntPoly([-3, -1, 1]), IntPoly([1, -3, 0, 1]), IntPoly([-2, 0, 0, 1]),
+                        IntPoly([-3, 0, 2])]),
        st.lists(st.integers(-4, 4), min_size=1, max_size=4),
        st.lists(st.integers(-3, 3), min_size=1, max_size=2).filter(any))
+@example(IntPoly([-3, 0, 2]), [0, 1], [1, 1])  # w/(w + 1): x den - num is 1 at x = 1
 def test_minpoly_of_value_matches_sympy(m, num, den):
-    # each m is irreducible of degree > deg den, so den(alpha) != 0
+    # each m is irreducible of degree > deg den, so den(alpha) != 0; the
+    # last is not monic, so a node where x den - num drops degree changes
+    # the power of lc(m) in its resultant
     f = RationalFunctionW(IntPoly(num), IntPoly(den))
     got = minpoly_of_value(f, isolate_real_roots(m)[0])
     # independent route: the bivariate resultant, squarefree and primitive
@@ -321,13 +315,41 @@ def test_minpoly_of_value_matches_sympy(m, num, den):
     assert [int(c) for c in reversed(got.coeffs)] == [int(c) for c in want.all_coeffs()]
 
 
+def sympy_interpolate(ys) -> sympy.Poly:
+    return sympy.Poly(sympy.interpolate(list(enumerate(ys)), X) if ys else 0, X)
+
+
 @EXAMPLES
-@given(st.lists(st.one_of(st.integers(-10**6, 10**6), fractions), max_size=12))
-def test_interpolate_matches_sympy(ys):
-    xs = list(range(len(ys)))
-    want = sympy.interpolate([(x, sympy.Rational(y.numerator, y.denominator))
-                              for x, y in zip(xs, ys)], X) if ys else 0
-    assert to_sympy(interpolate(xs, ys)) == sympy.Poly(want, X)
+@given(int_polys(max_degree=11, bound=10**6), st.integers(0, 3))
+def test_interpolate_matches_sympy(p, extra):
+    # the values of p at 0..n-1, n > deg p, give p back, in integers
+    ys = [p(i) for i in range(p.degree + 1 + extra)]
+    got = interpolate(ys)
+    assert got == p
+    assert to_sympy(got) == sympy_interpolate(ys)
+
+
+@EXAMPLES
+@given(st.lists(st.integers(-50, 50), max_size=8))
+@example([0, 0, 1])  # x(x - 1)/2: integer at every integer, but not in Z[x]
+def test_interpolate_raises_iff_no_integer_polynomial_fits(ys):
+    want = sympy_interpolate(ys)
+    if all(c.is_integer for c in want.all_coeffs()):
+        assert to_sympy(interpolate(ys)) == want
+    else:
+        with pytest.raises(PolynomialDomainError):
+            interpolate(ys)
+
+
+@settings(max_examples=50, deadline=None)
+@given(monic_polys(max_degree=6, bound=5), st.integers(1, 12))
+def test_newton_traces_match_companion_powers(p, n):
+    c = sympy.Matrix.companion(to_sympy(p))
+    want, power = [], sympy.eye(p.degree)
+    for _ in range(n):
+        power = power * c
+        want.append(power.trace())
+    assert newton_traces(p, n) == want
 
 
 @EXAMPLES

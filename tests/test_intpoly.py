@@ -1,5 +1,6 @@
+import ast
 import random
-from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from k3siegel.intpoly import (
     PALINDROMIC,
     IntPoly,
     PolynomialDomainError,
-    RatPoly,
     cyclotomic,
     cyclotomic_salem_split,
     euler_phi,
@@ -62,6 +62,22 @@ def test_basic_arithmetic():
     assert IntPoly([0, 0]).is_zero()
     assert IntPoly.from_text("[1,-1,-1,-1,1]") == Z4
     assert Z4.text() == "[1,-1,-1,-1,1]"
+
+
+@pytest.mark.parametrize("text", ["[1,2,]", "[1,x]", "1,2", "[1.5]", "[,]"])
+def test_from_text_rejects_non_integer_tokens(text):
+    with pytest.raises(PolynomialDomainError):
+        IntPoly.from_text(text)
+
+
+def test_intpoly_imports_nothing_from_fractions():
+    # the polynomial core is integral: no rational type rides along
+    tree = ast.parse(Path(intpoly.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "fractions"
+        elif isinstance(node, ast.Import):
+            assert all(a.name != "fractions" for a in node.names)
 
 
 def test_reciprocal_examples():
@@ -285,7 +301,3 @@ def test_every_resultant_and_gcd_reads_the_one_subresultant_loop(monkeypatch):
 def test_divmod_and_rat():
     q, r = IntPoly([2, 3, 1]).divmod(IntPoly([1, 1]))
     assert q == IntPoly([2, 1]) and r.is_zero()
-    rp = RatPoly([Fraction(1, 2), Fraction(1)])
-    n, d = rp.integral()
-    assert Fraction(n(1), d) == Fraction(3, 2)
-    assert rp.clear_denominators() == IntPoly([1, 2])

@@ -55,6 +55,10 @@ def test_typed_error_under_optimize():
             "    intpoly.Z.divide([1], 2)\n"
             "except intpoly.PolynomialDomainError:\n"
             "    print('typed error')\n"
+            "try:\n"
+            "    intpoly.interpolate([0, 0, 1])\n"
+            "except intpoly.PolynomialDomainError:\n"
+            "    print('typed error')\n"
             "from k3siegel import hyplattice, salemlib\n"
             "from k3siegel.intpoly import cyclotomic\n"
             "store = salemlib.load_store()\n"
@@ -82,4 +86,4 @@ def test_typed_error_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 8
+    assert done.stdout.split() == ["typed", "error"] * 9

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+import sympy
 
 from k3siegel.acceptance import RHO18_TABLE, _setup2
 from k3siegel.cli import phi_of
@@ -92,20 +93,13 @@ def test_invariants_entry9():
     cp = linalg.charpoly(at)
     assert cp == verdict.salem_factor * report.phi1_tilde
     assert report.phi1_tilde.degree == pic.rho
-    # every positive root is a nonnegative integer combination of simple roots
-    import fractions
-    sim = report.simple_roots
-    mat = [[fractions.Fraction(sim[j][i]) for j in range(len(sim))] for i in range(pic.rho)]
-    # solve in the span: simple roots are linearly independent
-    for u in report.delta_plus[:25]:
-        rhs = [[fractions.Fraction(c)] for c in u]
-        aug = [row[:] + r for row, r in zip(mat, rhs)]
-        # gaussian solve least-structure; use linalg.solve on the square system
-        # since len(sim) == rho for these full-rank systems
-        sol = linalg.solve([[mat[i][j] for j in range(len(sim))] for i in range(pic.rho)], rhs)
-        coords = [s[0] for s in sol]
-        assert all(c.denominator == 1 for c in coords)
-        assert all(c >= 0 for c in coords)
+    # every positive root is a nonnegative integer combination of simple
+    # roots; len(simple roots) == rho, so sympy solves one square system
+    # with a column per root
+    simple = sympy.Matrix(report.simple_roots).T
+    coords = simple.LUsolve(sympy.Matrix(report.delta_plus[:25]).T)
+    assert all(c.is_integer for c in coords)
+    assert all(c >= 0 for c in coords)
 
 
 def test_root_counts_match_dynkin():
