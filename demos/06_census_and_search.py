@@ -1,7 +1,7 @@
 """The bulk searches: the 1019-word census and the pair pipeline.
 
-Enumerates the auxiliary degree-22 polynomials (a 3.9M-word sweep with
-exact filters, about 0.3 s), then pushes a handful of pairs through the
+Enumerates the auxiliary degree-22 polynomials (a 3.9M-word census with
+exact filters, about 0.04 s), then pushes a handful of pairs through the
 analysis pipeline.  Set K3SIEGEL_DEMO_FULL=1 to run the complete rank-18
 search (all cyclotomic products against all 1019 candidates; about 11 s
 with K3SIEGEL_WORKERS=1 on a 2-CPU machine with Python 3.11).

@@ -19,8 +19,8 @@ Subcommands:
 Worker count for searches comes from --workers or K3SIEGEL_WORKERS;
 results are canonically sorted, so output is identical for any count.
 Malformed input (polynomial text that is not a bracketed list of
-integers, a non-integer K3SIEGEL_WORKERS) exits 2 like any usage
-error; exit 1 means a row faulted.
+integers, a worker count that is not an integer of at least 1) exits
+2 like any usage error; exit 1 means a row faulted.
 """
 
 from __future__ import annotations
@@ -341,7 +341,7 @@ def _map_tasks(fn, tasks, workers: int):
         return [fn(t) for t in tasks]
     import multiprocessing as mp
 
-    with mp.Pool(workers) as pool:
+    with mp.Pool(min(workers, len(tasks))) as pool:
         return pool.map(fn, tasks, chunksize=1)
 
 
@@ -414,13 +414,16 @@ def parse_rows_json(text: str) -> list[AnalysisRow]:
 # ---------------------------------------------------------------------------
 
 def _workers_arg(ap: argparse.ArgumentParser, args) -> int:
-    if args.workers is not None:
-        return args.workers
-    value = os.environ.get("K3SIEGEL_WORKERS", "1")
-    try:
-        return int(value)
-    except ValueError:
-        ap.error(f"K3SIEGEL_WORKERS must be an integer, not {value!r}")
+    source, value = "--workers", args.workers
+    if value is None:
+        source, text = "K3SIEGEL_WORKERS", os.environ.get("K3SIEGEL_WORKERS", "1")
+        try:
+            value = int(text)
+        except ValueError:
+            ap.error(f"K3SIEGEL_WORKERS must be an integer, not {text!r}")
+    if value < 1:
+        ap.error(f"{source} must be at least 1, not {value}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:

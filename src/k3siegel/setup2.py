@@ -19,16 +19,20 @@ N(Psi mod W)^2 with N(a + b w) = a^2 + ab - 3b^2, and (a, b) is one
 The census runs in three integer steps over numpy int64 lanes, each
 map's range checked against the word bounds before it runs:
 
-1. The sweep.  (a, b) is linear in the digits, so the 3,125 words
-   c1..c5 and the 625 words c6..c9 (with their shares of c10 and c11)
-   each get their (a, b) once; the norm of all 3.9M words is an outer
-   sum of the two, taken in blocks of ``_CHUNK`` words.
+1. The unit join.  Z[w] is the ring of integers of Q(sqrt 13), so
+   N(a + b w) = +-1 exactly when a + b w is a unit +-(1 + w)^k, and the
+   word bounds leave 24 of them (see ``_units``).  (a, b) is linear in
+   the digits, so the 3,125 words c1..c5 and the 625 words c6..c9 (with
+   their shares of c10 and c11) each get their (a, b) once, and for each
+   sign of c11 and each unit a sorted integer key finds the pairs of
+   halves whose (a, b) sum to it.
 2. The trace coefficients of the norm hits, one int64 matrix product.
-3. A Descartes bound on the roots of Psi in (-2, 2), on ``_PIECES``
-   equal pieces (see ``_descartes_maps``).  It only rejects words it
-   certifies to have fewer than eight roots; every other word is
-   decided by the package's one integer Sturm chain
-   (``algnum.count_roots_in``).
+3. A Descartes bisection of the roots of Psi in (-2, 2), from
+   ``_PIECES`` equal pieces (see ``_descartes_maps`` and
+   ``_root_counts``).  It counts the roots exactly or rejects the word
+   once its upper bound falls below eight; the few words it cannot
+   split (a leaf too large for the next shift, or too deep) are decided
+   by the package's one integer Sturm chain (``algnum.count_roots_in``).
 
 Survivors are sorted lexicographically by (c1, ..., c11) with the
 numeric order -2 < -1 < 0 < 1 < 2 and numbered from 1.
@@ -37,6 +41,7 @@ numeric order -2 < -1 < 0 < 1 < 2 and numbered from 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -45,8 +50,9 @@ from .algnum import count_roots_in, hn_poly
 
 S4 = IntPoly([1, -1, -1, -1, 1])
 
-_CHUNK = 1 << 18   # words per block of the sweep; bounds memory, not results
-_PIECES = 8        # equal pieces of (-2, 2) for the Descartes bound
+_PIECES = 8             # equal pieces of (-2, 2) that start the bisection
+_LEAF_LIMIT = 1 << 48   # a leaf coefficient this large sends its word to Sturm
+_MAX_DEPTH = 24         # bisection levels before a word goes to Sturm
 _ROOT_COUNTS = (8, 10)
 _INT64 = 1 << 63
 
@@ -130,13 +136,19 @@ def _descartes_maps() -> tuple[np.ndarray, np.ndarray]:
     ranges bound the trace coefficients and those of every Q_k;
     PolynomialDomainError is raised unless both stay below 2^63.
     """
+    def powers(f: IntPoly) -> list[IntPoly]:
+        out = [IntPoly([1])]
+        for _ in range(11):
+            out.append(out[-1] * f)
+        return out
+
     tmap = _trace_map()
     d = _PIECES // 4
+    scale = powers(IntPoly([d, d]))     # (d x + d)^m, m = 0..11
     dmaps = []
     for k in range(_PIECES):
         p = k - 2 * d
-        cols = [(IntPoly([p + 1, p]) ** m * IntPoly([d, d]) ** (11 - m)).coeffs
-                for m in range(12)]
+        cols = [(f * g).coeffs for f, g in zip(powers(IntPoly([p + 1, p])), scale[::-1])]
         dmaps.append([[col[j] if j < len(col) else 0 for col in cols]
                       for j in range(12)])
     t_max = _row_bounds(tmap, _WORD_BOUNDS)
@@ -147,26 +159,71 @@ def _descartes_maps() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sign_variations(q: np.ndarray) -> np.ndarray:
-    """Sign changes along the last axis, zero entries skipped."""
-    s = np.sign(q)
-    last = s[..., 0]
-    out = np.zeros(last.shape, dtype=np.int64)
-    for j in range(1, s.shape[-1]):
-        out += s[..., j] * last < 0
-        last = np.where(s[..., j] != 0, s[..., j], last)
+    """Sign changes along each row, zero entries skipped."""
+    s = np.sign(q).astype(np.int8).T.copy()
+    last = s[0].copy()
+    out = np.zeros(len(q), dtype=np.int8)
+    for col in s[1:]:
+        out += col * last < 0
+        np.copyto(last, col, where=col != 0)
     return out
 
 
-def _descartes_bound(trace: np.ndarray, dmaps: np.ndarray) -> np.ndarray:
-    """An upper bound on the distinct roots in (-2, 2) of each row of
-    ascending coefficients (degree <= 11, not all zero).
+def _shift_map() -> np.ndarray:
+    """The 12x12 binomial matrix S[j, i] = C(j, i): q @ S is Q(x + 1) for
+    ascending coefficients q.  A row below _LEAF_LIMIT keeps every
+    partial sum of q @ S below 2^63; PolynomialDomainError otherwise."""
+    shift = [[comb(j, i) for i in range(12)] for j in range(12)]
+    if _LEAF_LIMIT * max(_row_bounds(zip(*shift), (1,) * 12)) >= _INT64:
+        raise PolynomialDomainError(f"leaf limit {_LEAF_LIMIT} overflows int64")
+    return np.array(shift, dtype=np.int64)
 
-    Descartes' rule of signs bounds the roots in each open piece, with
-    multiplicity, by the sign variations of Q_k; the roots at the
-    _PIECES - 1 interior partition points are the pieces' zero Q_k(0).
+
+def _root_counts(trace: np.ndarray, dmaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct roots in (-2, 2) of each row of ascending coefficients
+    (degree <= 11, not all zero), by Descartes bisection: (count, exact).
+
+    count[i] is row i's number of roots where exact[i], and an upper
+    bound on it elsewhere.  Each leaf is a polynomial Q whose positive
+    roots are the roots, with multiplicity, of the row in an open
+    interval; the leaves start as the _PIECES maps' Q_k, and the roots
+    at the pieces' interior ends are their zero Q_k(0).  By Descartes'
+    rule a leaf with no sign variation holds no root and one with one
+    variation exactly one.  A leaf with more splits at x = 1 into
+    R(x) = Q(x + 1) and L(x) = (x + 1)^11 Q(1/(x + 1)), R's zero R(0)
+    being a root at the cut.  A row is left, inexact, once its decided
+    roots plus the variations of its open leaves fall below the smallest
+    of _ROOT_COUNTS, once a leaf reaches _LEAF_LIMIT (the next shift
+    could leave int64), or at depth _MAX_DEPTH (a multiple root never
+    splits down to one variation).
     """
+    shift = _shift_map()
+    n = len(trace)
     q = np.matmul(trace, dmaps.transpose(0, 2, 1))   # pieces x rows x 12
-    return _sign_variations(q).sum(axis=0) + (q[:-1, :, 0] == 0).sum(axis=0)
+    count = (q[:-1, :, 0] == 0).sum(axis=0)
+    exact = np.ones(n, dtype=bool)
+    leaves, row = q.reshape(-1, 12), np.tile(np.arange(n), len(q))
+    for depth in range(_MAX_DEPTH + 1):
+        v = _sign_variations(leaves)
+        count += np.bincount(row[v == 1], minlength=n)
+        split = v > 1
+        leaves, row, v = leaves[split], row[split], v[split]
+        upper = count + np.bincount(np.repeat(row, v), minlength=n)
+        stop = upper < min(_ROOT_COUNTS)
+        if depth == _MAX_DEPTH:
+            stop[row] = True
+        stop[row[np.abs(leaves).max(axis=1) >= _LEAF_LIMIT]] = True
+        stop &= upper > count
+        count[stop], exact[stop] = upper[stop], False
+        keep = exact[row]
+        leaves, row = leaves[keep], row[keep]
+        if not len(row):
+            break
+        right = leaves @ shift
+        count += np.bincount(row[right[:, 0] == 0], minlength=n)
+        leaves = np.concatenate([right, leaves[:, ::-1] @ shift])
+        row = np.concatenate([row, row])
+    return count, exact
 
 
 def _word_halves() -> tuple[np.ndarray, np.ndarray]:
@@ -189,44 +246,83 @@ def _word_halves() -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
+def _units(a_max: int, b_max: int) -> list[tuple[int, int]]:
+    """Every (a, b) with |a| <= a_max, |b| <= b_max and N(a + b w) = +-1.
+
+    Z[w] is the ring of integers of Q(sqrt 13) (13 = 1 mod 4), whose units
+    are +-(1 + w)^k, and N(1 + w) = -1, so these are the units in the
+    box.  Both real embeddings of a + b w there are below a_max + 3 b_max
+    in absolute value, while 1 + w and (1 + w)^-1 = w - 2 each have an
+    embedding above 3; so |k| <= K for the least K with
+    3^K >= a_max + 3 b_max.
+    """
+    k_max = 0
+    while 3 ** k_max < a_max + 3 * b_max:
+        k_max += 1
+    units = set()
+    for c, d in ((1, 1), (-2, 1)):          # 1 + w and its inverse
+        a, b = 1, 0
+        for _ in range(k_max + 1):
+            if abs(a) <= a_max and abs(b) <= b_max:
+                units |= {(a, b), (-a, -b)}
+            a, b = a * c + 3 * b * d, a * d + b * c + b * d
+    return sorted(units)
+
+
 def _norm_hits() -> np.ndarray:
     """The word vectors (1, c1..c11) whose norm N(Psi mod W) is +-1,
-    unordered, as int64 rows; exact (see _norm_map).
+    unordered, as int64 rows.
 
-    (a, b) is linear in the word, so each half's (a, b) is computed once
-    and the norms of a block of hi rows against every lo row are an
-    outer sum, for each sign of c11.
+    Every word is hi[i] + lo[j] + (0, ..., 0, +-1) (see _word_halves), so
+    its (a, b) is the sum of the two halves' (a, b), and its norm is +-1
+    exactly when that sum is one of the units in the word bounds' box.
+    For each sign of c11 and each unit u, the lo rows with
+    (a, b) = u - (a, b) of the hi row are found by a sorted integer key
+    over |a| <= 2 a_max, |b| <= 2 b_max; PolynomialDomainError is raised
+    unless that key stays below 2^63.
     """
     nmap = _norm_map()
+    a_max, b_max = _row_bounds(nmap.tolist(), _WORD_BOUNDS)
+    width = 4 * b_max + 1
+    if (4 * a_max + 1) * width >= _INT64:
+        raise PolynomialDomainError(f"join key over |a| <= {2 * a_max}, "
+                                    f"|b| <= {2 * b_max} overflows int64")
+
+    def key(ab: np.ndarray) -> np.ndarray:
+        return (ab[..., 0] + 2 * a_max) * width + ab[..., 1] + 2 * b_max
+
+    units = np.array(_units(a_max, b_max), dtype=np.int64)
     hi, lo = _word_halves()
-    ab_hi, ab_lo = hi @ nmap.T, lo @ nmap.T
-    rows = _CHUNK // len(lo)
+    hi_keys = key(hi @ nmap.T)
+    order = np.argsort(hi_keys, kind="stable")
+    hi_keys = hi_keys[order]
     hits = []
     for sign in (1, -1):
-        top = ab_hi + sign * nmap[:, 11]
-        for start in range(0, len(hi), rows):
-            block = top[start:start + rows]
-            a = block[:, 0, None] + ab_lo[None, :, 0]
-            b = block[:, 1, None] + ab_lo[None, :, 1]
-            i, j = np.nonzero(np.abs(_norm(a, b)) == 1)
-            words = hi[start + i] + lo[j]
-            words[:, 11] += sign
-            hits.append(words)
+        need = key(units - (lo @ nmap.T + sign * nmap[:, 11])[:, None, :]).ravel()
+        first = np.searchsorted(hi_keys, need, side="left")
+        many = np.searchsorted(hi_keys, need, side="right") - first
+        i = order[np.arange(many.sum()) + np.repeat(first - np.cumsum(many) + many, many)]
+        words = hi[i] + lo[np.repeat(np.arange(need.size) // len(units), many)]
+        words[:, 11] += sign
+        hits.append(words)
     return np.concatenate(hits)
 
 
 def enumerate_setup2() -> list[Setup2Candidate]:
     """All solution words, sorted lexicographically, numbered from 1.
 
-    The norm sweep keeps the words with N(Psi mod W) = +-1; the Descartes
-    bound rejects those with fewer than eight roots of Psi in (-2, 2),
-    and the integer Sturm count decides the rest.  Every step is exact.
+    The unit join keeps the words with N(Psi mod W) = +-1; the Descartes
+    bisection counts the roots of Psi in (-2, 2) or rejects the word on
+    its upper bound, and the integer Sturm count decides the few words it
+    leaves.  Every step is exact.
     """
     tmap, dmaps = _descartes_maps()
     words = _norm_hits()
     trace = words @ tmap.T
-    keep = _descartes_bound(trace, dmaps) >= min(_ROOT_COUNTS)
-    out = sorted(tuple(word[1:].tolist())
-                 for word, tr in zip(words[keep], trace[keep])
-                 if count_roots_in(IntPoly(tr.tolist()), -2, 2) in _ROOT_COUNTS)
+    count, exact = _root_counts(trace, dmaps)
+    sturm = ~exact & (count >= min(_ROOT_COUNTS))
+    keep = exact & np.isin(count, _ROOT_COUNTS)
+    keep[sturm] = [count_roots_in(IntPoly(tr.tolist()), -2, 2) in _ROOT_COUNTS
+                   for tr in trace[sturm]]
+    out = sorted(map(tuple, words[keep, 1:].tolist()))
     return [Setup2Candidate(i, w) for i, w in enumerate(out, start=1)]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import subprocess
@@ -288,6 +289,10 @@ def test_poly_arg_accepts_files(tmp_path):
     (["picard2", "--st", "[1,x]"], None),
     (["analyze", "--phi", "1,2", "--psi", "[1]"], None),
     (["search", "--setup1"], "abc"),
+    (["search", "--setup1", "--workers", "0"], None),
+    (["search", "--setup2", "--workers", "-2"], None),
+    (["search", "--setup1"], "0"),
+    (["verify-tables", "--fast"], "-1"),
 ])
 def test_cli_input_errors_exit_2(monkeypatch, capsys, argv, workers):
     # a malformed argument is a usage error (2), not a faulted row (1)
@@ -297,3 +302,27 @@ def test_cli_input_errors_exit_2(monkeypatch, capsys, argv, workers):
         cli.main(argv)
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_map_tasks_asks_for_no_more_processes_than_tasks(monkeypatch):
+    # a recorder stands in for the pool, so no process starts
+    sizes = []
+
+    class Recorder:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", Recorder)
+    assert cli._map_tasks(abs, [-1, -2, -3], 64) == [1, 2, 3]
+    assert cli._map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert cli._map_tasks(abs, [-1], 64) == [1]
+    assert sizes == [3, 2]

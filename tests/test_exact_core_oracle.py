@@ -4,7 +4,7 @@ sympy is an independent implementation: these tests compare the one
 integer Sturm chain (root counting, and isolation cut at -2 and 2),
 the trace-cluster interleaving read off one bisection of Phi * Psi,
 the resultant and the gcd read off the one subresultant PRS, the
-census's Descartes bound on the roots in (-2, 2), the coprime normal
+census's Descartes bisection of the roots in (-2, 2), the coprime normal
 form of rational functions, number field sums, products and inverses,
 the resultant's halving on trace polynomials, the minimal polynomials
 interpolated from it, the Newton interpolation in integers (and its
@@ -19,6 +19,7 @@ gcd is checked against Euclid's algorithm in the number field.
 
 import math
 import random
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +60,8 @@ from k3siegel.picard2 import (
     k_gcd,
 )
 from k3siegel.salemlib import load_store
-from k3siegel.setup2 import _descartes_bound, _descartes_maps
+from k3siegel import setup2
+from k3siegel.setup2 import _descartes_maps, _root_counts
 
 X = sympy.Symbol("x")
 W = sympy.Symbol("w")
@@ -140,14 +142,46 @@ def planted_polys(draw):
     return p
 
 
+def census_row(p: IntPoly) -> np.ndarray:
+    return np.array([list(p.coeffs) + [0] * (12 - len(p.coeffs))], dtype=np.int64)
+
+
 @EXAMPLES
 @given(planted_polys())
 @example(IntPoly([-1, 2]))          # a root at the partition point 1/2
 @example(IntPoly([-1, 2, 0, 1]))    # a zero coefficient inside a Q_k
 def test_descartes_bound_covers_distinct_roots(p):
-    row = np.array([list(p.coeffs) + [0] * (12 - len(p.coeffs))], dtype=np.int64)
-    bound = int(_descartes_bound(row, DESCARTES_MAPS)[0])
-    assert bound >= sympy_roots_in_open(p, Fraction(-2), Fraction(2))
+    # on the census's threshold a decided count is the count, and a word
+    # left undecided (rejected, or sent to Sturm) has an upper bound
+    count, exact = _root_counts(census_row(p), DESCARTES_MAPS)
+    roots = sympy_roots_in_open(p, Fraction(-2), Fraction(2))
+    assert count[0] == roots if exact[0] else count[0] >= roots
+
+
+# a double root inside a piece: both +-sqrt 2 never split down to one
+# sign variation
+DOUBLE_ROOTS = IntPoly([-2, 0, 1]) ** 2
+
+
+@EXAMPLES
+@given(planted_polys())
+@example(IntPoly([-1, 2]))                        # a root at the piece end 1/2
+@example(IntPoly([-1, 4]) * IntPoly([-1, 8]))     # a root at the first cut 1/4
+@example(IntPoly([-3, 4]) * IntPoly([-7, 8]) ** 2)   # a double root on a later cut
+@example(DOUBLE_ROOTS)
+def test_descartes_bisection_matches_sympy(p):
+    # with no rejection threshold the bisection decides every row it can
+    # split; a row it leaves for Sturm keeps an upper bound
+    with mock.patch.object(setup2, "_ROOT_COUNTS", (0,)):
+        count, exact = _root_counts(census_row(p), DESCARTES_MAPS)
+    roots = sympy_roots_in_open(p, Fraction(-2), Fraction(2))
+    assert count[0] == roots if exact[0] else count[0] >= roots
+
+
+def test_descartes_bisection_leaves_a_double_root_to_sturm():
+    with mock.patch.object(setup2, "_ROOT_COUNTS", (0,)):
+        count, exact = _root_counts(census_row(DOUBLE_ROOTS), DESCARTES_MAPS)
+    assert not exact[0] and count[0] >= 2
 
 
 @EXAMPLES

@@ -75,6 +75,16 @@ def test_typed_error_under_optimize():
             "    setup2._descartes_maps()\n"
             "except intpoly.PolynomialDomainError:\n"
             "    print('typed error')\n"
+            "setup2._WORD_BOUNDS = (1 << 22,) * 12\n"
+            "try:\n"
+            "    setup2._norm_hits()\n"
+            "except intpoly.PolynomialDomainError:\n"
+            "    print('typed error')\n"
+            "setup2._LEAF_LIMIT = 1 << 60\n"
+            "try:\n"
+            "    setup2._shift_map()\n"
+            "except intpoly.PolynomialDomainError:\n"
+            "    print('typed error')\n"
             "from k3siegel import hodgeclass\n"
             "s20 = store[(20, 1)].salem_poly\n"
             "try:\n"
@@ -86,4 +96,4 @@ def test_typed_error_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 9
+    assert done.stdout.split() == ["typed", "error"] * 11

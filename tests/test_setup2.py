@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -16,6 +17,10 @@ from k3siegel.setup2 import (
     _norm,
     _norm_hits,
     _norm_map,
+    _root_counts,
+    _row_bounds,
+    _shift_map,
+    _units,
     enumerate_setup2,
 )
 
@@ -164,7 +169,7 @@ def test_broadcast_sweep_finds_the_digit_sweep_hits():
         assert (w @ tmap.T).tolist() == list(trace_polynomial(psi).coeffs)
 
 
-def test_descartes_gate_leaves_few_words_to_sturm(monkeypatch):
+def sturm_calls(monkeypatch) -> list:
     calls = []
 
     def counting(p, a, b):
@@ -172,8 +177,62 @@ def test_descartes_gate_leaves_few_words_to_sturm(monkeypatch):
         return count_roots_in(p, a, b)
 
     monkeypatch.setattr(setup2, "count_roots_in", counting)
+    return calls
+
+
+def test_descartes_gate_leaves_few_words_to_sturm(monkeypatch):
+    calls = sturm_calls(monkeypatch)
     assert enumerate_setup2() == CANDS
-    assert len(CANDS) <= len(calls) < 2000
+    assert len(calls) <= 10
+
+
+def test_bisection_falls_back_to_sturm(monkeypatch):
+    # a low leaf limit and a depth cap of one level send many more words
+    # to Sturm, and the census stays the same
+    calls = sturm_calls(monkeypatch)
+    enumerate_setup2()
+    default = len(calls)
+    monkeypatch.setattr(setup2, "_LEAF_LIMIT", 1 << 20)
+    monkeypatch.setattr(setup2, "_MAX_DEPTH", 1)
+    assert enumerate_setup2() == CANDS
+    assert len(calls) - default > 10 * default
+
+
+def test_bisection_counts_match_sturm_on_every_norm_hit():
+    tmap, dmaps = _descartes_maps()
+    trace = _norm_hits() @ tmap.T
+    count, exact = _root_counts(trace, dmaps)
+    assert exact.sum() > 2000
+    for tr, n in zip(trace[exact], count[exact]):
+        assert n == count_roots_in(IntPoly(tr.tolist()), -2, 2)
+
+
+def test_units_are_the_norm_one_points_of_the_box():
+    a_max, b_max = _row_bounds(NORM_MAP, setup2._WORD_BOUNDS)
+    assert (a_max, b_max) == (557, 420)
+    a, b = np.meshgrid(np.arange(-a_max, a_max + 1), np.arange(-b_max, b_max + 1),
+                       indexing="ij")
+    ones = np.abs(_norm(a, b)) == 1
+    assert ones.size == 1115 * 841
+    assert _units(a_max, b_max) == sorted(zip(a[ones].tolist(), b[ones].tolist()))
+    assert len(_units(a_max, b_max)) == 24
+
+
+def test_unit_join_key_stays_in_int64(monkeypatch):
+    # bounds whose norms still fit int64 but whose join key does not
+    monkeypatch.setattr(setup2, "_WORD_BOUNDS", (1 << 22,) * 12)
+    _norm_map()
+    with pytest.raises(PolynomialDomainError):
+        _norm_hits()
+
+
+def test_shift_map_keeps_every_lane_exact(monkeypatch):
+    # a leaf below the limit shifts within int64; a limit that lets the
+    # shift outgrow it raises a typed error
+    assert _shift_map()[11].tolist() == [math.comb(11, i) for i in range(12)]
+    monkeypatch.setattr(setup2, "_LEAF_LIMIT", 1 << 60)
+    with pytest.raises(PolynomialDomainError):
+        _shift_map()
 
 
 def test_descartes_maps_keep_every_lane_exact(monkeypatch):
