@@ -28,7 +28,7 @@ from .intpoly import (
 from .algnum import RationalFunctionW, symmetric_descent
 from . import linalg
 from .hyplattice import build, reflection_factor, signature_and_renormalize, unimodularity_gate
-from .salemlib import SalemDataError, compute_L0, is_unramified_salem, load_store
+from .salemlib import compute_L0, is_unramified_salem, load_store, salem_lambda
 from .setup2 import enumerate_setup2
 from . import cli
 from . import picard2 as p2
@@ -135,20 +135,10 @@ def criterion_setup2_id523():
     psi = c.psi()
     if not is_unramified_salem(psi):
         return False, "candidate 523 is not an unramified Salem polynomial"
-    lam = _salem_lambda(psi)
+    lam = salem_lambda(psi)
     lam.refine(Fraction(1, 10 ** 7))
     ok = Fraction(17265, 10000) < lam.lo and lam.hi < Fraction(17266, 10000)
     return ok, f"lambda in ({float(lam.lo):.6f}, {float(lam.hi):.6f})"
-
-
-def _salem_lambda(psi: IntPoly):
-    from .algnum import isolate_real_roots, sign_at
-
-    roots = isolate_real_roots(psi)
-    above = [r for r in roots if sign_at(IntPoly([-1, 1]), r) > 0]
-    if len(above) != 1:
-        raise SalemDataError("Salem polynomial must have a unique root > 1")
-    return above[0]
 
 
 def criterion_L0():

@@ -177,8 +177,7 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
             row.verdicts = [v_pm, v_p]
             row.sd = f"{v_pm}{v_p}"
             return row
-        contribs = [component_contribution(a.component.label, a.component.rank,
-                                           "moved" if a.kind == "moved" else a.kind)
+        contribs = [component_contribution(a.component.label, a.component.rank, a.kind)
                     for a in report.component_actions]
         budget = saito_budget(report.trace_a_tilde, contribs)
         if budget.free_multiplicity != 1:
@@ -396,17 +395,6 @@ def emit(rows: list[AnalysisRow], fmt: str = "csv") -> str:
     if fmt == "json":
         return json.dumps([r.to_json() for r in rows], indent=1) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse_rows_json(text: str) -> list[AnalysisRow]:
-    out = []
-    for d in json.loads(text):
-        out.append(AnalysisRow(
-            s_label=d["S"], c_label=d["C"], aux_s_label=d["s"],
-            aux_c_label=d["c_or_psi"], st_index=d["ST"], dynkin=d["Dynkin"],
-            phi1_tilde=d["phi1"], trace_a_tilde=d["TrA"], sd=d["SD"],
-            note=d["note"], rejection=d["rejection"]))
-    return out
 
 
 # ---------------------------------------------------------------------------

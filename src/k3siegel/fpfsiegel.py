@@ -25,15 +25,13 @@ from fractions import Fraction
 
 from .intpoly import IntPoly
 from .algnum import (
-    TWO,
-    AlgebraicReal,
     RationalFunctionW,
     is_algebraic_integer,
-    isolate_real_roots,
     minpoly_of_value,
     ratfunc_compare,
     symmetric_descent,
 )
+from .salemlib import trace_conjugates
 from .symbolic import MPoly, MRat
 
 
@@ -203,75 +201,50 @@ class SiegelVerdict:
         return self.kind
 
 
-def _interval_roots(st: IntPoly) -> list[AlgebraicReal]:
-    """tau_1 > tau_2 > ... : the roots of a Salem trace polynomial in
-    (-2, 2); index 0 of the returned list is tau_1."""
-    roots = isolate_real_roots(st)
-    inside = [r for r in roots if -TWO <= r.lo and r.hi <= TWO]
-    if len(inside) != len(roots) - 1:
-        raise FpfInconsistency("trace polynomial does not have the Salem root pattern")
-    return inside
+def _dichotomy(f: RationalFunctionW, st: IntPoly, j: int, off,
+               undecided=lambda tau: False) -> SiegelVerdict:
+    """Rules 2, 1-i and 1-ii at tau_j for eigenvalues read off f(tau).
 
-
-def siegel_verdict_P(p: RationalFunctionW, st: IntPoly, j: int) -> SiegelVerdict:
-    """Dichotomy at the off-curve point: eigenvalues delta^(1/2) alpha^(+-1).
-
-    P(tau_j) > 4 gives a hyperbolic point.  0 <= P(tau_j) <= 4 puts the
-    eigenvalues on the unit circle and certifies a Siegel center when a
-    conjugate tau' in (-2,2) has P(tau') > 4 (rule 1-i) or P(tau_j) is
-    not an algebraic integer (rule 1-ii).
+    off(x) tells whether f(x) puts the eigenvalues off the unit circle,
+    and undecided(tau_j) whether f(tau_j) fixes no eigenvalue pair at
+    all.  Off at tau_j is hyperbolic (rule 2); otherwise the point is a
+    Siegel center when off at another conjugate (rule 1-i) or when
+    f(tau_j) is not an algebraic integer (rule 1-ii).
     """
-    taus = _interval_roots(st)
+    taus = trace_conjugates(st)
     tau = taus[j - 1]
     try:
-        above4 = ratfunc_compare(p, 4, tau)
+        if off(tau):
+            return SiegelVerdict(HYPERBOLIC, rule="2")
+        if undecided(tau):
+            return SiegelVerdict(UNDECIDED)
+        for idx, other in enumerate(taus, start=1):
+            if idx != j and off(other):
+                return SiegelVerdict(SIEGEL, rule="1-i", witness=idx)
     except ZeroDivisionError as exc:
-        raise FpfInconsistency("pole of P at the special trace") from exc
-    if above4 > 0:
-        return SiegelVerdict(HYPERBOLIC, rule="2")
-    if ratfunc_compare(p, 0, tau) < 0:
-        return SiegelVerdict(UNDECIDED)
-    for idx, other in enumerate(taus, start=1):
-        if idx == j:
-            continue
-        if ratfunc_compare(p, 4, other) > 0:
-            return SiegelVerdict(SIEGEL, rule="1-i", witness=idx)
-    mp = minpoly_of_value(p, tau)
+        raise FpfInconsistency("pole at a trace conjugate") from exc
+    mp = minpoly_of_value(f, tau)
     if not is_algebraic_integer(mp):
         return SiegelVerdict(SIEGEL, rule="1-ii", witness=mp)
     return SiegelVerdict(UNDECIDED)
+
+
+def siegel_verdict_P(p: RationalFunctionW, st: IntPoly, j: int) -> SiegelVerdict:
+    """Dichotomy at the off-curve point: eigenvalues delta^(1/2) alpha^(+-1),
+    with (alpha + 1/alpha)^2 = P(tau).
+
+    P > 4 is off the unit circle and 0 <= P <= 4 on it; P(tau_j) < 0
+    is left undecided.
+    """
+    return _dichotomy(p, st, j, lambda x: ratfunc_compare(p, 4, x) > 0,
+                      lambda tau: ratfunc_compare(p, 0, tau) < 0)
 
 
 def siegel_verdict_Q(q: RationalFunctionW, st: IntPoly, j: int) -> SiegelVerdict:
     """Dichotomy at an on-curve point pair: eigenvalues beta, delta/beta,
-    with beta + 1/beta = Q(tau); the threshold is |Q| <= 2."""
-    taus = _interval_roots(st)
-    tau = taus[j - 1]
-
-    def abs_above_2(x: AlgebraicReal) -> int:
-        try:
-            hi = ratfunc_compare(q, 2, x)
-            lo = ratfunc_compare(q, -2, x)
-        except ZeroDivisionError as exc:
-            raise FpfInconsistency("pole of Q at a trace conjugate") from exc
-        if hi > 0 or lo < 0:
-            return 1
-        if hi < 0 and lo > 0:
-            return -1
-        return 0  # |Q| = 2 exactly
-
-    band = abs_above_2(tau)
-    if band > 0:
-        return SiegelVerdict(HYPERBOLIC, rule="2")
-    for idx, other in enumerate(taus, start=1):
-        if idx == j:
-            continue
-        if abs_above_2(other) > 0:
-            return SiegelVerdict(SIEGEL, rule="1-i", witness=idx)
-    mp = minpoly_of_value(q, tau)
-    if not is_algebraic_integer(mp):
-        return SiegelVerdict(SIEGEL, rule="1-ii", witness=mp)
-    return SiegelVerdict(UNDECIDED)
+    with beta + 1/beta = Q(tau); |Q| > 2 is off the unit circle."""
+    return _dichotomy(q, st, j, lambda x: (ratfunc_compare(q, 2, x) > 0
+                                           or ratfunc_compare(q, -2, x) < 0))
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,8 @@ from .algnum import (
     _isolating_intervals,
     _sign,
     algebraic_equal,
-    isolate_real_roots,
-    sign_at,
 )
-from .salemlib import is_salem
+from .salemlib import is_salem, trace_conjugates
 
 
 class PipelineError(RuntimeError):
@@ -142,41 +140,22 @@ def dissect(phi: IntPoly, psi: IntPoly) -> ClusterDissection:
     return d
 
 
-# The nine admissible configurations: (case, s, [A_on], [B_on], |A_>2|,
-# |B_off|, constraint, special-trace rule).
-_TABLE_ROWS = [
-    (1, 8, {0: 2, 1: 6, 3: 1}, {1: 8}, 1, 3, None, "middle_tc"),
-    (2, 8, {0: 2, 1: 6, 3: 1}, {1: 7, 3: 1}, 1, 1, None, "middle_tc"),
-    (3, 8, {0: 1, 1: 7, 2: 1}, {1: 8}, 1, 3, "a_first_double", "max_a_first"),
-    (4, 8, {0: 1, 1: 7, 2: 1}, {1: 8}, 1, 3, "a_last_double", "min_a_last"),
-    (5, 8, {0: 1, 1: 7, 2: 1}, {1: 7, 3: 1}, 1, 1, "a_first_double", "max_a_first"),
-    (6, 8, {0: 1, 1: 7, 2: 1}, {1: 7, 3: 1}, 1, 1, "a_last_double", "min_a_last"),
-    (7, 9, {0: 2, 1: 7, 2: 1}, {1: 8, 2: 1}, 1, 1, "doubles_adjacent", "inner_ap"),
-    (8, 9, {0: 1, 1: 9}, {1: 8, 2: 1}, 1, 1, "a_first_single_b_first_double", "elem_a_first"),
-    (9, 9, {0: 1, 1: 9}, {1: 8, 2: 1}, 1, 1, "a_last_single_b_last_double", "elem_a_last"),
-]
+def _first_a(d: ClusterDissection) -> AlgebraicReal:
+    return d.a_clusters[0][0]
 
 
-def _constraint_holds(name: str | None, d: ClusterDissection) -> bool:
-    if name is None:
-        return True
-    ac, bc = d.a_clusters, d.b_clusters
-    if name == "a_first_double":
-        return len(ac[0]) == 2
-    if name == "a_last_double":
-        return len(ac[-1]) == 2
-    if name == "a_first_single_b_first_double":
-        return len(ac[0]) == 1 and len(bc[0]) == 2
-    if name == "a_last_single_b_last_double":
-        return len(ac[-1]) == 1 and len(bc[-1]) == 2
-    if name == "doubles_adjacent":
-        return _adjacent_doubles(d) is not None
-    raise PipelineError(f"unknown constraint {name}")
+def _last_a(d: ClusterDissection) -> AlgebraicReal:
+    return d.a_clusters[-1][-1]
 
 
-def _adjacent_doubles(d: ClusterDissection):
-    """The (A-double, B-double, a_above) triple when the unique double
-    clusters of the two sides are adjacent, else None."""
+def _middle_of_triple(d: ClusterDissection) -> AlgebraicReal:
+    return next(c for c in d.a_clusters if len(c) == 3)[1]
+
+
+def _facing_double(d: ClusterDissection) -> AlgebraicReal | None:
+    """When the unique double clusters of the two sides are adjacent, the
+    element of the A-double facing the B-double (the inner one of the
+    four); else None."""
     a_dbl = [i for i, c in enumerate(d.a_clusters) if len(c) == 2]
     b_dbl = [j for j, c in enumerate(d.b_clusters) if len(c) == 2]
     if len(a_dbl) != 1 or len(b_dbl) != 1:
@@ -184,30 +163,37 @@ def _adjacent_doubles(d: ClusterDissection):
     i, j = a_dbl[0], b_dbl[0]
     # descending layout: A_1 B_1 A_2 B_2 ...: B_j sits between A_j and A_(j+1)
     if j == i - 1:          # B-double directly above the A-double
-        return (d.a_clusters[i], d.b_clusters[j], False)
+        return d.a_clusters[i][0]
     if j == i:              # B-double directly below the A-double
-        return (d.a_clusters[i], d.b_clusters[j], True)
+        return d.a_clusters[i][-1]
     return None
 
 
-def _special_trace(rule: str, d: ClusterDissection) -> AlgebraicReal:
-    ac = d.a_clusters
-    if rule == "middle_tc":
-        tc = next(c for c in ac if len(c) == 3)
-        return tc[1]
-    if rule == "max_a_first":
-        return ac[0][0]
-    if rule == "min_a_last":
-        return ac[-1][-1]
-    if rule == "elem_a_first":
-        return ac[0][0]
-    if rule == "elem_a_last":
-        return ac[-1][0]
-    if rule == "inner_ap":
-        a_block, b_block, a_above = _adjacent_doubles(d)
-        # inner element of the four: the A-side one facing the B-double
-        return a_block[-1] if a_above else a_block[0]
-    raise PipelineError(f"unknown trace rule {rule}")
+def _a_first_double(d: ClusterDissection) -> bool:
+    return len(d.a_clusters[0]) == 2
+
+
+def _a_last_double(d: ClusterDissection) -> bool:
+    return len(d.a_clusters[-1]) == 2
+
+
+# The nine admissible configurations: (case, s, [A_on], [B_on], |A_>2|,
+# |B_off|, constraint, special trace), the last two as functions of the
+# dissection.
+_TABLE_ROWS = [
+    (1, 8, {0: 2, 1: 6, 3: 1}, {1: 8}, 1, 3, lambda d: True, _middle_of_triple),
+    (2, 8, {0: 2, 1: 6, 3: 1}, {1: 7, 3: 1}, 1, 1, lambda d: True, _middle_of_triple),
+    (3, 8, {0: 1, 1: 7, 2: 1}, {1: 8}, 1, 3, _a_first_double, _first_a),
+    (4, 8, {0: 1, 1: 7, 2: 1}, {1: 8}, 1, 3, _a_last_double, _last_a),
+    (5, 8, {0: 1, 1: 7, 2: 1}, {1: 7, 3: 1}, 1, 1, _a_first_double, _first_a),
+    (6, 8, {0: 1, 1: 7, 2: 1}, {1: 7, 3: 1}, 1, 1, _a_last_double, _last_a),
+    (7, 9, {0: 2, 1: 7, 2: 1}, {1: 8, 2: 1}, 1, 1,
+     lambda d: _facing_double(d) is not None, _facing_double),
+    (8, 9, {0: 1, 1: 9}, {1: 8, 2: 1}, 1, 1,
+     lambda d: len(d.a_clusters[0]) == 1 and len(d.b_clusters[0]) == 2, _first_a),
+    (9, 9, {0: 1, 1: 9}, {1: 8, 2: 1}, 1, 1,
+     lambda d: len(d.a_clusters[-1]) == 1 and len(d.b_clusters[-1]) == 2, _last_a),
+]
 
 
 def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
@@ -215,26 +201,26 @@ def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
 
     On acceptance the verdict carries the Salem factor S of phi, its
     trace polynomial, the cyclotomic factor indices of phi, and the
-    index j of the special trace among the descending roots
-    tau_0 > 2 > tau_1 > ... of the Salem trace polynomial.
+    index j of the special trace tau_j among the descending trace
+    conjugates tau_1 > tau_2 > ... in (-2, 2) (``trace_conjugates``).
     """
     if d.flags:
         return HodgeVerdict(accepted=False, rejection_reason="; ".join(d.flags))
     matches = []
     asig, bsig = d.a_signature(), d.b_signature()
-    for (case, s, arow, brow, agt2, boff, constraint, rule) in _TABLE_ROWS:
+    for (case, s, arow, brow, agt2, boff, holds, special) in _TABLE_ROWS:
         if (d.s == s and asig == arow and bsig == brow
                 and d.a_gt2_count == agt2 and d.b_off_count == boff
-                and _constraint_holds(constraint, d)):
-            matches.append((case, rule))
+                and holds(d)):
+            matches.append((case, special))
     if not matches:
         return HodgeVerdict(accepted=False, rejection_reason="no admissible cluster configuration")
     if len(matches) > 1:
         return HodgeVerdict(accepted=False,
                             rejection_reason="ambiguous cluster configuration "
                                              f"(cases {[c for c, _ in matches]})")
-    case, rule = matches[0]
-    tau = _special_trace(rule, d)
+    case, special = matches[0]
+    tau = special(d)
 
     cyclo, residual = cyclotomic_salem_split(phi)
     if cyclo.get(1, 0) != 1 or cyclo.get(2, 0) != 1:
@@ -244,13 +230,11 @@ def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
         return HodgeVerdict(accepted=False,
                             rejection_reason="phi has no Salem factor")
     salem_tr = trace_polynomial(residual)
-    if sign_at(salem_tr, tau) != 0:
+    index = next((j for j, r in enumerate(trace_conjugates(salem_tr), start=1)
+                  if algebraic_equal(r, tau)), None)
+    if index is None:
         return HodgeVerdict(accepted=False,
                             rejection_reason="special trace is not conjugate to the Salem number")
-    st_roots = isolate_real_roots(salem_tr)
-    index = next(j for j, r in enumerate(st_roots) if algebraic_equal(r, tau))
-    if index < 1:
-        raise PipelineError("special trace must lie in (-2, 2)")
     c_indices = {n: m for n, m in cyclo.items() if n not in (1, 2)}
     return HodgeVerdict(accepted=True, case_number=case, special_trace=tau,
                         special_trace_index=index, salem_factor=residual,

@@ -9,6 +9,11 @@ trace root > 2, unit-circle pairs contribute simple trace roots in
 Kronecker's theorem (any proper palindromic factor with all roots on
 the unit circle would be a product of cyclotomics).
 
+This module also owns a Salem polynomial's real roots: ``salem_lambda``
+isolates lambda, and ``trace_conjugates`` numbers the trace roots in
+(-2, 2) as tau_1 > tau_2 > ..., the one numbering of the special trace
+that the cluster table and the Siegel verdicts share.
+
 The embedded store carries the trace polynomials of every Salem factor
 used by the searches in this package; further entries (for example the
 large census lists available online) can be merged from a text file,
@@ -40,6 +45,7 @@ from .intpoly import (
     PALINDROMIC,
 )
 from .algnum import (
+    TWO,
     AlgebraicReal,
     algebraic_compare,
     count_roots_in,
@@ -77,6 +83,25 @@ def is_salem(u: IntPoly) -> bool:
         return False
     cyclo_part, _ = cyclotomic_salem_split(u)
     return not cyclo_part
+
+
+def salem_lambda(u: IntPoly) -> AlgebraicReal:
+    """lambda, the one root > 1 of a Salem polynomial u, isolated by
+    (1, B) with B the Cauchy bound of u."""
+    bound = root_bound(u)
+    if count_roots_in(u, Fraction(1), bound) != 1:
+        raise SalemDataError("Salem polynomial must have a unique root > 1")
+    return AlgebraicReal(u, Fraction(1), bound)
+
+
+def trace_conjugates(st: IntPoly) -> list[AlgebraicReal]:
+    """tau_1 > tau_2 > ... > tau_(m-1): the roots in (-2, 2) of a Salem
+    trace polynomial st of degree m; index 0 of the list is tau_1."""
+    roots = isolate_real_roots(st)
+    inside = [r for r in roots if -TWO <= r.lo and r.hi <= TWO]
+    if len(inside) != len(roots) - 1:
+        raise SalemDataError("trace polynomial does not have the Salem root pattern")
+    return inside
 
 
 def is_unramified_salem(u: IntPoly) -> bool:
@@ -128,21 +153,11 @@ class SalemEntry:
         if trace_polynomial(self.salem_poly) != self.trace_poly:
             raise SalemDataError(
                 f"entry ({self.degree},{self.index}): trace round-trip failed")
-        roots = [r for r in isolate_real_roots(self.salem_poly) if r.sign() > 0]
-        lam = [r for r in roots if sign_greater_one(r)]
-        if len(lam) != 1:
-            raise SalemDataError("Salem polynomial must have a unique root > 1")
-        self.lam = lam[0]
+        self.lam = salem_lambda(self.salem_poly)
 
     @property
     def key(self) -> tuple[int, int]:
         return (self.degree, self.index)
-
-
-def sign_greater_one(x: AlgebraicReal) -> bool:
-    from .algnum import sign_at
-
-    return sign_at(IntPoly([-1, 1]), x) > 0
 
 
 # Trace polynomials ST_i^(d)(w), descending coefficients, of the Salem

@@ -93,32 +93,20 @@ def _row_bounds(rows, bounds) -> list[int]:
     return [sum(abs(r) * b for r, b in zip(row, bounds)) for row in rows]
 
 
-def _norm(a, b):
-    """N(a + b w) = a^2 + ab - 3b^2, the norm of Z[w]/(W); Res(W, Psi) when
-    Psi = a + b w mod W.  Integers or numpy arrays alike."""
-    return a * a + a * b - 3 * b * b
-
-
 def _norm_map() -> np.ndarray:
     """2x12 integer map taking (1, c1..c11) to (a, b), Psi = a + b w mod W.
 
     The trace map composed with the reduction of w^m modulo
-    W = w^2 - w - 3, by w (a + b w) = 3b + (a + b) w.  The word ranges
-    bound |a| and |b|; PolynomialDomainError is raised unless every term
-    of N = a^2 + ab - 3b^2 then stays exact in int64.
+    W = w^2 - w - 3, by w (a + b w) = 3b + (a + b) w; Res(W, Psi) is then
+    the norm N(a + b w) = a^2 + ab - 3b^2.
     """
     tmap = _trace_map()
     red = [(1, 0)]
     for _ in range(11):
         a, b = red[-1]
         red.append((3 * b, a + b))
-    nmap = [[sum(red[m][i] * tmap[m][k] for m in range(12)) for k in range(12)]
-            for i in range(2)]
-    a_max, b_max = _row_bounds(nmap, _WORD_BOUNDS)
-    if a_max * a_max + a_max * b_max + 3 * b_max * b_max >= _INT64:
-        raise PolynomialDomainError(f"norm bounds |a| <= {a_max}, |b| <= {b_max} "
-                                    "overflow int64")
-    return np.array(nmap, dtype=np.int64)
+    return np.array([[sum(red[m][i] * tmap[m][k] for m in range(12)) for k in range(12)]
+                     for i in range(2)], dtype=np.int64)
 
 
 def _descartes_maps() -> tuple[np.ndarray, np.ndarray]:

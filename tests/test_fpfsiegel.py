@@ -8,6 +8,7 @@ from k3siegel.symbolic import MPoly, MRat
 from k3siegel.fpfsiegel import (
     HYPERBOLIC,
     SIEGEL,
+    UNDECIDED,
     ComponentContribution,
     FpfInconsistency,
     NeedsManualAnalysis,
@@ -202,6 +203,27 @@ def test_verdict_Q_examples():
     q = RationalFunctionW.of(-1) * (w + 1) * (w - 2) * (w ** 3 - 3 * w + 1)
     assert siegel_verdict_Q(q, ST20_1, 1).kind == SIEGEL
     assert siegel_verdict_Q(q, ST20_1, 3).kind == HYPERBOLIC
+
+
+def test_pole_at_a_trace_conjugate_is_inconsistent():
+    # 1/ST4 has its pole at tau_1 itself, for both dichotomies
+    pole = ONE / W(-3, -1, 1)
+    for verdict in (siegel_verdict_P, siegel_verdict_Q):
+        with pytest.raises(FpfInconsistency, match="pole at a trace conjugate"):
+            verdict(pole, ST4_1, 1)
+
+
+def test_negative_P_at_the_special_trace_is_undecided():
+    # 10w on ST20 (tau_1..tau_9 ~ 1.87, 1.61, 0.89, 0.54, 0.08, -0.95,
+    # -1.39, -1.78, -1.91): as P it is above 4 at tau_1..tau_4, on the
+    # circle at tau_5 with tau_1 as witness, and negative (undecided) at
+    # tau_6..tau_9; as Q, |Q| > 2 everywhere but at tau_5
+    hyperbolic, siegel = (HYPERBOLIC, "2", None), (SIEGEL, "1-i", 1)
+    got = {verdict: [(v.kind, v.rule, v.witness) for v in
+                     (verdict(W(0, 10), ST20_1, j) for j in range(1, 10))]
+           for verdict in (siegel_verdict_P, siegel_verdict_Q)}
+    assert got[siegel_verdict_P] == [hyperbolic] * 4 + [siegel] + [(UNDECIDED, None, None)] * 4
+    assert got[siegel_verdict_Q] == [hyperbolic] * 4 + [siegel] + [hyperbolic] * 4
 
 
 def test_exceptional_nu_typeI():

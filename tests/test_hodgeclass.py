@@ -1,9 +1,15 @@
 import pytest
 
-from k3siegel import algnum
+from k3siegel import algnum, hodgeclass
 from k3siegel.intpoly import IntPoly, cyclotomic
-from k3siegel.hodgeclass import PipelineError, dissect, classify, dissect_and_classify
-from k3siegel.salemlib import load_store
+from k3siegel.hodgeclass import (
+    ClusterDissection,
+    PipelineError,
+    classify,
+    dissect,
+    dissect_and_classify,
+)
+from k3siegel.salemlib import load_store, trace_conjugates
 
 STORE = load_store()
 Z2 = IntPoly([-1, 0, 1])
@@ -104,3 +110,73 @@ def test_shared_root_is_a_typed_error():
         dissect(phi, psi)
     with pytest.raises(PipelineError, match="Phi and Psi share a root"):
         dissect_and_classify(phi, psi)
+
+
+# Hand-built dissections for the nine admissible rows.  phi = (z^2-1) S20
+# has the nine trace conjugates tau_1 > ... > tau_9 of ST20, dealt in
+# order into the A-clusters of a layout, so the special-trace index a
+# row's selector gives names the element it picked.
+PHI20 = Z2 * STORE[(20, 1)].salem_poly
+TAUS20 = trace_conjugates(STORE[(20, 1)].trace_poly)
+
+
+def hand_dissection(a_sizes, b_sizes, b_off):
+    taus = iter(TAUS20)
+    return ClusterDissection(
+        phi_trace=None, psi_trace=None, a_gt2_count=1, b_off_count=b_off,
+        a_clusters=[[next(taus) for _ in range(n)] for n in a_sizes],
+        b_clusters=[[object() for _ in range(n)] for n in b_sizes],
+        s=len(b_sizes))
+
+
+B8, B8_TRIPLE = [1] * 8, [1, 1, 3, 1, 1, 1, 1, 1]
+A_TRIPLE = [0, 1, 1, 3, 1, 1, 1, 1, 0]
+A_FIRST_DOUBLE, A_LAST_DOUBLE = [2] + [1] * 7 + [0], [0] + [1] * 7 + [2]
+A_DOUBLE_AT_3 = [0, 1, 1, 2, 1, 1, 1, 1, 1, 0]
+
+
+def b9_double_at(j):
+    return [2 if k == j else 1 for k in range(9)]
+
+
+@pytest.mark.parametrize("a_sizes, b_sizes, b_off, case, index", [
+    (A_TRIPLE, B8, 3, 1, 4),                                  # middle of the triple
+    (A_TRIPLE, B8_TRIPLE, 1, 2, 4),
+    (A_FIRST_DOUBLE, B8, 3, 3, 1),                            # larger of the first A
+    (A_LAST_DOUBLE, B8, 3, 4, 9),                             # smaller of the last A
+    (A_FIRST_DOUBLE, B8_TRIPLE, 1, 5, 1),
+    (A_LAST_DOUBLE, B8_TRIPLE, 1, 6, 9),
+    (A_DOUBLE_AT_3, b9_double_at(2), 1, 7, 3),                # B-double above: upper
+    (A_DOUBLE_AT_3, b9_double_at(3), 1, 7, 4),                # B-double below: lower
+    ([1] * 9 + [0], b9_double_at(0), 1, 8, 1),                # the single first A
+    ([0] + [1] * 9, b9_double_at(8), 1, 9, 9),                # the single last A
+])
+def test_each_admissible_row_selects_its_special_trace(a_sizes, b_sizes, b_off, case, index):
+    v = classify(hand_dissection(a_sizes, b_sizes, b_off), PHI20)
+    assert v.accepted, v.rejection_reason
+    assert (v.case_number, v.special_trace_index) == (case, index)
+    assert v.special_trace is TAUS20[index - 1]
+
+
+@pytest.mark.parametrize("a_sizes, b_sizes, b_off", [
+    ([1, 2] + [1] * 6 + [0], B8, 3),                  # rows 3, 4: the double is inside
+    ([0] + [1] * 6 + [2, 1], B8_TRIPLE, 1),           # rows 5, 6: likewise
+    (A_DOUBLE_AT_3, b9_double_at(5), 1),              # row 7: doubles not adjacent
+    ([1] * 9 + [0], b9_double_at(4), 1),              # row 8: B_1 is single
+    ([0] + [1] * 9, b9_double_at(4), 1),              # row 9: B_9 is single
+    ([1] * 9 + [0], b9_double_at(8), 1),              # rows 8, 9: end A and B-double apart
+])
+def test_near_misses_match_no_row(a_sizes, b_sizes, b_off):
+    v = classify(hand_dissection(a_sizes, b_sizes, b_off), PHI20)
+    assert not v.accepted
+    assert v.rejection_reason == "no admissible cluster configuration"
+
+
+def test_overlapping_rows_are_ambiguous(monkeypatch):
+    # the nine rows exclude each other, so a second copy of row 1 is
+    # the only way to make two rows match
+    rows = hodgeclass._TABLE_ROWS
+    monkeypatch.setattr(hodgeclass, "_TABLE_ROWS", rows + [(10,) + rows[0][1:]])
+    v = classify(hand_dissection(A_TRIPLE, B8, 3), PHI20)
+    assert not v.accepted
+    assert v.rejection_reason == "ambiguous cluster configuration (cases [1, 10])"

@@ -90,10 +90,14 @@ def test_typed_error_under_optimize():
             "try:\n"
             "    hodgeclass.dissect(IntPoly([-1, 0, 1]) * s20, s20 * cyclotomic(3))\n"
             "except hodgeclass.PipelineError:\n"
+            "    print('typed error')\n"
+            "try:\n"
+            "    salemlib.trace_conjugates(IntPoly([-5, 0, 1]))\n"
+            "except salemlib.SalemDataError:\n"
             "    print('typed error')\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 11
+    assert done.stdout.split() == ["typed", "error"] * 12

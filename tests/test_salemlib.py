@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from k3siegel.intpoly import IntPoly, cyclotomic, from_trace_polynomial
+from k3siegel import algnum, salemlib
+from k3siegel.intpoly import IntPoly, cyclotomic, from_trace_polynomial, trace_polynomial
 from k3siegel.salemlib import (
     LEHMER_KEY,
     SalemDataError,
@@ -10,6 +13,8 @@ from k3siegel.salemlib import (
     is_unramified_salem,
     load_store,
     parse_salem_file,
+    salem_lambda,
+    trace_conjugates,
 )
 
 PSI_523 = IntPoly([1, -1, -2, 0, 2, 1, 0, -1, -2, 0, 1, 1, 1, 0, -2, -1, 0, 1, 2, 0, -2, -1, 1])
@@ -140,3 +145,46 @@ def test_store_root_pattern():
         assert count_roots_in(p, -bound, Fraction(-1)) == 0
         assert count_roots_in(p, Fraction(-1), Fraction(0)) == 0
         assert p(1) != 0 and p(-1) != 0
+
+
+def test_lambda_and_trace_conjugates_match_sympy():
+    # every store entry and census psi 523: lambda is the one real root
+    # above 1 that sympy finds, and the trace conjugates are sympy's real
+    # trace roots in (-2, 2), descending
+    import sympy
+
+    x = sympy.Symbol("x")
+    store = load_store()
+    for u in [store[k].salem_poly for k in store.keys()] + [PSI_523]:
+        above = [r for r in sympy.Poly(list(reversed(u.coeffs)), x).real_roots() if r > 1]
+        lam = salem_lambda(u)
+        lam.refine(Fraction(1, 10 ** 8))
+        assert len(above) == 1 and lam.lo < above[0] < lam.hi
+        st = trace_polynomial(u)
+        inside = sorted((r for r in sympy.Poly(list(reversed(st.coeffs)), x).real_roots()
+                         if -2 < r < 2), reverse=True)
+        taus = trace_conjugates(st)
+        assert len(taus) == len(inside) == st.degree - 1
+        # each interval isolates one root of st, so holding r it holds only r
+        assert all(tau.lo < r < tau.hi for tau, r in zip(taus, inside))
+
+
+def test_trace_conjugates_rejects_a_non_salem_pattern():
+    with pytest.raises(SalemDataError, match="Salem root pattern"):
+        trace_conjugates(IntPoly([-5, 0, 1]))   # both roots outside [-2, 2]
+
+
+def test_load_store_isolates_no_roots(monkeypatch):
+    # lambda comes from one Sturm count on (1, B): the store never runs
+    # a full isolation of any entry
+    calls = []
+    isolate = algnum.isolate_real_roots
+
+    def counting(p):
+        calls.append(p)
+        return isolate(p)
+
+    monkeypatch.setattr(algnum, "isolate_real_roots", counting)
+    monkeypatch.setattr(salemlib, "isolate_real_roots", counting)
+    assert len(load_store()) == 16
+    assert calls == []

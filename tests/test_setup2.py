@@ -14,7 +14,6 @@ from k3siegel.setup2 import (
     S4,
     Setup2Candidate,
     _descartes_maps,
-    _norm,
     _norm_hits,
     _norm_map,
     _root_counts,
@@ -29,11 +28,27 @@ X = sympy.Symbol("x")
 NORM_MAP = _norm_map().tolist()
 
 
+def norm(a, b):
+    """N(a + b w) = a^2 + ab - 3b^2, the norm of Z[w]/(W); Res(W, Psi) when
+    Psi = a + b w mod W.  Integers or numpy arrays alike."""
+    return a * a + a * b - 3 * b * b
+
+
+def int64_norm_bounds(nmap) -> tuple[int, int]:
+    """The bounds |a| <= a_max, |b| <= b_max of the map's lanes over the
+    word ranges; OverflowError unless every term of N then stays exact in
+    int64, as the numpy sweeps below need (the census never evaluates N)."""
+    a_max, b_max = _row_bounds(nmap, setup2._WORD_BOUNDS)
+    if a_max * a_max + a_max * b_max + 3 * b_max * b_max >= 1 << 63:
+        raise OverflowError(f"norm bounds |a| <= {a_max}, |b| <= {b_max} overflow int64")
+    return a_max, b_max
+
+
 def word_norm(word) -> int:
     """N(Psi mod W) of a word, from the census's norm map, in Python ints."""
     vec = (1,) + tuple(word)
     a, b = (sum(m * v for m, v in zip(row, vec)) for row in NORM_MAP)
-    return _norm(a, b)
+    return norm(a, b)
 
 
 def sylvester_resultant(u: IntPoly, v: IntPoly) -> int:
@@ -114,12 +129,13 @@ def test_norm_equals_resultant():
 
 
 def test_norm_map_keeps_every_lane_exact(monkeypatch):
-    # over the word ranges the map's (a, b) keep N exact in int64; a map
-    # that outgrows int64 raises a typed error, not a wrapped census
+    # over the word ranges the map's (a, b) keep N exact in int64; bounds
+    # that outgrow it make the sweeps' guard raise, not wrap
     assert int(abs(_norm_map()).max()) == 144
+    assert int64_norm_bounds(NORM_MAP) == (557, 420)
     monkeypatch.setattr(setup2, "_WORD_BOUNDS", (1 << 31,) * 12)
-    with pytest.raises(PolynomialDomainError):
-        _norm_map()
+    with pytest.raises(OverflowError):
+        int64_norm_bounds(NORM_MAP)
 
 
 def test_integer_sturm_matches_rational():
@@ -137,6 +153,7 @@ def digit_sweep_hits() -> set:
     columns, chunk by chunk: the census sweep before it split the words
     into two halves."""
     nmap = _norm_map()
+    int64_norm_bounds(nmap.tolist())
     total, chunk = 5 ** 9, 1 << 18
     hits = set()
     for start in range(0, total, chunk):
@@ -151,7 +168,7 @@ def digit_sweep_hits() -> set:
         for sign in (1, -1):
             c11 = sign - 2 * sodd
             ab = part + c11[:, None] * nmap[:, 11]
-            for h in np.nonzero(np.abs(_norm(ab[:, 0], ab[:, 1])) == 1)[0]:
+            for h in np.nonzero(np.abs(norm(ab[:, 0], ab[:, 1])) == 1)[0]:
                 hits.add(tuple(c[h].tolist()) + (int(c10[h]), int(c11[h])))
     return hits
 
@@ -208,11 +225,10 @@ def test_bisection_counts_match_sturm_on_every_norm_hit():
 
 
 def test_units_are_the_norm_one_points_of_the_box():
-    a_max, b_max = _row_bounds(NORM_MAP, setup2._WORD_BOUNDS)
-    assert (a_max, b_max) == (557, 420)
+    a_max, b_max = int64_norm_bounds(NORM_MAP)
     a, b = np.meshgrid(np.arange(-a_max, a_max + 1), np.arange(-b_max, b_max + 1),
                        indexing="ij")
-    ones = np.abs(_norm(a, b)) == 1
+    ones = np.abs(norm(a, b)) == 1
     assert ones.size == 1115 * 841
     assert _units(a_max, b_max) == sorted(zip(a[ones].tolist(), b[ones].tolist()))
     assert len(_units(a_max, b_max)) == 24
@@ -221,7 +237,7 @@ def test_units_are_the_norm_one_points_of_the_box():
 def test_unit_join_key_stays_in_int64(monkeypatch):
     # bounds whose norms still fit int64 but whose join key does not
     monkeypatch.setattr(setup2, "_WORD_BOUNDS", (1 << 22,) * 12)
-    _norm_map()
+    int64_norm_bounds(_norm_map().tolist())
     with pytest.raises(PolynomialDomainError):
         _norm_hits()
 
