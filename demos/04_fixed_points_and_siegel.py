@@ -19,7 +19,7 @@ from k3siegel.fpfsiegel import (
     saito_budget,
     siegel_verdict_P,
 )
-from k3siegel.salemlib import load_store
+from k3siegel.salemlib import load_store, trace_conjugates
 
 store = load_store()
 
@@ -40,7 +40,7 @@ print("P denominator:", p.den.signed_primitive().text())
 
 # the degree-14 Salem factor: P(tau_1) in (0,4) with a conjugate witness
 st = store[(14, 1)].trace_poly
-v = siegel_verdict_P(p, st, 1)
+v = siegel_verdict_P(p, trace_conjugates(st), 1)
 print("verdict at tau_1:", v.kind, " rule:", v.rule, " witness conjugate:", v.witness)
 
 # the generic no-component case
@@ -48,6 +48,6 @@ p0 = derive_P([], 0)
 w = RationalFunctionW.variable()
 assert p0 == (w + 1) ** 2 / (w + 2)
 print("\nno components: P(w) = (w+1)^2/(w+2)")
-st20 = store[(20, 1)].trace_poly
+taus20 = trace_conjugates(store[(20, 1)].trace_poly)
 print("verdicts across the degree-20 conjugates:",
-      "".join(str(siegel_verdict_P(p0, st20, j)) for j in range(1, 10)))
+      "".join(str(siegel_verdict_P(p0, taus20, j)) for j in range(1, 10)))

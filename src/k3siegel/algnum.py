@@ -1,8 +1,9 @@
 """Exact real algebraic numbers and number field arithmetic.
 
 Real roots are counted and isolated with one Sturm chain, an integer
-signed remainder sequence, and carried around as (squarefree minimal
-polynomial, isolating interval) pairs that can be refined on demand.
+signed remainder sequence read off ``intpoly.prem``, and carried
+around as (squarefree minimal polynomial, isolating interval) pairs
+that can be refined on demand.
 One bisection isolates them, with -2 and 2 as fixed cut points, so an
 interval holds -2 or 2 inside it only when that point is its root.
 Every sign at a rational point n/d, of a Sturm term or of any other
@@ -15,9 +16,10 @@ rational functions kept as coprime pairs of integer polynomials (the
 normal form of Frac(Z[w])), and the symmetric descent
 delta + 1/delta -> w used to rewrite eigenvalue equations in the trace
 variable.  All of their arithmetic is in integers: one gcd and one
-content gcd normalize each rational function, and one fraction-free
-solve of the multiplication matrix (``multiplication_solve``) inverts
-in the number field and divides exactly in Z[w]/(m) for ``picard2``.
+content gcd normalize each rational function, and the multiplication
+matrix (``multiplication_solve``), handed to the fraction-free
+``linalg.solve``, inverts in the number field and divides exactly in
+Z[w]/(m) for ``picard2``.
 Every gcd and resultant reads the package's one subresultant PRS
 (``intpoly.subresultants``); minimal polynomials of values f(alpha)
 also read ``intpoly.interpolate``, which interpolates in integers.
@@ -32,11 +34,14 @@ from fractions import Fraction
 from .intpoly import (
     IntPoly,
     PolynomialDomainError,
+    Z,
     gcd,
     interpolate,
+    prem,
     resultant,
     squarefree_part,
 )
+from .linalg import solve
 
 
 # ---------------------------------------------------------------------------
@@ -46,38 +51,13 @@ from .intpoly import (
 TWO = Fraction(2)
 
 
-def _signed_rem(f: list[int], g: list[int]) -> list[int]:
-    """A positive multiple of the rational remainder of f by g, in
-    integers: the elimination r <- lc(g) r - head z^k g is applied until
-    deg r < deg g, and the accumulated multiplier lc(g)^steps is
-    corrected when negative."""
-    r = list(f)
-    lc = g[-1]
-    steps = 0
-    while r and len(r) >= len(g):
-        head = r[-1]
-        if head == 0:
-            r.pop()
-            continue
-        k = len(r) - len(g)
-        r = [c * lc for c in r]
-        for i, c in enumerate(g):
-            r[k + i] -= head * c
-        r.pop()
-        steps += 1
-        while r and r[-1] == 0:
-            r.pop()
-    if lc < 0 and steps % 2 == 1:
-        r = [-c for c in r]
-    return r
-
-
 def sturm_chain(p: IntPoly) -> list[list[int]]:
     """Signed remainder sequence p, p', -rem(p, p'), ... over ZZ, as
     ascending coefficient lists.
 
-    Each remainder is a positive multiple of the rational one (see
-    ``_signed_rem``), negated and divided by its content, so the terms
+    Each remainder is the pseudo-remainder ``intpoly.prem``, a multiple
+    of the rational one by lc(g)^(deg f - deg g + 1), taken with the sign
+    of that factor, negated and divided by its content, so the terms
     have the signs of the rational Sturm sequence at every point.  p
     need not be squarefree: the last term is gcd(p, p') up to a
     positive factor, and Sturm's theorem counts the distinct roots
@@ -87,10 +67,12 @@ def sturm_chain(p: IntPoly) -> list[list[int]]:
     chain = [f]
     while g:
         chain.append(g)
-        r = _signed_rem(f, g)
+        r = prem(Z, f, g)
         if not r:
             break
         content = math.gcd(*r)
+        if g[-1] < 0 and (len(f) - len(g)) % 2 == 0:
+            content = -content
         f, g = g, [-c // content for c in r]
     return chain
 
@@ -330,24 +312,14 @@ def multiplication_solve(modulus: IntPoly, c: IntPoly, values: list) -> tuple[li
     """Solve c q = v in QQ[w]/(modulus) for each v, over the integers.
 
     M is the multiplication matrix of c on 1, w, ..., w^(n-1) for the
-    monic modulus of degree n.  Fraction-free Gauss-Jordan (Bareiss)
-    on [M | v ...] ends with d I on the left, d = +-det M, and d q on
-    the right: returns ([d q for each v], d), q as coefficient lists.
-    Raises ZeroDivisionError when M is singular (c a zero divisor).
+    monic modulus of degree n, and ``linalg.solve`` gives the Cramer form
+    of M q = v: returns ([d q for each v], d), d = det M, q as coefficient
+    lists.  Raises ZeroDivisionError when M is singular (c a zero divisor).
     """
-    n, prev = modulus.degree, 1
+    n = modulus.degree
     cols = [c.shift(j).divmod(modulus)[1] for j in range(n)]
-    rows = [[col[i] for col in cols] + [v[i] for v in values] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("element is a zero divisor (modulus not irreducible here)")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        p, row_k = rows[k][k], rows[k]
-        rows = [row if i == k else [(x * p - row[k] * y) // prev for x, y in zip(row, row_k)]
-                for i, row in enumerate(rows)]
-        prev = p
-    return [[row[n + j] for row in rows] for j in range(len(values))], prev
+    return solve([[col[i] for col in cols] for i in range(n)],
+                 [[v[i] for v in values] for i in range(n)])
 
 
 class NumberFieldElem:

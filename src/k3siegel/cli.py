@@ -185,7 +185,7 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
                         f"{budget.free_multiplicity}")
             return row
         p_func = derive_P(contribs, budget.n_f_total)
-        v = siegel_verdict_P(p_func, verdict.salem_trace, j)
+        v = siegel_verdict_P(p_func, verdict.salem_conjugates, j)
         row.verdicts = [v]
         row.sd = str(v)
     except NeedsManualAnalysis as exc:  # raised by component_contribution
@@ -199,12 +199,12 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
 # searches
 # ---------------------------------------------------------------------------
 
-def cyclotomic_sets(total_degree: int, min_index: int = 3,
+def cyclotomic_sets(total_degree: int,
                     allowed: list[int] | None = None) -> list[tuple[int, ...]]:
-    """All sets of distinct cyclotomic indices >= min_index whose degrees
-    sum to total_degree, sorted."""
+    """All sets of distinct cyclotomic indices >= 3 whose degrees sum to
+    total_degree, sorted."""
     if allowed is None:
-        allowed = [j for j in range(min_index, 2 * total_degree * total_degree + 2)
+        allowed = [j for j in range(3, 2 * total_degree * total_degree + 2)
                    if euler_phi(j) <= total_degree]
     allowed = sorted(set(allowed))
     out: list[tuple[int, ...]] = []
@@ -432,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     p_search.add_argument("--index-min", type=int, default=None)
     p_search.add_argument("--index-max", type=int, default=None)
     p_search.add_argument("--salem-data", default=None,
-                          help="extra Salem entries file (d i : coefficients)")
+                          help="extra Salem entries file (d i : coefficients), for --setup1")
     p_search.add_argument("--include-rejections", action="store_true")
     p_search.add_argument("--format", choices=["csv", "json"], default="csv")
     p_search.add_argument("--out", default=None)
@@ -478,7 +478,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "search":
         workers = _workers_arg(ap, args)
-        store = load_store(args.salem_data)
         if args.setup2 or args.degree == 4 and not args.setup1:
             rows = search_setup2(workers=workers,
                                  include_rejections=args.include_rejections)
@@ -486,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             rng = None
             if args.index_min is not None or args.index_max is not None:
                 rng = (args.index_min or 0, args.index_max or 10 ** 9)
-            rows = search_setup1(store, args.degree, rng,
+            rows = search_setup1(load_store(args.salem_data), args.degree, rng,
                                  include_rejections=args.include_rejections,
                                  workers=workers)
         _write_out(emit(rows, args.format), args.out)

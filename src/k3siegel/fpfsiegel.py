@@ -25,13 +25,13 @@ from fractions import Fraction
 
 from .intpoly import IntPoly
 from .algnum import (
+    AlgebraicReal,
     RationalFunctionW,
     is_algebraic_integer,
     minpoly_of_value,
     ratfunc_compare,
     symmetric_descent,
 )
-from .salemlib import trace_conjugates
 from .symbolic import MPoly, MRat
 
 
@@ -201,9 +201,11 @@ class SiegelVerdict:
         return self.kind
 
 
-def _dichotomy(f: RationalFunctionW, st: IntPoly, j: int, off,
+def _dichotomy(f: RationalFunctionW, taus: list[AlgebraicReal], j: int, off,
                undecided=lambda tau: False) -> SiegelVerdict:
-    """Rules 2, 1-i and 1-ii at tau_j for eigenvalues read off f(tau).
+    """Rules 2, 1-i and 1-ii at tau_j for eigenvalues read off f(tau), on
+    the conjugates taus of a Salem trace polynomial st, as
+    ``salemlib.trace_conjugates(st)`` lists them.
 
     off(x) tells whether f(x) puts the eigenvalues off the unit circle,
     and undecided(tau_j) whether f(tau_j) fixes no eigenvalue pair at
@@ -211,7 +213,6 @@ def _dichotomy(f: RationalFunctionW, st: IntPoly, j: int, off,
     Siegel center when off at another conjugate (rule 1-i) or when
     f(tau_j) is not an algebraic integer (rule 1-ii).
     """
-    taus = trace_conjugates(st)
     tau = taus[j - 1]
     try:
         if off(tau):
@@ -229,22 +230,22 @@ def _dichotomy(f: RationalFunctionW, st: IntPoly, j: int, off,
     return SiegelVerdict(UNDECIDED)
 
 
-def siegel_verdict_P(p: RationalFunctionW, st: IntPoly, j: int) -> SiegelVerdict:
+def siegel_verdict_P(p: RationalFunctionW, taus: list[AlgebraicReal], j: int) -> SiegelVerdict:
     """Dichotomy at the off-curve point: eigenvalues delta^(1/2) alpha^(+-1),
     with (alpha + 1/alpha)^2 = P(tau).
 
     P > 4 is off the unit circle and 0 <= P <= 4 on it; P(tau_j) < 0
     is left undecided.
     """
-    return _dichotomy(p, st, j, lambda x: ratfunc_compare(p, 4, x) > 0,
+    return _dichotomy(p, taus, j, lambda x: ratfunc_compare(p, 4, x) > 0,
                       lambda tau: ratfunc_compare(p, 0, tau) < 0)
 
 
-def siegel_verdict_Q(q: RationalFunctionW, st: IntPoly, j: int) -> SiegelVerdict:
+def siegel_verdict_Q(q: RationalFunctionW, taus: list[AlgebraicReal], j: int) -> SiegelVerdict:
     """Dichotomy at an on-curve point pair: eigenvalues beta, delta/beta,
     with beta + 1/beta = Q(tau); |Q| > 2 is off the unit circle."""
-    return _dichotomy(q, st, j, lambda x: (ratfunc_compare(q, 2, x) > 0
-                                           or ratfunc_compare(q, -2, x) < 0))
+    return _dichotomy(q, taus, j, lambda x: (ratfunc_compare(q, 2, x) > 0
+                                             or ratfunc_compare(q, -2, x) < 0))
 
 
 # ---------------------------------------------------------------------------

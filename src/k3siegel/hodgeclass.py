@@ -78,6 +78,7 @@ class HodgeVerdict:
     special_trace_index: int | None = None
     salem_factor: IntPoly | None = None
     salem_trace: IntPoly | None = None
+    salem_conjugates: list[AlgebraicReal] | None = None  # trace_conjugates(salem_trace)
     cyclo_indices: dict[int, int] | None = None
     rejection_reason: str | None = None
 
@@ -230,15 +231,16 @@ def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
         return HodgeVerdict(accepted=False,
                             rejection_reason="phi has no Salem factor")
     salem_tr = trace_polynomial(residual)
-    index = next((j for j, r in enumerate(trace_conjugates(salem_tr), start=1)
-                  if algebraic_equal(r, tau)), None)
+    taus = trace_conjugates(salem_tr)
+    index = next((j for j, r in enumerate(taus, start=1) if algebraic_equal(r, tau)), None)
     if index is None:
         return HodgeVerdict(accepted=False,
                             rejection_reason="special trace is not conjugate to the Salem number")
     c_indices = {n: m for n, m in cyclo.items() if n not in (1, 2)}
     return HodgeVerdict(accepted=True, case_number=case, special_trace=tau,
                         special_trace_index=index, salem_factor=residual,
-                        salem_trace=salem_tr, cyclo_indices=c_indices)
+                        salem_trace=salem_tr, salem_conjugates=taus,
+                        cyclo_indices=c_indices)
 
 
 def dissect_and_classify(phi: IntPoly, psi: IntPoly) -> HodgeVerdict:

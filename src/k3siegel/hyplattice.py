@@ -151,7 +151,7 @@ def _eliminate(model: LatticeModel) -> tuple[tuple[int, int, int], int]:
     """Inertia and determinant of the Gram matrix, from the one symmetric
     elimination the unimodularity gate and the signature both read."""
     if model.elimination is None:
-        model.elimination = linalg.inertia_and_det(model.gram)
+        model.elimination = linalg.inertia(model.gram)
     return model.elimination
 
 

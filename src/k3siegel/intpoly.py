@@ -10,7 +10,8 @@ polynomials come from exact division of ``z^n - 1``, and the
 (anti-)palindromic trace-polynomial transform is verified by
 back-substitution.  These polynomials are the common currency of the
 whole package (Salem factors, cyclotomic factors, characteristic
-polynomials, trace polynomials).
+polynomials, trace polynomials).  The one pseudo-remainder (``prem``)
+serves both the subresultant PRS and the Sturm chains of ``algnum``.
 """
 
 from __future__ import annotations
@@ -391,6 +392,22 @@ class IntegerRing:
 Z = IntegerRing()
 
 
+def prem(ring, a: list, b: list) -> list:
+    """The pseudo-remainder lc(b)^(len(a) - len(b) + 1) a mod b over a
+    coefficient ring, on ascending coefficient lists with
+    len(a) >= len(b) >= 1, trailing zeros stripped: r <- lc(b) r - head
+    z^k b, once for each k from len(a) - len(b) down to 0."""
+    mul, lc, r = ring.mul, b[-1], list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        head = r.pop()  # lc(b) head - head lc(b) cancels at the top
+        r = [mul(c, lc) for c in r]
+        for i, c in enumerate(b[:-1]):
+            r[k + i] = r[k + i] - mul(head, c)
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def subresultants(ring, a: list, b: list):
     """The subresultant PRS of a, b over an integral domain (Collins; Brown;
     Cohen, *A Course in Computational Algebraic Number Theory*, 3.3.1) on
@@ -398,24 +415,16 @@ def subresultants(ring, a: list, b: list):
 
     Yields each consecutive pair (a, b) with the running h, the input
     pair first, and stops after a pair whose b is constant or leaves a
-    zero pseudo-remainder, so the last b is gcd(a, b) up to a nonzero
-    factor of the ring.  The pseudo-remainder lc(b)^(delta+1) a mod b is
-    built by r <- lc(b) r - head z^k b; the division by g h^delta is
-    exact, and checked."""
+    zero pseudo-remainder (``prem``), so the last b is gcd(a, b) up to a
+    nonzero factor of the ring.  The division of each pseudo-remainder by
+    g h^delta is exact, and checked."""
     mul, g, h = ring.mul, ring.one, ring.one
     while True:
         yield a, b, h
         if len(b) == 1:
             return
-        delta, lc = len(a) - len(b), b[-1]
-        r = list(a)
-        for k in range(delta, -1, -1):
-            head = r.pop()  # lc(b) head - head lc(b) cancels at the top
-            r = [mul(c, lc) for c in r]
-            for i, c in enumerate(b[:-1]):
-                r[k + i] = r[k + i] - mul(head, c)
-        while r and not r[-1]:
-            r.pop()
+        delta = len(a) - len(b)
+        r = prem(ring, a, b)
         if not r:
             return
         a, b = b, ring.divide(r, mul(g, ring.reduce(h ** delta)))

@@ -1,7 +1,9 @@
 """Exact linear algebra over ZZ and QQ used by the lattice machinery.
 
-Matrices are plain lists of lists (row-major) of ints or Fractions.
-Determinants use fraction-free Bareiss elimination.  Every symmetric
+Matrices are plain lists of lists (row-major) of ints.  One forward
+fraction-free (Bareiss) elimination gives determinants and the
+Cramer-form solutions d x of linear systems over QQ, d the
+determinant, by exact back substitution.  Every symmetric
 integer matrix goes through one fraction-free symmetric elimination,
 whose integer minors give the inertia (Jacobi's sign rule and
 Sylvester's law) and drive the all-integer LLL reduction.  The
@@ -14,13 +16,12 @@ point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
 from .intpoly import IntPoly, interpolate
 
-Matrix = list  # list[list[int|Fraction]]
+Matrix = list  # list[list[int]]
 
 
 class MatrixDomainError(ValueError):
@@ -61,49 +62,71 @@ def trace(a: Matrix):
     return sum(a[i][i] for i in range(len(a)))
 
 
-def bareiss_det(m: Matrix) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    a = [list(row) for row in m]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
+def _bareiss(rows: Matrix, n: int) -> int:
+    """Forward fraction-free (Bareiss) elimination, in place, on the first
+    n columns of n >= 1 integer rows; columns past n ride along.
+
+    Step k pivots on the first nonzero entry at or below row k of column
+    k and sets a[i][j] = (a[i][j] p - a[i][k] a[k][j]) / prev for the
+    rows below, exact in ZZ, so each pivot is a leading principal minor
+    of the row-permuted matrix and the last one is +-det.  Returns the
+    sign of the row permutation, or 0 when a column has no pivot.
+    """
+    sign, prev, width = 1, 1, len(rows[0])
+    for k in range(n):
+        if rows[k][k] == 0:
             for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
                     sign = -sign
                     break
             else:
                 return 0
+        row_k = rows[k]
+        p = row_k[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = rows[i]
+            f = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * p - f * row_k[j]) // prev
+            row[k] = 0
+        prev = p
+    return sign
 
 
-def solve(a: Matrix, rhs: Matrix) -> Matrix:
-    """Solve a X = rhs exactly over QQ (a square nonsingular)."""
+def bareiss_det(m: Matrix) -> int:
+    """Fraction-free determinant of an integer matrix."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    return _bareiss(a, n) * a[n - 1][n - 1]
+
+
+def solve(a: Matrix, rhs: Matrix) -> tuple[list[list[int]], int]:
+    """Solve a X = rhs over QQ in integers, in Cramer form.
+
+    ``_bareiss`` on [a | rhs] leaves an upper triangular system with the
+    same solutions; with d = det a, every d x_i is an integer, and back
+    substitution d x_i = (d b_i - sum_(j>i) u_ij d x_j) / u_ii divides
+    exactly (an inexact division raises MatrixDomainError).  Returns
+    ([d x for each column x of X], d); raises ZeroDivisionError when a
+    is singular.
+    """
     n = len(a)
-    m = len(rhs[0])
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(rhs[i][j]) for j in range(m)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, rhs)]
+    sign = _bareiss(rows, n)
+    if not sign:
+        raise ZeroDivisionError("singular matrix")
+    det = sign * rows[n - 1][n - 1]
+    out = []
+    for c in range(n, len(rows[0])):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            y[i] = _exact_div(det * row[c] - sum(row[j] * y[j] for j in range(i + 1, n)), row[i])
+        out.append(y)
+    return out, det
 
 
 def _symmetric_bareiss(m: Matrix) -> tuple[list[int], Matrix, int]:
@@ -146,7 +169,7 @@ def _symmetric_bareiss(m: Matrix) -> tuple[list[int], Matrix, int]:
     return minors, a, 0
 
 
-def inertia_and_det(m: Matrix) -> tuple[tuple[int, int, int], int]:
+def inertia(m: Matrix) -> tuple[tuple[int, int, int], int]:
     """Signature (positive, negative, zero) and determinant of a symmetric
     integer matrix, from one symmetric elimination.
 
@@ -158,11 +181,6 @@ def inertia_and_det(m: Matrix) -> tuple[tuple[int, int, int], int]:
     minors, _, zero = _symmetric_bareiss(m)
     neg = sum(1 for p, q in zip(minors, minors[1:]) if (p > 0) != (q > 0))
     return (len(minors) - 1 - neg, neg, zero), 0 if zero else minors[-1]
-
-
-def inertia(m: Matrix) -> tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric integer matrix."""
-    return inertia_and_det(m)[0]
 
 
 def charpoly(m: Matrix) -> IntPoly:
@@ -185,26 +203,20 @@ def charpoly(m: Matrix) -> IntPoly:
 # lattice reduction and short vector enumeration
 # ---------------------------------------------------------------------------
 
-def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix]:
+def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix, list[int], Matrix]:
     """LLL-reduce a positive definite integer Gram matrix, with delta = 3/4.
 
-    Returns (reduced Gram, U) with U unimodular and
+    Returns (reduced Gram, U, minors, lambda) with U unimodular and
     reduced = U * gram * U^T.  Gram-matrix formulation: the running Gram
     matrix is updated in place under the congruence row operations, so
     no basis vectors are ever needed.  All-integer (Cohen, section 2.6):
     size reduction and the Lovasz test read the minors d_i and bordered
-    minors lambda_ij of one symmetric elimination, which size reduction
-    and every swap then update in place by exact integer divisions
-    (Cohen, Algorithm 2.6.7).  Raises MatrixDomainError unless every
-    minor is positive (Sylvester's criterion).
+    minors lambda_ij (i > j) of one symmetric elimination, which size
+    reduction and every swap then update in place by exact integer
+    divisions (Cohen, Algorithm 2.6.7), so the minors and lambda
+    returned are those of the reduced Gram.  Raises MatrixDomainError
+    unless every minor is positive (Sylvester's criterion).
     """
-    return _lll(gram)[:2]
-
-
-def _lll(gram: Matrix) -> tuple[Matrix, Matrix, list[int], Matrix]:
-    """``lll_reduce`` plus the minors and the bordered minors lambda_ij (i > j)
-    of the reduced Gram, kept exact through size reduction and swaps
-    (Cohen, 2.6)."""
     n = len(gram)
     u = identity(n)
     cur = [list(row) for row in gram]  # = U gram U^T
@@ -264,7 +276,7 @@ def _swap_minors(d: list[int], lam: Matrix, k: int) -> None:
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
-        raise MatrixDomainError(f"inexact division {num} / {den} in the LLL swap update")
+        raise MatrixDomainError(f"inexact division {num} / {den}")
     return q
 
 
@@ -295,7 +307,7 @@ def short_vectors(gram: Matrix, norm: int) -> list[tuple[int, ...]]:
     n = len(gram)
     if n == 0:
         return []
-    _, u, minors, lam = _lll(gram)
+    _, u, minors, lam = lll_reduce(gram)
     if norm <= 0:
         return []
     scale = lcm(*(p * q for p, q in zip(minors, minors[1:])))

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from .intpoly import IntPoly, PolynomialDomainError, gcd as zgcd, last_subresultant, newton_traces
 from .algnum import NumberFieldElem, RationalFunctionW, hn_poly, multiplication_solve
 from .fpfsiegel import siegel_verdict_P, siegel_verdict_Q
+from .salemlib import trace_conjugates
 
 ST20_1 = IntPoly([1, -15, 21, 35, -49, -28, 35, 9, -10, -1, 1])
 S20_1 = IntPoly([1, -1, 0, 0, 0, -1, 1, 0, 0, -1, 1,
@@ -123,9 +124,9 @@ class IntegralRing:
     def divide(self, values: list, c: IntPoly) -> list:
         """The quotients v / c; CertificationError unless each lies in the ring.
 
-        In Z[w]/(mod), ``algnum.multiplication_solve`` gives d q for the
-        quotients q and d = +-det of the multiplication matrix of c, and d
-        must divide each d q."""
+        In Z[w]/(mod), ``algnum.multiplication_solve`` gives the Cramer
+        form d q of the quotients q (``linalg.solve``), d = det of the
+        multiplication matrix of c, and d must divide each d q."""
         if self.mod is None:
             try:
                 return [v // c for v in values]
@@ -236,12 +237,11 @@ class Picard2Report:
         }
 
 
-def trace_check(salem_poly: IntPoly = S20_1, exponents=(1, 3, 7)) -> bool:
-    """Tr(F^n) = Tr(F) = 1 for the listed iterates, where F has
+def trace_check(salem_poly: IntPoly = S20_1) -> bool:
+    """Tr(F^n) = Tr(F) = 1 for the iterates n = 1, 3, 7, where F has
     characteristic polynomial (z-1)(z+1) S(z)."""
-    phi = IntPoly([-1, 0, 1]) * salem_poly
-    traces = newton_traces(phi, max(exponents))
-    return all(traces[n - 1] == 1 for n in exponents)
+    traces = newton_traces(IntPoly([-1, 0, 1]) * salem_poly, 7)
+    return all(traces[n - 1] == 1 for n in (1, 3, 7))
 
 
 def eliminate(n: int, st: IntPoly = ST20_1) -> list:
@@ -368,11 +368,10 @@ def exclude_cases_ii_iii(st: IntPoly = ST20_1) -> IntPoly:
 def classify_grid(report: Picard2Report) -> Picard2Report:
     """Verdicts for the on-curve pair (row p+-, via Q) and the free
     point (row p, via P) at every trace conjugate tau_1..tau_(m-1)."""
-    st = report.salem_trace
-    m = st.degree
-    for j in range(1, m):
-        report.grid[("p_pm", j)] = siegel_verdict_Q(report.q_func, st, j)
-        report.grid[("p", j)] = siegel_verdict_P(report.p_func, st, j)
+    taus = trace_conjugates(report.salem_trace)
+    for j in range(1, len(taus) + 1):
+        report.grid[("p_pm", j)] = siegel_verdict_Q(report.q_func, taus, j)
+        report.grid[("p", j)] = siegel_verdict_P(report.p_func, taus, j)
     return report
 
 

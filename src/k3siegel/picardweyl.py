@@ -50,8 +50,7 @@ def picard_lattice(model: LatticeModel, verdict: HodgeVerdict) -> PicardData:
         basis.append(vec)
     gram_basis = [linalg.mat_vec(model.gram, v) for v in basis]
     gram_pic = [[sum(map(mul, u, gv)) for gv in gram_basis] for u in basis]
-    pos, neg, zero = linalg.inertia(gram_pic)
-    if (pos, neg, zero) != (0, rho, 0):
+    if linalg.inertia(gram_pic)[0] != (0, rho, 0):
         raise PipelineError("Picard form is not negative definite")
     if any(gram_pic[i][i] % 2 for i in range(rho)):
         raise PipelineError("Picard form is not even")

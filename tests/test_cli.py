@@ -227,6 +227,17 @@ def test_cli_main_analyze(capsys):
     assert "tau4" in out and "A1^2" in out
 
 
+def test_cli_main_setup2_search_reads_no_salem_store(monkeypatch, capsys):
+    # only --setup1 reads the Salem store; --setup2 never loads it
+    def refuse(*args, **kwargs):
+        raise RuntimeError("Salem store loaded for --setup2")
+
+    monkeypatch.setattr(cli, "search_setup2", lambda **kwargs: [])
+    monkeypatch.setattr(cli, "load_store", refuse)
+    assert cli.main(["search", "--setup2"]) == 0
+    assert capsys.readouterr().out == cli.emit([])
+
+
 def test_cli_main_setup2_enum(tmp_path, capsys):
     out = tmp_path / "cands.json"
     rc = cli.main(["setup2-enum", "--format", "json", "--out", str(out)])

@@ -4,6 +4,7 @@ import pytest
 
 from k3siegel.intpoly import IntPoly
 from k3siegel.algnum import RationalFunctionW
+from k3siegel.salemlib import trace_conjugates
 from k3siegel.symbolic import MPoly, MRat
 from k3siegel.fpfsiegel import (
     HYPERBOLIC,
@@ -149,9 +150,9 @@ def test_verdicts_grid_spot():
     w = RationalFunctionW.variable()
     p = (w + 1) ** 2 / (w + 2)
     # generic P on ST20: tau9 hyperbolic, tau1..tau8 Siegel by rule 1-i
-    v9 = siegel_verdict_P(p, ST20_1, 9)
+    v9 = siegel_verdict_P(p, trace_conjugates(ST20_1), 9)
     assert v9.kind == HYPERBOLIC
-    v1 = siegel_verdict_P(p, ST20_1, 1)
+    v1 = siegel_verdict_P(p, trace_conjugates(ST20_1), 1)
     assert v1.kind == SIEGEL and v1.rule == "1-i" and v1.witness == 9
 
 
@@ -168,7 +169,7 @@ def test_published_verdict_patterns():
     e8 = component_contribution("E", 8, "trivial")
     p4 = derive_P([e8], 1)
     st14 = store[(14, 1)].trace_poly
-    v = siegel_verdict_P(p4, st14, 1)
+    v = siegel_verdict_P(p4, trace_conjugates(st14), 1)
     assert v.kind == SIEGEL and v.rule == "1-i"
     assert ratfunc_compare(p4, 4, taus(st14)[3]) > 0   # tau_4 witness
 
@@ -176,7 +177,7 @@ def test_published_verdict_patterns():
     d9 = component_contribution("D", 9, "nontrivial")
     p5 = derive_P([d9], 0)
     st12 = store[(12, 1)].trace_poly
-    v = siegel_verdict_P(p5, st12, 5)
+    v = siegel_verdict_P(p5, trace_conjugates(st12), 5)
     assert v.kind == SIEGEL and v.rule == "1-i"
     assert ratfunc_compare(p5, 4, taus(st12)[1]) > 0   # tau_2 witness
 
@@ -184,7 +185,7 @@ def test_published_verdict_patterns():
     d16 = component_contribution("D", 16, "trivial")
     p8 = derive_P([d16], 1)
     st6 = store[(6, 1)].trace_poly
-    v = siegel_verdict_P(p8, st6, 1)
+    v = siegel_verdict_P(p8, trace_conjugates(st6), 1)
     assert v.kind == SIEGEL and v.rule == "1-i" and v.witness == 2
 
 
@@ -193,7 +194,7 @@ def test_verdict_entry9_rule_1ii():
     num = (w + 2) * (w ** 3 - 4 * w - 2) ** 2 * (w ** 3 - w ** 2 - 2 * w + 1) ** 2
     den = (w ** 2 - 2) ** 2 * (w ** 4 - 4 * w ** 2 - w + 1) ** 2
     p = num / den
-    v = siegel_verdict_P(p, ST4_1, 1)
+    v = siegel_verdict_P(p, trace_conjugates(ST4_1), 1)
     assert v.kind == SIEGEL and v.rule == "1-ii"
     assert v.witness == IntPoly([1, -11, 27])
 
@@ -201,8 +202,8 @@ def test_verdict_entry9_rule_1ii():
 def test_verdict_Q_examples():
     w = RationalFunctionW.variable()
     q = RationalFunctionW.of(-1) * (w + 1) * (w - 2) * (w ** 3 - 3 * w + 1)
-    assert siegel_verdict_Q(q, ST20_1, 1).kind == SIEGEL
-    assert siegel_verdict_Q(q, ST20_1, 3).kind == HYPERBOLIC
+    assert siegel_verdict_Q(q, trace_conjugates(ST20_1), 1).kind == SIEGEL
+    assert siegel_verdict_Q(q, trace_conjugates(ST20_1), 3).kind == HYPERBOLIC
 
 
 def test_pole_at_a_trace_conjugate_is_inconsistent():
@@ -210,7 +211,7 @@ def test_pole_at_a_trace_conjugate_is_inconsistent():
     pole = ONE / W(-3, -1, 1)
     for verdict in (siegel_verdict_P, siegel_verdict_Q):
         with pytest.raises(FpfInconsistency, match="pole at a trace conjugate"):
-            verdict(pole, ST4_1, 1)
+            verdict(pole, trace_conjugates(ST4_1), 1)
 
 
 def test_negative_P_at_the_special_trace_is_undecided():
@@ -220,7 +221,7 @@ def test_negative_P_at_the_special_trace_is_undecided():
     # tau_6..tau_9; as Q, |Q| > 2 everywhere but at tau_5
     hyperbolic, siegel = (HYPERBOLIC, "2", None), (SIEGEL, "1-i", 1)
     got = {verdict: [(v.kind, v.rule, v.witness) for v in
-                     (verdict(W(0, 10), ST20_1, j) for j in range(1, 10))]
+                     (verdict(W(0, 10), trace_conjugates(ST20_1), j) for j in range(1, 10))]
            for verdict in (siegel_verdict_P, siegel_verdict_Q)}
     assert got[siegel_verdict_P] == [hyperbolic] * 4 + [siegel] + [(UNDECIDED, None, None)] * 4
     assert got[siegel_verdict_Q] == [hyperbolic] * 4 + [siegel] + [hyperbolic] * 4

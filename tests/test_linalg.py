@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from k3siegel import linalg
 from k3siegel.intpoly import IntPoly
 from k3siegel.linalg import (
     MatrixDomainError,
-    _lll,
     _swap_minors,
     _symmetric_bareiss,
     bareiss_det,
@@ -21,6 +22,7 @@ from k3siegel.linalg import (
     mat_eq,
     mat_mul,
     short_vectors,
+    solve,
     transpose,
 )
 
@@ -63,11 +65,67 @@ def test_inverse_and_identity():
         assert mat_eq(mat_mul(m, inv), identity(n))
 
 
+def test_solve_matches_sympy():
+    # the Cramer form (det A^(-1) B, det A), columns of B on their own
+    rng = random.Random(23)
+    for _ in range(60):
+        n, m = rng.randint(1, 8), rng.randint(0, 3)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            a[0][0] = 0  # force a pivot search
+        b = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        det = sympy.Matrix(a).det()
+        if det == 0:
+            with pytest.raises(ZeroDivisionError):
+                solve(a, b)
+            continue
+        want = det * sympy.Matrix(a).inv() * sympy.Matrix(n, m, sum(b, []))
+        assert solve(a, b) == ([[int(want[i, j]) for i in range(n)] for j in range(m)], det)
+
+
+@pytest.mark.parametrize("a", [
+    [[0]],
+    [[1, 2], [2, 4]],
+    [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+    [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6], [1, 1, 1, 1]],
+])
+def test_solve_singular_matrix_raises(a):
+    with pytest.raises(ZeroDivisionError):
+        solve(a, [[1] for _ in a])
+
+
+def test_corrupted_elimination_makes_solve_raise(monkeypatch):
+    # a wrong entry in the triangular system shows as an inexact
+    # division in the back substitution, never as a wrong answer
+    bareiss = linalg._bareiss
+
+    def corrupt(rows, n):
+        sign = bareiss(rows, n)
+        rows[0][n] += 1
+        return sign
+
+    a, b = [[2, 1], [1, 1]], [[3], [2]]
+    assert solve(a, b) == ([[1, 1]], 1)
+    monkeypatch.setattr(linalg, "_bareiss", corrupt)
+    with pytest.raises(MatrixDomainError, match="inexact division"):
+        solve(a, b)
+
+
+def test_linalg_imports_nothing_from_fractions():
+    # the linear algebra is integral: no rational type rides along
+    tree = ast.parse(Path(linalg.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "fractions"
+        elif isinstance(node, ast.Import):
+            assert all(a.name != "fractions" for a in node.names)
+
+
 def test_inertia_diagonal():
-    assert inertia([[2, 0], [0, -2]]) == (1, 1, 0)
-    assert inertia([[2, 0], [0, 2]]) == (2, 0, 0)
-    assert inertia([[0, 1], [1, 0]]) == (1, 1, 0)
-    assert inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+    assert inertia([[2, 0], [0, -2]]) == ((1, 1, 0), -4)
+    assert inertia([[2, 0], [0, 2]]) == ((2, 0, 0), 4)
+    assert inertia([[0, 1], [1, 0]]) == ((1, 1, 0), -1)
+    assert inertia([[0, 0], [0, 0]]) == ((0, 0, 2), 0)
 
 
 def test_inertia_congruence_random():
@@ -88,7 +146,7 @@ def test_inertia_congruence_random():
         pos = sum(1 for x in diag if x > 0)
         neg = sum(1 for x in diag if x < 0)
         zero = n - pos - neg
-        assert inertia(m) == (pos, neg, zero)
+        assert inertia(m)[0] == (pos, neg, zero)
 
 
 def test_charpoly_companion():
@@ -275,14 +333,14 @@ def test_one_elimination_per_short_vectors_call(monkeypatch):
 def test_short_vector_off_its_norm_is_a_typed_error(monkeypatch):
     # a U that does not match the minors maps a descent leaf of norm 2
     # to a vector of another norm; the leaf check must not drop it quietly
-    lll = linalg._lll
+    lll = linalg.lll_reduce
 
     def wrong_u(gram):
         red, u, d, lam = lll(gram)
         u[0] = [x + y for x, y in zip(u[0], u[1])]
         return red, u, d, lam
 
-    monkeypatch.setattr(linalg, "_lll", wrong_u)
+    monkeypatch.setattr(linalg, "lll_reduce", wrong_u)
     with pytest.raises(MatrixDomainError, match="off its norm"):
         short_vectors([[2, 0], [0, 3]], 2)
 
@@ -294,7 +352,7 @@ def test_lll_preserves_lattice():
         g = mat_mul(b, transpose(b))
         for i in range(n):
             g[i][i] += 2
-        red, u = lll_reduce(g)
+        red, u, _, _ = lll_reduce(g)
         assert mat_eq(red, mat_mul(mat_mul(u, g), transpose(u)))
         assert abs(bareiss_det(u)) == 1
         assert bareiss_det(red) == bareiss_det(g)
@@ -317,8 +375,7 @@ def test_lll_hands_over_the_elimination_of_the_reduced_gram():
         g = mat_mul(b, transpose(b))
         for i in range(n):
             g[i][i] += 1  # force positive definite
-        red, u, minors, lam = _lll(g)
-        assert (red, u) == lll_reduce(g)
+        red, u, minors, lam = lll_reduce(g)
         want_minors, want_lam, zero = _symmetric_bareiss(red)
         assert zero == 0 and minors == want_minors
         assert all(lam[i][j] == want_lam[i][j] for i in range(n) for j in range(i))

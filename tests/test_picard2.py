@@ -1,5 +1,6 @@
 import pytest
 
+from k3siegel import picard2, salemlib
 from k3siegel.intpoly import IntPoly, gcd as zgcd
 from k3siegel.algnum import RationalFunctionW
 from k3siegel.picard2 import (
@@ -102,6 +103,21 @@ def test_full_analysis_certificates():
     assert "case_iv_numerator" in report.certificates
     assert "case_ii_iii_numerator" in report.certificates
     assert report.e3_degree == 4 and report.e7_degree == 12
+
+
+def test_full_analysis_isolates_the_salem_conjugates_once(monkeypatch):
+    # the verdict grid reads one list of trace conjugates for all 18 cells
+    calls = []
+    isolate = salemlib.isolate_real_roots
+
+    def counting(p):
+        calls.append(p)
+        return isolate(p)
+
+    monkeypatch.setattr(salemlib, "isolate_real_roots", counting)
+    monkeypatch.setattr(picard2, "_ANALYSIS_CACHE", {})
+    full_analysis()
+    assert calls == [ST20_1]
 
 
 def test_grid_reproduces_rank2_search_patterns(solved):
