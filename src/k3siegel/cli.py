@@ -4,10 +4,10 @@ A pair (phi, psi) runs through: lattice build -> unimodularity gate ->
 trace-cluster classification -> Picard/Weyl analysis -> fixed-point
 verdicts.  Failures at any stage become structured rejection rows, so
 bulk searches can tally causes.  Verdict routing: a rank-2 Picard
-lattice with a single A1 curve and f*|Pic of order two goes through the
-dedicated number-field elimination; otherwise the Lefschetz budget must
-leave exactly one transverse fixed point off the exceptional set
-(D/E-type components only), and the closed-form P decides the verdict.
+lattice with a single A1 curve and f*|Pic of order two waits for
+rank2_verdicts, one number-field elimination per Salem factor; otherwise
+the Lefschetz budget must leave exactly one transverse fixed point off
+the exceptional set (D/E-type components only), and the closed-form P decides.
 
 Subcommands:
   setup2-enum   enumerate the 1019 auxiliary polynomials (CSV/JSON)
@@ -38,6 +38,7 @@ from .intpoly import (
     PolynomialDomainError,
     cyclotomic,
     euler_phi,
+    from_trace_polynomial,
     resultant,
     trace_polynomial,
 )
@@ -76,6 +77,7 @@ class AnalysisRow:
     verdicts: list = field(default_factory=list)
     note: str = ""
     rejection: str | None = None
+    rank2_salem: IntPoly | None = None  # a rank-2 row's Salem factor, not emitted
 
     def accepted(self) -> bool:
         return self.rejection is None
@@ -133,7 +135,7 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
     A failed build precondition is the rejection; any other exception
     past the build becomes an "internal:" rejection, so one bad pair
     cannot abort a search; the searches keep that row and the CLI then
-    exits 1.
+    exits 1.  A rank-2 row's S/H letters are left to rank2_verdicts.
     """
     row = AnalysisRow(s_label=s_label, c_label=c_label,
                       aux_s_label=aux_s_label, aux_c_label=aux_c_label)
@@ -165,17 +167,12 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
         row.trace_a_tilde = report.trace_a_tilde
 
         # verdict routing
-        j = verdict.special_trace_index
         if (pic.rho == 2 and row.dynkin == "A1"
                 and report.phi1_tilde_factors == {1: 1, 2: 1}):
-            if not p2.trace_check(verdict.salem_factor):
+            if p2.trace_check(verdict.salem_factor):
+                row.rank2_salem = verdict.salem_factor
+            else:
                 row.note = "needs manual analysis: rank-2 trace pattern"
-                return row
-            rep2 = p2.full_analysis(verdict.salem_trace, verdict.salem_factor)
-            v_pm = rep2.grid[("p_pm", j)]
-            v_p = rep2.grid[("p", j)]
-            row.verdicts = [v_pm, v_p]
-            row.sd = f"{v_pm}{v_p}"
             return row
         contribs = [component_contribution(a.component.label, a.component.rank, a.kind)
                     for a in report.component_actions]
@@ -185,7 +182,7 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
                         f"{budget.free_multiplicity}")
             return row
         p_func = derive_P(contribs, budget.n_f_total)
-        v = siegel_verdict_P(p_func, verdict.salem_conjugates, j)
+        v = siegel_verdict_P(p_func, verdict.salem_conjugates, row.st_index)
         row.verdicts = [v]
         row.sd = str(v)
     except NeedsManualAnalysis as exc:  # raised by component_contribution
@@ -193,6 +190,20 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
     except Exception as exc:  # the per-pair fault boundary
         row.rejection = f"internal: {exc}"
     return row
+
+
+def rank2_verdicts(rows: list[AnalysisRow]) -> None:
+    """One picard2.full_analysis per Salem factor sets its rows' verdicts, or faults them."""
+    for salem in dict.fromkeys(row.rank2_salem for row in rows if row.rank2_salem is not None):
+        group = [row for row in rows if row.rank2_salem == salem]
+        try:
+            grid = p2.full_analysis(salem).grid
+            for row in group:
+                row.verdicts = [grid[("p_pm", row.st_index)], grid[("p", row.st_index)]]
+                row.sd = "".join(map(str, row.verdicts))
+        except Exception as exc:  # the per-pair fault boundary, for the group
+            for row in group:
+                row.rejection = f"internal: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +335,7 @@ def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple],
                                             aux_s_label=s_aux, aux_c_label=c_aux,
                                             rejection="resultant is not a unit"))
     results = _map_tasks(_run_analysis_task, tasks, workers)
+    rank2_verdicts(results)
     rows += [r for r in results if r.accepted() or r.faulted() or include_rejections]
     rows.sort(key=lambda r: (r.s_label, r.c_label, r.aux_s_label,
                              (0, int(r.aux_c_label)) if r.aux_c_label.isdigit()
@@ -448,8 +460,6 @@ def main(argv: list[str] | None = None) -> int:
     p_p2 = sub.add_parser("picard2", help="rank-2 certification and verdict grid")
     p_p2.add_argument("--st", default="builtin",
                       help='"builtin" or ascending trace-polynomial coefficients')
-    p_p2.add_argument("--salem", default="builtin",
-                      help='"builtin" or ascending Salem-polynomial coefficients')
     p_p2.add_argument("--format", choices=["text", "json"], default="text")
     p_p2.add_argument("--out", default=None)
 
@@ -497,16 +507,16 @@ def main(argv: list[str] | None = None) -> int:
         except PolynomialDomainError as exc:
             ap.error(str(exc))
         row = analyze_pair(phi, psi)
+        rank2_verdicts([row])
         _write_out(emit([row], args.format), args.out)
         return 1 if row.faulted() else 0
 
     if args.command == "picard2":
         try:
-            st = p2.ST20_1 if args.st == "builtin" else _poly_arg(args.st)
-            sp = p2.S20_1 if args.salem == "builtin" else _poly_arg(args.salem)
+            salem = p2.S20_1 if args.st == "builtin" else from_trace_polynomial(_poly_arg(args.st))
         except PolynomialDomainError as exc:
             ap.error(str(exc))
-        report = p2.full_analysis(st, sp).to_json()
+        report = p2.full_analysis(salem).to_json()
         if args.format == "json":
             text = json.dumps(report, indent=1) + "\n"
         else:

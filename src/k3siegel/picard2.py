@@ -30,14 +30,14 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .intpoly import IntPoly, PolynomialDomainError, gcd as zgcd, last_subresultant, newton_traces
+from .intpoly import (IntPoly, PolynomialDomainError, from_trace_polynomial, gcd as zgcd,
+                      last_subresultant, newton_traces, trace_polynomial)
 from .algnum import NumberFieldElem, RationalFunctionW, hn_poly, multiplication_solve
 from .fpfsiegel import siegel_verdict_P, siegel_verdict_Q
 from .salemlib import trace_conjugates
 
 ST20_1 = IntPoly([1, -15, 21, 35, -49, -28, 35, 9, -10, -1, 1])
-S20_1 = IntPoly([1, -1, 0, 0, 0, -1, 1, 0, 0, -1, 1,
-                 -1, 0, 0, 1, -1, 0, 0, 0, -1, 1])
+S20_1 = from_trace_polynomial(ST20_1)
 
 
 class CertificationError(RuntimeError):
@@ -216,14 +216,10 @@ class Picard2Report:
     e7_degree: int = 0
 
     def to_json(self) -> dict:
-        m = self.salem_trace.degree
-        grid = {
-            "p_pm": [str(self.grid[("p_pm", j)]) for j in range(1, m)],
-            "p": [str(self.grid[("p", j)]) for j in range(1, m)],
-        } if self.grid else {}
-        certs = {}
-        for key, val in self.certificates.items():
-            certs[key] = val.text() if isinstance(val, IntPoly) else val
+        cols = range(1, self.salem_trace.degree)
+        grid = {row: [str(self.grid[(row, j)]) for j in cols] for row in ("p_pm", "p")}
+        certs = {key: val.text() if isinstance(val, IntPoly) else val
+                 for key, val in self.certificates.items()}
         return {
             "salem_trace": self.salem_trace.text(),
             "Q_num": self.q_func.num.signed_primitive().text(),
@@ -375,23 +371,16 @@ def classify_grid(report: Picard2Report) -> Picard2Report:
     return report
 
 
-_ANALYSIS_CACHE: dict = {}
-
-
-def full_analysis(st: IntPoly = ST20_1, salem_poly: IntPoly = S20_1) -> Picard2Report:
+def full_analysis(salem_poly: IntPoly = S20_1) -> Picard2Report:
     """Trace check, exclusions, elimination, and the verdict grid.
 
-    Cached per (trace polynomial, Salem polynomial): the analysis is a
-    property of the Salem number, not of the individual pair.
+    The analysis is a property of the Salem number alone, not of a pair:
+    the searches run it once per Salem factor (``cli.rank2_verdicts``).
     """
-    key = (st, salem_poly)
-    if key in _ANALYSIS_CACHE:
-        return _ANALYSIS_CACHE[key]
     if not trace_check(salem_poly):
         raise CertificationError("trace sequence precondition fails")
+    st = trace_polynomial(salem_poly)
     report = solve_B_and_P(st)
     report.certificates["case_iv_numerator"] = exclude_case_iv(salem_poly)
     report.certificates["case_ii_iii_numerator"] = exclude_cases_ii_iii(st)
-    report = classify_grid(report)
-    _ANALYSIS_CACHE[key] = report
-    return report
+    return classify_grid(report)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from k3siegel.intpoly import IntPoly, cyclotomic, trace_polynomial
-from k3siegel import cli, hyplattice, linalg
+from k3siegel import cli, hyplattice, picard2
 from k3siegel.picardweyl import PipelineError
 from k3siegel.salemlib import load_store
 from k3siegel.setup2 import S4, enumerate_setup2
@@ -68,7 +68,6 @@ def test_pipeline_never_builds_b(monkeypatch):
 
     monkeypatch.setattr(hyplattice, "_b_matrix_in_a_basis", refuse)
     monkeypatch.setattr(hyplattice, "reflection_factor", refuse)
-    monkeypatch.setattr(linalg, "solve", refuse)
     phi = Z2 * STORE[(18, 22)].salem_poly * cyclotomic(3)
     psi = STORE[(10, 1)].salem_poly * cyclotomic(36)
     row = cli.analyze_pair(phi, psi)
@@ -109,6 +108,42 @@ def test_search_keeps_internal_rows_and_fails(monkeypatch, tmp_path):
     assert rows and all(r.faulted() for r in rows)
 
 
+def test_failed_rank2_analysis_faults_its_rows(monkeypatch, tmp_path):
+    # the search driver runs the rank-2 analysis; a fault there reaches
+    # every row of that Salem factor as the per-pair boundary would write it
+    def broken(salem_poly):
+        raise picard2.CertificationError("elimination failed")
+
+    monkeypatch.setattr(picard2, "full_analysis", broken)
+    rows = cli.search_setup1(STORE, 20)
+    assert sorted((r.aux_s_label, r.aux_c_label, r.rejection) for r in rows) == [
+        ("S1^(10)", "C21", "internal: elimination failed"),
+        ("S1^(14)", "C20", "internal: elimination failed")]
+    out = tmp_path / "rows.csv"
+    assert cli.main(["search", "--setup1", "--degree", "20", "--workers", "1",
+                     "--out", str(out)]) == 1
+    assert out.read_text().count("rejected: internal: elimination failed") == 2
+
+
+def test_rank2_analysis_runs_once_in_the_parent(monkeypatch):
+    # the analysis depends on the Salem factor alone, so the driver runs
+    # it once for both degree-20 rank-2 rows, and never in a worker
+    parent, calls = os.getpid(), []
+    analysis = picard2.full_analysis
+
+    def counted(salem_poly):
+        if os.getpid() != parent:
+            raise RuntimeError("rank-2 analysis in a worker")
+        calls.append(salem_poly)
+        return analysis(salem_poly)
+
+    monkeypatch.setattr(picard2, "full_analysis", counted)
+    rows = cli.search_setup1(STORE, 20, workers=2)
+    assert calls == [STORE[(20, 1)].salem_poly]
+    assert not any(r.faulted() for r in rows)
+    assert sorted(r.sd for r in rows) == ["HS", "SS"]
+
+
 def test_emit_roundtrip():
     phi = Z2 * STORE[(18, 22)].salem_poly * cyclotomic(4)
     psi = STORE[(6, 1)].salem_poly * cyclotomic(48)
@@ -127,6 +162,9 @@ def test_emit_roundtrip():
     pytest.param(lambda workers: cli.search_setup1(STORE, 18, include_rejections=True,
                                                    workers=workers),
                  "C48", id="setup1-18"),
+    pytest.param(lambda workers: cli.search_setup1(STORE, 20, include_rejections=True,
+                                                   workers=workers),
+                 "C21", id="setup1-20"),
 ])
 def test_search_setup2_worker_independence(search, marker):
     rows1 = search(1)
@@ -227,6 +265,14 @@ def test_cli_main_analyze(capsys):
     assert "tau4" in out and "A1^2" in out
 
 
+def test_cli_main_analyze_rank2_pair(capsys):
+    # analyze runs the rank-2 analysis for its one row, as the searches do
+    phi = Z2 * STORE[(20, 1)].salem_poly
+    psi = STORE[(10, 1)].salem_poly * cyclotomic(21)
+    assert cli.main(["analyze", "--phi", phi.text(), "--psi", psi.text()]) == 0
+    assert "tau7,A1,C1 C2,1,HS" in capsys.readouterr().out
+
+
 def test_cli_main_setup2_search_reads_no_salem_store(monkeypatch, capsys):
     # only --setup1 reads the Salem store; --setup2 never loads it
     def refuse(*args, **kwargs):
@@ -263,6 +309,16 @@ def test_cli_main_picard2_bytes(tmp_path, fmt, digest):
     out = tmp_path / f"picard2.{fmt}"
     assert cli.main(["picard2", "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_main_picard2_st_names_the_salem_number(tmp_path):
+    # --st alone names the Salem number; the builtin trace polynomial
+    # given as text reproduces the builtin report
+    builtin, given = tmp_path / "builtin.json", tmp_path / "given.json"
+    assert cli.main(["picard2", "--format", "json", "--out", str(builtin)]) == 0
+    assert cli.main(["picard2", "--st", picard2.ST20_1.text(), "--format", "json",
+                     "--out", str(given)]) == 0
+    assert given.read_bytes() == builtin.read_bytes()
 
 
 def test_cli_module_runs_without_runtime_warning():
@@ -302,6 +358,7 @@ def test_poly_arg_accepts_files(tmp_path):
     (["search", "--setup2", "--workers", "-2"], None),
     (["search", "--setup1"], "0"),
     (["verify-tables", "--fast"], "-1"),
+    (["picard2", "--salem", "[1,-1,1]"], None),
 ])
 def test_cli_input_errors_exit_2(monkeypatch, capsys, argv, workers):
     # a malformed argument is a usage error (2), not a faulted row (1)

@@ -56,7 +56,6 @@ def test_every_traced_linalg_layer_is_called(monkeypatch):
             for key, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, key, counted)
-    monkeypatch.setattr(picard2, "_ANALYSIS_CACHE", {})
     phi = cli.phi_of(load_store()[(4, 1)].salem_poly, (8, 12, 30))
     assert cli.analyze_pair(phi, PSI_523).accepted()
     picard2.full_analysis()

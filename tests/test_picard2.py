@@ -1,6 +1,6 @@
 import pytest
 
-from k3siegel import picard2, salemlib
+from k3siegel import salemlib
 from k3siegel.intpoly import IntPoly, gcd as zgcd
 from k3siegel.algnum import RationalFunctionW
 from k3siegel.picard2 import (
@@ -115,7 +115,6 @@ def test_full_analysis_isolates_the_salem_conjugates_once(monkeypatch):
         return isolate(p)
 
     monkeypatch.setattr(salemlib, "isolate_real_roots", counting)
-    monkeypatch.setattr(picard2, "_ANALYSIS_CACHE", {})
     full_analysis()
     assert calls == [ST20_1]
 
