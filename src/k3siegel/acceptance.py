@@ -27,9 +27,9 @@ from .intpoly import (
 )
 from .algnum import RationalFunctionW, symmetric_descent
 from . import linalg
-from .hyplattice import build, reflection_factor, signature_and_renormalize, unimodularity_gate
+from .hyplattice import build, reflection_factor
 from .salemlib import compute_L0, is_unramified_salem, load_store, salem_lambda
-from .setup2 import enumerate_setup2
+from .setup2 import S4, enumerate_setup2
 from . import cli
 from . import picard2 as p2
 from .fpfsiegel import (
@@ -154,14 +154,9 @@ def criterion_trace_sequence():
 
 
 def criterion_rho18_pipeline():
-    store = load_store()
-    phi = cli.phi_of(store[(4, 1)].salem_poly, (8, 12, 30))
-    psi = _setup2()[522].psi()
-    model = build(phi, psi)
-    if not unimodularity_gate(model):
-        return False, "pair is not unimodular"
-    row = cli.analyze_pair(phi, psi)
+    row = cli.analyze_pair(cli.phi_of(S4, (8, 12, 30)), _setup2()[522].psi())
     checks = {
+        "accepted": row.accepted(),
         "st": row.st_index == 1,
         "dynkin": row.dynkin == "A2^2+E6+E8",
         "phi1": row.phi1_tilde == "C1^13 C2^3 C4",
@@ -169,30 +164,19 @@ def criterion_rho18_pipeline():
         "sd": row.sd == "S",
         "rule": bool(row.verdicts) and row.verdicts[0].rule == "1-ii",
         "witness": bool(row.verdicts) and row.verdicts[0].witness == IntPoly([1, -11, 27]),
+        # the two A2 components swapped, E6 nontrivial, E8 trivial
+        "actions": sorted(row.actions) == [("A2", "moved"), ("A2", "moved"),
+                                           ("E6", "nontrivial"), ("E8", "trivial")],
     }
-    # action pattern: the two A2 components swapped, E6 nontrivial, E8 trivial
-    from .hodgeclass import dissect_and_classify
-    from .picardweyl import analyze_root_system
-
-    verdict = dissect_and_classify(phi, psi)
-    model = signature_and_renormalize(model)
-    _, report = analyze_root_system(model, verdict)
-    kinds = {}
-    for act in report.component_actions:
-        kinds.setdefault(act.component.name, []).append(act.kind)
-    checks["actions"] = (sorted(kinds.get("A2", [])) == ["moved", "moved"]
-                         and kinds.get("E6") == ["nontrivial"]
-                         and kinds.get("E8") == ["trivial"])
     failed = [k for k, v in checks.items() if not v]
     return not failed, ("all checks passed" if not failed else f"failed: {failed}")
 
 
 def criterion_rho18_table(workers: int = 1):
     rows = cli.search_setup2(workers=workers, candidates=_setup2())
-    got = sorted((tuple(sorted(_cset_from_label(r.c_label))), int(r.aux_c_label),
-                  r.st_index, r.dynkin, r.phi1_tilde, r.trace_a_tilde)
-                 for r in rows)
-    want = sorted((tuple(sorted(cset)), pid, st, dyn, phi1, tr)
+    got = sorted((r.c_label, int(r.aux_c_label), r.st_index, r.dynkin, r.phi1_tilde,
+                  r.trace_a_tilde) for r in rows)
+    want = sorted((cli.cyclo_label(list(cset)), pid, st, dyn, phi1, tr)
                   for cset, pid, st, dyn, phi1, tr in RHO18_TABLE)
     if got != want:
         missing = [w for w in want if w not in got]
@@ -201,12 +185,6 @@ def criterion_rho18_table(workers: int = 1):
     marked = [r for r in rows if r.sd == "S"]
     ok = len(marked) == 1 and marked[0].aux_c_label == "523"
     return ok, f"{len(rows)} rows, Siegel-marked: {[r.aux_c_label for r in marked]}"
-
-
-def _cset_from_label(label: str):
-    if label == "1":
-        return ()
-    return tuple(int(tok[1:]) for tok in label.split())
 
 
 def criterion_closed_form_P():
@@ -359,6 +337,8 @@ def criterion_structural_properties(n_pairs: int = 200):
         if abs(linalg.bareiss_det(g)) != abs(model.resultant):
             return False, "det gram differs from the resultant"
         checked += 1
+    if checked < n_pairs:
+        return False, f"only {checked} of {n_pairs} lattice pairs were coprime"
 
     # polynomial-level properties on fresh random data
     for _ in range(60):

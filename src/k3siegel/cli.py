@@ -37,6 +37,7 @@ from .intpoly import (
     IntPoly,
     PolynomialDomainError,
     cyclotomic,
+    cyclotomic_indices_up_to_degree,
     euler_phi,
     from_trace_polynomial,
     resultant,
@@ -57,6 +58,7 @@ from .salemlib import SalemStore, load_store
 from .setup2 import S4, Setup2Candidate, enumerate_setup2
 
 Z2 = IntPoly([-1, 0, 1])
+Z2_TRACE = IntPoly([-4, 0, 1])  # Res(z^2 - 1, psi) = -Res(w^2 - 4, Psi)
 
 CSV_COLUMNS = ["S", "C", "s", "c_or_psi", "ST", "Dynkin", "phi1", "TrA", "SD"]
 
@@ -78,6 +80,7 @@ class AnalysisRow:
     note: str = ""
     rejection: str | None = None
     rank2_salem: IntPoly | None = None  # a rank-2 row's Salem factor, not emitted
+    actions: list = field(default_factory=list)  # (component name, kind), not emitted
 
     def accepted(self) -> bool:
         return self.rejection is None
@@ -165,6 +168,7 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
         row.dynkin = report.dynkin_name()
         row.phi1_tilde = report.phi1_tilde_name()
         row.trace_a_tilde = report.trace_a_tilde
+        row.actions = [(a.component.name, a.kind) for a in report.component_actions]
 
         # verdict routing
         if (pic.rho == 2 and row.dynkin == "A1"
@@ -215,8 +219,7 @@ def cyclotomic_sets(total_degree: int,
     """All sets of distinct cyclotomic indices >= 3 whose degrees sum to
     total_degree, sorted."""
     if allowed is None:
-        allowed = [j for j in range(3, 2 * total_degree * total_degree + 2)
-                   if euler_phi(j) <= total_degree]
+        allowed = [j for j in cyclotomic_indices_up_to_degree(total_degree) if j >= 3]
     allowed = sorted(set(allowed))
     out: list[tuple[int, ...]] = []
 
@@ -243,17 +246,7 @@ def phi_of(s_poly: IntPoly, cset) -> IntPoly:
     return phi
 
 
-@dataclass(frozen=True)
-class Setup1Psi:
-    """A setup1 psi, read through .psi() as a census word is."""
-
-    poly: IntPoly
-
-    def psi(self) -> IntPoly:
-        return self.poly
-
-
-def psi_candidates_setup1(store: SalemStore) -> list[tuple[Setup1Psi, str, str]]:
+def psi_candidates_setup1(store: SalemStore) -> list[tuple[IntPoly, str, str]]:
     """(psi, s label, c label) for every unramified Salem entry times an
     admissible unramified cyclotomic tail from L0."""
     from .salemlib import compute_L0
@@ -265,7 +258,7 @@ def psi_candidates_setup1(store: SalemStore) -> list[tuple[Setup1Psi, str, str]]
             psi = entry.salem_poly
             for l in ls:
                 psi = psi * cyclotomic(l)
-            out.append((Setup1Psi(psi), salem_label(*entry.key), cyclo_label(list(ls))))
+            out.append((psi, salem_label(*entry.key), cyclo_label(list(ls))))
     return out
 
 
@@ -297,37 +290,36 @@ def search_setup2(workers: int = 1, include_rejections: bool = False,
     if candidates is None:
         candidates = enumerate_setup2()
     return _search([(S4, salem_label(4, 1))],
-                   [(c, "", str(c.id)) for c in candidates],
+                   [(c.psi(), "", str(c.id)) for c in candidates],
                    include_rejections, workers)
 
 
-def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple],
+def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple[IntPoly, str, str]],
             include_rejections: bool, workers: int) -> list[AnalysisRow]:
     """Pair phi = (z^2-1) S prod C_j, for each (S, label) and each cyclotomic
-    set of degree 20 - deg S, with every (item with .psi(), s label, c label).
+    set of degree 20 - deg S, with every (psi, s label, c label).
 
     Res is multiplicative, so a pair is unimodular exactly when each factor
-    resultant, Res(Z2 S, psi) and every Res(C_j, psi), is +-1.  When none
-    is 0 and one is not +-1, the pair is rejected here with the row
-    analyze_pair would give; a zero one leaves the pair to analyze_pair,
-    the one place that rejects it as not coprime.  S and every psi are
-    monic palindromic of even degree, so the factors are decided on trace
-    polynomials.  Rows are sorted by their labels, psi ids numerically.
+    resultant, Res(z^2-1, psi), Res(S, psi) and every Res(C_j, psi), is
+    +-1; a pair's flags are the columns of _resultant_unit_table for its
+    factors.  When none is 0 and one is not +-1, the pair is rejected here
+    with the row analyze_pair would give; a zero one leaves the pair to
+    analyze_pair, the one place that rejects it as not coprime.  Rows are
+    sorted by their labels, psi ids numerically.
     """
-    polys = [rec.psi() for rec, _, _ in psis]
-    traces = [trace_polynomial(psi) for psi in polys]
     csets = {s.degree: cyclotomic_sets(20 - s.degree) for s, _ in salems}
     pool = sorted({j for sets in csets.values() for cs in sets for j in cs})
-    units = _resultant_unit_table([rec for rec, _, _ in psis], pool)
+    c_traces = {j: trace_polynomial(cyclotomic(j)) for j in pool}
+    s_traces = [trace_polynomial(s_poly) for s_poly, _ in salems]
+    units = _resultant_unit_table([Z2_TRACE, *s_traces, *c_traces.values()],
+                                  [trace_polynomial(psi) for psi, _, _ in psis])
     rows, tasks = [], []
-    for s_poly, s_lab in salems:
-        s_trace = trace_polynomial(s_poly)
-        base_units = [_base_unit(s_trace, psi, tr) for psi, tr in zip(polys, traces)]
+    for (s_poly, s_lab), s_trace in zip(salems, s_traces):
         for cset in csets[s_poly.degree]:
             phi = phi_of(s_poly, cset)
             c_lab = cyclo_label(list(cset))
-            for pos, (psi, (_, s_aux, c_aux)) in enumerate(zip(polys, psis)):
-                flags = [base_units[pos]] + [units[j][pos] for j in cset]
+            columns = [units[Z2_TRACE], units[s_trace]] + [units[c_traces[j]] for j in cset]
+            for (psi, s_aux, c_aux), flags in zip(psis, zip(*columns)):
                 if all(flags) or None in flags:
                     tasks.append((phi, psi, s_lab, c_lab, s_aux, c_aux))
                 elif include_rejections:
@@ -364,31 +356,20 @@ def _factor_unit(f: IntPoly, psi: IntPoly) -> bool | None:
     return None if res == 0 else abs(res) == 1
 
 
-def _base_unit(s_trace: IntPoly, psi: IntPoly, psi_trace: IntPoly) -> bool | None:
-    """_factor_unit((z^2 - 1) S, psi) for a palindromic S with trace
-    polynomial s_trace: the resultant is psi(1) psi(-1) Res(S, psi), and
-    Res(S, psi) is halved as in _resultant_unit_table."""
-    ends = psi(1) * psi(-1)
-    flag = _factor_unit(s_trace, psi_trace)
-    return None if ends == 0 or flag is None else flag and abs(ends) == 1
-
-
-def _resultant_unit_table(candidates: list, pool: list[int]) -> dict[int, list]:
-    """_factor_unit(C_j, psi) for every cyclotomic index j >= 3 in the pool
-    and every candidate (an item with .psi()); flags are positional,
-    parallel to the candidate list, and None where C_j divides psi.
+def _resultant_unit_table(factor_traces: list[IntPoly],
+                          psi_traces: list[IntPoly]) -> dict[IntPoly, list]:
+    """{T: [_factor_unit(T, Q) for each Q in psi_traces]} for each factor
+    trace polynomial T: a grid of flags, one column per factor of phi,
+    positional in the psi list, None where the factor divides psi.
 
     Each flag is decided at half the degree: for monic palindromic p and
     q of even degree with trace polynomials P and Q, Res(p, q) =
     Res(P, Q)^2, since the roots of p pair as a, 1/a and
-    q(a) = a^m Q(a + 1/a).
+    q(a) = a^m Q(a + 1/a).  The factor z^2 - 1 is not palindromic; its
+    column is T = w^2 - 4, as Res(z^2 - 1, psi) = psi(1) psi(-1) =
+    -Psi(2) Psi(-2) = -Res(w^2 - 4, Psi).
     """
-    traces = [trace_polynomial(cand.psi()) for cand in candidates]
-    table = {}
-    for j in pool:
-        t_j = trace_polynomial(cyclotomic(j))
-        table[j] = [_factor_unit(t_j, tr) for tr in traces]
-    return table
+    return {t: [_factor_unit(t, q) for q in psi_traces] for t in factor_traces}
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +417,11 @@ def main(argv: list[str] | None = None) -> int:
     p_enum.add_argument("--out", default=None)
 
     p_search = sub.add_parser("search", help="principal search for one Salem degree")
-    p_search.add_argument("--setup1", action="store_true",
-                          help="use the Salem-times-cyclotomic auxiliary family")
-    p_search.add_argument("--setup2", action="store_true",
-                          help="use the enumerated degree-22 auxiliary family (degree 4)")
+    family = p_search.add_mutually_exclusive_group()
+    family.add_argument("--setup1", action="store_true",
+                        help="use the Salem-times-cyclotomic auxiliary family")
+    family.add_argument("--setup2", action="store_true",
+                        help="use the enumerated degree-22 auxiliary family (degree 4)")
     p_search.add_argument("--degree", type=int, default=20)
     p_search.add_argument("--index-min", type=int, default=None)
     p_search.add_argument("--index-max", type=int, default=None)

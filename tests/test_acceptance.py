@@ -10,7 +10,9 @@ import time
 
 import pytest
 
-from k3siegel import acceptance
+from k3siegel import acceptance, cli, picardweyl, salemlib
+from k3siegel.intpoly import IntPoly
+from k3siegel.setup2 import S4
 
 WORKERS = int(os.environ.get("K3SIEGEL_WORKERS", "2"))
 
@@ -68,3 +70,37 @@ def test_criterion_11_rho2_spot_rows():
 
 def test_criterion_12_structural_properties():
     _run("structural-properties", acceptance.criterion_structural_properties)
+
+
+def test_rho18_pipeline_runs_its_pair_once(monkeypatch):
+    # one analyze_pair gives every checked fact, the component actions
+    # included; S4 comes from setup2, not from the Salem store
+    calls = {"roots": 0, "store": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    roots = counted("roots", picardweyl.analyze_root_system)
+    store = counted("store", salemlib.load_store)
+    for module in (picardweyl, cli):
+        monkeypatch.setattr(module, "analyze_root_system", roots)
+    for module in (salemlib, acceptance):
+        monkeypatch.setattr(module, "load_store", store)
+    ok, detail = acceptance.criterion_rho18_pipeline()
+    assert ok, detail
+    assert calls == {"roots": 1, "store": 0}
+
+
+def test_store_s4_is_the_setup2_factor():
+    assert salemlib.load_store()[(4, 1)].salem_poly == S4
+
+
+def test_structural_properties_fails_short_of_its_pairs(monkeypatch):
+    # every pair looks non-coprime, so no lattice pair is checked
+    monkeypatch.setattr(acceptance, "zgcd", lambda phi, psi: IntPoly([0, 1]))
+    ok, detail = acceptance.criterion_structural_properties(5)
+    assert not ok
+    assert detail == "only 0 of 5 lattice pairs were coprime"

@@ -216,31 +216,30 @@ def test_setup1_prefilter_is_exact(monkeypatch):
         ["phi and psi must be coprime"]
 
 
-def test_prefilter_table_matches_full_degree_resultants():
-    # the table decides each Res(C_j, psi) on trace polynomials; it must
-    # give the full-degree flag, None included where C_j divides psi
+def test_prefilter_columns_match_full_degree_resultants():
+    # the table decides each factor resultant on trace polynomials, z^2 - 1
+    # as the w^2 - 4 column; every column must give the full-degree flag,
+    # None included where the factor divides psi: against a census sample,
+    # units, a ramified psi, a psi sharing S and a psi vanishing at -1
     pool = sorted({j for cs in cli.cyclotomic_sets(16) for j in cs})
     sample = random.Random(17).sample(CANDS, 100)
     sample += [c for c in CANDS if c.id in (69, 510) and c not in sample]
-    table = cli._resultant_unit_table(sample, pool)
-    for j in pool:
-        assert table[j] == [cli._factor_unit(cyclotomic(j), c.psi()) for c in sample]
-    assert {c.id for c, flag in zip(sample, table[30]) if flag is None} >= {69, 510}
-
-
-def test_base_factor_split_matches_full_degree_resultant():
-    # Res((z^2-1) S, psi) = psi(1) psi(-1) Res(S, psi), the second factor on
-    # trace polynomials: for a Salem factor of every store degree, against
-    # units, a ramified psi, a psi sharing S and a psi vanishing at -1
     lehmer = STORE[(10, 1)].salem_poly
-    psis = [c.psi() for c in CANDS[::101]]
-    psis += [lehmer * cyclotomic(4) * cyclotomic(5) * cyclotomic(7),
-             IntPoly([1, 2, 1]) * STORE[(20, 1)].salem_poly]
     degrees = sorted({key[0] for key in STORE.keys()})
-    for s_poly in [STORE.of_degree(d)[0].salem_poly for d in degrees]:
-        for psi in psis + [s_poly * lehmer]:
-            want = cli._factor_unit(Z2 * s_poly, psi)
-            assert cli._base_unit(trace_polynomial(s_poly), psi, trace_polynomial(psi)) == want
+    salems = [STORE.of_degree(d)[0].salem_poly for d in degrees]
+    vanishing = IntPoly([1, 2, 1]) * STORE[(20, 1)].salem_poly
+    psis = [c.psi() for c in sample] + [c.psi() for c in CANDS[::101]]
+    psis += [lehmer * cyclotomic(4) * cyclotomic(5) * cyclotomic(7), vanishing]
+    psis += [s_poly * lehmer for s_poly in salems]
+    factors = {Z2: cli.Z2_TRACE}
+    factors.update((f, trace_polynomial(f)) for f in salems + [cyclotomic(j) for j in pool])
+    table = cli._resultant_unit_table(list(factors.values()),
+                                      [trace_polynomial(psi) for psi in psis])
+    for factor, t in factors.items():
+        assert table[t] == [cli._factor_unit(factor, psi) for psi in psis]
+    c30 = table[trace_polynomial(cyclotomic(30))]
+    assert {c.id for c, flag in zip(sample, c30) if flag is None} >= {69, 510}
+    assert table[cli.Z2_TRACE][psis.index(vanishing)] is None
 
 
 def test_setup2_shared_cyclotomic_factor_is_not_coprime():
@@ -274,14 +273,16 @@ def test_cli_main_analyze_rank2_pair(capsys):
 
 
 def test_cli_main_setup2_search_reads_no_salem_store(monkeypatch, capsys):
-    # only --setup1 reads the Salem store; --setup2 never loads it
+    # only --setup1 reads the Salem store; --setup2, and --degree 4
+    # without a family flag, never load it
     def refuse(*args, **kwargs):
         raise RuntimeError("Salem store loaded for --setup2")
 
     monkeypatch.setattr(cli, "search_setup2", lambda **kwargs: [])
     monkeypatch.setattr(cli, "load_store", refuse)
-    assert cli.main(["search", "--setup2"]) == 0
-    assert capsys.readouterr().out == cli.emit([])
+    for argv in (["search", "--setup2"], ["search", "--degree", "4"]):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == cli.emit([])
 
 
 def test_cli_main_setup2_enum(tmp_path, capsys):
@@ -359,6 +360,7 @@ def test_poly_arg_accepts_files(tmp_path):
     (["search", "--setup1"], "0"),
     (["verify-tables", "--fast"], "-1"),
     (["picard2", "--salem", "[1,-1,1]"], None),
+    (["search", "--setup1", "--setup2"], None),
 ])
 def test_cli_input_errors_exit_2(monkeypatch, capsys, argv, workers):
     # a malformed argument is a usage error (2), not a faulted row (1)
