@@ -216,30 +216,43 @@ def test_setup1_prefilter_is_exact(monkeypatch):
         ["phi and psi must be coprime"]
 
 
-def test_prefilter_columns_match_full_degree_resultants():
-    # the table decides each factor resultant on trace polynomials, z^2 - 1
-    # as the w^2 - 4 column; every column must give the full-degree flag,
-    # None included where the factor divides psi: against a census sample,
-    # units, a ramified psi, a psi sharing S and a psi vanishing at -1
+def test_prefilter_table_matches_full_degree_resultants():
+    # the table decides each Res(C_j, psi) on trace polynomials; each pool
+    # column must give the full-degree flag, None included where C_j
+    # divides psi
     pool = sorted({j for cs in cli.cyclotomic_sets(16) for j in cs})
     sample = random.Random(17).sample(CANDS, 100)
     sample += [c for c in CANDS if c.id in (69, 510) and c not in sample]
+    factors = {cyclotomic(j): trace_polynomial(cyclotomic(j)) for j in pool}
+    table = cli._resultant_unit_table(list(factors.values()),
+                                      [trace_polynomial(c.psi()) for c in sample])
+    for factor, t in factors.items():
+        assert table[t] == [cli._factor_unit(factor, c.psi()) for c in sample]
+    c30 = table[trace_polynomial(cyclotomic(30))]
+    assert {c.id for c, flag in zip(sample, c30) if flag is None} >= {69, 510}
+
+
+def test_base_factor_split_matches_full_degree_resultant():
+    # Res((z^2-1) S, psi) = Res(z^2-1, psi) Res(S, psi), the z^2 - 1 column
+    # as w^2 - 4: for a Salem factor of every store degree, against units,
+    # a ramified psi, a psi sharing S and a psi vanishing at -1
     lehmer = STORE[(10, 1)].salem_poly
     degrees = sorted({key[0] for key in STORE.keys()})
     salems = [STORE.of_degree(d)[0].salem_poly for d in degrees]
     vanishing = IntPoly([1, 2, 1]) * STORE[(20, 1)].salem_poly
-    psis = [c.psi() for c in sample] + [c.psi() for c in CANDS[::101]]
+    psis = [c.psi() for c in CANDS[::101]]
     psis += [lehmer * cyclotomic(4) * cyclotomic(5) * cyclotomic(7), vanishing]
     psis += [s_poly * lehmer for s_poly in salems]
-    factors = {Z2: cli.Z2_TRACE}
-    factors.update((f, trace_polynomial(f)) for f in salems + [cyclotomic(j) for j in pool])
-    table = cli._resultant_unit_table(list(factors.values()),
+    s_traces = [trace_polynomial(s_poly) for s_poly in salems]
+    table = cli._resultant_unit_table([cli.Z2_TRACE, *s_traces],
                                       [trace_polynomial(psi) for psi in psis])
-    for factor, t in factors.items():
-        assert table[t] == [cli._factor_unit(factor, psi) for psi in psis]
-    c30 = table[trace_polynomial(cyclotomic(30))]
-    assert {c.id for c, flag in zip(sample, c30) if flag is None} >= {69, 510}
+    assert table[cli.Z2_TRACE] == [cli._factor_unit(Z2, psi) for psi in psis]
     assert table[cli.Z2_TRACE][psis.index(vanishing)] is None
+    for s_poly, s_trace in zip(salems, s_traces):
+        assert table[s_trace] == [cli._factor_unit(s_poly, psi) for psi in psis]
+        for psi, z2_flag, s_flag in zip(psis, table[cli.Z2_TRACE], table[s_trace]):
+            split = None if None in (z2_flag, s_flag) else z2_flag and s_flag
+            assert split == cli._factor_unit(Z2 * s_poly, psi)
 
 
 def test_setup2_shared_cyclotomic_factor_is_not_coprime():
