@@ -58,7 +58,6 @@ from .salemlib import SalemStore, load_store
 from .setup2 import S4, Setup2Candidate, enumerate_setup2
 
 Z2 = IntPoly([-1, 0, 1])
-Z2_TRACE = IntPoly([-4, 0, 1])  # Res(z^2 - 1, psi) = -Res(w^2 - 4, Psi)
 
 CSV_COLUMNS = ["S", "C", "s", "c_or_psi", "ST", "Dynkin", "phi1", "TrA", "SD"]
 
@@ -309,16 +308,14 @@ def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple[IntPoly, str, st
     """
     csets = {s.degree: cyclotomic_sets(20 - s.degree) for s, _ in salems}
     pool = sorted({j for sets in csets.values() for cs in sets for j in cs})
-    c_traces = {j: trace_polynomial(cyclotomic(j)) for j in pool}
-    s_traces = [trace_polynomial(s_poly) for s_poly, _ in salems]
-    units = _resultant_unit_table([Z2_TRACE, *s_traces, *c_traces.values()],
-                                  [trace_polynomial(psi) for psi, _, _ in psis])
+    units = _resultant_unit_table([psi for psi, _, _ in psis],
+                                  [Z2, *(s_poly for s_poly, _ in salems), *pool])
     rows, tasks = [], []
-    for (s_poly, s_lab), s_trace in zip(salems, s_traces):
+    for s_poly, s_lab in salems:
         for cset in csets[s_poly.degree]:
             phi = phi_of(s_poly, cset)
             c_lab = cyclo_label(list(cset))
-            columns = [units[Z2_TRACE], units[s_trace]] + [units[c_traces[j]] for j in cset]
+            columns = [units[Z2], units[s_poly]] + [units[j] for j in cset]
             for (psi, s_aux, c_aux), flags in zip(psis, zip(*columns)):
                 if all(flags) or None in flags:
                     tasks.append((phi, psi, s_lab, c_lab, s_aux, c_aux))
@@ -356,20 +353,30 @@ def _factor_unit(f: IntPoly, psi: IntPoly) -> bool | None:
     return None if res == 0 else abs(res) == 1
 
 
-def _resultant_unit_table(factor_traces: list[IntPoly],
-                          psi_traces: list[IntPoly]) -> dict[IntPoly, list]:
-    """{T: [_factor_unit(T, Q) for each Q in psi_traces]} for each factor
-    trace polynomial T: a grid of flags, one column per factor of phi,
-    positional in the psi list, None where the factor divides psi.
+def _resultant_unit_table(psis: list, factors: list) -> dict:
+    """{f: [flag of factor f against each psi]} for each factor f of phi:
+    the prefilter's grid, one column per factor, positional in the psi
+    list; a flag is _factor_unit(f, psi), None where f divides psi.  A
+    factor is Z2, a Salem polynomial S, or a cyclotomic index j standing
+    for C_j; a psi is an IntPoly or a census word, read through .psi().
 
-    Each flag is decided at half the degree: for monic palindromic p and
-    q of even degree with trace polynomials P and Q, Res(p, q) =
+    Each flag is decided at half the degree, on trace polynomials, and
+    each psi's trace polynomial is taken once: for monic palindromic p
+    and q of even degree with trace polynomials P and Q, Res(p, q) =
     Res(P, Q)^2, since the roots of p pair as a, 1/a and
     q(a) = a^m Q(a + 1/a).  The factor z^2 - 1 is not palindromic; its
-    column is T = w^2 - 4, as Res(z^2 - 1, psi) = psi(1) psi(-1) =
-    -Psi(2) Psi(-2) = -Res(w^2 - 4, Psi).
+    column is read on w^2 - 4, as Res(z^2 - 1, psi) =
+    psi(1) psi(-1) = (-1)^m Psi(2) Psi(-2) = (-1)^m Res(w^2 - 4, Psi)
+    for deg psi = 2m.
     """
-    return {t: [_factor_unit(t, q) for q in psi_traces] for t in factor_traces}
+    traces = [trace_polynomial(p.psi() if isinstance(p, Setup2Candidate) else p)
+              for p in psis]
+    table = {}
+    for f in factors:
+        t = (trace_polynomial(cyclotomic(f)) if isinstance(f, int)
+             else IntPoly([-4, 0, 1]) if f == Z2 else trace_polynomial(f))
+        table[f] = [_factor_unit(t, q) for q in traces]
+    return table
 
 
 # ---------------------------------------------------------------------------

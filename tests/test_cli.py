@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from k3siegel.intpoly import IntPoly, cyclotomic, trace_polynomial
+from k3siegel.intpoly import IntPoly, cyclotomic
 from k3siegel import cli, hyplattice, picard2
 from k3siegel.picardweyl import PipelineError
 from k3siegel.salemlib import load_store
@@ -223,13 +223,11 @@ def test_prefilter_table_matches_full_degree_resultants():
     pool = sorted({j for cs in cli.cyclotomic_sets(16) for j in cs})
     sample = random.Random(17).sample(CANDS, 100)
     sample += [c for c in CANDS if c.id in (69, 510) and c not in sample]
-    factors = {cyclotomic(j): trace_polynomial(cyclotomic(j)) for j in pool}
-    table = cli._resultant_unit_table(list(factors.values()),
-                                      [trace_polynomial(c.psi()) for c in sample])
-    for factor, t in factors.items():
-        assert table[t] == [cli._factor_unit(factor, c.psi()) for c in sample]
-    c30 = table[trace_polynomial(cyclotomic(30))]
-    assert {c.id for c, flag in zip(sample, c30) if flag is None} >= {69, 510}
+    table = cli._resultant_unit_table(sample, pool)
+    for j in pool:
+        assert table[j] == [cli._factor_unit(cyclotomic(j), c.psi()) for c in sample]
+    assert table == cli._resultant_unit_table([c.psi() for c in sample], pool)
+    assert {c.id for c, flag in zip(sample, table[30]) if flag is None} >= {69, 510}
 
 
 def test_base_factor_split_matches_full_degree_resultant():
@@ -243,14 +241,12 @@ def test_base_factor_split_matches_full_degree_resultant():
     psis = [c.psi() for c in CANDS[::101]]
     psis += [lehmer * cyclotomic(4) * cyclotomic(5) * cyclotomic(7), vanishing]
     psis += [s_poly * lehmer for s_poly in salems]
-    s_traces = [trace_polynomial(s_poly) for s_poly in salems]
-    table = cli._resultant_unit_table([cli.Z2_TRACE, *s_traces],
-                                      [trace_polynomial(psi) for psi in psis])
-    assert table[cli.Z2_TRACE] == [cli._factor_unit(Z2, psi) for psi in psis]
-    assert table[cli.Z2_TRACE][psis.index(vanishing)] is None
-    for s_poly, s_trace in zip(salems, s_traces):
-        assert table[s_trace] == [cli._factor_unit(s_poly, psi) for psi in psis]
-        for psi, z2_flag, s_flag in zip(psis, table[cli.Z2_TRACE], table[s_trace]):
+    table = cli._resultant_unit_table(psis, [Z2, *salems])
+    assert table[Z2] == [cli._factor_unit(Z2, psi) for psi in psis]
+    assert table[Z2][psis.index(vanishing)] is None
+    for s_poly in salems:
+        assert table[s_poly] == [cli._factor_unit(s_poly, psi) for psi in psis]
+        for psi, z2_flag, s_flag in zip(psis, table[Z2], table[s_poly]):
             split = None if None in (z2_flag, s_flag) else z2_flag and s_flag
             assert split == cli._factor_unit(Z2 * s_poly, psi)
 
