@@ -33,6 +33,7 @@ from .setup2 import S4, enumerate_setup2
 from . import cli
 from . import picard2 as p2
 from .fpfsiegel import (
+    base_theta_4vars,
     component_contribution,
     derive_P,
     fixed_curve_index,
@@ -42,7 +43,7 @@ from .fpfsiegel import (
     lambda_minus_sum,
     lambda_plus,
     lambda_plus_sum,
-    theta_closed_form_4vars,
+    theta_iterate_closed_form,
     typeII_iterate_identity,
 )
 
@@ -236,15 +237,11 @@ def criterion_index_sum_identities():
 
 
 def criterion_jet_oracle():
-    from .symbolic import MRat
-
-    states = jet_oracle(6)
-    for st in states:
-        cf = jet_closed_forms(st.n)
-        if not (MRat(st.a10) == cf.a10 and MRat(st.a01) == cf.a01
-                and MRat(st.b10) == cf.b10 and MRat(st.a20) == cf.a20):
+    theta = base_theta_4vars()
+    for st in jet_oracle(6):
+        if st != jet_closed_forms(st.n):
             return False, f"jet closed form differs at n={st.n}"
-        if st.theta() != theta_closed_form_4vars(st.n):
+        if st.theta() != theta_iterate_closed_form(st.n, theta):
             return False, f"theta closed form differs at n={st.n}"
         if not typeII_iterate_identity(st.n):
             return False, f"iterate identity differs at n={st.n}"

@@ -425,7 +425,9 @@ class RationalFunctionW:
     content included, lead(den) > 0, and zero is 0/1.  The form is
     canonical, so == and hash decide equality.  Also used for functions
     of the eigenvalue variable delta; the variable name carries no
-    semantics.
+    semantics.  fpfsiegel's JetPoly keeps its jet and type-II residue
+    coefficients as RationalFunctionW in delta, and so compares them
+    exactly; the JetPoly goes on the left of a mixed operation.
     """
 
     __slots__ = ("num", "den")
@@ -601,8 +603,9 @@ def symmetric_descent(r: RationalFunctionW) -> RationalFunctionW:
 
     Works in the quotient QQ(w)[delta]/(delta^2 - w delta + 1), where
     1/delta = w - delta; the input is symmetric iff the delta-component
-    of the reduced value vanishes, which is asserted.  Substituting
-    w = delta + 1/delta back recovers the input exactly.
+    of the reduced value vanishes, and PolynomialDomainError is raised
+    when it does not.  Substituting w = delta + 1/delta back recovers the
+    input exactly.
     """
     w = RationalFunctionW.variable()
 

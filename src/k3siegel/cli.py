@@ -478,12 +478,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "search":
         workers = _workers_arg(ap, args)
         if args.setup2 or args.degree == 4 and not args.setup1:
+            if (args.index_min, args.index_max, args.salem_data) != (None, None, None):
+                ap.error("--index-min, --index-max and --salem-data need --setup1")
             rows = search_setup2(workers=workers,
                                  include_rejections=args.include_rejections)
         else:
             rng = None
             if args.index_min is not None or args.index_max is not None:
-                rng = (args.index_min or 0, args.index_max or 10 ** 9)
+                rng = (0 if args.index_min is None else args.index_min,
+                       10 ** 9 if args.index_max is None else args.index_max)
             rows = search_setup1(load_store(args.salem_data), args.degree, rng,
                                  include_rejections=args.include_rejections,
                                  workers=workers)

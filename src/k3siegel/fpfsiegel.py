@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .intpoly import IntPoly
 from .algnum import (
@@ -32,7 +33,6 @@ from .algnum import (
     ratfunc_compare,
     symmetric_descent,
 )
-from .symbolic import MPoly, MRat
 
 
 class NeedsManualAnalysis(Exception):
@@ -263,67 +263,95 @@ def exceptional_nu_typeI(n: int) -> RationalFunctionW:
     return (1 + dn) / ((1 - dn) * (1 - dn))
 
 
-# variables (delta, theta) for the type-II identities
-_NV2 = 2
+class JetPoly(dict):
+    """Sparse polynomial in (theta, a01, b10, a20) over Frac(Z[delta]):
+    {exponent tuple: RationalFunctionW} with zero coefficients dropped.
+
+    RationalFunctionW keeps the normal form of Frac(Z[delta]), so == is
+    plain dict equality and exact.  Every denominator in the type-II
+    identities lies in delta alone, so a JetPoly divides only by a
+    rational function of delta.  RationalFunctionW takes no JetPoly
+    operand: write the JetPoly on the left (A01 * dn, not dn * A01).
+    """
+
+    def __init__(self, terms: dict):
+        super().__init__((e, c) for e, c in terms.items() if not c.is_zero())
+
+    def __add__(self, other) -> "JetPoly":
+        if not isinstance(other, JetPoly):
+            other = {(0, 0, 0, 0): RationalFunctionW.of(other)}
+        out = dict(self)
+        for e, c in other.items():
+            out[e] = out[e] + c if e in out else c
+        return JetPoly(out)
+
+    def __neg__(self) -> "JetPoly":
+        return JetPoly({e: -c for e, c in self.items()})
+
+    def __sub__(self, other) -> "JetPoly":
+        return self + -other
+
+    def __mul__(self, other) -> "JetPoly":
+        if not isinstance(other, JetPoly):
+            k = RationalFunctionW.of(other)
+            return JetPoly({e: c * k for e, c in self.items()})
+        out: dict = {}
+        for e1, c1 in self.items():
+            for e2, c2 in other.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return JetPoly(out)
+
+    def __truediv__(self, other) -> "JetPoly":
+        return self * (1 / RationalFunctionW.of(other))
 
 
-def _d2() -> MPoly:
-    return MPoly.var(_NV2, 0)
+# the jet variables theta, a01, b10, a20
+THETA, A01, B10, A20 = (JetPoly({tuple(int(k == i) for k in range(4)): RationalFunctionW.of(1)})
+                        for i in range(4))
 
 
-def _th2() -> MPoly:
-    return MPoly.var(_NV2, 1)
-
-
-def exceptional_nu_typeII(n: int) -> MRat:
+def exceptional_nu_typeII(n: int) -> JetPoly:
     """Residue of a type-II exceptional point under the n-th iterate, as
-    a rational expression in (delta, theta):
+    a polynomial in theta over Frac(Z[delta]):
     (n-1 + (n+1) delta^n + (1 + ... + delta^(n-1)) theta) / (n (1-delta^n)^2)."""
     if n < 1:
         raise ValueError("iterate index must be >= 1")
-    d, th = _d2(), _th2()
-    geo = MPoly(_NV2, {(k, 0): 1 for k in range(n)})
-    num = MPoly.const(_NV2, n - 1) + (n + 1) * d ** n + geo * th
-    den = MPoly.const(_NV2, n) * (1 - d ** n) ** 2
-    return MRat(num, den)
+    dn = _delta() ** n
+    return (THETA * _geom(n - 1) + (n - 1 + (n + 1) * dn)) / (n * (1 - dn) ** 2)
 
 
-def theta_iterate_closed_form(n: int) -> MRat:
-    """theta^(n) = (1 - delta^n)((n-1)(1-delta) + theta) / (n (1-delta))."""
-    d, th = _d2(), _th2()
-    num = (1 - d ** n) * ((n - 1) * (1 - d) + th)
-    den = MPoly.const(_NV2, n) * (1 - d)
-    return MRat(num, den)
+def theta_iterate_closed_form(n: int, theta: JetPoly) -> JetPoly:
+    """theta^(n) = (1 - delta^n)((n-1)(1-delta) + theta) / (n (1-delta)),
+    for theta the variable THETA or its jet form base_theta_4vars()."""
+    d = _delta()
+    one_minus = 1 - d
+    return (theta + (n - 1) * one_minus) * (1 - d ** n) / (n * one_minus)
 
 
 def typeII_iterate_identity(n: int) -> bool:
     """nu(f^n) from (2 delta^n + theta^(n))/(1-delta^n)^2 with theta^(n)
     substituted equals the displayed n-dependence; exact identity."""
-    d = _d2()
-    dn = MRat(d ** n)
-    via_theta = (2 * dn + theta_iterate_closed_form(n)) / ((1 - dn) * (1 - dn))
+    dn = _delta() ** n
+    via_theta = (theta_iterate_closed_form(n, THETA) + 2 * dn) / (1 - dn) ** 2
     return via_theta == exceptional_nu_typeII(n)
-
-
-# jet variables: (delta, a01, b10, a20)
-_NV4 = 4
 
 
 @dataclass
 class JetState:
     """Leading jet coefficients of the n-th iterate at a type-II point,
-    in the normalization a10 = 1, b01 = -2."""
+    in the normalization a10 = 1, b01 = -2.  a10 stays a constant, so it
+    is a RationalFunctionW; the others are JetPolys."""
 
     n: int
-    a10: MPoly
-    a01: MPoly
-    b10: MPoly
-    a20: MPoly
+    a10: RationalFunctionW
+    a01: JetPoly
+    b10: JetPoly
+    a20: JetPoly
 
-    def theta(self) -> MRat:
-        d = MPoly.var(_NV4, 0)
-        num = (1 - d ** self.n) * self.a20 + d ** self.n * self.a01 * self.b10
-        return MRat(num, self.a10 * self.a10)
+    def theta(self) -> JetPoly:
+        dn = _delta() ** self.n
+        return (self.a20 * (1 - dn) + self.a01 * self.b10 * dn) / self.a10 ** 2
 
 
 def jet_oracle(n_max: int) -> list[JetState]:
@@ -333,80 +361,44 @@ def jet_oracle(n_max: int) -> list[JetState]:
     b10^(n+1) = b10^(n) + delta^-n b10 a20^(n+1) = a20^(n) + a20
                                                   + 2 a10^(n) + delta^n a01 b10^(n)
 
-    delta appears with negative exponents (Laurent), and a01, b10, a20
-    stay fully symbolic.
+    The coefficients are rational functions of delta (RationalFunctionW),
+    so delta^-n is 1/delta^n; a01, b10, a20 stay free variables.
     """
-    d = MPoly.var(_NV4, 0)
-    a01 = MPoly.var(_NV4, 1)
-    b10 = MPoly.var(_NV4, 2)
-    a20 = MPoly.var(_NV4, 3)
-    one = MPoly.const(_NV4, 1)
-    states = [JetState(1, one, a01, b10, a20)]
+    d = _delta()
+    states = [JetState(1, RationalFunctionW.of(1), A01, B10, A20)]
     for n in range(1, n_max):
         s = states[-1]
-        dn = MPoly.var(_NV4, 0, n)
-        dminus = MPoly.var(_NV4, 0, -n)
+        dn = d ** n
         states.append(JetState(
             n + 1,
-            s.a10 + one,
-            s.a01 + dn * a01,
-            s.b10 + dminus * b10,
-            s.a20 + a20 + 2 * s.a10 + dn * a01 * s.b10,
+            s.a10 + 1,
+            s.a01 + A01 * dn,
+            s.b10 + B10 / dn,
+            s.a20 + A20 + 2 * s.a10 + A01 * s.b10 * dn,
         ))
     return states
 
 
-@dataclass
-class JetClosedForms:
-    """The solved recurrence, as displayed rational expressions:
+def jet_closed_forms(n: int) -> JetState:
+    """The solved recurrence of jet_oracle, as displayed expressions:
     a10^(n) = n,
     a01^(n) = (1 - delta^n) a01 / (1 - delta),
     b10^(n) = (1 - delta^n) b10 / (delta^(n-1) (1 - delta)),
     a20^(n) = n(n-1) + n a20
               + (delta/(1-delta)) (n-1 - delta(1-delta^(n-1))/(1-delta)) a01 b10.
     """
-
-    n: int
-    a10: MRat
-    a01: MRat
-    b10: MRat
-    a20: MRat
-
-
-def jet_closed_forms(n: int) -> JetClosedForms:
-    d = MPoly.var(_NV4, 0)
-    a01 = MPoly.var(_NV4, 1)
-    b10 = MPoly.var(_NV4, 2)
-    a20 = MPoly.var(_NV4, 3)
-    one = MPoly.const(_NV4, 1)
-    dn = MRat(d ** n)
-    dm = MRat(d)
-    omd = MRat(one - d)
-    a01_n = (1 - dn) * MRat(a01) / omd
-    b10_n = (1 - dn) * MRat(b10) / (MRat(d ** (n - 1)) * omd)
-    inner = MRat.of(n - 1, _NV4) - dm * (1 - MRat(d ** (n - 1))) / omd
-    a20_n = (MRat.of(n * (n - 1), _NV4) + MRat(a20) * n
-             + (dm / omd) * inner * MRat(a01) * MRat(b10))
-    return JetClosedForms(n, MRat.of(n, _NV4), a01_n, b10_n, a20_n)
+    d = _delta()
+    one_minus = 1 - d
+    ratio = (1 - d ** n) / one_minus
+    mixed = d / one_minus * (n - 1 - d * (1 - d ** (n - 1)) / one_minus)
+    return JetState(n, RationalFunctionW.of(n), A01 * ratio, B10 * ratio / d ** (n - 1),
+                    A20 * n + n * (n - 1) + A01 * B10 * mixed)
 
 
-def base_theta_4vars() -> MPoly:
+def base_theta_4vars() -> JetPoly:
     """theta = (1-delta) a20 + delta a01 b10 in the jet variables."""
-    d = MPoly.var(_NV4, 0)
-    a01 = MPoly.var(_NV4, 1)
-    b10 = MPoly.var(_NV4, 2)
-    a20 = MPoly.var(_NV4, 3)
-    return (1 - d) * a20 + d * a01 * b10
-
-
-def theta_closed_form_4vars(n: int) -> MRat:
-    """(1 - delta^n)((n-1)(1-delta) + theta)/(n (1-delta)) expanded in
-    the jet variables."""
-    d = MPoly.var(_NV4, 0)
-    th = base_theta_4vars()
-    num = (1 - d ** n) * ((n - 1) * (1 - d) + th)
-    den = MPoly.const(_NV4, n) * (1 - d)
-    return MRat(num, den)
+    d = _delta()
+    return A20 * (1 - d) + A01 * B10 * d
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,18 @@ def test_search_setup1_data_unavailable_marker():
     assert rows[0].rejection.startswith("data unavailable")
 
 
+@pytest.mark.parametrize("bounds, expected", [
+    (["--index-max", "0"], ["S?^(20),,,,,,,,rejected: data unavailable: "
+                            "no Salem entries of degree 20 in the store"]),
+    (["--index-min", "1", "--index-max", "1"], ["S1^(20),1,S1^(10),C21,tau7,A1,C1 C2,1,HS",
+                                                "S1^(20),1,S1^(14),C20,tau5,A1,C1 C2,1,SS"]),
+])
+def test_search_index_bounds_select_entries(capsys, bounds, expected):
+    # an index bound of 0 bounds the search like any other
+    assert cli.main(["search", "--setup1", "--degree", "20", "--workers", "1", *bounds]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == expected
+
+
 def test_poly_arg_accepts_files(tmp_path):
     p = tmp_path / "st.txt"
     p.write_text("[-3,-1,1]\n")
@@ -370,6 +382,8 @@ def test_poly_arg_accepts_files(tmp_path):
     (["verify-tables", "--fast"], "-1"),
     (["picard2", "--salem", "[1,-1,1]"], None),
     (["search", "--setup1", "--setup2"], None),
+    (["search", "--setup2", "--salem-data", "/nonexistent", "--index-min", "5"], None),
+    (["search", "--degree", "4", "--index-max", "3"], None),
 ])
 def test_cli_input_errors_exit_2(monkeypatch, capsys, argv, workers):
     # a malformed argument is a usage error (2), not a faulted row (1)

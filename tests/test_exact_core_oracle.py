@@ -14,7 +14,10 @@ companion powers, the inertia and determinant read off the
 fraction-free symmetric elimination, the integer matrix of B on the
 A-orbit basis and the PRS gcd of the rank-2 elimination over Z[w] with
 it on random inputs.  Over Z[w]/(st) that
-gcd is checked against Euclid's algorithm in the number field.
+gcd is checked against Euclid's algorithm in the number field.  The
+jet recurrences, their closed forms and the type-II residue, as
+polynomials over RationalFunctionW, are checked against sympy's own
+iteration of the recurrences.
 """
 
 import math
@@ -39,6 +42,15 @@ from k3siegel.algnum import (
     count_roots_in,
     isolate_real_roots,
     minpoly_of_value,
+)
+from k3siegel.fpfsiegel import (
+    A01,
+    B10,
+    base_theta_4vars,
+    exceptional_nu_typeII,
+    jet_closed_forms,
+    jet_oracle,
+    theta_iterate_closed_form,
 )
 from k3siegel.hyplattice import _b_matrix_in_a_basis
 from k3siegel.intpoly import (
@@ -598,3 +610,44 @@ ROW1 = (IntPoly([-1, 0, 1]) * STORE[(20, 1)].salem_poly,
                          ids=["row1"] + [f"pair{i}" for i in range(5)])
 def test_b_matrix_matches_sympy_basis_change(phi, psi):
     assert _b_matrix_in_a_basis(phi, psi) == sympy_b_on_orbit_basis(phi, psi)
+
+
+DELTA, THETA_S, A01_S, B10_S, A20_S = JET_SYMBOLS = sympy.symbols("delta theta a01 b10 a20")
+
+
+def jet_to_sympy(p):
+    """A JetPoly, term by term, or a RationalFunctionW as a sympy
+    expression in JET_SYMBOLS."""
+    if isinstance(p, RationalFunctionW):
+        return to_sympy(p.num, DELTA).as_expr() / to_sympy(p.den, DELTA).as_expr()
+    return sum((jet_to_sympy(c) * sympy.prod([v ** k for v, k in zip(JET_SYMBOLS[1:], e)])
+                for e, c in p.items()), sympy.Integer(0))
+
+
+def test_jet_identities_match_sympy_iteration():
+    # sympy iterates the jet_oracle recurrences on its own symbols; both
+    # the iterated and the closed-form JetPolys must equal its fields, and
+    # the type-II residue its closed form and its value through theta^(n)
+    d = RationalFunctionW.variable()
+    base = (1 - DELTA) * A20_S + DELTA * A01_S * B10_S
+    x10, x01, xb10, x20 = 1, A01_S, B10_S, A20_S
+    for n, st in enumerate(jet_oracle(6), start=1):
+        cf = jet_closed_forms(n)
+        dn = DELTA ** n
+        for field, want in (("a10", x10), ("a01", x01), ("b10", xb10), ("a20", x20)):
+            for got in (getattr(st, field), getattr(cf, field)):
+                assert sympy.cancel(jet_to_sympy(got) - want) == 0, (n, field)
+        theta_n = ((1 - dn) * x20 + dn * x01 * xb10) / x10 ** 2
+        for got in (st.theta(), theta_iterate_closed_form(n, base_theta_4vars())):
+            assert sympy.cancel(jet_to_sympy(got) - theta_n) == 0
+        nu = jet_to_sympy(exceptional_nu_typeII(n))
+        displayed = ((n - 1 + (n + 1) * dn + sum(DELTA ** k for k in range(n)) * THETA_S)
+                     / (n * (1 - dn) ** 2))
+        assert sympy.cancel(nu - displayed) == 0
+        assert sympy.cancel(nu.subs(THETA_S, base) - (2 * dn + theta_n) / (1 - dn) ** 2) == 0
+        # negative control: a wrong a20 differs, in JetPoly and in sympy
+        wrong = cf.a20 + A01 * B10 * d ** 7
+        assert (st.a20 == wrong) is False
+        assert sympy.cancel(jet_to_sympy(wrong) - x20) != 0
+        x10, x01, xb10, x20 = (x10 + 1, x01 + dn * A01_S, xb10 + B10_S / dn,
+                               x20 + A20_S + 2 * x10 + dn * A01_S * xb10)

@@ -5,14 +5,16 @@ import pytest
 from k3siegel.intpoly import IntPoly
 from k3siegel.algnum import RationalFunctionW
 from k3siegel.salemlib import trace_conjugates
-from k3siegel.symbolic import MPoly, MRat
 from k3siegel.fpfsiegel import (
+    A01,
     HYPERBOLIC,
     SIEGEL,
+    THETA,
     UNDECIDED,
     ComponentContribution,
     FpfInconsistency,
     NeedsManualAnalysis,
+    base_theta_4vars,
     component_contribution,
     derive_P,
     exceptional_nu_typeI,
@@ -28,7 +30,7 @@ from k3siegel.fpfsiegel import (
     saito_budget,
     siegel_verdict_P,
     siegel_verdict_Q,
-    theta_closed_form_4vars,
+    theta_iterate_closed_form,
     typeII_iterate_identity,
     typeI_generators,
     typeII_generators,
@@ -234,13 +236,12 @@ def test_exceptional_nu_typeI():
 
 
 def test_exceptional_nu_typeII_small():
-    d = MPoly.var(2, 0)
-    th = MPoly.var(2, 1)
+    d = D
     nu1 = exceptional_nu_typeII(1)
-    assert nu1 == MRat(2 * d + th, (1 - d) ** 2)
+    assert nu1 == (THETA + 2 * d) / (1 - d) ** 2
     nu3 = exceptional_nu_typeII(3)
-    expected = MRat(MPoly.const(2, 2) + 4 * d ** 3 + (1 + d + d ** 2) * th,
-                    3 * (1 - d ** 3) ** 2)
+    expected = ((THETA * (1 + d + d ** 2) + 2 + 4 * d ** 3)
+                / (3 * (1 - d ** 3) ** 2))
     assert nu3 == expected
 
 
@@ -254,19 +255,18 @@ def test_jet_oracle_against_closed_forms():
     for st in states:
         n = st.n
         cf = jet_closed_forms(n)
-        assert MRat(st.a10) == cf.a10
-        assert MRat(st.a01) == cf.a01
-        assert MRat(st.b10) == cf.b10
-        assert MRat(st.a20) == cf.a20
-        assert st.theta() == theta_closed_form_4vars(n)
+        assert st.a10 == cf.a10
+        assert st.a01 == cf.a01
+        assert st.b10 == cf.b10
+        assert st.a20 == cf.a20
+        assert st.theta() == theta_iterate_closed_form(n, base_theta_4vars())
 
 
 def test_jet_oracle_n1_identity():
     st = jet_oracle(1)[0]
-    assert MRat(st.a10) == MRat.of(1, 4)
-    assert MRat(st.a01) == MRat(MPoly.var(4, 1))
-    from k3siegel.fpfsiegel import base_theta_4vars
-    assert st.theta() == MRat(base_theta_4vars())
+    assert st.a10 == 1
+    assert st.a01 == A01
+    assert st.theta() == base_theta_4vars()
 
 
 def test_residue_quotient_dimensions():
