@@ -2,12 +2,9 @@
 
 Enumerates the auxiliary degree-22 polynomials (a 3.9M-word census with
 exact filters, about 0.04 s), then pushes a handful of pairs through the
-analysis pipeline.  Set K3SIEGEL_DEMO_FULL=1 to run the complete rank-18
-search (all cyclotomic products against all 1019 candidates; about 11 s
-with K3SIEGEL_WORKERS=1 on a 2-CPU machine with Python 3.11).
+analysis pipeline.  The complete rank-18 search (all cyclotomic products
+against all 1019 candidates) is the command `k3siegel search --setup2`.
 """
-
-import os
 
 from k3siegel import cli
 from k3siegel.intpoly import IntPoly, cyclotomic
@@ -32,9 +29,4 @@ for cset in [(8, 12, 30), (17,), (4, 10, 11)]:
     status = row.sd or row.note or f"rejected: {row.rejection}"
     print(f"C = {row.c_label:12s} -> {status}")
 
-if os.environ.get("K3SIEGEL_DEMO_FULL") == "1":
-    rows = cli.search_setup2(workers=int(os.environ.get("K3SIEGEL_WORKERS", "2")))
-    print(f"\nfull rank-18 search: {len(rows)} solution rows")
-    print(cli.emit(rows, "csv"))
-else:
-    print("\n(set K3SIEGEL_DEMO_FULL=1 for the full rank-18 search)")
+print("\nthe full rank-18 search: k3siegel search --setup2")

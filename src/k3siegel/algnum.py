@@ -181,10 +181,6 @@ class AlgebraicReal:
         self.refine(Fraction(1, 10 ** (digits + 2)))
         return float((self.lo + self.hi) / 2)
 
-    def sign(self) -> int:
-        """Sign of the number itself (exact)."""
-        return sign_at(IntPoly([0, 1]), self)
-
     def __repr__(self):
         return f"AlgebraicReal({self.minpoly.text()}, ({self.lo}, {self.hi}))"
 
@@ -419,6 +415,17 @@ class NumberFieldElem:
 _ONE = IntPoly([1])
 
 
+def _coerced(op):
+    """The operator op(self, o) with the operand read as a RationalFunctionW,
+    or NotImplemented for any type but those RationalFunctionW.of reads
+    exactly: RationalFunctionW, IntPoly, int and Fraction."""
+    def method(self, other):
+        if not isinstance(other, _OPERANDS):
+            return NotImplemented
+        return op(self, RationalFunctionW.of(other))
+    return method
+
+
 class RationalFunctionW:
     """A rational function num/den in one variable, in the normal form of
     Frac(Z[w]): num and den are IntPolys with gcd(num, den) = 1 in Z[w],
@@ -427,7 +434,8 @@ class RationalFunctionW:
     of the eigenvalue variable delta; the variable name carries no
     semantics.  fpfsiegel's JetPoly keeps its jet and type-II residue
     coefficients as RationalFunctionW in delta, and so compares them
-    exactly; the JetPoly goes on the left of a mixed operation.
+    exactly.  Any other operand type gets NotImplemented, so == with it
+    is False and its own reflected operator (a JetPoly's) takes over.
     """
 
     __slots__ = ("num", "den")
@@ -471,44 +479,45 @@ class RationalFunctionW:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunctionW):
-            other = RationalFunctionW.of(other)
-        return self.num == other.num and self.den == other.den
+    @_coerced
+    def __eq__(self, o) -> bool:
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __add__(self, other):
-        o = RationalFunctionW.of(other)
+    @_coerced
+    def __add__(self, o):
         return RationalFunctionW(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = RationalFunctionW.of(other)
+    @_coerced
+    def __sub__(self, o):
         return RationalFunctionW(self.num * o.den - o.num * self.den, self.den * o.den)
 
-    def __rsub__(self, other):
-        return RationalFunctionW.of(other) - self
+    @_coerced
+    def __rsub__(self, o):
+        return o - self
 
     def __neg__(self):
         return RationalFunctionW(-self.num, self.den)
 
-    def __mul__(self, other):
-        o = RationalFunctionW.of(other)
+    @_coerced
+    def __mul__(self, o):
         return RationalFunctionW(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = RationalFunctionW.of(other)
+    @_coerced
+    def __truediv__(self, o):
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunctionW(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        return RationalFunctionW.of(other) / self
+    @_coerced
+    def __rtruediv__(self, o):
+        return o / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -534,6 +543,9 @@ class RationalFunctionW:
 
     def __repr__(self):
         return f"RationalFunctionW({self.num.text()} / {self.den.text()})"
+
+
+_OPERANDS = (RationalFunctionW, IntPoly, int, Fraction)
 
 
 def ratfunc_compare(f: RationalFunctionW, c, x: AlgebraicReal) -> int:

@@ -19,8 +19,10 @@ Subcommands:
 Worker count for searches comes from --workers or K3SIEGEL_WORKERS;
 results are canonically sorted, so output is identical for any count.
 Malformed input (polynomial text that is not a bracketed list of
-integers, a worker count that is not an integer of at least 1) exits
-2 like any usage error; exit 1 means a row faulted.
+integers, a worker count that is not an integer of at least 1, a
+--salem-data file that cannot be read or holds a bad entry, --st text
+that names no Salem number passing the rank-2 trace check) exits 2
+like any usage error; exit 1 means a row faulted.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .fpfsiegel import (
 from .hodgeclass import dissect_and_classify
 from .hyplattice import LatticeBuildError, build, signature_and_renormalize, unimodularity_gate
 from .picardweyl import analyze_root_system
-from .salemlib import SalemStore, load_store
+from .salemlib import SalemDataError, SalemStore, is_salem, load_store
 from .setup2 import S4, Setup2Candidate, enumerate_setup2
 
 Z2 = IntPoly([-1, 0, 1])
@@ -429,7 +431,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="use the Salem-times-cyclotomic auxiliary family")
     family.add_argument("--setup2", action="store_true",
                         help="use the enumerated degree-22 auxiliary family (degree 4)")
-    p_search.add_argument("--degree", type=int, default=20)
+    p_search.add_argument("--degree", type=int, default=None,
+                          help="Salem degree: 20 by default for --setup1, only 4 for --setup2")
     p_search.add_argument("--index-min", type=int, default=None)
     p_search.add_argument("--index-max", type=int, default=None)
     p_search.add_argument("--salem-data", default=None,
@@ -478,6 +481,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "search":
         workers = _workers_arg(ap, args)
         if args.setup2 or args.degree == 4 and not args.setup1:
+            if args.degree not in (None, 4):
+                ap.error(f"--setup2 searches Salem degree 4, not {args.degree}")
             if (args.index_min, args.index_max, args.salem_data) != (None, None, None):
                 ap.error("--index-min, --index-max and --salem-data need --setup1")
             rows = search_setup2(workers=workers,
@@ -487,7 +492,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.index_min is not None or args.index_max is not None:
                 rng = (0 if args.index_min is None else args.index_min,
                        10 ** 9 if args.index_max is None else args.index_max)
-            rows = search_setup1(load_store(args.salem_data), args.degree, rng,
+            try:
+                store = load_store(args.salem_data)
+            except (OSError, SalemDataError) as exc:
+                ap.error(f"--salem-data: {exc}")
+            rows = search_setup1(store, 20 if args.degree is None else args.degree, rng,
                                  include_rejections=args.include_rejections,
                                  workers=workers)
         _write_out(emit(rows, args.format), args.out)
@@ -506,8 +515,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "picard2":
         try:
             salem = p2.S20_1 if args.st == "builtin" else from_trace_polynomial(_poly_arg(args.st))
+            if not (is_salem(salem) and p2.trace_check(salem)):
+                ap.error("--st: not the trace polynomial of a Salem number "
+                         "that passes the rank-2 trace check")
         except PolynomialDomainError as exc:
-            ap.error(str(exc))
+            ap.error(f"--st: {exc}")
         report = p2.full_analysis(salem).to_json()
         if args.format == "json":
             text = json.dumps(report, indent=1) + "\n"

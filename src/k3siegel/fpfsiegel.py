@@ -104,8 +104,6 @@ def fixed_curve_index() -> RationalFunctionW:
 
 @dataclass
 class ComponentContribution:
-    label: str                   # e.g. "D9", "E8", "A2"
-    action: str                  # "trivial" | "nontrivial" | "moved"
     n_fixed_curves: int
     mu_sum: int
     nu_sum: RationalFunctionW
@@ -126,31 +124,29 @@ def component_contribution(label: str, rank: int, action: str) -> ComponentContr
     zero = RationalFunctionW.of(0)
     name = f"{label}{rank}"
     if action == "moved":
-        return ComponentContribution(name, action, 0, 0, zero)
+        return ComponentContribution(0, 0, zero)
     if label == "A":
         raise NeedsManualAnalysis(f"preserved A-type component {name}")
     if label == "D":
         if action == "trivial":
             nu = lambda_plus(1) + lambda_plus(1) + lambda_plus(rank - 3)
-            return ComponentContribution(name, action, 1, rank - 1, nu)
+            return ComponentContribution(1, rank - 1, nu)
         if rank == 4:
             raise NeedsManualAnalysis("nontrivial action on D4")
-        return ComponentContribution(name, action, 0, rank - 1, lambda_minus(rank - 3))
+        return ComponentContribution(0, rank - 1, lambda_minus(rank - 3))
     if label == "E":
         if action == "trivial":
             nu = lambda_plus(1) + lambda_plus(2) + lambda_plus(rank - 4)
-            return ComponentContribution(name, action, 1, rank - 1, nu)
+            return ComponentContribution(1, rank - 1, nu)
         if rank in (7, 8):
             raise ValueError(f"{name} admits no nontrivial diagram automorphism")
-        return ComponentContribution(name, action, 0, 3, lambda_minus(1))
+        return ComponentContribution(0, 3, lambda_minus(1))
     raise ValueError(f"unknown component label {label}")
 
 
 @dataclass
 class FpfBudget:
-    trace_h2: int
     n_f_total: int
-    mu_on_exceptional: int
     free_multiplicity: int
 
 
@@ -161,7 +157,7 @@ def saito_budget(trace_h2: int, contributions: list[ComponentContribution]) -> F
     free = trace_h2 + 2 * (1 - n_f) - mu
     if free < 0:
         raise FpfInconsistency(f"negative multiplicity budget {free}")
-    return FpfBudget(trace_h2, n_f, mu, free)
+    return FpfBudget(n_f, free)
 
 
 def derive_P(contributions: list[ComponentContribution], n_f_total: int) -> RationalFunctionW:
@@ -252,17 +248,6 @@ def siegel_verdict_Q(q: RationalFunctionW, taus: list[AlgebraicReal], j: int) ->
 # exceptional fixed points and their iterates
 # ---------------------------------------------------------------------------
 
-def exceptional_nu_typeI(n: int) -> RationalFunctionW:
-    """Residue of a type-I exceptional point under the n-th iterate:
-    (1 + delta^n)/(1 - delta^n)^2, with multiplicity 2; identical to the
-    index of a pointwise fixed (-2)-curve at n = 1."""
-    if n < 1:
-        raise ValueError("iterate index must be >= 1")
-    d = _delta()
-    dn = d ** n
-    return (1 + dn) / ((1 - dn) * (1 - dn))
-
-
 class JetPoly(dict):
     """Sparse polynomial in (theta, a01, b10, a20) over Frac(Z[delta]):
     {exponent tuple: RationalFunctionW} with zero coefficients dropped.
@@ -270,8 +255,7 @@ class JetPoly(dict):
     RationalFunctionW keeps the normal form of Frac(Z[delta]), so == is
     plain dict equality and exact.  Every denominator in the type-II
     identities lies in delta alone, so a JetPoly divides only by a
-    rational function of delta.  RationalFunctionW takes no JetPoly
-    operand: write the JetPoly on the left (A01 * dn, not dn * A01).
+    rational function of delta.
     """
 
     def __init__(self, terms: dict):
@@ -284,6 +268,8 @@ class JetPoly(dict):
         for e, c in other.items():
             out[e] = out[e] + c if e in out else c
         return JetPoly(out)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "JetPoly":
         return JetPoly({e: -c for e, c in self.items()})
@@ -301,6 +287,8 @@ class JetPoly(dict):
                 e = tuple(map(add, e1, e2))
                 out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return JetPoly(out)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "JetPoly":
         return self * (1 / RationalFunctionW.of(other))
@@ -399,77 +387,3 @@ def base_theta_4vars() -> JetPoly:
     """theta = (1-delta) a20 + delta a01 b10 in the jet variables."""
     d = _delta()
     return A20 * (1 - d) + A01 * B10 * d
-
-
-# ---------------------------------------------------------------------------
-# truncated-jet multiplicity check
-# ---------------------------------------------------------------------------
-
-_MONOMIALS = [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0), (1, 1)]  # weights 0,1,2,2,3,3
-
-
-def residue_quotient_dimension(g1: dict, g2: dict) -> int:
-    """Dimension of C{z}/(g1, g2) computed in the weighted truncation.
-
-    z1 has weight 1 and z2 weight 2; everything of total weight > 3 is
-    discarded.  g1, g2 are {(i, j): coefficient} dictionaries for the
-    generators z1 - f1 and z2 - f2.  The returned dimension is exact for
-    the multiplicity-2 configurations against which it is used (the
-    ideal then contains z1^2 and z2 up to units).
-    """
-    def weight(e):
-        return e[0] + 2 * e[1]
-
-    def truncate(p: dict) -> dict:
-        return {e: Fraction(c) for e, c in p.items() if weight(e) <= 3 and c}
-
-    def shift(p: dict, by) -> dict:
-        return {(e[0] + by[0], e[1] + by[1]): c for e, c in p.items()}
-
-    spanning = []
-    for g in (g1, g2):
-        for m in ((0, 0), (1, 0)):
-            spanning.append(truncate(shift(g, m)))
-    index = {m: i for i, m in enumerate(_MONOMIALS)}
-    rows = []
-    for p in spanning:
-        row = [Fraction(0)] * len(_MONOMIALS)
-        for e, c in p.items():
-            row[index[e]] = c
-        rows.append(row)
-    # rank over QQ
-    rank = 0
-    cols = len(_MONOMIALS)
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return len(_MONOMIALS) - rank
-
-
-def typeII_generators(delta: Fraction, a10, a01, b10, a20) -> tuple[dict, dict]:
-    """Truncated generators for the type-II normal form
-    f1 = z1(1 + a10 z1 + a01 z2 + a20 z1^2 + ...),
-    f2 = delta(z2 + z1 (b10 z1 + b01 z1 z2 ...)) with b01 = -2."""
-    b01 = Fraction(-2)
-    g1 = {(2, 0): -Fraction(a10), (1, 1): -Fraction(a01), (3, 0): -Fraction(a20)}
-    g2 = {(0, 1): 1 - Fraction(delta), (2, 0): -Fraction(delta) * Fraction(b10),
-          (1, 1): -Fraction(delta) * b01}
-    return g1, g2
-
-
-def typeI_generators(delta: Fraction, c11: Fraction = Fraction(1)) -> tuple[dict, dict]:
-    """Truncated generators for the type-I normal form
-    f1 = z1/(1+z1) + z2 g1, f2 = z2 (delta + g2)."""
-    # z1 - f1 = z1^2 - z1^3 + ... - z2*(c11 z1 + ...)
-    g1 = {(2, 0): Fraction(1), (3, 0): Fraction(-1), (1, 1): -Fraction(c11)}
-    g2 = {(0, 1): 1 - Fraction(delta), (1, 1): Fraction(-1)}
-    return g1, g2

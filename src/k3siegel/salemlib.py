@@ -138,11 +138,13 @@ class SalemEntry:
     degree: int
     index: int
     trace_poly: IntPoly
-    provenance: str = "embedded-appendix"
     salem_poly: IntPoly = field(init=False)
     lam: AlgebraicReal = field(init=False)
 
     def __post_init__(self):
+        if not self.trace_poly.is_monic():
+            raise SalemDataError(
+                f"entry ({self.degree},{self.index}): trace polynomial is not monic")
         self.salem_poly = from_trace_polynomial(self.trace_poly)
         if self.salem_poly.degree != self.degree:
             raise SalemDataError(
@@ -236,7 +238,7 @@ class SalemStore:
                 if unramified(e.salem_poly)]
 
 
-def parse_salem_file(text: str, provenance: str = "user-supplied") -> list[SalemEntry]:
+def parse_salem_file(text: str) -> list[SalemEntry]:
     """Parse the Salem list format: `d i : c_m c_(m-1) ... c_0`."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -254,7 +256,7 @@ def parse_salem_file(text: str, provenance: str = "user-supplied") -> list[Salem
             raise SalemDataError(
                 f"line {lineno}: expected {d // 2 + 1} coefficients for degree {d}")
         tr = IntPoly(list(reversed(coeffs_desc)))
-        entries.append(SalemEntry(d, i, tr, provenance=provenance))
+        entries.append(SalemEntry(d, i, tr))
     return entries
 
 

@@ -43,7 +43,7 @@ def test_isolate_st20():
     assert len(roots) == 10
     assert count_roots_in(ST20_1, 2, 1000) == 1
     assert count_roots_in(ST20_1, -2, 2) == 9
-    assert roots[0].sign() == 1 and roots[0].approx() > 2
+    assert sign_at(IntPoly([0, 1]), roots[0]) == 1 and roots[0].approx() > 2
     for r in roots[1:]:
         assert -2 < r.approx() < 2
 
@@ -111,6 +111,30 @@ def test_rational_function_normalization():
     g = (w + 1) / (w + 2)
     assert g.den.leading() == 1
     assert (g - g).is_zero()
+
+
+def test_rational_function_refuses_foreign_operands():
+    # NotImplemented for a type RationalFunctionW.of does not read exactly,
+    # so == is False, not an error, and a string is not parsed as a number
+    one = RationalFunctionW.of(1)
+    assert (one == None) is False  # noqa: E711
+    assert one != None  # noqa: E711
+    assert (one == "1") is False
+    assert (one == "x") is False
+    assert [one] != [None]
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__eq__"):
+        assert getattr(one, op)("1") is NotImplemented
+        assert getattr(one, op)(1.0) is NotImplemented
+    with pytest.raises(TypeError):
+        one + "1"
+    with pytest.raises(TypeError):
+        "1" * one
+    # int, Fraction and IntPoly operands stay exact
+    w = RationalFunctionW.variable()
+    assert one == 1 and 2 * w == w + w and Fraction(1, 2) * (2 * w) == w
+    assert 1 - w == RationalFunctionW(IntPoly([1, -1])) and w * IntPoly([0, 1]) == w ** 2
+    assert 1 / (w / 2) == 2 / w
 
 
 def test_minpoly_of_value_entry9():

@@ -384,9 +384,20 @@ def test_poly_arg_accepts_files(tmp_path):
     (["search", "--setup1", "--setup2"], None),
     (["search", "--setup2", "--salem-data", "/nonexistent", "--index-min", "5"], None),
     (["search", "--degree", "4", "--index-max", "3"], None),
+    (["search", "--setup2", "--degree", "20"], None),
+    (["search", "--setup1", "--salem-data", "missing.salem"], None),
+    (["search", "--setup1", "--salem-data", "count.salem"], None),
+    (["search", "--setup1", "--salem-data", "non_monic.salem"], None),
+    (["picard2", "--st", "[-3,-1,1]"], None),
+    (["picard2", "--st", "[1,0,-4,-1]"], None),
 ])
-def test_cli_input_errors_exit_2(monkeypatch, capsys, argv, workers):
-    # a malformed argument is a usage error (2), not a faulted row (1)
+def test_cli_input_errors_exit_2(monkeypatch, capsys, tmp_path, argv, workers):
+    # a malformed argument is a usage error (2), not a faulted row (1);
+    # the Salem data files hold a wrong coefficient count and a non-monic
+    # trace polynomial, and S4's trace polynomial fails the rank-2 check
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "count.salem").write_text("10 2 : 1 0 -5\n")
+    (tmp_path / "non_monic.salem").write_text("10 1 : 2 1 -5 -5 4 3\n")
     if workers is not None:
         monkeypatch.setenv("K3SIEGEL_WORKERS", workers)
     with pytest.raises(SystemExit) as exc:

@@ -18,7 +18,6 @@ def test_all_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_runs(demo):
     env = dict(os.environ)
-    env.pop("K3SIEGEL_DEMO_FULL", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,

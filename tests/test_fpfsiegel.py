@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from k3siegel.intpoly import IntPoly
 from k3siegel.algnum import RationalFunctionW
@@ -17,7 +18,6 @@ from k3siegel.fpfsiegel import (
     base_theta_4vars,
     component_contribution,
     derive_P,
-    exceptional_nu_typeI,
     exceptional_nu_typeII,
     fixed_curve_index,
     jet_closed_forms,
@@ -26,14 +26,11 @@ from k3siegel.fpfsiegel import (
     lambda_minus_sum,
     lambda_plus,
     lambda_plus_sum,
-    residue_quotient_dimension,
     saito_budget,
     siegel_verdict_P,
     siegel_verdict_Q,
     theta_iterate_closed_form,
     typeII_iterate_identity,
-    typeI_generators,
-    typeII_generators,
 )
 
 ST4_1 = IntPoly([-3, -1, 1])
@@ -45,6 +42,52 @@ ONE = RationalFunctionW.of(1)
 
 def W(*coeffs):
     return RationalFunctionW(IntPoly(coeffs))
+
+
+def exceptional_nu_typeI(n: int) -> RationalFunctionW:
+    """Residue of a type-I exceptional point under the n-th iterate:
+    (1 + delta^n)/(1 - delta^n)^2, with multiplicity 2."""
+    dn = D ** n
+    return (1 + dn) / ((1 - dn) * (1 - dn))
+
+
+# the truncated-jet multiplicity check: z1 has weight 1 and z2 weight 2,
+# and these are the monomials of weight <= 3
+_MONOMIALS = [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0), (1, 1)]
+
+
+def residue_quotient_dimension(g1: dict, g2: dict) -> int:
+    """Dimension of C{z}/(g1, g2) in the weighted truncation, for g1, g2
+    the {(i, j): coefficient} generators z1 - f1 and z2 - f2: 6 less the
+    rank of g1, z1 g1, g2, z1 g2 on the monomials of weight <= 3.  Exact
+    for the multiplicity-2 configurations below (the ideal then contains
+    z1^2 and z2 up to units)."""
+    rows = []
+    for g in (g1, g2):
+        for k in (0, 1):
+            shifted = {(i + k, j): c for (i, j), c in g.items()}
+            rows.append([shifted.get(m, 0) for m in _MONOMIALS])
+    return len(_MONOMIALS) - sympy.Matrix(rows).rank()
+
+
+def typeII_generators(delta: Fraction, a10, a01, b10, a20) -> tuple[dict, dict]:
+    """Truncated generators for the type-II normal form
+    f1 = z1(1 + a10 z1 + a01 z2 + a20 z1^2 + ...),
+    f2 = delta(z2 + z1 (b10 z1 + b01 z1 z2 ...)) with b01 = -2."""
+    b01 = Fraction(-2)
+    g1 = {(2, 0): -Fraction(a10), (1, 1): -Fraction(a01), (3, 0): -Fraction(a20)}
+    g2 = {(0, 1): 1 - Fraction(delta), (2, 0): -Fraction(delta) * Fraction(b10),
+          (1, 1): -Fraction(delta) * b01}
+    return g1, g2
+
+
+def typeI_generators(delta: Fraction, c11: Fraction = Fraction(1)) -> tuple[dict, dict]:
+    """Truncated generators for the type-I normal form
+    f1 = z1/(1+z1) + z2 g1, f2 = z2 (delta + g2):
+    z1 - f1 = z1^2 - z1^3 + ... - z2 (c11 z1 + ...)."""
+    g1 = {(2, 0): Fraction(1), (3, 0): Fraction(-1), (1, 1): -Fraction(c11)}
+    g2 = {(0, 1): 1 - Fraction(delta), (1, 1): Fraction(-1)}
+    return g1, g2
 
 
 def test_lambda_identities():
@@ -260,6 +303,16 @@ def test_jet_oracle_against_closed_forms():
         assert st.b10 == cf.b10
         assert st.a20 == cf.a20
         assert st.theta() == theta_iterate_closed_form(n, base_theta_4vars())
+
+
+def test_jet_poly_takes_a_rational_function_on_either_side():
+    # RationalFunctionW returns NotImplemented, so JetPoly's reflected
+    # operators take over
+    dn = D ** 3
+    assert dn * A01 == A01 * dn
+    assert dn + THETA == THETA + dn
+    assert 2 * A01 == A01 * 2 and 1 + THETA == THETA + 1
+    assert A01 != D and D != A01
 
 
 def test_jet_oracle_n1_identity():

@@ -97,7 +97,7 @@ def test_parse_and_merge_external():
         store = load_store(path)
         assert len(store) == 17
         assert (4, 2) in store
-        assert store[(4, 2)].provenance == "user-supplied"
+        assert store[(4, 2)].trace_poly == IntPoly([-2, -2, 1])
     finally:
         os.unlink(path)
 
@@ -107,6 +107,8 @@ def test_parse_rejects_bad_lines():
         parse_salem_file("10 2 : 1 0 -5\n")  # wrong coefficient count
     with pytest.raises(SalemDataError):
         parse_salem_file("banana\n")
+    with pytest.raises(SalemDataError, match="not monic"):
+        parse_salem_file("10 1 : 2 1 -5 -5 4 3\n")  # leading coefficient 2
 
 
 def test_reject_non_salem_entry():
