@@ -136,8 +136,7 @@ class AlgebraicReal:
     plus a rational interval (lo, hi) isolating exactly one of its real
     roots.  ``refine`` narrows the interval in place; all other state is
     immutable, so concurrent readers can only ever see a stale (wider)
-    interval, never an inconsistent one.  Use ``algebraic_equal`` for
-    mathematical equality; ``==`` is identity.
+    interval, never an inconsistent one.  ``==`` is identity.
     """
 
     minpoly: IntPoly
@@ -259,45 +258,6 @@ def sign_at(q: IntPoly, x: AlgebraicReal) -> int:
         x.refine((x.hi - x.lo) / 4)
         if x.is_point():
             return _sign(q, x.lo)
-
-
-def algebraic_equal(x: AlgebraicReal, y: AlgebraicReal) -> bool:
-    """Exact equality of two algebraic reals."""
-    if x is y:
-        return True
-    g = gcd(x.minpoly, y.minpoly)
-    if g.degree <= 0:
-        return False
-    while True:
-        lo, hi = max(x.lo, y.lo), min(x.hi, y.hi)
-        if lo > hi:
-            return False
-        if x.is_point() and y.is_point():
-            return x.lo == y.lo
-        if x.is_point():
-            return y.lo <= x.lo <= y.hi and _sign(y.minpoly, x.lo) == 0
-        if y.is_point():
-            return x.lo <= y.lo <= x.hi and _sign(x.minpoly, y.lo) == 0
-        if lo < hi and count_roots_in(g, lo, hi) == 1:
-            # the common root lies in both isolating intervals, so it is
-            # simultaneously x and y
-            if count_roots_in(x.minpoly, lo, hi) == 1 and count_roots_in(y.minpoly, lo, hi) == 1:
-                return True
-        x.refine((x.hi - x.lo) / 4)
-        y.refine((y.hi - y.lo) / 4)
-
-
-def algebraic_compare(x: AlgebraicReal, y: AlgebraicReal) -> int:
-    """-1, 0, +1 as x <, =, > y."""
-    if algebraic_equal(x, y):
-        return 0
-    while True:
-        if x.hi < y.lo:
-            return -1
-        if y.hi < x.lo:
-            return 1
-        x.refine((x.hi - x.lo) / 4)
-        y.refine((y.hi - y.lo) / 4)
 
 
 # ---------------------------------------------------------------------------

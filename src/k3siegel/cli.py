@@ -16,13 +16,15 @@ Subcommands:
   picard2       print the rank-2 certification and verdict grid
   verify-tables run the whole acceptance suite
 
-Worker count for searches comes from --workers or K3SIEGEL_WORKERS;
-results are canonically sorted, so output is identical for any count.
+Worker count for searches comes from --workers (default 1); results
+are canonically sorted, so output is identical for any count.
 Malformed input (polynomial text that is not a bracketed list of
 integers, a worker count that is not an integer of at least 1, a
---salem-data file that cannot be read or holds a bad entry, --st text
-that names no Salem number passing the rank-2 trace check) exits 2
-like any usage error; exit 1 means a row faulted.
+--setup1 degree that is not even from 4 to 20, a --salem-data file
+that cannot be read or holds a bad entry, --st text that names no Salem
+number passing the rank-2 trace check, an --out file that cannot be
+opened for writing) exits 2 like any usage error, before any search
+runs; exit 1 means a row faulted.
 """
 
 from __future__ import annotations
@@ -404,16 +406,9 @@ def emit(rows: list[AnalysisRow], fmt: str = "csv") -> str:
 # ---------------------------------------------------------------------------
 
 def _workers_arg(ap: argparse.ArgumentParser, args) -> int:
-    source, value = "--workers", args.workers
-    if value is None:
-        source, text = "K3SIEGEL_WORKERS", os.environ.get("K3SIEGEL_WORKERS", "1")
-        try:
-            value = int(text)
-        except ValueError:
-            ap.error(f"K3SIEGEL_WORKERS must be an integer, not {text!r}")
-    if value < 1:
-        ap.error(f"{source} must be at least 1, not {value}")
-    return value
+    if args.workers < 1:
+        ap.error(f"--workers must be at least 1, not {args.workers}")
+    return args.workers
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -440,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     p_search.add_argument("--include-rejections", action="store_true")
     p_search.add_argument("--format", choices=["csv", "json"], default="csv")
     p_search.add_argument("--out", default=None)
-    p_search.add_argument("--workers", type=int, default=None)
+    p_search.add_argument("--workers", type=int, default=1)
 
     p_an = sub.add_parser("analyze", help="analyze one explicit pair")
     p_an.add_argument("--phi", required=True,
@@ -458,11 +453,12 @@ def main(argv: list[str] | None = None) -> int:
     p_v = sub.add_parser("verify-tables", help="run the full acceptance suite")
     p_v.add_argument("--fast", action="store_true",
                      help="skip the two long-running search criteria")
-    p_v.add_argument("--workers", type=int, default=None)
+    p_v.add_argument("--workers", type=int, default=1)
 
     args = ap.parse_args(argv)
 
     if args.command == "setup2-enum":
+        out = _open_out(ap, args.out)
         cands = enumerate_setup2()
         if args.format == "json":
             text = json.dumps([{"id": c.id, "coeffs": list(c.coeffs),
@@ -474,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
             for c in cands:
                 writer.writerow([c.id, *c.coeffs, c.psi().text()])
             text = buf.getvalue()
-        _write_out(text, args.out)
+        _write_out(text, out)
         print(f"enumerated {len(cands)} candidates", file=sys.stderr)
         return 0
 
@@ -485,9 +481,13 @@ def main(argv: list[str] | None = None) -> int:
                 ap.error(f"--setup2 searches Salem degree 4, not {args.degree}")
             if (args.index_min, args.index_max, args.salem_data) != (None, None, None):
                 ap.error("--index-min, --index-max and --salem-data need --setup1")
+            out = _open_out(ap, args.out)
             rows = search_setup2(workers=workers,
                                  include_rejections=args.include_rejections)
         else:
+            degree = 20 if args.degree is None else args.degree
+            if degree % 2 or not 4 <= degree <= 20:
+                ap.error(f"--setup1 searches an even Salem degree from 4 to 20, not {degree}")
             rng = None
             if args.index_min is not None or args.index_max is not None:
                 rng = (0 if args.index_min is None else args.index_min,
@@ -496,10 +496,11 @@ def main(argv: list[str] | None = None) -> int:
                 store = load_store(args.salem_data)
             except (OSError, SalemDataError) as exc:
                 ap.error(f"--salem-data: {exc}")
-            rows = search_setup1(store, 20 if args.degree is None else args.degree, rng,
+            out = _open_out(ap, args.out)
+            rows = search_setup1(store, degree, rng,
                                  include_rejections=args.include_rejections,
                                  workers=workers)
-        _write_out(emit(rows, args.format), args.out)
+        _write_out(emit(rows, args.format), out)
         return 1 if any(r.faulted() for r in rows) else 0
 
     if args.command == "analyze":
@@ -507,9 +508,10 @@ def main(argv: list[str] | None = None) -> int:
             phi, psi = IntPoly.from_text(args.phi), IntPoly.from_text(args.psi)
         except PolynomialDomainError as exc:
             ap.error(str(exc))
+        out = _open_out(ap, args.out)
         row = analyze_pair(phi, psi)
         rank2_verdicts([row])
-        _write_out(emit([row], args.format), args.out)
+        _write_out(emit([row], args.format), out)
         return 1 if row.faulted() else 0
 
     if args.command == "picard2":
@@ -520,6 +522,7 @@ def main(argv: list[str] | None = None) -> int:
                          "that passes the rank-2 trace check")
         except PolynomialDomainError as exc:
             ap.error(f"--st: {exc}")
+        out = _open_out(ap, args.out)
         report = p2.full_analysis(salem).to_json()
         if args.format == "json":
             text = json.dumps(report, indent=1) + "\n"
@@ -530,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"E3 degree = {report['E3_degree']}, E7 degree = {report['E7_degree']}\n"
                     f"p+- : {' '.join(report['grid']['p_pm'])}\n"
                     f"p   : {' '.join(report['grid']['p'])}\n")
-        _write_out(text, args.out)
+        _write_out(text, out)
         return 0
 
     if args.command == "verify-tables":
@@ -551,12 +554,24 @@ def _poly_arg(value: str) -> IntPoly:
     return IntPoly.from_text(value)
 
 
-def _write_out(text: str, path: str | None):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _open_out(ap: argparse.ArgumentParser, path: str | None):
+    """The --out file opened for writing, or None for stdout.  Each command
+    opens it after checking its other arguments and before its work, so
+    a path that cannot be written is a usage error that costs nothing."""
+    if path is None:
+        return None
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        ap.error(f"--out: {exc}")
+
+
+def _write_out(text: str, out):
+    if out is None:
         sys.stdout.write(text)
+    else:
+        with out:
+            out.write(text)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .algnum import (
     AlgebraicReal,
     _isolating_intervals,
     _sign,
-    algebraic_equal,
+    count_roots_in,
 )
 from .salemlib import is_salem, trace_conjugates
 
@@ -77,8 +77,7 @@ class HodgeVerdict:
     special_trace: AlgebraicReal | None = None
     special_trace_index: int | None = None
     salem_factor: IntPoly | None = None
-    salem_trace: IntPoly | None = None
-    salem_conjugates: list[AlgebraicReal] | None = None  # trace_conjugates(salem_trace)
+    salem_conjugates: list[AlgebraicReal] | None = None  # trace_conjugates of the factor
     cyclo_indices: dict[int, int] | None = None
     rejection_reason: str | None = None
 
@@ -126,18 +125,12 @@ def dissect(phi: IntPoly, psi: IntPoly) -> ClusterDissection:
     b_runs = [block for tag, block in runs if tag == "B"]
     d.s = len(b_runs)
     d.b_clusters = b_runs
-    a_clusters: list[list] = []
+    # maximal runs alternate, so an empty A-cluster stands only at an end
+    d.a_clusters = [block for tag, block in runs if tag == "A"]
     if not runs or runs[0][0] == "B":
-        a_clusters.append([])
-    for i, (tag, block) in enumerate(runs):
-        if tag == "A":
-            a_clusters.append(block)
-        elif i + 1 < len(runs) and runs[i + 1][0] == "B":
-            # cannot happen: maximal runs alternate
-            raise PipelineError("non-alternating cluster runs")
+        d.a_clusters.insert(0, [])
     if runs and runs[-1][0] == "B":
-        a_clusters.append([])
-    d.a_clusters = a_clusters
+        d.a_clusters.append([])
     return d
 
 
@@ -200,10 +193,18 @@ _TABLE_ROWS = [
 def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
     """Match a dissection against the admissible configurations.
 
-    On acceptance the verdict carries the Salem factor S of phi, its
-    trace polynomial, the cyclotomic factor indices of phi, and the
-    index j of the special trace tau_j among the descending trace
-    conjugates tau_1 > tau_2 > ... in (-2, 2) (``trace_conjugates``).
+    On acceptance the verdict carries the Salem factor S of phi, the
+    descending trace conjugates tau_1 > tau_2 > ... in (-2, 2) of S
+    (``trace_conjugates``), the cyclotomic factor indices of phi, and
+    the index j of the special trace tau = tau_j.
+
+    The dissection's interval (lo, hi) of tau decides both by Sturm's
+    theorem.  Its endpoints are not roots of Phi, and the Salem trace
+    polynomial S_tr divides Phi, so tau is a Salem conjugate exactly
+    when S_tr changes sign across (lo, hi), and then j is the number of
+    roots of S_tr in (lo, 2).  The (z-1)(z+1) factor of phi is simple:
+    v(+-1) = Phi(+-2) for v = phi / (z^2 - 1) of degree 20, and the
+    dissection flags Phi(+-2) = 0.
     """
     if d.flags:
         return HodgeVerdict(accepted=False, rejection_reason="; ".join(d.flags))
@@ -224,22 +225,17 @@ def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
     tau = special(d)
 
     cyclo, residual = cyclotomic_salem_split(phi)
-    if cyclo.get(1, 0) != 1 or cyclo.get(2, 0) != 1:
-        return HodgeVerdict(accepted=False,
-                            rejection_reason="phi lacks the simple (z-1)(z+1) factor")
     if not (residual.degree >= 4 and is_salem(residual)):
         return HodgeVerdict(accepted=False,
                             rejection_reason="phi has no Salem factor")
     salem_tr = trace_polynomial(residual)
-    taus = trace_conjugates(salem_tr)
-    index = next((j for j, r in enumerate(taus, start=1) if algebraic_equal(r, tau)), None)
-    if index is None:
+    if _sign(salem_tr, tau.lo) == _sign(salem_tr, tau.hi):
         return HodgeVerdict(accepted=False,
                             rejection_reason="special trace is not conjugate to the Salem number")
     c_indices = {n: m for n, m in cyclo.items() if n not in (1, 2)}
     return HodgeVerdict(accepted=True, case_number=case, special_trace=tau,
-                        special_trace_index=index, salem_factor=residual,
-                        salem_trace=salem_tr, salem_conjugates=taus,
+                        special_trace_index=count_roots_in(salem_tr, tau.lo, TWO),
+                        salem_factor=residual, salem_conjugates=trace_conjugates(salem_tr),
                         cyclo_indices=c_indices)
 
 

@@ -25,7 +25,9 @@ from .intpoly import (
     PALINDROMIC,
     IntPoly,
     palindrome_kind,
+    reciprocal,
     resultant,
+    series_quotient,
 )
 from . import linalg
 
@@ -40,21 +42,9 @@ def series_coefficients(psi: IntPoly, phi: IntPoly, count: int) -> list[int]:
     """Coefficients xi_1..xi_count of psi/phi = 1 + sum xi_i z^(-i).
 
     Both polynomials monic of equal degree; the expansion at infinity is
-    the Taylor series of the reciprocal quotient at zero, which has
-    integer coefficients because the denominator has constant term 1.
+    the Taylor series of the reciprocal quotient at zero.
     """
-    n = phi.degree
-    pc = [phi[n - i] for i in range(n + 1)]   # reciprocal of phi
-    qc = [psi[n - i] for i in range(n + 1)]   # reciprocal of psi
-    out = []
-    series = [1] + [0] * count
-    for k in range(1, count + 1):
-        s = qc[k] if k <= n else 0
-        for j in range(1, min(k, n) + 1):
-            s -= pc[j] * series[k - j]
-        series[k] = s
-        out.append(s)
-    return out
+    return series_quotient(reciprocal(psi), reciprocal(phi), count + 1)[1:]
 
 
 @dataclass

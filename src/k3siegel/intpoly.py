@@ -505,21 +505,26 @@ def interpolate(ys: Sequence[int]) -> IntPoly:
     return IntPoly(acc)
 
 
-def newton_traces(phi: IntPoly, n_terms: int) -> list[int]:
-    """Power sums sum(lambda_i^n) for n = 1..n_terms of the roots of phi.
+def series_quotient(num: IntPoly, den: IntPoly, count: int) -> list[int]:
+    """The coefficients of z^0 .. z^(count-1) in the power series of
+    num(z) / den(z) at zero.  den(0) = 1, so they are integers:
+    q_k = num_k - sum_(j >= 1) den_j q_(k-j)."""
+    if den[0] != 1:
+        raise PolynomialDomainError("series_quotient needs den(0) = 1")
+    d = den.coeffs
+    q: list[int] = []
+    for k in range(count):
+        q.append(num[k] - sum(d[j] * q[k - j] for j in range(1, min(k, len(d) - 1) + 1)))
+    return q
 
-    Computed from the logarithmic derivative of the reciprocal polynomial:
-    -z d/dz log(phi†(z)) = sum_n Tr(F^n) z^n for the companion F of phi.
-    phi† has constant term 1, so its series inverse is integral.
+
+def newton_traces(phi: IntPoly, n_terms: int) -> list[int]:
+    """Power sums sum(lambda_i^n) for n = 1..n_terms of the roots of a
+    monic phi.
+
+    Read off the logarithmic derivative of the reciprocal polynomial:
+    -z d/dz log(phi†(z)) = sum_n Tr(F^n) z^n for the companion F of phi,
+    and phi† has constant term 1.
     """
-    if not phi.is_monic():
-        raise PolynomialDomainError("newton_traces needs a monic polynomial")
-    rc = reciprocal(phi).coeffs  # constant term 1
-    # series inverse of rc up to z^n_terms
-    inv = [1] + [0] * n_terms
-    for k in range(1, n_terms + 1):
-        inv[k] = -sum(rc[j] * inv[k - j] for j in range(1, min(k, len(rc) - 1) + 1))
-    # -z * rc'(z) * inv(z), coefficients 1..n_terms
-    drc = [(i + 1) * c for i, c in enumerate(rc[1:])]
-    return [-sum(drc[j] * inv[n - 1 - j] for j in range(min(n, len(drc))))
-            for n in range(1, n_terms + 1)]
+    rc = reciprocal(phi)
+    return series_quotient(-rc.derivative(), rc, n_terms)

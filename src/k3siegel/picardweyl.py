@@ -31,17 +31,20 @@ class PicardData:
     rho: int
     basis_l: list            # rho vectors, L-coordinates (A-basis of L)
     gram_pic: list           # rho x rho, negative definite
-    a_pic: list              # action of A on Pic (companion of phi1)
-    phi1: IntPoly             # char poly of A|Pic = (z-1)(z+1) C(z)
+    a_pic: list              # action of A on Pic: companion of phi / S = (z-1)(z+1) C(z)
 
 
 def picard_lattice(model: LatticeModel, verdict: HodgeVerdict) -> PicardData:
-    """Standard basis and Gram matrix of the Picard lattice."""
+    """Standard basis and Gram matrix of the Picard lattice.
+
+    The form is negative definite on an accepted pair; enumerate_roots
+    certifies it, since the LLL reduction of the negated Gram raises
+    MatrixDomainError unless every leading minor is positive.
+    """
     if not verdict.accepted:
         raise PipelineError("picard_lattice on a rejected pair")
     s_poly = verdict.salem_factor
     rho = RANK - s_poly.degree
-    phi1 = model.phi // s_poly
     basis = []
     for i in range(rho):
         vec = [0] * RANK
@@ -50,12 +53,10 @@ def picard_lattice(model: LatticeModel, verdict: HodgeVerdict) -> PicardData:
         basis.append(vec)
     gram_basis = [linalg.mat_vec(model.gram, v) for v in basis]
     gram_pic = [[sum(map(mul, u, gv)) for gv in gram_basis] for u in basis]
-    if linalg.inertia(gram_pic)[0] != (0, rho, 0):
-        raise PipelineError("Picard form is not negative definite")
     if any(gram_pic[i][i] % 2 for i in range(rho)):
         raise PipelineError("Picard form is not even")
     return PicardData(rho=rho, basis_l=basis, gram_pic=gram_pic,
-                      a_pic=companion(phi1), phi1=phi1)
+                      a_pic=companion(model.phi // s_poly))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .intpoly import (
 from .algnum import (
     TWO,
     AlgebraicReal,
-    algebraic_compare,
     count_roots_in,
     isolate_real_roots,
     root_bound,
@@ -204,13 +203,23 @@ class SalemStore:
         self._validate_order()
 
     def _validate_order(self):
+        # lambda's minimal polynomial is its Salem polynomial, so two
+        # entries tie only when they hold one polynomial; otherwise
+        # refining both isolating intervals separates them
         by_degree: dict[int, list[SalemEntry]] = {}
         for e in self.entries.values():
             by_degree.setdefault(e.degree, []).append(e)
         for d, es in by_degree.items():
             es.sort(key=lambda e: e.index)
             for a, b in zip(es, es[1:]):
-                if algebraic_compare(a.lam, b.lam) >= 0:
+                if a.trace_poly == b.trace_poly:
+                    raise SalemDataError(f"degree {d}: entries i={a.index} and i={b.index} "
+                                         "hold one Salem polynomial")
+                x, y = a.lam, b.lam
+                while x.lo < y.hi and y.lo < x.hi:
+                    x.refine((x.hi - x.lo) / 4)
+                    y.refine((y.hi - y.lo) / 4)
+                if y.hi <= x.lo:
                     raise SalemDataError(
                         f"degree {d}: lambda order disagrees with index order "
                         f"between i={a.index} and i={b.index}")
@@ -268,6 +277,3 @@ def load_store(external_path: str | None = None) -> SalemStore:
         with open(external_path, "r", encoding="utf-8") as fh:
             entries.extend(parse_salem_file(fh.read()))
     return SalemStore(entries)
-
-
-LEHMER_KEY = (10, 1)

@@ -2,10 +2,9 @@
 
 Each test prints its PASS/FAIL line (run with -s to see them inline)
 and asserts exact success.  The two search criteria take a few minutes
-each; the worker count comes from K3SIEGEL_WORKERS (default: 2 here).
+each, on two workers.
 """
 
-import os
 import time
 
 import pytest
@@ -14,7 +13,7 @@ from k3siegel import acceptance, cli, picardweyl, salemlib
 from k3siegel.intpoly import IntPoly
 from k3siegel.setup2 import S4
 
-WORKERS = int(os.environ.get("K3SIEGEL_WORKERS", "2"))
+WORKERS = 2
 
 
 def _run(name, fn, *args):

@@ -11,8 +11,6 @@ from k3siegel.algnum import (
     AlgebraicReal,
     NumberFieldElem,
     RationalFunctionW,
-    algebraic_compare,
-    algebraic_equal,
     count_roots_in,
     hn_poly,
     is_algebraic_integer,
@@ -56,7 +54,7 @@ def test_isolate_descending_order():
         vals = [r.approx() for r in roots]
         assert vals == sorted(vals, reverse=True)
         for a, b in zip(roots, roots[1:]):
-            assert algebraic_compare(a, b) == 1
+            assert a.lo >= b.hi
 
 
 def test_count_roots_examples():
@@ -79,17 +77,6 @@ def test_sign_at_rational_points():
     x = AlgebraicReal(IntPoly([-1, 2]), Fraction(0), Fraction(1))  # 1/2
     assert x.is_point() or sign_at(IntPoly([-1, 2]), x) == 0
     assert sign_at(IntPoly([-1, 0, 4]), x) == 0  # (2x-1)(2x+1)
-
-
-def test_algebraic_equal_and_compare():
-    r1 = isolate_real_roots(ST4_1)
-    r2 = isolate_real_roots(ST4_1 * IntPoly([1, 1]))
-    # r2 contains the same two roots plus -1 in the middle
-    assert len(r2) == 3
-    assert algebraic_equal(r1[0], r2[0])
-    assert algebraic_equal(r1[1], r2[2])
-    assert not algebraic_equal(r1[0], r1[1])
-    assert algebraic_compare(r2[1], r1[1]) == 1  # -1 > -1.3027
 
 
 def test_number_field_arithmetic():

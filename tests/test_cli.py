@@ -390,20 +390,51 @@ def test_poly_arg_accepts_files(tmp_path):
     (["search", "--setup1", "--salem-data", "non_monic.salem"], None),
     (["picard2", "--st", "[-3,-1,1]"], None),
     (["picard2", "--st", "[1,0,-4,-1]"], None),
+    (["search", "--setup1", "--degree", "7"], None),
+    (["search", "--setup1", "--degree", "0"], None),
+    (["search", "--setup1", "--degree", "-2"], None),
+    (["search", "--setup1", "--degree", "2"], None),
+    (["search", "--setup1", "--degree", "22"], None),
+    (["search", "--degree", "7"], None),
 ])
 def test_cli_input_errors_exit_2(monkeypatch, capsys, tmp_path, argv, workers):
     # a malformed argument is a usage error (2), not a faulted row (1);
-    # the Salem data files hold a wrong coefficient count and a non-monic
-    # trace polynomial, and S4's trace polynomial fails the rank-2 check
+    # workers, when given, is the --workers text; the Salem data files
+    # hold a wrong coefficient count and a non-monic trace polynomial,
+    # and S4's trace polynomial fails the rank-2 check
     monkeypatch.chdir(tmp_path)
     (tmp_path / "count.salem").write_text("10 2 : 1 0 -5\n")
     (tmp_path / "non_monic.salem").write_text("10 1 : 2 1 -5 -5 4 3\n")
     if workers is not None:
-        monkeypatch.setenv("K3SIEGEL_WORKERS", workers)
+        argv = [*argv, "--workers", workers]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["setup2-enum"],
+    ["search", "--setup2"],
+    ["search", "--setup1", "--degree", "18"],
+    ["analyze", "--phi", "[1]", "--psi", "[1]"],
+    ["picard2"],
+])
+def test_unwritable_out_is_a_usage_error_before_any_work(monkeypatch, capsys, tmp_path, argv):
+    # the file is opened before the work: the census (enumerate_setup2,
+    # which search --setup2 runs first), a search, a pair or picard2
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was opened")
+
+    for name in ("enumerate_setup2", "search_setup2", "search_setup1", "analyze_pair"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(picard2, "full_analysis", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "missing" / "x.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_map_tasks_asks_for_no_more_processes_than_tasks(monkeypatch):

@@ -34,7 +34,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from k3siegel import cli, linalg
+from k3siegel import cli, hodgeclass, linalg
 from k3siegel.hodgeclass import dissect
 from k3siegel.algnum import (
     NumberFieldElem,
@@ -62,7 +62,9 @@ from k3siegel.intpoly import (
     interpolate,
     last_subresultant,
     newton_traces,
+    reciprocal,
     resultant,
+    series_quotient,
     trace_polynomial,
 )
 from k3siegel.picard2 import (
@@ -407,6 +409,17 @@ def test_newton_traces_match_companion_powers(p, n):
     assert newton_traces(p, n) == want
 
 
+@settings(max_examples=25, deadline=None)
+@given(monic_polys(max_degree=5, bound=5), monic_polys(max_degree=5, bound=5),
+       st.integers(1, 12))
+def test_series_quotient_matches_sympy_series(u, v, count):
+    # reversed monic polynomials have constant term 1
+    num, den = reciprocal(u), reciprocal(v)
+    expansion = sympy.series(to_sympy(num).as_expr() / to_sympy(den).as_expr(), X, 0, count)
+    want = sympy.Poly(expansion.removeO(), X).all_coeffs()[::-1]
+    assert series_quotient(num, den, count) == want + [0] * (count - len(want))
+
+
 @EXAMPLES
 @given(st.integers(1, 5).flatmap(
     lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
@@ -414,6 +427,72 @@ def test_newton_traces_match_companion_powers(p, n):
 def test_charpoly_matches_sympy(m):
     want = sympy.Matrix(m).charpoly(X).all_coeffs()
     assert list(reversed(linalg.charpoly(m).coeffs)) == want
+
+
+def sympy_salem_conjugates(phi: IntPoly) -> list:
+    """The roots in (-2, 2) of the trace polynomial of phi's Salem factor
+    S, largest first, by sympy alone: S is the irreducible factor of
+    degree > 1 with a real root >= 1, and Res_z(S(z), z^2 - w z + 1) is
+    its trace polynomial squared."""
+    (s,) = [f for f, _ in to_sympy(phi).factor_list()[1]
+            if f.degree() > 1 and f.count_roots(1, None)]
+    st_poly = sympy.Poly(sympy.resultant(s.as_expr(), X ** 2 - W * X + 1, X), W).sqf_part()
+    return sorted((r for r in st_poly.real_roots() if -2 < r < 2), reverse=True)
+
+
+def salem_step_records(monkeypatch, search):
+    """The search's rows, and (tau, phi, verdict) for each pair whose
+    classify reached the Salem step: one table row matched and picked tau."""
+    picked, records = [], []
+
+    def recording(special):
+        return lambda d: picked.append(special(d)) or picked[-1]
+
+    def recording_classify(d, phi):
+        picked.clear()
+        verdict = classify(d, phi)
+        if picked:
+            records.append((picked[0], phi, verdict))
+        return verdict
+
+    classify = hodgeclass.classify
+    monkeypatch.setattr(hodgeclass, "_TABLE_ROWS",
+                        [(*row[:-1], recording(row[-1])) for row in hodgeclass._TABLE_ROWS])
+    monkeypatch.setattr(hodgeclass, "classify", recording_classify)
+    return search(), records
+
+
+@pytest.mark.parametrize("search, reached, conjugate", [
+    pytest.param(lambda: cli.search_setup2(workers=1, include_rejections=True),
+                 156, 40, id="setup2"),
+    pytest.param(lambda: cli.search_setup1(load_store(), 20, include_rejections=True),
+                 None, None, id="setup1-20"),
+    pytest.param(lambda: cli.search_setup1(load_store(), 18, include_rejections=True),
+                 None, None, id="setup1-18"),
+])
+def test_special_trace_index_matches_sympy(monkeypatch, search, reached, conjugate):
+    # from dissect's rational interval (lo, hi) of tau alone, sympy decides
+    # whether a root of the Salem trace polynomial lies in it, and its
+    # rank among the roots in (-2, 2), largest first
+    rows, records = salem_step_records(monkeypatch, search)
+    conjugates, want = {}, []
+    for tau, phi, verdict in records:
+        if phi not in conjugates:
+            conjugates[phi] = sympy_salem_conjugates(phi)
+        inside = conjugates[phi]
+        lo, hi = (sympy.Rational(x.numerator, x.denominator) for x in (tau.lo, tau.hi))
+        want.append(next((j for j, r in enumerate(inside, start=1) if lo < r < hi), None))
+        assert verdict.accepted == (want[-1] is not None)
+        assert verdict.special_trace_index == want[-1]
+        if not verdict.accepted:
+            assert verdict.rejection_reason == \
+                "special trace is not conjugate to the Salem number"
+    assert records and (reached is None or len(records) == reached)
+    assert conjugate is None or len(want) - want.count(None) == conjugate
+    assert sorted(r.st_index for r in rows if r.st_index is not None) == \
+        sorted(j for j in want if j is not None)
+    assert sum(r.rejection == "special trace is not conjugate to the Salem number"
+               for r in rows) == want.count(None)
 
 
 @st.composite

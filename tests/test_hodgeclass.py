@@ -38,7 +38,7 @@ def test_entry9_classification():
     assert v.accepted
     assert v.special_trace_index == 1
     assert v.cyclo_indices == {8: 1, 12: 1, 30: 1}
-    assert v.salem_trace == IntPoly([-3, -1, 1])
+    assert v.salem_factor == STORE[(4, 1)].salem_poly
 
 
 def test_entry2_classification():

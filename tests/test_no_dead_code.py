@@ -1,12 +1,17 @@
-"""Every function and method in ``src/k3siegel`` has a reader in ``src/``.
+"""Every function, method and module-level name in ``src/k3siegel`` has
+a reader in ``src/``.
 
 A module-level function or a class method, dunders aside, must be named
 somewhere in ``src/`` outside its own definition, as an ``ast.Name`` id
-or an ``ast.Attribute`` attr.  Code that only tests call belongs in the
-tests, as an oracle helper.  The allow-list holds the public methods
-that the demos read and nothing in ``src/`` calls.  Names are matched
-by text alone, so a method that shares its name with another name read
-in ``src/`` passes unseen (``np.sign`` reads ``sign``).
+or an ``ast.Attribute`` attr; so must a module-level class or a name a
+module-level assignment binds.  Code and data that only tests read
+belong in the tests, as an oracle helper or a test constant.  The
+function allow-list holds the public methods that the demos read and
+nothing in ``src/`` calls; the name allow-list holds the package's
+``__version__`` and ``__all__``, which importers read.  Names are
+matched by text alone, so a definition that shares its name with
+another name read in ``src/`` passes unseen (``np.sign`` reads
+``sign``).
 """
 
 import ast
@@ -16,6 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 ALLOWED = {"AlgebraicReal.approx", "SalemStore.keys"}
+ALLOWED_NAMES = {"__init__.__version__", "__init__.__all__"}
 
 
 def _names(node) -> list[str]:
@@ -23,35 +29,48 @@ def _names(node) -> list[str]:
             if isinstance(n, (ast.Name, ast.Attribute))]
 
 
-def _definitions(path: Path, tree: ast.Module):
-    """(qualified name, node) of each module-level function and class method."""
+def _functions(path: Path, tree: ast.Module):
+    """(qualified name, name, node) of each module-level function and class
+    method, dunders aside."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, functions):
-            yield f"{path.stem}.{node.name}", node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, functions):
-                    yield f"{node.name}.{item.name}", item
+        methods = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in methods:
+            if (isinstance(fn, functions)
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))):
+                owner = node.name if fn is not node else path.stem
+                yield f"{owner}.{fn.name}", fn.name, fn
 
 
-def _unread() -> set[str]:
+def _module_names(path: Path, tree: ast.Module):
+    """(qualified name, name, node) of each module-level class and each name
+    a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield f"{path.stem}.{node.name}", node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield f"{path.stem}.{n.id}", n.id, node
+
+
+def _unread(definitions) -> set[str]:
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.rglob("*.py"))}
     counts = Counter(name for tree in trees.values() for name in _names(tree))
-    unread = set()
-    for path, tree in trees.items():
-        if path.parent.name != "k3siegel":
-            continue
-        for qualname, fn in _definitions(path, tree):
-            if fn.name.startswith("__") and fn.name.endswith("__"):
-                continue
-            if counts[fn.name] == _names(fn).count(fn.name):
-                unread.add(qualname)
-    return unread
+    return {qualname
+            for path, tree in trees.items() if path.parent.name == "k3siegel"
+            for qualname, name, node in definitions(path, tree)
+            if counts[name] == _names(node).count(name)}
 
 
 def test_every_function_has_a_reader_in_src():
-    assert _unread() == ALLOWED
+    assert _unread(_functions) == ALLOWED
+
+
+def test_every_module_level_name_has_a_reader_in_src():
+    assert _unread(_module_names) == ALLOWED_NAMES
 
 
 def test_the_demos_read_the_allowed_methods():

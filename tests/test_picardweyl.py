@@ -6,7 +6,7 @@ import sympy
 from k3siegel.acceptance import RHO18_TABLE, _setup2
 from k3siegel.cli import phi_of
 from k3siegel.intpoly import IntPoly, cyclotomic
-from k3siegel import linalg
+from k3siegel import cli, linalg, picardweyl
 from k3siegel.hodgeclass import dissect_and_classify
 from k3siegel.hyplattice import build, signature_and_renormalize, unimodularity_gate
 from k3siegel.picardweyl import (
@@ -110,7 +110,7 @@ def test_root_counts_match_dynkin():
 
 
 def test_rho_zero_degenerate():
-    pic = PicardData(rho=0, basis_l=[], gram_pic=[], a_pic=[], phi1=IntPoly([1]))
+    pic = PicardData(rho=0, basis_l=[], gram_pic=[], a_pic=[])
     report = enumerate_roots(pic)
     assert report.delta_plus == [] and report.simple_roots == []
     assert report.dynkin_name() == "0"
@@ -174,3 +174,23 @@ def test_walk_matches_set_based_reference(case):
     assert report.w_word == word
     assert report.a_tilde_pic == a_tilde_pic
     assert report.a_tilde_l == a_tilde_l
+
+
+def test_id523_runs_one_inertia_and_lll_certifies_the_picard_form(monkeypatch):
+    # the Gram inertia of the lattice is the only one; the Picard form's
+    # definiteness is certified by the LLL reduction inside enumerate_roots
+    phi, psi = ROWS["entry9"]
+    calls = []
+    inertia = linalg.inertia
+    monkeypatch.setattr(linalg, "inertia", lambda m: calls.append(len(m)) or inertia(m))
+    assert cli.analyze_pair(phi, psi).accepted()
+    assert calls == [22]
+
+    def indefinite(model, verdict):
+        pic = picard_lattice(model, verdict)
+        pic.gram_pic[0][0] = -pic.gram_pic[0][0]
+        return pic
+
+    monkeypatch.setattr(picardweyl, "picard_lattice", indefinite)
+    row = cli.analyze_pair(phi, psi)
+    assert row.rejection == "internal: lll_reduce requires a positive definite Gram matrix"

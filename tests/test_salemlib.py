@@ -5,7 +5,6 @@ import pytest
 from k3siegel import algnum, salemlib
 from k3siegel.intpoly import IntPoly, cyclotomic, from_trace_polynomial, trace_polynomial
 from k3siegel.salemlib import (
-    LEHMER_KEY,
     SalemDataError,
     SalemEntry,
     compute_L0,
@@ -19,6 +18,7 @@ from k3siegel.salemlib import (
 
 PSI_523 = IntPoly([1, -1, -2, 0, 2, 1, 0, -1, -2, 0, 1, 1, 1, 0, -2, -1, 0, 1, 2, 0, -2, -1, 1])
 LEHMER = IntPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+LEHMER_KEY = (10, 1)  # Lehmer's polynomial, the smallest Salem number of degree 10
 
 
 def test_is_salem_examples():
@@ -118,10 +118,15 @@ def test_reject_non_salem_entry():
 
 
 def test_reject_wrong_lambda_order():
-    # index order must agree with lambda order within a degree
+    # index order must agree with lambda order within a degree, and one
+    # Salem polynomial under two indices has no order at all
+    from k3siegel.salemlib import SalemStore
+
     text = "4 1 : 1 -2 -2\n4 2 : 1 -1 -3\n"
-    with pytest.raises(SalemDataError):
-        from k3siegel.salemlib import SalemStore
+    with pytest.raises(SalemDataError, match="lambda order disagrees"):
+        SalemStore(parse_salem_file(text))
+    text = "4 1 : 1 -1 -3\n4 2 : 1 -1 -3\n"
+    with pytest.raises(SalemDataError, match="hold one Salem polynomial"):
         SalemStore(parse_salem_file(text))
 
 
