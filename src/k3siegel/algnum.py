@@ -9,17 +9,20 @@ interval holds -2 or 2 inside it only when that point is its root.
 Every sign at a rational point n/d, of a Sturm term or of any other
 polynomial, is taken by one integer evaluation (``_scaled_value``).
 Sign evaluation of a polynomial at an algebraic point is decided
-exactly: a gcd test for the zero case, interval refinement otherwise.
+exactly: by the signs at the interval's endpoints and a Sturm count
+when these show no root, else a gcd test for the zero case and
+interval refinement otherwise.
 On top of that sit elements of a number field QQ[w]/(m(w)), kept as an
 integer polynomial reduced mod m over a positive integer, univariate
 rational functions kept as coprime pairs of integer polynomials (the
 normal form of Frac(Z[w])), and the symmetric descent
 delta + 1/delta -> w used to rewrite eigenvalue equations in the trace
 variable.  All of their arithmetic is in integers: one gcd and one
-content gcd normalize each rational function, and the multiplication
-matrix (``multiplication_solve``), handed to the fraction-free
-``linalg.solve``, inverts in the number field and divides exactly in
-Z[w]/(m) for ``picard2``.
+content gcd normalize each rational function.  One inverse in
+integers, (adj c, d) = d c^(-1) from the multiplication matrix of c
+handed to the fraction-free ``linalg.solve`` (``integral_inverse``),
+inverts in the number field and divides exactly in Z[w]/(m) for
+``picard2``.
 Every gcd and resultant reads the package's one subresultant PRS
 (``intpoly.subresultants``); minimal polynomials of values f(alpha)
 also read ``intpoly.interpolate``, which interpolates in integers.
@@ -235,47 +238,63 @@ def isolate_real_roots(p: IntPoly) -> list[AlgebraicReal]:
     return [AlgebraicReal(sf, a, b) for a, b in _isolating_intervals(sf)]
 
 
+def _sign_on(q: IntPoly, x: AlgebraicReal) -> int:
+    """The sign of q on x's closed isolating interval when q has no root
+    there (both endpoints the same nonzero sign, no root between them),
+    else 0."""
+    s = _sign(q, x.lo)
+    if s and s == _sign(q, x.hi) and count_roots_in(q, x.lo, x.hi) == 0:
+        return s
+    return 0
+
+
 def sign_at(q: IntPoly, x: AlgebraicReal) -> int:
     """Exact sign of q(x).
 
-    Zero is decided by a gcd test (zero iff gcd(minpoly, q) has a root
-    in the isolating interval); otherwise the isolating interval is
-    refined until q has constant sign on it.  Always terminates.
+    The endpoint test (``_sign_on``) decides first, with no gcd.  Only
+    when it cannot is zero decided by a gcd test (zero iff gcd(minpoly,
+    q) has a root in the isolating interval); otherwise the interval is
+    refined until the endpoint test decides.  Always terminates.
     """
     if q.is_zero():
         return 0
     if x.is_point():
         return _sign(q, x.lo)
+    s = _sign_on(q, x)
+    if s:
+        return s
     g = gcd(x.minpoly, q)
     # roots of g are roots of the squarefree minpoly, and the only such
     # root in the (open) isolating interval is x itself
     if g.degree > 0 and count_roots_in(g, x.lo, x.hi) == 1:
         return 0
-    while True:
-        sa = _sign(q, x.lo)
-        if sa != 0 and sa == _sign(q, x.hi) and count_roots_in(q, x.lo, x.hi) == 0:
-            return sa
+    while not s:
         x.refine((x.hi - x.lo) / 4)
         if x.is_point():
             return _sign(q, x.lo)
+        s = _sign_on(q, x)
+    return s
 
 
 # ---------------------------------------------------------------------------
 # number field elements
 # ---------------------------------------------------------------------------
 
-def multiplication_solve(modulus: IntPoly, c: IntPoly, values: list) -> tuple[list, int]:
-    """Solve c q = v in QQ[w]/(modulus) for each v, over the integers.
+def integral_inverse(modulus: IntPoly, c: IntPoly) -> tuple[IntPoly, int]:
+    """(adj c, d) with c adj c = d in Z[w]/(modulus): adj c = d c^(-1).
 
     M is the multiplication matrix of c on 1, w, ..., w^(n-1) for the
-    monic modulus of degree n, and ``linalg.solve`` gives the Cramer form
-    of M q = v: returns ([d q for each v], d), d = det M, q as coefficient
-    lists.  Raises ZeroDivisionError when M is singular (c a zero divisor).
+    monic modulus of degree n, d = det M, and adj c is the Cramer form d x
+    of M x = e_0 (``linalg.solve``), so its coefficients are integers.
+    The number field inverse and the exact division of ``picard2`` both
+    read it.  Raises ZeroDivisionError when M is singular (c a zero
+    divisor).
     """
     n = modulus.degree
-    cols = [c.shift(j).divmod(modulus)[1] for j in range(n)]
-    return solve([[col[i] for col in cols] for i in range(n)],
-                 [[v[i] for v in values] for i in range(n)])
+    cols = [c.shift(j).rem_monic(modulus) for j in range(n)]
+    (adj,), d = solve([[col[i] for col in cols] for i in range(n)],
+                      [[int(i == 0)] for i in range(n)])
+    return IntPoly(adj), d
 
 
 class NumberFieldElem:
@@ -291,7 +310,7 @@ class NumberFieldElem:
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         if num.degree >= modulus.degree:
-            num = num.divmod(modulus)[1]
+            num = num.rem_monic(modulus)
         g = math.gcd(num.content(), den)  # |den| when num is zero
         if den < 0:
             g = -g
@@ -347,16 +366,20 @@ class NumberFieldElem:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return NumberFieldElem(self.modulus, self.num * o.num, self.den * o.den)
+        return NumberFieldElem(self.modulus, self.num.mul_mod(o.num, self.modulus),
+                               self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NumberFieldElem":
-        """den / num, with 1 / num from ``multiplication_solve``."""
+        """den / num = den adj(num) / d, from ``integral_inverse`` unless
+        num is a constant."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        (q,), det = multiplication_solve(self.modulus, self.num, [IntPoly([1])])
-        return NumberFieldElem(self.modulus, IntPoly(q) * self.den, det)
+        if self.num.degree == 0:
+            return NumberFieldElem(self.modulus, IntPoly([self.den]), self.num[0])
+        adj, d = integral_inverse(self.modulus, self.num)
+        return NumberFieldElem(self.modulus, adj * self.den, d)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -508,12 +531,13 @@ class RationalFunctionW:
 _OPERANDS = (RationalFunctionW, IntPoly, int, Fraction)
 
 
-def ratfunc_compare(f: RationalFunctionW, c, x: AlgebraicReal) -> int:
+def ratfunc_compare(f: RationalFunctionW, c, x: AlgebraicReal,
+                    den_sign: int | None = None) -> int:
     """Exact sign of f(x) - c at an algebraic point, c = p/q rational with
-    q > 0: the sign of (q num - p den)(x) times that of den(x); raises
-    on a pole."""
+    q > 0: the sign of (q num - p den)(x) times that of den(x), taken
+    here unless the caller passes it as den_sign; raises on a pole."""
     c = Fraction(c)
-    sden = sign_at(f.den, x)
+    sden = sign_at(f.den, x) if den_sign is None else den_sign
     if sden == 0:
         raise ZeroDivisionError("pole at algebraic point")
     return sign_at(f.num * c.denominator - f.den * c.numerator, x) * sden

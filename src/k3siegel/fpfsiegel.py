@@ -31,6 +31,7 @@ from .algnum import (
     is_algebraic_integer,
     minpoly_of_value,
     ratfunc_compare,
+    sign_at,
     symmetric_descent,
 )
 
@@ -197,6 +198,30 @@ class SiegelVerdict:
         return self.kind
 
 
+class ConjugateSigns:
+    """The signs of f(tau) - c that the verdicts read, each decided once.
+
+    ``ratfunc_compare`` decides each (f, c, tau) once, handed the sign of
+    den(tau), itself taken once per (den, tau).  A grid of verdicts keeps
+    one for all its rows and columns (``picard2.classify_grid``), so off
+    and undecided are decided at most once per conjugate and function;
+    it lives no longer than that call.
+    """
+
+    def __init__(self):
+        self._den: dict = {}
+        self._diff: dict = {}
+
+    def compare(self, f: RationalFunctionW, c, tau: AlgebraicReal) -> int:
+        key = (f, c, tau)
+        if key not in self._diff:
+            den = (f.den, tau)
+            if den not in self._den:
+                self._den[den] = sign_at(f.den, tau)
+            self._diff[key] = ratfunc_compare(f, c, tau, self._den[den])
+        return self._diff[key]
+
+
 def _dichotomy(f: RationalFunctionW, taus: list[AlgebraicReal], j: int, off,
                undecided=lambda tau: False) -> SiegelVerdict:
     """Rules 2, 1-i and 1-ii at tau_j for eigenvalues read off f(tau), on
@@ -205,9 +230,11 @@ def _dichotomy(f: RationalFunctionW, taus: list[AlgebraicReal], j: int, off,
 
     off(x) tells whether f(x) puts the eigenvalues off the unit circle,
     and undecided(tau_j) whether f(tau_j) fixes no eigenvalue pair at
-    all.  Off at tau_j is hyperbolic (rule 2); otherwise the point is a
-    Siegel center when off at another conjugate (rule 1-i) or when
-    f(tau_j) is not an algebraic integer (rule 1-ii).
+    all; both read their signs from a ``ConjugateSigns``, so a grid that
+    shares one decides each once.  Off at tau_j is hyperbolic (rule 2);
+    otherwise the point is a Siegel center when off at another conjugate
+    (rule 1-i, witnessed by the first such index) or when f(tau_j) is not
+    an algebraic integer (rule 1-ii).
     """
     tau = taus[j - 1]
     try:
@@ -226,22 +253,26 @@ def _dichotomy(f: RationalFunctionW, taus: list[AlgebraicReal], j: int, off,
     return SiegelVerdict(UNDECIDED)
 
 
-def siegel_verdict_P(p: RationalFunctionW, taus: list[AlgebraicReal], j: int) -> SiegelVerdict:
+def siegel_verdict_P(p: RationalFunctionW, taus: list[AlgebraicReal], j: int,
+                     signs: ConjugateSigns | None = None) -> SiegelVerdict:
     """Dichotomy at the off-curve point: eigenvalues delta^(1/2) alpha^(+-1),
     with (alpha + 1/alpha)^2 = P(tau).
 
     P > 4 is off the unit circle and 0 <= P <= 4 on it; P(tau_j) < 0
-    is left undecided.
+    is left undecided.  A grid passes the signs it shares.
     """
-    return _dichotomy(p, taus, j, lambda x: ratfunc_compare(p, 4, x) > 0,
-                      lambda tau: ratfunc_compare(p, 0, tau) < 0)
+    signs = ConjugateSigns() if signs is None else signs
+    return _dichotomy(p, taus, j, lambda x: signs.compare(p, 4, x) > 0,
+                      lambda tau: signs.compare(p, 0, tau) < 0)
 
 
-def siegel_verdict_Q(q: RationalFunctionW, taus: list[AlgebraicReal], j: int) -> SiegelVerdict:
+def siegel_verdict_Q(q: RationalFunctionW, taus: list[AlgebraicReal], j: int,
+                     signs: ConjugateSigns | None = None) -> SiegelVerdict:
     """Dichotomy at an on-curve point pair: eigenvalues beta, delta/beta,
     with beta + 1/beta = Q(tau); |Q| > 2 is off the unit circle."""
-    return _dichotomy(q, taus, j, lambda x: (ratfunc_compare(q, 2, x) > 0
-                                             or ratfunc_compare(q, -2, x) < 0))
+    signs = ConjugateSigns() if signs is None else signs
+    return _dichotomy(q, taus, j, lambda x: (signs.compare(q, 2, x) > 0
+                                             or signs.compare(q, -2, x) < 0))
 
 
 # ---------------------------------------------------------------------------

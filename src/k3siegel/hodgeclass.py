@@ -34,7 +34,7 @@ from .algnum import (
     _sign,
     count_roots_in,
 )
-from .salemlib import is_salem, trace_conjugates
+from .salemlib import salem_trace_poly, trace_conjugates
 
 
 class PipelineError(RuntimeError):
@@ -225,10 +225,10 @@ def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
     tau = special(d)
 
     cyclo, residual = cyclotomic_salem_split(phi)
-    if not (residual.degree >= 4 and is_salem(residual)):
+    salem_tr = salem_trace_poly(residual)
+    if salem_tr is None:
         return HodgeVerdict(accepted=False,
                             rejection_reason="phi has no Salem factor")
-    salem_tr = trace_polynomial(residual)
     if _sign(salem_tr, tau.lo) == _sign(salem_tr, tau.hi):
         return HodgeVerdict(accepted=False,
                             rejection_reason="special trace is not conjugate to the Salem number")

@@ -33,13 +33,25 @@ def _strip(coeffs: Sequence) -> tuple:
     return tuple(coeffs[:end])
 
 
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficient list of the product of two ascending lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
 class IntPoly:
     """Polynomial with arbitrary-precision integer coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = _strip(tuple(int(c) for c in coeffs))
+        cs = _strip(tuple(map(int, coeffs)))
         object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, *a):
@@ -96,7 +108,11 @@ class IntPoly:
         return IntPoly(out)
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return IntPoly(out)
 
     def __neg__(self) -> "IntPoly":
         return IntPoly([-c for c in self.coeffs])
@@ -104,15 +120,7 @@ class IntPoly:
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
             return IntPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPoly(out)
+        return IntPoly(_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -165,6 +173,15 @@ class IntPoly:
                 rem[k + i] -= q * c
         return IntPoly(quo), IntPoly(rem)
 
+    def rem_monic(self, mod: "IntPoly") -> "IntPoly":
+        """self mod a monic mod."""
+        return _rem_monic(list(self.coeffs), mod.coeffs)
+
+    def mul_mod(self, other: "IntPoly", mod: "IntPoly") -> "IntPoly":
+        """self * other mod a monic mod, the product and its reduction in
+        one pass over coefficient lists."""
+        return _rem_monic(_product(self.coeffs, other.coeffs), mod.coeffs)
+
     def __floordiv__(self, other: "IntPoly") -> "IntPoly":
         q, r = self.divmod(other)
         if not r.is_zero():
@@ -214,6 +231,22 @@ class IntPoly:
             return IntPoly([int(t) for t in body.split(",")])
         except ValueError:
             raise PolynomialDomainError(f"bad polynomial text {s!r}") from None
+
+
+def _rem_monic(r: list[int], mod: tuple) -> IntPoly:
+    """The remainder of the ascending list r (consumed) modulo the monic
+    coefficient tuple mod of degree n: each top coefficient c of r, of
+    degree k from the highest down to n, subtracts c z^(k - n) mod, with
+    no quotient kept."""
+    n = len(mod) - 1
+    low = mod[:-1]
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        if c:
+            for i, m in enumerate(low, k - n):
+                if m:
+                    r[i] -= c * m
+    return IntPoly(r)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +462,9 @@ def subresultants(ring, a: list, b: list):
             return
         a, b = b, ring.divide(r, mul(g, ring.reduce(h ** delta)))
         g = a[-1]
-        if delta:
+        if delta == 1:  # h = g^delta / h^(delta - 1) = g
+            h = g
+        elif delta:
             h = ring.divide([ring.reduce(g ** delta)], ring.reduce(h ** (delta - 1)))[0]
 
 

@@ -33,9 +33,8 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    bt = [[b[r][c] for r in range(k)] for c in range(m)]
-    return [[sum(row[i] * col[i] for i in range(k)) for col in bt] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a: Matrix, v: list) -> list:

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 from .intpoly import (IntPoly, PolynomialDomainError, from_trace_polynomial, gcd as zgcd,
                       last_subresultant, newton_traces, trace_polynomial)
-from .algnum import NumberFieldElem, RationalFunctionW, hn_poly, multiplication_solve
-from .fpfsiegel import siegel_verdict_P, siegel_verdict_Q
+from .algnum import NumberFieldElem, RationalFunctionW, hn_poly, integral_inverse
+from .fpfsiegel import ConjugateSigns, siegel_verdict_P, siegel_verdict_Q
 from .salemlib import trace_conjugates
 
 ST20_1 = IntPoly([1, -15, 21, 35, -49, -28, 35, 9, -10, -1, 1])
@@ -110,13 +110,15 @@ class IntegralRing:
     one = IntPoly([1])
 
     def __init__(self, mod: IntPoly | None = None):
+        if mod is not None and not mod.is_monic():
+            raise PolynomialDomainError("Z[w]/(mod) needs a monic mod")
         self.mod = mod
 
     def reduce(self, a: IntPoly) -> IntPoly:
-        return a if self.mod is None else a.divmod(self.mod)[1]
+        return a if self.mod is None else a.rem_monic(self.mod)
 
     def mul(self, a: IntPoly, b: IntPoly) -> IntPoly:
-        return self.reduce(a * b)
+        return a * b if self.mod is None else a.mul_mod(b, self.mod)
 
     def to_field(self, a: IntPoly):
         return RationalFunctionW.of(a) if self.mod is None else NumberFieldElem.of(self.mod, a)
@@ -124,22 +126,38 @@ class IntegralRing:
     def divide(self, values: list, c: IntPoly) -> list:
         """The quotients v / c; CertificationError unless each lies in the ring.
 
-        In Z[w]/(mod), ``algnum.multiplication_solve`` gives the Cramer
-        form d q of the quotients q (``linalg.solve``), d = det of the
-        multiplication matrix of c, and d must divide each d q."""
+        c = 1 divides not at all.  In Z[w]/(mod) the content k of c
+        divides coefficientwise first, and a nonconstant c / k then takes
+        one inverse (adj, d) = d (c / k)^(-1) (``algnum.integral_inverse``):
+        each quotient is (adj (v / k) mod mod) / d, where d must divide
+        every coefficient."""
+        if c.is_one():
+            return values
         if self.mod is None:
             try:
                 return [v // c for v in values]
             except PolynomialDomainError:
                 raise CertificationError("inexact division in Z[w]") from None
+        if c.is_zero():
+            raise CertificationError("division by a zero divisor of Z[w]/(st)")
+        k = c.content()
+        if k != 1:
+            values, c = [_exact_quotient(v, k) for v in values], _exact_quotient(c, k)
+        if c.degree == 0:  # c = +-1
+            return values if c.is_one() else [-v for v in values]
         try:
-            scaled, d = multiplication_solve(self.mod, c, values)
+            adj, d = integral_inverse(self.mod, c)
         except ZeroDivisionError:
             raise CertificationError("division by a zero divisor of Z[w]/(st)") from None
-        quotients = [[divmod(x, d) for x in q] for q in scaled]
-        if any(r for q in quotients for _, r in q):
-            raise CertificationError("inexact division in Z[w]/(st)")
-        return [IntPoly(x for x, _ in q) for q in quotients]
+        return [_exact_quotient(adj.mul_mod(v, self.mod), d) for v in values]
+
+
+def _exact_quotient(v: IntPoly, d: int) -> IntPoly:
+    """v / d coefficientwise; CertificationError unless d divides each."""
+    quotient = [divmod(x, d) for x in v.coeffs]
+    if any(r for _, r in quotient):
+        raise CertificationError("inexact division in Z[w]/(st)")
+    return IntPoly(x for x, _ in quotient)
 
 
 def k_gcd(a: list, b: list) -> list:
@@ -363,11 +381,15 @@ def exclude_cases_ii_iii(st: IntPoly = ST20_1) -> IntPoly:
 
 def classify_grid(report: Picard2Report) -> Picard2Report:
     """Verdicts for the on-curve pair (row p+-, via Q) and the free
-    point (row p, via P) at every trace conjugate tau_1..tau_(m-1)."""
+    point (row p, via P) at every trace conjugate tau_1..tau_(m-1).
+
+    The verdicts share one ``ConjugateSigns``, so each sign of Q or P
+    against a threshold is decided once per conjugate."""
     taus = trace_conjugates(report.salem_trace)
+    signs = ConjugateSigns()
     for j in range(1, len(taus) + 1):
-        report.grid[("p_pm", j)] = siegel_verdict_Q(report.q_func, taus, j)
-        report.grid[("p", j)] = siegel_verdict_P(report.p_func, taus, j)
+        report.grid[("p_pm", j)] = siegel_verdict_Q(report.q_func, taus, j, signs)
+        report.grid[("p", j)] = siegel_verdict_P(report.p_func, taus, j, signs)
     return report
 
 

@@ -60,28 +60,39 @@ class SalemDataError(ValueError):
 def is_salem(u: IntPoly) -> bool:
     """True iff u is a Salem polynomial.
 
-    Checks: monic palindromic of even degree >= 4; the trace polynomial
-    has exactly one simple real root > 2 and all its other roots simple
-    in (-2, 2); and u has no cyclotomic factor.
+    Checks: monic; the trace root pattern of ``salem_trace_poly``; and u has
+    no cyclotomic factor.
     """
     if not u.is_monic():
         raise PolynomialDomainError("is_salem expects a monic polynomial")
+    return salem_trace_poly(u) is not None and not cyclotomic_salem_split(u)[0]
+
+
+def salem_trace_poly(u: IntPoly) -> IntPoly | None:
+    """The trace polynomial of a monic u with the trace root pattern of a
+    Salem polynomial, else None.
+
+    The pattern: u is palindromic of even degree >= 4, and its trace
+    polynomial has exactly one simple real root > 2 and all its other
+    roots simple in (-2, 2).  For a u with no cyclotomic factor (the
+    residual of ``cyclotomic_salem_split``) this is ``is_salem`` with no
+    second split.
+    """
     if u.degree < 4 or u.degree % 2 != 0:
-        return False
+        return None
     if palindrome_kind(u) != PALINDROMIC:
-        return False
+        return None
     tr = trace_polynomial(u)
     m = tr.degree
     if gcd(tr, tr.derivative()).degree > 0:
-        return False
+        return None
     if count_roots_in(tr, Fraction(2), Fraction(2) + root_bound(tr)) != 1:
-        return False
+        return None
     if count_roots_in(tr, Fraction(-2), Fraction(2)) != m - 1:
-        return False
+        return None
     if tr(2) == 0 or tr(-2) == 0:
-        return False
-    cyclo_part, _ = cyclotomic_salem_split(u)
-    return not cyclo_part
+        return None
+    return tr
 
 
 def salem_lambda(u: IntPoly) -> AlgebraicReal:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3siegel import fpfsiegel, intpoly, picard2
+from k3siegel import algnum, fpfsiegel, intpoly, picard2
 from k3siegel.intpoly import IntPoly, from_trace_polynomial
 from k3siegel.algnum import (
     AlgebraicReal,
@@ -71,6 +71,25 @@ def test_sign_at_examples():
     assert sign_at(ST4_1, t0) == 0
     assert sign_at(IntPoly([2, 1]), t1) == 1        # tau1 > -2
     assert sign_at(IntPoly([0, 1]), t1) == -1       # tau1 < 0
+
+
+def test_sign_at_takes_a_gcd_only_when_the_endpoints_cannot_decide(monkeypatch):
+    calls = []
+    gcd = algnum.gcd
+
+    def counting(a, b):
+        calls.append(b)
+        return gcd(a, b)
+
+    monkeypatch.setattr(algnum, "gcd", counting)
+    t0, t1 = isolate_real_roots(ST4_1)
+    # w + 10 and w - 3 keep one sign on every isolating interval
+    assert sign_at(IntPoly([10, 1]), t1) == 1
+    assert sign_at(IntPoly([-3, 1]), t1) == -1
+    assert calls == []
+    # a zero leaves the endpoint test undecided, and the gcd decides it
+    assert sign_at(ST4_1 * IntPoly([1, 1]), t0) == 0
+    assert len(calls) == 1
 
 
 def test_sign_at_rational_points():

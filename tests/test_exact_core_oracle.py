@@ -14,13 +14,17 @@ companion powers, the inertia and determinant read off the
 fraction-free symmetric elimination, the integer matrix of B on the
 A-orbit basis and the PRS gcd of the rank-2 elimination over Z[w] with
 it on random inputs.  Over Z[w]/(st) that
-gcd is checked against Euclid's algorithm in the number field.  The
+gcd is checked against Euclid's algorithm in the number field, and the
+exact division against sympy's inverse there; the sign of a polynomial
+at an algebraic number against sympy's real roots.  The
 jet recurrences, their closed forms and the type-II residue, as
 polynomials over RationalFunctionW, are checked against sympy's own
 iteration of the recurrences.
 """
 
+import functools
 import math
+import operator
 import random
 from unittest import mock
 from fractions import Fraction
@@ -42,6 +46,7 @@ from k3siegel.algnum import (
     count_roots_in,
     isolate_real_roots,
     minpoly_of_value,
+    sign_at,
 )
 from k3siegel.fpfsiegel import (
     A01,
@@ -69,6 +74,7 @@ from k3siegel.intpoly import (
 )
 from k3siegel.picard2 import (
     ST20_1,
+    CertificationError,
     IntegralRing,
     fp_divmod,
     fp_monic,
@@ -634,15 +640,88 @@ def test_subresultant_gcd_over_zw_mod_st_matches_field_euclid(mod):
     check()
 
 
+SIGN_FACTORS = {"ST20_1": [ST20_1],
+                "reducible": [IntPoly([-3, -1, 1]), IntPoly([-2, 0, 1]), IntPoly([-1, 2])]}
+
+
+@pytest.mark.parametrize("name", SIGN_FACTORS)
+def test_sign_at_matches_sympy(name):
+    # q random, or q = f r for an irreducible factor f of m, which plants
+    # a zero at exactly the roots of f; the zero test divides q by the
+    # sympy minimal polynomial of each root, exactly, and any other sign
+    # is read off the root to 80 digits, far from zero
+    factors = SIGN_FACTORS[name]
+    m = functools.reduce(operator.mul, factors)
+    roots = sorted(to_sympy(m).real_roots(), reverse=True)
+    minimal = [sympy.Poly(sympy.minimal_polynomial(root, X), X) for root in roots]
+    approx = [root.evalf(80) for root in roots]
+
+    @settings(max_examples=40, deadline=None)
+    @given(int_polys(max_degree=12), st.integers(-1, len(factors) - 1))
+    def check(r, which):
+        q = r if which < 0 else factors[which] * r
+        xs = isolate_real_roots(m)
+        assert len(xs) == len(roots)
+        for x, mp, a in zip(xs, minimal, approx):
+            if to_sympy(q).rem(mp).is_zero:
+                want = 0
+            else:
+                value = functools.reduce(lambda acc, c: acc * a + c, reversed(q.coeffs), 0)
+                assert abs(value) > sympy.Float("1e-40")
+                want = 1 if value > 0 else -1
+            assert sign_at(q, x) == want
+
+    check()
+
+
+def w_to_sympy(p: IntPoly) -> sympy.Poly:
+    return sympy.Poly(to_sympy(p, W).as_expr(), W, domain="QQ")
+
+
 @MODULI
 def test_exact_division_in_zw_mod_st(mod):
+    # the quotients v c^(-1) mod m by sympy's inverse in QQ[w]/(m): equal
+    # when each is integral, else CertificationError; c runs over +-1,
+    # multiples k c' with content k > 1, and several values share one c
+    m = w_to_sympy(mod)
+    coeffs = st.lists(st.integers(-9, 9), min_size=mod.degree, max_size=mod.degree)
+    divisors = st.one_of(st.sampled_from([[1], [-1]]), coeffs.filter(any))
+
     @EXAMPLES
-    @given(st.lists(st.integers(-9, 9), min_size=mod.degree, max_size=mod.degree),
-           st.lists(st.integers(-9, 9), min_size=mod.degree, max_size=mod.degree).filter(any))
-    def check(q, c):
+    @given(st.lists(coeffs, min_size=1, max_size=4), divisors, st.integers(1, 6),
+           st.booleans(), coeffs)
+    def check(qs, c, k, planted, noise):
         ring = IntegralRing(mod)
-        q, c = IntPoly(q), IntPoly(c)
-        assert ring.divide([ring.mul(q, c)], c) == [q]
+        c = IntPoly(c) * k
+        values = [ring.mul(IntPoly(q), c) for q in qs]
+        if not planted:
+            values[-1] = values[-1] + IntPoly(noise)
+        inverse = w_to_sympy(c).invert(m)
+        want = [(w_to_sympy(v) * inverse).rem(m) for v in values]
+        if all(sympy.Rational(x).q == 1 for q in want for x in q.all_coeffs()):
+            assert [w_to_sympy(q) for q in ring.divide(values, c)] == want
+            if planted:
+                assert ring.divide(values, c) == [IntPoly(q) for q in qs]
+        else:
+            with pytest.raises(CertificationError):
+                ring.divide(values, c)
+
+    check()
+
+
+def test_division_by_a_zero_divisor_of_a_reducible_modulus():
+    # c = (w^2 - 2) r divides zero in Z[w]/((w^2 - 2)(w^2 - w - 3))
+    mod = IntPoly([-2, 0, 1]) * IntPoly([-3, -1, 1])
+    ring = IntegralRing(mod)
+
+    @EXAMPLES
+    @given(st.lists(st.integers(-9, 9), min_size=2, max_size=2).filter(any),
+           st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+    def check(r, v):
+        c = ring.mul(IntPoly([-2, 0, 1]), IntPoly(r))
+        assert sympy.gcd(w_to_sympy(c), w_to_sympy(mod)).degree() > 0
+        with pytest.raises(CertificationError):
+            ring.divide([IntPoly(v), c], c)
 
     check()
 

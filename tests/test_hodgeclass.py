@@ -1,6 +1,6 @@
 import pytest
 
-from k3siegel import algnum, hodgeclass
+from k3siegel import algnum, hodgeclass, salemlib
 from k3siegel.intpoly import IntPoly, cyclotomic
 from k3siegel.hodgeclass import (
     ClusterDissection,
@@ -100,6 +100,22 @@ def test_dissect_builds_one_sturm_chain(monkeypatch):
     monkeypatch.setattr(algnum, "sturm_chain", counting)
     d = dissect(Z2 * STORE[(20, 1)].salem_poly, STORE[(10, 1)].salem_poly * cyclotomic(21))
     assert calls == [d.phi_trace * d.psi_trace]
+
+
+def test_classify_splits_phi_once(monkeypatch):
+    # the Salem test of the cyclotomic-free residual splits nothing again
+    calls = []
+    split = hodgeclass.cyclotomic_salem_split
+
+    def counting(u):
+        calls.append(u)
+        return split(u)
+
+    monkeypatch.setattr(hodgeclass, "cyclotomic_salem_split", counting)
+    monkeypatch.setattr(salemlib, "cyclotomic_salem_split", counting)
+    phi = Z2 * STORE[(4, 1)].salem_poly * cyclotomic(8) * cyclotomic(12) * cyclotomic(30)
+    assert dissect_and_classify(phi, PSI_523).accepted
+    assert calls == [phi]
 
 
 def test_shared_root_is_a_typed_error():

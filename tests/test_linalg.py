@@ -65,6 +65,15 @@ def test_inverse_and_identity():
         assert mat_eq(mat_mul(m, inv), identity(n))
 
 
+def test_mat_mul_matches_sympy():
+    rng = random.Random(5)
+    for _ in range(20):
+        n, k, m = (rng.randint(1, 5) for _ in range(3))
+        a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+        b = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(k)]
+        assert mat_mul(a, b) == (sympy.Matrix(a) * sympy.Matrix(b)).tolist()
+
+
 def test_solve_matches_sympy():
     # the Cramer form (det A^(-1) B, det A), columns of B on their own
     rng = random.Random(23)

@@ -1,6 +1,6 @@
 import pytest
 
-from k3siegel import salemlib
+from k3siegel import algnum, fpfsiegel, salemlib
 from k3siegel.intpoly import IntPoly, gcd as zgcd
 from k3siegel.algnum import RationalFunctionW
 from k3siegel.picard2 import (
@@ -22,6 +22,7 @@ from k3siegel.picard2 import (
     solve_B_and_P,
     trace_check,
 )
+from k3siegel.fpfsiegel import siegel_verdict_P, siegel_verdict_Q
 
 EXPECTED_PM = ["S", "S", "H", "S", "S", "S", "H", "H", "S"]
 EXPECTED_P = ["S", "S", "S", "S", "S", "S", "S", "S", "H"]
@@ -119,6 +120,60 @@ def test_full_analysis_isolates_the_salem_conjugates_once(monkeypatch):
     assert calls == [ST20_1]
 
 
+def test_grid_decides_each_sign_once(solved, monkeypatch):
+    # off and undecided once per conjugate and function: at most two
+    # comparisons of Q (against 2 and -2) and two of P (against 4 and 0)
+    # per conjugate, and the verdicts, rule and witness included, are
+    # those of one fresh verdict per cell
+    calls = []
+    compare = fpfsiegel.ratfunc_compare
+
+    def counting(f, c, x, *rest):
+        calls.append((c, x))
+        return compare(f, c, x, *rest)
+
+    monkeypatch.setattr(fpfsiegel, "ratfunc_compare", counting)
+    report = classify_grid(solved)
+    taus = salemlib.trace_conjugates(ST20_1)
+    assert len(calls) <= 4 * len(taus) == 36
+    assert len(set(calls)) == len(calls)
+    monkeypatch.setattr(fpfsiegel, "ratfunc_compare", compare)
+    for j in range(1, len(taus) + 1):
+        for row, verdict, f in (("p_pm", siegel_verdict_Q, solved.q_func),
+                                ("p", siegel_verdict_P, solved.p_func)):
+            want, got = verdict(f, taus, j), report.grid[(row, j)]
+            assert (got.kind, got.rule, got.witness) == (want.kind, want.rule, want.witness)
+
+
+def test_divisions_by_constants_take_no_inverse(monkeypatch):
+    # 1 is skipped, -1 negates, any other constant divides coefficientwise
+    def no_solve(*args):
+        raise AssertionError("linalg.solve called for a constant divisor")
+
+    monkeypatch.setattr(algnum, "solve", no_solve)
+    ring = IntegralRing(ST20_1)
+    values = [IntPoly([6, -4, 2]), IntPoly([0, 0, 0, 8])]
+    assert ring.divide(values, IntPoly([1])) is values
+    assert ring.divide(values, IntPoly([-1])) == [-v for v in values]
+    assert ring.divide(values, IntPoly([-2])) == [IntPoly([-3, 2, -1]), IntPoly([0, 0, 0, -4])]
+
+
+def test_elimination_takes_one_solve_per_inverse(monkeypatch):
+    # each nonconstant divisor and each field inverse of a nonconstant
+    # element pays one linalg.solve, of one column; 20 in all
+    calls = []
+    solve = algnum.solve
+
+    def counting(a, rhs):
+        calls.append(len(rhs[0]))
+        return solve(a, rhs)
+
+    monkeypatch.setattr(algnum, "solve", counting)
+    full_analysis()
+    assert calls and set(calls) == {1}
+    assert len(calls) <= 20
+
+
 def test_grid_reproduces_rank2_search_patterns(solved):
     # the S/H letters of the fifteen rank-2 search rows are the grid
     # columns at each row's special trace index
@@ -137,6 +192,9 @@ def test_grid_reproduces_rank2_search_patterns(solved):
     (IntegralRing(IntPoly([-1, 0, 1])), IntPoly([1]), IntPoly([-1, 1])),  # w - 1 divides zero
     (IntegralRing(), IntPoly([1, 1]), IntPoly([2])),                      # (w + 1) / 2 in Z[w]
     (IntegralRing(), IntPoly([0, 1]), IntPoly([1, 1])),                   # w / (w + 1)
+    (IntegralRing(ST20_1), IntPoly([2, 4]), IntPoly([4, 2])),             # (1 + 2w) / (w + 2) after content 2
+    (IntegralRing(ST20_1), IntPoly([1, 2]), IntPoly([2, 4])),             # content 2 divides no 1
+    (IntegralRing(ST20_1), IntPoly([1]), IntPoly()),                       # division by zero
 ])
 def test_inexact_division_is_a_typed_error(ring, value, divisor):
     with pytest.raises(CertificationError):
