@@ -11,6 +11,7 @@ This walkthrough runs the richest example: a rank-18 Picard lattice
 with root system A2 + A2 + E6 + E8 (324 roots).
 """
 
+from k3siegel import cli
 from k3siegel.intpoly import IntPoly, cyclotomic
 from k3siegel.hodgeclass import dissect_and_classify
 from k3siegel.hyplattice import build, signature_and_renormalize, unimodularity_gate
@@ -35,7 +36,7 @@ print("positive roots:", len(report.delta_plus))
 print("simple roots:", len(report.simple_roots))
 print("Dynkin type:", report.dynkin_name())
 print("chamber walk length:", len(report.w_word))
-print("char poly of Atilde on Pic:", report.phi1_tilde_name())
+print("char poly of Atilde on Pic:", cli.cyclo_label(report.phi1_tilde_factors))
 print("Tr Atilde =", report.trace_a_tilde)
 for act in report.component_actions:
     partner = f" -> component {act.partner}" if act.partner is not None else ""

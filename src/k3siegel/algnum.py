@@ -17,8 +17,10 @@ integer polynomial reduced mod m over a positive integer, univariate
 rational functions kept as coprime pairs of integer polynomials (the
 normal form of Frac(Z[w])), and the symmetric descent
 delta + 1/delta -> w used to rewrite eigenvalue equations in the trace
-variable.  All of their arithmetic is in integers: one gcd and one
-content gcd normalize each rational function.  One inverse in
+variable, which reads that normal form and hands its palindromic
+numerator and denominator to ``intpoly.trace_polynomial``.  All of
+their arithmetic is in integers: one gcd and one content gcd
+normalize each rational function.  One inverse in
 integers, (adj c, d) = d c^(-1) from the multiplication matrix of c
 handed to the fraction-free ``linalg.solve`` (``integral_inverse``),
 inverts in the number field and divides exactly in Z[w]/(m) for
@@ -35,14 +37,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intpoly import (
+    PALINDROMIC,
     IntPoly,
     PolynomialDomainError,
     Z,
     gcd,
     interpolate,
+    palindrome_kind,
     prem,
     resultant,
     squarefree_part,
+    trace_polynomial,
 )
 from .linalg import solve
 
@@ -505,14 +510,8 @@ class RationalFunctionW:
     def __pow__(self, n: int):
         if n < 0:
             return (RationalFunctionW.of(1) / self) ** (-n)
-        result = RationalFunctionW.of(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # coprime num and den stay coprime, content included, under powers
+        return RationalFunctionW(self.num ** n, self.den ** n)
 
     def substitute(self, inner: "RationalFunctionW") -> "RationalFunctionW":
         """Composition self(inner)."""
@@ -597,39 +596,28 @@ def symmetric_descent(r: RationalFunctionW) -> RationalFunctionW:
     """Rewrite a delta <-> 1/delta symmetric rational function in the
     trace variable w = delta + 1/delta.
 
-    Works in the quotient QQ(w)[delta]/(delta^2 - w delta + 1), where
-    1/delta = w - delta; the input is symmetric iff the delta-component
-    of the reduced value vanishes, and PolynomialDomainError is raised
-    when it does not.  Substituting w = delta + 1/delta back recovers the
-    input exactly.
+    Reads the normal form of r = delta^a N / (delta^b D), with N(0) and
+    D(0) nonzero: r is symmetric iff N and D are palindromic of even
+    degree and deg N - deg D = 2 (b - a).  (An anti-palindromic pair, or
+    a palindromic pair of odd degree, would share the factor delta - 1
+    or delta + 1.)  Then r = U(w) / V(w) for the trace polynomials U of
+    N and V of D (``intpoly.trace_polynomial``, checked by
+    back-substitution); PolynomialDomainError is raised when r is not
+    symmetric.
     """
-    w = RationalFunctionW.variable()
-
-    def reduce_poly(p: IntPoly) -> tuple[RationalFunctionW, RationalFunctionW]:
-        # evaluate p at delta by Horner in the quotient ring: (a + b*delta)
-        a, b = RationalFunctionW.of(0), RationalFunctionW.of(0)
-        for c in reversed(p.coeffs):
-            # (a + b d) * d = b d^2 + a d = -b + (a + b w) d
-            a, b = -b, a + b * w
-            a = a + c
-        return a, b
-
-    def invert(a: RationalFunctionW, b: RationalFunctionW):
-        # conjugate of a + b delta is (a + b w) - b delta; norm is rational in w
-        norm = a * a + a * b * w + b * b
-        if norm.is_zero():
-            raise ZeroDivisionError("non-invertible denominator in symmetric descent")
-        return (a + b * w) / norm, -b / norm
-
-    na, nb = reduce_poly(r.num)
-    da, db = reduce_poly(r.den)
-    ia, ib = invert(da, db)
-    # (na + nb d)(ia + ib d) = na*ia - nb*ib + (na*ib + nb*ia + nb*ib*w) d
-    va = na * ia - nb * ib
-    vb = na * ib + nb * ia + nb * ib * w
-    if not vb.is_zero():
+    if r.is_zero():
+        return r
+    (a, n), (b, d) = (_split_delta_power(p) for p in (r.num, r.den))
+    if not (palindrome_kind(n) == palindrome_kind(d) == PALINDROMIC
+            and n.degree % 2 == 0 and n.degree - d.degree == 2 * (b - a)):
         raise PolynomialDomainError("input is not symmetric under delta -> 1/delta")
-    return va
+    return RationalFunctionW(trace_polynomial(n), trace_polynomial(d))
+
+
+def _split_delta_power(p: IntPoly) -> tuple[int, IntPoly]:
+    """(k, q) with p = delta^k q and q(0) != 0, for nonzero p."""
+    k = next(i for i, c in enumerate(p.coeffs) if c)
+    return k, IntPoly(p.coeffs[k:])
 
 
 def hn_poly(n: int) -> IntPoly:

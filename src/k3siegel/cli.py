@@ -20,11 +20,11 @@ Worker count for searches comes from --workers (default 1); results
 are canonically sorted, so output is identical for any count.
 Malformed input (polynomial text that is not a bracketed list of
 integers, a worker count that is not an integer of at least 1, a
---setup1 degree that is not even from 4 to 20, a --salem-data file
-that cannot be read or holds a bad entry, --st text that names no Salem
-number passing the rank-2 trace check, an --out file that cannot be
-opened for writing) exits 2 like any usage error, before any search
-runs; exit 1 means a row faulted.
+--setup1 degree that is not even from 4 to 20, an --index-min above
+--index-max, a --salem-data file that cannot be read or holds a bad
+entry, --st text that names no Salem number passing the rank-2 trace
+check, an --out file that cannot be opened for writing) exits 2 like
+any usage error, before any search runs; exit 1 means a row faulted.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
         row.st_index = verdict.special_trace_index
         pic, report = analyze_root_system(model, verdict)
         row.dynkin = report.dynkin_name()
-        row.phi1_tilde = report.phi1_tilde_name()
+        row.phi1_tilde = cyclo_label(report.phi1_tilde_factors)
         row.trace_a_tilde = report.trace_a_tilde
         row.actions = [(a.component.name, a.kind) for a in report.component_actions]
 
@@ -492,6 +492,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.index_min is not None or args.index_max is not None:
                 rng = (0 if args.index_min is None else args.index_min,
                        10 ** 9 if args.index_max is None else args.index_max)
+                if rng[0] > rng[1]:
+                    ap.error(f"--index-min {rng[0]} exceeds --index-max {rng[1]}")
             try:
                 store = load_store(args.salem_data)
             except (OSError, SalemDataError) as exc:

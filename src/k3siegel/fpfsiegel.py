@@ -167,7 +167,9 @@ def derive_P(contributions: list[ComponentContribution], n_f_total: int) -> Rati
 
     Solves the holomorphic fixed point formula for the residue of the
     free point, converts it into the squared eigenvalue sum, and
-    rewrites the result in the trace variable by symmetric descent.
+    rewrites the result in the trace variable by symmetric descent:
+    the trace polynomials of its palindromic numerator and denominator
+    (``algnum.symmetric_descent``).
     """
     d = _delta()
     x = 1 + 1 / d - n_f_total * fixed_curve_index()

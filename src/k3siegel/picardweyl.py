@@ -104,13 +104,6 @@ class RootSystemReport:
             parts.append(name if m == 1 else f"{name}^{m}")
         return "+".join(parts)
 
-    def phi1_tilde_name(self) -> str:
-        parts = []
-        for n in sorted(self.phi1_tilde_factors):
-            m = self.phi1_tilde_factors[n]
-            parts.append(f"C{n}" if m == 1 else f"C{n}^{m}")
-        return " ".join(parts) if parts else "1"
-
 
 def _lex_positive(v: tuple) -> bool:
     for c in v:

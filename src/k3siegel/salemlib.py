@@ -241,9 +241,6 @@ class SalemStore:
     def __getitem__(self, key: tuple[int, int]) -> SalemEntry:
         return self.entries[key]
 
-    def get(self, key, default=None):
-        return self.entries.get(key, default)
-
     def __len__(self) -> int:
         return len(self.entries)
 

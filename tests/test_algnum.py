@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3siegel import algnum, fpfsiegel, intpoly, picard2
-from k3siegel.intpoly import IntPoly, from_trace_polynomial
+from k3siegel.intpoly import IntPoly, PolynomialDomainError, from_trace_polynomial
 from k3siegel.algnum import (
     AlgebraicReal,
     NumberFieldElem,
@@ -189,7 +189,7 @@ def test_symmetric_descent_basics():
 
 def test_symmetric_descent_rejects_asymmetric():
     d = RationalFunctionW.variable()
-    with pytest.raises(Exception):
+    with pytest.raises(PolynomialDomainError):
         symmetric_descent(d)
 
 

@@ -396,6 +396,7 @@ def test_poly_arg_accepts_files(tmp_path):
     (["search", "--setup1", "--degree", "2"], None),
     (["search", "--setup1", "--degree", "22"], None),
     (["search", "--degree", "7"], None),
+    (["search", "--setup1", "--index-min", "5", "--index-max", "3"], None),
 ])
 def test_cli_input_errors_exit_2(monkeypatch, capsys, tmp_path, argv, workers):
     # a malformed argument is a usage error (2), not a faulted row (1);

@@ -16,7 +16,9 @@ A-orbit basis and the PRS gcd of the rank-2 elimination over Z[w] with
 it on random inputs.  Over Z[w]/(st) that
 gcd is checked against Euclid's algorithm in the number field, and the
 exact division against sympy's inverse there; the sign of a polynomial
-at an algebraic number against sympy's real roots.  The
+at an algebraic number against sympy's real roots.  The symmetric
+descent delta + 1/delta -> w is checked by substituting back in sympy,
+and its refusal against sympy's test of r(1/delta) = r(delta).  The
 jet recurrences, their closed forms and the type-II residue, as
 polynomials over RationalFunctionW, are checked against sympy's own
 iteration of the recurrences.
@@ -47,6 +49,7 @@ from k3siegel.algnum import (
     isolate_real_roots,
     minpoly_of_value,
     sign_at,
+    symmetric_descent,
 )
 from k3siegel.fpfsiegel import (
     A01,
@@ -809,3 +812,71 @@ def test_jet_identities_match_sympy_iteration():
         assert sympy.cancel(jet_to_sympy(wrong) - x20) != 0
         x10, x01, xb10, x20 = (x10 + 1, x01 + dn * A01_S, xb10 + B10_S / dn,
                                x20 + A20_S + 2 * x10 + dn * A01_S * xb10)
+
+
+def palindromic_polys(max_half_degree=3, bound=9):
+    """Palindromic polynomials z^m U(z + 1/z) of even degree 2m, content
+    and sign drawn with U."""
+    return int_polys(max_degree=max_half_degree, bound=bound).map(from_trace_polynomial)
+
+
+@EXAMPLES
+@given(palindromic_polys(), palindromic_polys(), st.integers(0, 3))
+def test_symmetric_descent_matches_sympy(n, d, k):
+    # r = delta^a N / (delta^b D) with b - a = (deg N - deg D) / 2 is
+    # symmetric; its descent hat satisfies hat(delta + 1/delta) = r
+    e = (n.degree - d.degree) // 2
+    a = k + max(0, -e)
+    r = RationalFunctionW(n.shift(a), d.shift(a + e))
+    hat_s = jet_to_sympy(symmetric_descent(r)).subs(DELTA, DELTA + 1 / DELTA)
+    assert sympy.cancel(hat_s - jet_to_sympy(r)) == 0
+
+
+def descent_factors():
+    """Factors that make symmetric quotients and all kinds of asymmetric
+    ones: any polynomial, palindromic or anti-palindromic ones, each times
+    a power of delta."""
+    plain = int_polys(max_degree=5, bound=5)
+    anti = palindromic_polys(max_half_degree=2, bound=5).map(lambda p: p * IntPoly([-1, 0, 1]))
+    return st.tuples(st.one_of(plain, palindromic_polys(bound=5), anti),
+                     st.integers(0, 3)).map(lambda pk: pk[0].shift(pk[1]))
+
+
+@EXAMPLES
+@given(descent_factors(), descent_factors())
+def test_symmetric_descent_raises_iff_sympy_finds_asymmetry(num, den):
+    r = RationalFunctionW(num, den)
+    r_s = jet_to_sympy(r)
+    symmetric = sympy.cancel(r_s.subs(DELTA, 1 / DELTA) - r_s) == 0
+    if not symmetric:
+        with pytest.raises(PolynomialDomainError):
+            symmetric_descent(r)
+        return
+    hat_s = jet_to_sympy(symmetric_descent(r)).subs(DELTA, DELTA + 1 / DELTA)
+    assert sympy.cancel(hat_s - r_s) == 0
+
+
+def test_symmetric_descent_of_zero_is_zero():
+    assert symmetric_descent(RationalFunctionW.of(0)) == RationalFunctionW.of(0)
+
+
+def test_descent_and_powers_build_one_rational_function():
+    # the descent reads trace_polynomial, with no arithmetic in
+    # RationalFunctionW, and a power is one normal form of num^n / den^n
+    d = RationalFunctionW.variable()
+    sym = (1 + d + d ** 2) ** 3 / ((3 + d) * (1 + 3 * d) * d ** 2)
+    built = []
+    init = RationalFunctionW.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    with mock.patch.object(RationalFunctionW, "__init__", counting):
+        hat = symmetric_descent(sym)
+        assert len(built) <= 1
+        built.clear()
+        assert sym ** 5 == RationalFunctionW(sym.num ** 5, sym.den ** 5)
+        assert len(built) == 2
+    w = RationalFunctionW.variable()
+    assert hat == (w + 1) ** 3 / (3 * w + 10)

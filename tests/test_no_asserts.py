@@ -34,7 +34,7 @@ def test_no_assert_in_package():
 
 def test_typed_error_under_optimize():
     code = ("from k3siegel import linalg, picard2\n"
-            "from k3siegel.intpoly import IntPoly\n"
+            "from k3siegel.intpoly import IntPoly, PolynomialDomainError\n"
             "for gram in ([[-2]], [[1, 1], [1, 1]]):\n"
             "    try:\n"
             "        linalg.short_vectors(gram, 2)\n"
@@ -49,6 +49,11 @@ def test_typed_error_under_optimize():
             "try:\n"
             "    NumberFieldElem(IntPoly([-1, 0, 1]), IntPoly([-1, 1])).inverse()\n"
             "except ZeroDivisionError:\n"
+            "    print('typed error')\n"
+            "from k3siegel.algnum import RationalFunctionW, symmetric_descent\n"
+            "try:\n"
+            "    symmetric_descent(RationalFunctionW.variable())\n"
+            "except PolynomialDomainError:\n"
             "    print('typed error')\n"
             "from k3siegel import intpoly\n"
             "try:\n"
@@ -100,4 +105,4 @@ def test_typed_error_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 12
+    assert done.stdout.split() == ["typed", "error"] * 13
