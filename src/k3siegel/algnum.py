@@ -530,18 +530,6 @@ class RationalFunctionW:
 _OPERANDS = (RationalFunctionW, IntPoly, int, Fraction)
 
 
-def ratfunc_compare(f: RationalFunctionW, c, x: AlgebraicReal,
-                    den_sign: int | None = None) -> int:
-    """Exact sign of f(x) - c at an algebraic point, c = p/q rational with
-    q > 0: the sign of (q num - p den)(x) times that of den(x), taken
-    here unless the caller passes it as den_sign; raises on a pole."""
-    c = Fraction(c)
-    sden = sign_at(f.den, x) if den_sign is None else den_sign
-    if sden == 0:
-        raise ZeroDivisionError("pole at algebraic point")
-    return sign_at(f.num * c.denominator - f.den * c.numerator, x) * sden
-
-
 # ---------------------------------------------------------------------------
 # minimal polynomials of values f(alpha)
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from .fpfsiegel import (
 from .hodgeclass import dissect_and_classify
 from .hyplattice import LatticeBuildError, build, signature_and_renormalize, unimodularity_gate
 from .picardweyl import analyze_root_system
-from .salemlib import SalemDataError, SalemStore, is_salem, load_store
+from .salemlib import SalemDataError, SalemStore, is_salem, load_store, trace_conjugates
 from .setup2 import S4, Setup2Candidate, enumerate_setup2
 
 Z2 = IntPoly([-1, 0, 1])
@@ -189,7 +189,8 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
                         f"{budget.free_multiplicity}")
             return row
         p_func = derive_P(contribs, budget.n_f_total)
-        v = siegel_verdict_P(p_func, verdict.salem_conjugates, row.st_index)
+        taus = trace_conjugates(trace_polynomial(verdict.salem_factor))
+        v = siegel_verdict_P(p_func, taus, row.st_index)
         row.verdicts = [v]
         row.sd = str(v)
     except NeedsManualAnalysis as exc:  # raised by component_contribution
@@ -266,19 +267,24 @@ def psi_candidates_setup1(store: SalemStore) -> list[tuple[IntPoly, str, str]]:
 
 
 def search_setup1(store: SalemStore, degree: int,
-                  index_range: tuple[int, int] | None = None,
+                  index_range: tuple[int | None, int | None] | None = None,
                   include_rejections: bool = False,
                   workers: int = 1) -> list[AnalysisRow]:
     """The principal search: S of the given degree from the store, C over
     cyclotomic sets of degree 20 - degree (indices >= 3), psi from the
-    unramified Salem entries with unramified cyclotomic tails."""
+    unramified Salem entries with unramified cyclotomic tails; index_range
+    (lo, hi) bounds the entries' index, None leaving a side open."""
     psis = psi_candidates_setup1(store)
+    lo, hi = index_range or (None, None)
     entries = [e for e in store.of_degree(degree)
-               if not index_range or index_range[0] <= e.index <= index_range[1]]
+               if (lo is None or lo <= e.index) and (hi is None or e.index <= hi)]
     if not entries:
+        bounds = [f"{word} {b}" for word, b in (("at least", lo), ("at most", hi))
+                  if b is not None]
+        index = f" with index {' and '.join(bounds)}" if bounds else ""
         return [AnalysisRow(s_label=f"S?^({degree})",
                             rejection="data unavailable: no Salem entries of "
-                                      f"degree {degree} in the store")]
+                                      f"degree {degree}{index} in the store")]
     if not psis:
         return [AnalysisRow(rejection="data unavailable: no unramified Salem "
                                       "entries in the store")]
@@ -488,12 +494,9 @@ def main(argv: list[str] | None = None) -> int:
             degree = 20 if args.degree is None else args.degree
             if degree % 2 or not 4 <= degree <= 20:
                 ap.error(f"--setup1 searches an even Salem degree from 4 to 20, not {degree}")
-            rng = None
-            if args.index_min is not None or args.index_max is not None:
-                rng = (0 if args.index_min is None else args.index_min,
-                       10 ** 9 if args.index_max is None else args.index_max)
-                if rng[0] > rng[1]:
-                    ap.error(f"--index-min {rng[0]} exceeds --index-max {rng[1]}")
+            rng = (args.index_min, args.index_max)
+            if None not in rng and rng[0] > rng[1]:
+                ap.error(f"--index-min {rng[0]} exceeds --index-max {rng[1]}")
             try:
                 store = load_store(args.salem_data)
             except (OSError, SalemDataError) as exc:

@@ -30,7 +30,6 @@ from .algnum import (
     RationalFunctionW,
     is_algebraic_integer,
     minpoly_of_value,
-    ratfunc_compare,
     sign_at,
     symmetric_descent,
 )
@@ -203,8 +202,10 @@ class SiegelVerdict:
 class ConjugateSigns:
     """The signs of f(tau) - c that the verdicts read, each decided once.
 
-    ``ratfunc_compare`` decides each (f, c, tau) once, handed the sign of
-    den(tau), itself taken once per (den, tau).  A grid of verdicts keeps
+    For c = p/q with q > 0 the sign of f(tau) - c is that of
+    (q num - p den)(tau) times that of den(tau), decided once per
+    (f, c, tau); the sign of den(tau) is taken once per (den, tau), and
+    a zero one raises ZeroDivisionError (a pole).  A grid of verdicts keeps
     one for all its rows and columns (``picard2.classify_grid``), so off
     and undecided are decided at most once per conjugate and function;
     it lives no longer than that call.
@@ -220,7 +221,10 @@ class ConjugateSigns:
             den = (f.den, tau)
             if den not in self._den:
                 self._den[den] = sign_at(f.den, tau)
-            self._diff[key] = ratfunc_compare(f, c, tau, self._den[den])
+            if not self._den[den]:
+                raise ZeroDivisionError("pole at algebraic point")
+            p, q = Fraction(c).as_integer_ratio()
+            self._diff[key] = sign_at(f.num * q - f.den * p, tau) * self._den[den]
         return self._diff[key]
 
 

@@ -34,7 +34,7 @@ from .algnum import (
     _sign,
     count_roots_in,
 )
-from .salemlib import salem_trace_poly, trace_conjugates
+from .salemlib import salem_trace_poly
 
 
 class PipelineError(RuntimeError):
@@ -77,7 +77,6 @@ class HodgeVerdict:
     special_trace: AlgebraicReal | None = None
     special_trace_index: int | None = None
     salem_factor: IntPoly | None = None
-    salem_conjugates: list[AlgebraicReal] | None = None  # trace_conjugates of the factor
     cyclo_indices: dict[int, int] | None = None
     rejection_reason: str | None = None
 
@@ -194,9 +193,10 @@ def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
     """Match a dissection against the admissible configurations.
 
     On acceptance the verdict carries the Salem factor S of phi, the
-    descending trace conjugates tau_1 > tau_2 > ... in (-2, 2) of S
-    (``trace_conjugates``), the cyclotomic factor indices of phi, and
-    the index j of the special trace tau = tau_j.
+    cyclotomic factor indices of phi, and the index j of the special
+    trace tau = tau_j in the numbering tau_1 > tau_2 > ... of
+    ``salemlib.trace_conjugates``; the conjugates themselves are
+    isolated only where a verdict reads them (``cli.analyze_pair``).
 
     The dissection's interval (lo, hi) of tau decides both by Sturm's
     theorem.  Its endpoints are not roots of Phi, and the Salem trace
@@ -235,8 +235,7 @@ def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
     c_indices = {n: m for n, m in cyclo.items() if n not in (1, 2)}
     return HodgeVerdict(accepted=True, case_number=case, special_trace=tau,
                         special_trace_index=count_roots_in(salem_tr, tau.lo, TWO),
-                        salem_factor=residual, salem_conjugates=trace_conjugates(salem_tr),
-                        cyclo_indices=c_indices)
+                        salem_factor=residual, cyclo_indices=c_indices)
 
 
 def dissect_and_classify(phi: IntPoly, psi: IntPoly) -> HodgeVerdict:

@@ -112,18 +112,20 @@ def _lex_positive(v: tuple) -> bool:
     return False
 
 
-def _pic_form(gram, u, v) -> int:
-    return sum(ui * gram[i][j] * vj
-               for i, ui in enumerate(u) if ui
-               for j, vj in enumerate(v) if vj)
-
-
 ROOT_COUNTS = {"A": lambda n: n * (n + 1), "D": lambda n: 2 * n * (n - 1),
                "E": lambda n: {6: 72, 7: 126, 8: 240}[n]}
 
 
 def enumerate_roots(pic: PicardData) -> RootSystemReport:
-    """Delta, Delta+, simple roots and Dynkin components of Pic."""
+    """Delta, Delta+, simple roots and Dynkin components of Pic.
+
+    The lexicographic Delta+ is a positive system; its simple roots are
+    its roots of height one, picked out by one Gram image of 2 rho =
+    sum Delta+: the form is negative definite, so s_i(rho) = rho - alpha_i
+    gives (2 rho, alpha_i) = -2, and a positive root of height h pairs
+    to -2h (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 10.2).
+    """
     report = RootSystemReport()
     if pic.rho == 0:
         return report
@@ -135,22 +137,17 @@ def enumerate_roots(pic: PicardData) -> RootSystemReport:
     delta_plus.sort()
     report.delta_plus = delta_plus
 
-    plus_set = set(delta_plus)
-    simple = []
-    for u in delta_plus:
-        decomposable = any(
-            tuple(a - b for a, b in zip(u, v)) in plus_set
-            for v in plus_set if v != u)
-        if not decomposable:
-            simple.append(u)
+    g_rho = linalg.mat_vec(pic.gram_pic, [sum(col) for col in zip(*delta_plus)])
+    simple = [u for u in delta_plus if sum(map(mul, g_rho, u)) == -2]
     report.simple_roots = simple
 
     # components of the graph with edges (u, v) = 1
     n = len(simple)
+    g_simple = [linalg.mat_vec(pic.gram_pic, u) for u in simple]
     adj = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            val = _pic_form(pic.gram_pic, simple[i], simple[j])
+            val = sum(map(mul, g_simple[i], simple[j]))
             if val == 1:
                 adj[i].append(j)
                 adj[j].append(i)

@@ -38,7 +38,6 @@ from .intpoly import (
     cyclotomic_indices_up_to_degree,
     cyclotomic_salem_split,
     from_trace_polynomial,
-    gcd,
     palindrome_kind,
     trace_polynomial,
     unramified,
@@ -47,9 +46,11 @@ from .intpoly import (
 from .algnum import (
     TWO,
     AlgebraicReal,
+    _variations_at,
     count_roots_in,
     isolate_real_roots,
     root_bound,
+    sturm_chain,
 )
 
 
@@ -76,21 +77,23 @@ def salem_trace_poly(u: IntPoly) -> IntPoly | None:
     polynomial has exactly one simple real root > 2 and all its other
     roots simple in (-2, 2).  For a u with no cyclotomic factor (the
     residual of ``cyclotomic_salem_split``) this is ``is_salem`` with no
-    second split.
+    second split.  Once -2 and 2 are not roots, one Sturm chain of tr
+    decides the rest: its last term, gcd(tr, tr') up to a positive
+    factor, is constant iff tr is squarefree, and its sign variations at
+    -2, 2 and 2 + B (B the Cauchy bound) count the roots in each range.
     """
     if u.degree < 4 or u.degree % 2 != 0:
         return None
     if palindrome_kind(u) != PALINDROMIC:
         return None
     tr = trace_polynomial(u)
-    m = tr.degree
-    if gcd(tr, tr.derivative()).degree > 0:
-        return None
-    if count_roots_in(tr, Fraction(2), Fraction(2) + root_bound(tr)) != 1:
-        return None
-    if count_roots_in(tr, Fraction(-2), Fraction(2)) != m - 1:
-        return None
     if tr(2) == 0 or tr(-2) == 0:
+        return None
+    chain = sturm_chain(tr)
+    if len(chain[-1]) > 1:
+        return None
+    low, mid, high = (_variations_at(chain, x) for x in (-TWO, TWO, TWO + root_bound(tr)))
+    if low - mid != tr.degree - 1 or mid - high != 1:
         return None
     return tr
 

@@ -16,7 +16,6 @@ from k3siegel.algnum import (
     is_algebraic_integer,
     isolate_real_roots,
     minpoly_of_value,
-    ratfunc_compare,
     sign_at,
     symmetric_descent,
 )
@@ -223,15 +222,6 @@ def test_hn_recurrence():
     for n in range(2, 9):
         assert hn_poly(n) == w * hn_poly(n - 1) - hn_poly(n - 2)
     assert hn_poly(7) == IntPoly([0, -7, 0, 14, 0, -7, 0, 1])
-
-
-def test_ratfunc_compare_at_algebraic():
-    w = RationalFunctionW.variable()
-    p = (w + 1) ** 2 / (w + 2)
-    tau1 = isolate_real_roots(ST20_1)[7]  # tau7 of ST20, approx -0.95
-    # verdict-style threshold comparisons
-    assert ratfunc_compare(p, 0, tau1) == 1
-    assert ratfunc_compare(p, 4, tau1) == -1
 
 
 @given(st.integers(1, 8), st.integers(1, 8))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from k3siegel.intpoly import IntPoly, cyclotomic
-from k3siegel import cli, hyplattice, picard2
+from k3siegel import algnum, cli, hyplattice, picard2, salemlib
 from k3siegel.picardweyl import PipelineError
 from k3siegel.salemlib import load_store
 from k3siegel.setup2 import S4, enumerate_setup2
@@ -49,6 +49,24 @@ def test_analyze_entry2():
         (4, "A1^2", "C1 C2 C4", -1)
     assert row.sd == "S"
     assert row.verdicts[0].rule == "1-i"
+
+
+@pytest.mark.parametrize("cset, pid, note, sd, calls", [
+    ((3, 4, 8, 15), 515, "needs manual analysis: free multiplicity 3", "", 0),
+    ((8, 12, 30), 523, "", "S", 1),
+], ids=["free-multiplicity", "id523"])
+def test_conjugates_isolated_only_for_a_verdict(monkeypatch, cset, pid, note, sd, calls):
+    # the Salem trace conjugates are isolated only where the closed-form P
+    # is signed: never for a row the budget leaves to manual analysis,
+    # once for the id-523 pair
+    isolated = []
+    for module in (algnum, salemlib):
+        monkeypatch.setattr(module, "isolate_real_roots",
+                            lambda p, isolate=module.isolate_real_roots:
+                            isolated.append(p) or isolate(p))
+    row = cli.analyze_pair(cli.phi_of(S4, cset), CANDS[pid - 1].psi())
+    assert (row.accepted(), row.note, row.sd) == (True, note, sd)
+    assert len(isolated) == calls
 
 
 def test_analyze_entry6():
@@ -354,12 +372,18 @@ def test_search_setup1_data_unavailable_marker():
 
 @pytest.mark.parametrize("bounds, expected", [
     (["--index-max", "0"], ["S?^(20),,,,,,,,rejected: data unavailable: "
-                            "no Salem entries of degree 20 in the store"]),
+                            "no Salem entries of degree 20 with index at most 0 in the store"]),
     (["--index-min", "1", "--index-max", "1"], ["S1^(20),1,S1^(10),C21,tau7,A1,C1 C2,1,HS",
                                                 "S1^(20),1,S1^(14),C20,tau5,A1,C1 C2,1,SS"]),
+    (["--index-min", "2", "--index-max", "3"], ["S?^(20),,,,,,,,rejected: data unavailable: "
+                                                "no Salem entries of degree 20 with index "
+                                                "at least 2 and at most 3 in the store"]),
+    (["--index-min", "2"], ["S?^(20),,,,,,,,rejected: data unavailable: "
+                            "no Salem entries of degree 20 with index at least 2 in the store"]),
 ])
 def test_search_index_bounds_select_entries(capsys, bounds, expected):
-    # an index bound of 0 bounds the search like any other
+    # an index bound of 0 bounds the search like any other; an empty
+    # range names the bounds given, since the store does hold S1^(20)
     assert cli.main(["search", "--setup1", "--degree", "20", "--workers", "1", *bounds]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == expected
 

@@ -40,7 +40,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
-from k3siegel import cli, hodgeclass, linalg
+from k3siegel import cli, linalg
 from k3siegel.hodgeclass import dissect
 from k3siegel.algnum import (
     NumberFieldElem,
@@ -449,41 +449,19 @@ def sympy_salem_conjugates(phi: IntPoly) -> list:
     return sorted((r for r in st_poly.real_roots() if -2 < r < 2), reverse=True)
 
 
-def salem_step_records(monkeypatch, search):
-    """The search's rows, and (tau, phi, verdict) for each pair whose
-    classify reached the Salem step: one table row matched and picked tau."""
-    picked, records = [], []
-
-    def recording(special):
-        return lambda d: picked.append(special(d)) or picked[-1]
-
-    def recording_classify(d, phi):
-        picked.clear()
-        verdict = classify(d, phi)
-        if picked:
-            records.append((picked[0], phi, verdict))
-        return verdict
-
-    classify = hodgeclass.classify
-    monkeypatch.setattr(hodgeclass, "_TABLE_ROWS",
-                        [(*row[:-1], recording(row[-1])) for row in hodgeclass._TABLE_ROWS])
-    monkeypatch.setattr(hodgeclass, "classify", recording_classify)
-    return search(), records
-
-
 @pytest.mark.parametrize("search, reached, conjugate", [
-    pytest.param(lambda: cli.search_setup2(workers=1, include_rejections=True),
-                 156, 40, id="setup2"),
+    pytest.param(None, 156, 40, id="setup2"),  # the session's setup2_search
     pytest.param(lambda: cli.search_setup1(load_store(), 20, include_rejections=True),
                  None, None, id="setup1-20"),
     pytest.param(lambda: cli.search_setup1(load_store(), 18, include_rejections=True),
                  None, None, id="setup1-18"),
 ])
-def test_special_trace_index_matches_sympy(monkeypatch, search, reached, conjugate):
+def test_special_trace_index_matches_sympy(request, salem_steps, search, reached, conjugate):
     # from dissect's rational interval (lo, hi) of tau alone, sympy decides
     # whether a root of the Salem trace polynomial lies in it, and its
     # rank among the roots in (-2, 2), largest first
-    rows, records = salem_step_records(monkeypatch, search)
+    rows, records = (request.getfixturevalue("setup2_search") if search is None
+                     else salem_steps(search))
     conjugates, want = {}, []
     for tau, phi, verdict in records:
         if phi not in conjugates:

@@ -4,7 +4,7 @@ import pytest
 import sympy
 
 from k3siegel.intpoly import IntPoly
-from k3siegel.algnum import RationalFunctionW
+from k3siegel.algnum import RationalFunctionW, isolate_real_roots
 from k3siegel.salemlib import trace_conjugates
 from k3siegel.fpfsiegel import (
     A01,
@@ -13,6 +13,7 @@ from k3siegel.fpfsiegel import (
     THETA,
     UNDECIDED,
     ComponentContribution,
+    ConjugateSigns,
     FpfInconsistency,
     NeedsManualAnalysis,
     base_theta_4vars,
@@ -201,8 +202,16 @@ def test_verdicts_grid_spot():
     assert v1.kind == SIEGEL and v1.rule == "1-i" and v1.witness == 9
 
 
+def test_conjugate_signs_compare_at_algebraic():
+    w = RationalFunctionW.variable()
+    p = (w + 1) ** 2 / (w + 2)
+    tau1 = isolate_real_roots(ST20_1)[7]  # tau7 of ST20, approx -0.95
+    # verdict-style threshold comparisons
+    assert ConjugateSigns().compare(p, 0, tau1) == 1
+    assert ConjugateSigns().compare(p, 4, tau1) == -1
+
+
 def test_published_verdict_patterns():
-    from k3siegel.algnum import ratfunc_compare, isolate_real_roots
     from k3siegel.salemlib import load_store
 
     store = load_store()
@@ -216,7 +225,7 @@ def test_published_verdict_patterns():
     st14 = store[(14, 1)].trace_poly
     v = siegel_verdict_P(p4, trace_conjugates(st14), 1)
     assert v.kind == SIEGEL and v.rule == "1-i"
-    assert ratfunc_compare(p4, 4, taus(st14)[3]) > 0   # tau_4 witness
+    assert ConjugateSigns().compare(p4, 4, taus(st14)[3]) > 0   # tau_4 witness
 
     # D9 nontrivial on the degree-12 trace data: Siegel at tau_5, P > 4 at tau_2
     d9 = component_contribution("D", 9, "nontrivial")
@@ -224,7 +233,7 @@ def test_published_verdict_patterns():
     st12 = store[(12, 1)].trace_poly
     v = siegel_verdict_P(p5, trace_conjugates(st12), 5)
     assert v.kind == SIEGEL and v.rule == "1-i"
-    assert ratfunc_compare(p5, 4, taus(st12)[1]) > 0   # tau_2 witness
+    assert ConjugateSigns().compare(p5, 4, taus(st12)[1]) > 0   # tau_2 witness
 
     # D16 trivial on the degree-6 trace data: Siegel at tau_1, P > 4 at tau_2
     d16 = component_contribution("D", 16, "trivial")

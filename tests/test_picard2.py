@@ -121,23 +121,26 @@ def test_full_analysis_isolates_the_salem_conjugates_once(monkeypatch):
 
 
 def test_grid_decides_each_sign_once(solved, monkeypatch):
-    # off and undecided once per conjugate and function: at most two
-    # comparisons of Q (against 2 and -2) and two of P (against 4 and 0)
-    # per conjugate, and the verdicts, rule and witness included, are
-    # those of one fresh verdict per cell
+    # off and undecided once per conjugate and function: no (q, tau)
+    # reaches sign_at twice, q a denominator or q num - p den for a
+    # threshold p/q; past the denominators, at most two comparisons of Q
+    # (against 2 and -2) and two of P (against 4 and 0) per conjugate.
+    # The verdicts, rule and witness included, are those of one fresh
+    # verdict per cell
     calls = []
-    compare = fpfsiegel.ratfunc_compare
+    sign_at = fpfsiegel.sign_at
 
-    def counting(f, c, x, *rest):
-        calls.append((c, x))
-        return compare(f, c, x, *rest)
+    def counting(q, x):
+        calls.append((q, x))
+        return sign_at(q, x)
 
-    monkeypatch.setattr(fpfsiegel, "ratfunc_compare", counting)
+    monkeypatch.setattr(fpfsiegel, "sign_at", counting)
     report = classify_grid(solved)
     taus = salemlib.trace_conjugates(ST20_1)
-    assert len(calls) <= 4 * len(taus) == 36
     assert len(set(calls)) == len(calls)
-    monkeypatch.setattr(fpfsiegel, "ratfunc_compare", compare)
+    dens = {solved.q_func.den, solved.p_func.den}
+    assert 0 < len([q for q, _ in calls if q not in dens]) <= 4 * len(taus) == 36
+    monkeypatch.setattr(fpfsiegel, "sign_at", sign_at)
     for j in range(1, len(taus) + 1):
         for row, verdict, f in (("p_pm", siegel_verdict_Q, solved.q_func),
                                 ("p", siegel_verdict_P, solved.p_func)):

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3siegel.acceptance import RHO18_TABLE, _setup2
 from k3siegel.cli import phi_of
@@ -10,6 +12,7 @@ from k3siegel import cli, linalg, picardweyl
 from k3siegel.hodgeclass import dissect_and_classify
 from k3siegel.hyplattice import build, signature_and_renormalize, unimodularity_gate
 from k3siegel.picardweyl import (
+    Component,
     PicardData,
     RootSystemReport,
     analyze_root_system,
@@ -194,3 +197,83 @@ def test_id523_runs_one_inertia_and_lll_certifies_the_picard_form(monkeypatch):
     monkeypatch.setattr(picardweyl, "picard_lattice", indefinite)
     row = cli.analyze_pair(phi, psi)
     assert row.rejection == "internal: lll_reduce requires a positive definite Gram matrix"
+
+
+def reference_simple_roots(delta_plus):
+    """The positive roots that are not a sum of two positive roots: u is
+    simple unless u - v lies in Delta+ for some other positive root v."""
+    plus_set = set(delta_plus)
+    return [u for u in delta_plus
+            if not any(tuple(a - b for a, b in zip(u, v)) in plus_set
+                       for v in plus_set if v != u)]
+
+
+def test_simple_roots_match_the_decomposition_rule_on_the_rho18_table():
+    # every published rho = 18 row: the height-one roots are the
+    # indecomposable ones, and they span the published Dynkin type
+    for cset, pid, _, dynkin, _, _ in RHO18_TABLE:
+        phi, psi = phi_of(STORE[(4, 1)].salem_poly, cset), _setup2()[pid - 1].psi()
+        model = signature_and_renormalize(build(phi, psi))
+        report = enumerate_roots(picard_lattice(model, dissect_and_classify(phi, psi)))
+        assert report.simple_roots == reference_simple_roots(report.delta_plus)
+        assert report.dynkin_name() == dynkin
+
+
+def cartan(label, n):
+    """The Cartan matrix of A_n, D_n or E_n: a chain of n nodes for A;
+    for D and E a chain of n - 1 nodes with node n - 1 hung on the
+    chain's next-to-last node (D) or on its third node (E)."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if label == "D":
+        edges[-1] = (n - 3, n - 1)
+    elif label == "E":
+        edges[-1] = (2, n - 1)
+    m = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = -1
+    return m
+
+
+@st.composite
+def root_lattices(draw):
+    """(blocks, Gram): the negated Cartan matrix of a direct sum of
+    A_n, D_n and E_6..E_8 blocks of rank <= 12, in a basis changed by a
+    random unimodular matrix."""
+    blocks, rank = [], 0
+    while not blocks or (rank < 12 and draw(st.booleans())):
+        label = draw(st.sampled_from("ADE"))
+        low = {"A": 1, "D": 4, "E": 6}[label]
+        high = min(12 - rank, 8 if label == "E" else 12)
+        if high < low:
+            break
+        n = draw(st.integers(low, high))
+        blocks.append((label, n))
+        rank += n
+    gram = [[0] * rank for _ in range(rank)]
+    at = 0
+    for label, n in blocks:
+        for i, row in enumerate(cartan(label, n)):
+            gram[at + i][at:at + n] = [-x for x in row]
+        at += n
+    # U = a permutation times elementary column operations; G -> U^T G U
+    perm = draw(st.permutations(range(rank)))
+    u = [[int(i == j) for j in perm] for i in range(rank)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1),
+                                           st.sampled_from([-2, -1, 1, 2])), max_size=12)):
+        if i != j:
+            for row in u:
+                row[i] += c * row[j]
+    gram = linalg.mat_mul(linalg.mat_mul(linalg.transpose(u), gram), u)
+    return blocks, gram
+
+
+@settings(max_examples=30, deadline=None)
+@given(root_lattices())
+def test_simple_roots_match_the_decomposition_rule_on_root_lattices(lattice):
+    blocks, gram = lattice
+    pic = PicardData(rho=len(gram), basis_l=[], gram_pic=gram, a_pic=[])
+    report = enumerate_roots(pic)
+    assert report.simple_roots == reference_simple_roots(report.delta_plus)
+    assert len(report.simple_roots) == len(gram)
+    want = RootSystemReport(components=[Component(label, n, []) for label, n in blocks])
+    assert report.dynkin_name() == want.dynkin_name()

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from k3siegel import algnum, salemlib
+from k3siegel import algnum, intpoly, salemlib
 from k3siegel.intpoly import IntPoly, cyclotomic, from_trace_polynomial, trace_polynomial
 from k3siegel.salemlib import (
     SalemDataError,
@@ -13,6 +16,7 @@ from k3siegel.salemlib import (
     load_store,
     parse_salem_file,
     salem_lambda,
+    salem_trace_poly,
     trace_conjugates,
 )
 
@@ -195,3 +199,75 @@ def test_load_store_isolates_no_roots(monkeypatch):
     monkeypatch.setattr(salemlib, "isolate_real_roots", counting)
     assert len(load_store()) == 16
     assert calls == []
+
+
+def test_salem_trace_poly_builds_one_sturm_chain_and_no_gcd(monkeypatch):
+    # squarefreeness and both root counts come from one chain of tr
+    entry = load_store()[(20, 1)]
+    chains = []
+    chain = algnum.sturm_chain
+    for module in (algnum, salemlib):
+        monkeypatch.setattr(module, "sturm_chain", lambda p: chains.append(p) or chain(p),
+                            raising=False)
+
+    def no_gcd(*args):
+        raise AssertionError("gcd called")
+
+    for module in (intpoly, algnum, salemlib):
+        monkeypatch.setattr(module, "gcd", no_gcd, raising=False)
+    assert salem_trace_poly(entry.salem_poly) == entry.trace_poly
+    assert chains == [entry.trace_poly]
+
+
+X, W = sympy.symbols("x w")
+
+
+def sympy_salem_pattern(u: IntPoly) -> bool:
+    """The trace root pattern by sympy: the trace polynomial tr of the
+    palindromic u (checked against Res_z(u, z^2 - w z + 1) = tr^2) is
+    squarefree, with one real root above 2 and all others in (-2, 2)."""
+    tr = sympy.Poly(list(reversed(trace_polynomial(u).coeffs)), W)
+    res = sympy.resultant(sympy.Poly(list(reversed(u.coeffs)), X).as_expr(),
+                          X ** 2 - W * X + 1, X)
+    assert sympy.Poly(res, W) == tr ** 2
+    if not tr.is_sqf:
+        return False
+    roots = tr.real_roots()
+    above = [r for r in roots if r > 2]
+    inside = [r for r in roots if -2 < r < 2]
+    return len(roots) == tr.degree() and len(above) == 1 and len(inside) == tr.degree() - 1
+
+
+def _planted():
+    store = load_store()
+    salems = {key: store[key].salem_poly for key in store.keys()}
+    s4, s6 = salems[(4, 1)], salems[(6, 1)]
+    cases = [(f"S{i}^({d})", u) for (d, i), u in salems.items()]
+    cases += [(f"S{i}^({d})^2", u * u) for (d, i), u in salems.items() if d <= 10]
+    cases += [(f"S1^(4) C{n}", s4 * cyclotomic(n)) for n in (3, 4, 5, 7, 8, 12)]
+    cases += [("S1^(10) C5", salems[(10, 1)] * cyclotomic(5))]
+    cases += [(f"{name} (z{sign}1)^2", s * IntPoly([c, 1]) ** 2)
+              for name, s in (("S1^(4)", s4), ("S1^(6)", s6))
+              for sign, c in (("-", -1), ("+", 1))]
+    return cases
+
+
+@pytest.mark.parametrize("u", [u for _, u in _planted()], ids=[name for name, _ in _planted()])
+def test_salem_trace_poly_matches_sympy_on_planted_cases(u):
+    # store entries; S*S, never squarefree; S*C_n, the pattern with a
+    # cyclotomic factor; (z -+ 1)^2, a trace root at +-2
+    assert (salem_trace_poly(u) is not None) == sympy_salem_pattern(u)
+
+
+@st.composite
+def palindromic_polys(draw):
+    """Monic palindromic polynomials of degree 4 to 12."""
+    m = draw(st.integers(2, 6))
+    half = [1] + draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    return IntPoly(half + half[-2::-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(palindromic_polys())
+def test_salem_trace_poly_matches_sympy(u):
+    assert (salem_trace_poly(u) is not None) == sympy_salem_pattern(u)
