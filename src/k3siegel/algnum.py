@@ -1,7 +1,8 @@
 """Exact real algebraic numbers and number field arithmetic.
 
-Real roots are counted and isolated with one Sturm chain, an integer
-signed remainder sequence read off ``intpoly.prem``, and carried
+Real roots are counted and isolated with one Sturm chain, the (p, p')
+case of one integer signed remainder sequence of a pair
+(``signed_remainders``, read off ``intpoly.prem``), and carried
 around as (squarefree minimal polynomial, isolating interval) pairs
 that can be refined on demand.
 One bisection isolates them, with -2 and 2 as fixed cut points, so an
@@ -59,19 +60,21 @@ from .linalg import solve
 TWO = Fraction(2)
 
 
-def sturm_chain(p: IntPoly) -> list[list[int]]:
-    """Signed remainder sequence p, p', -rem(p, p'), ... over ZZ, as
-    ascending coefficient lists.
+def signed_remainders(f: IntPoly, g: IntPoly) -> list[list[int]]:
+    """Signed remainder sequence f, g, -rem(f, g), ... over ZZ of nonzero
+    f and deg g < deg f, as ascending coefficient lists.
 
     Each remainder is the pseudo-remainder ``intpoly.prem``, a multiple
     of the rational one by lc(g)^(deg f - deg g + 1), taken with the sign
     of that factor, negated and divided by its content, so the terms
-    have the signs of the rational Sturm sequence at every point.  p
-    need not be squarefree: the last term is gcd(p, p') up to a
-    positive factor, and Sturm's theorem counts the distinct roots
-    between two points that are not roots of p.
+    have the signs of the rational sequence at every point.  The last
+    term is gcd(f, g) up to a nonzero factor.  By the Sturm-Sylvester
+    theorem, V(a) - V(b) (sign variations, ``_variations_at``) is the
+    Cauchy index of g/f on (a, b), for a and b not roots of f; for a
+    squarefree f it is the sum of sign(g(t) f'(t)) over the roots t of
+    f between them.
     """
-    f, g = list(p.coeffs), list(p.derivative().coeffs)
+    f, g = list(f.coeffs), list(g.coeffs)
     chain = [f]
     while g:
         chain.append(g)
@@ -83,6 +86,16 @@ def sturm_chain(p: IntPoly) -> list[list[int]]:
             content = -content
         f, g = g, [-c // content for c in r]
     return chain
+
+
+def sturm_chain(p: IntPoly) -> list[list[int]]:
+    """The Sturm chain p, p', ...: ``signed_remainders`` of (p, p').
+
+    p need not be squarefree: the last term is gcd(p, p') up to a
+    positive factor, and Sturm's theorem counts the distinct roots
+    between two points that are not roots of p.
+    """
+    return signed_remainders(p, p.derivative())
 
 
 def _scaled_value(coeffs, n: int, d: int) -> int:

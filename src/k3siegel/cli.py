@@ -1,9 +1,11 @@
 """Search drivers, the per-pair analysis pipeline, and the command line.
 
 A pair (phi, psi) runs through: lattice build -> unimodularity gate ->
-trace-cluster classification -> Picard/Weyl analysis -> fixed-point
-verdicts.  Failures at any stage become structured rejection rows, so
-bulk searches can tally causes.  Verdict routing: a rank-2 Picard
+signature gate (a Cauchy index of the trace polynomials, so only the
+pairs it passes pay the Gram elimination) -> trace-cluster
+classification -> Picard/Weyl analysis -> fixed-point verdicts.
+Failures at any stage become structured rejection rows, so bulk
+searches can tally causes.  Verdict routing: a rank-2 Picard
 lattice with a single A1 curve and f*|Pic of order two waits for
 rank2_verdicts, one number-field elimination per Salem factor; otherwise
 the Lefschetz budget must leave exactly one transverse fixed point off
@@ -56,7 +58,13 @@ from .fpfsiegel import (
     siegel_verdict_P,
 )
 from .hodgeclass import dissect_and_classify
-from .hyplattice import LatticeBuildError, build, signature_and_renormalize, unimodularity_gate
+from .hyplattice import (
+    LatticeBuildError,
+    build,
+    signature_and_renormalize,
+    signature_gate,
+    unimodularity_gate,
+)
 from .picardweyl import analyze_root_system
 from .salemlib import SalemDataError, SalemStore, is_salem, load_store, trace_conjugates
 from .setup2 import S4, Setup2Candidate, enumerate_setup2
@@ -154,9 +162,11 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
         if not unimodularity_gate(model):
             row.rejection = "resultant is not a unit"
             return row
-        model = signature_and_renormalize(model)
-        if model.signature != (3, 19):
-            row.rejection = f"signature {model.signature} after renormalization"
+        signature = signature_gate(model)
+        if signature in (None, (3, 19)):
+            signature = signature_and_renormalize(model).signature
+        if signature != (3, 19):
+            row.rejection = f"signature {signature} after renormalization"
             return row
         verdict = dissect_and_classify(phi, psi)
         if not verdict.accepted:

@@ -9,8 +9,11 @@ to 2).  The lattice is unimodular exactly when Res(phi, psi) = +-1, and
 after renormalization (negate if the index is positive) the accepted
 pairs carry the intersection form of a K3 lattice, of signature (3,19).
 
-The pipeline path (build, unimodularity gate, signature) is integer
-arithmetic, with one symmetric elimination of the Gram matrix.  The
+The pipeline path (build, unimodularity gate, signature gate,
+signature) is integer arithmetic.  The signature gate reads the
+signature from a Cauchy index of the two trace polynomials; only the
+pairs it passes, or cannot decide (phi not squarefree), pay the one
+symmetric elimination of the Gram matrix, which cross-checks it.  The
 companion B of psi is built only for the structural check that
 C = A^(-1) B is a reflection, in integers: B = A (I - e_0 g_0^T), tied
 to psi by one integer matrix identity; no verdict reads it.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algnum import TWO, _variations_at, signed_remainders, sturm_chain
 from .intpoly import (
     ANTI_PALINDROMIC,
     PALINDROMIC,
@@ -28,6 +32,7 @@ from .intpoly import (
     reciprocal,
     resultant,
     series_quotient,
+    trace_polynomial,
 )
 from . import linalg
 
@@ -62,7 +67,8 @@ class LatticeModel:
     resultant: int         # Res(phi, psi), nonzero; the unimodularity gate reads it
     signature: tuple[int, int] = (0, 0)
     renormalized: bool = False
-    elimination: tuple | None = None  # (inertia, det) of gram, see _eliminate
+    elimination: tuple | None = None        # (inertia, det) of the Gram as built
+    trace_signature: tuple[int, int] | None = None  # raw (pos, neg), see signature_gate
 
 
 def companion(p: IntPoly) -> list:
@@ -137,37 +143,74 @@ def build(phi: IntPoly, psi: IntPoly) -> LatticeModel:
                         resultant=res)
 
 
-def _eliminate(model: LatticeModel) -> tuple[tuple[int, int, int], int]:
-    """Inertia and determinant of the Gram matrix, from the one symmetric
-    elimination the unimodularity gate and the signature both read."""
-    if model.elimination is None:
-        model.elimination = linalg.inertia(model.gram)
-    return model.elimination
-
-
 def unimodularity_gate(model: LatticeModel) -> bool:
-    """Res(phi, psi) = +-1, cross-checked against |det gram| = 1."""
-    if abs(model.resultant) != 1:
-        return False
-    if abs(_eliminate(model)[1]) != 1:
-        raise LatticeBuildError("unimodular resultant but non-unimodular Gram matrix")
-    return True
+    """Res(phi, psi) = +-1; signature_and_renormalize cross-checks it
+    against |det gram| = 1 on the one elimination it runs."""
+    return abs(model.resultant) == 1
+
+
+def signature_gate(model: LatticeModel) -> tuple[int, int] | None:
+    """The signature after renormalization, from one Cauchy index of the
+    trace polynomials and no elimination; None when phi is not
+    squarefree, where the elimination decides alone.
+
+    The form is diagonal over C on the eigenvectors of A, one per root
+    lam of phi, with weight psi(lam) / (lam phi'(lam)) (Beukers-Heckman).
+    With Phi, Psi the trace polynomials of phi, psi and t = lam + 1/lam:
+    a root t of Phi in (-2, 2) is a conjugate pair on the unit circle
+    spanning a definite plane of sign -sign(Psi(t) Phi'(t)); every other
+    root of Phi, real outside [-2, 2] or not real, spans a split plane,
+    (1, 1); and z = +-1 adds one line of sign psi(+-1) (+-1) phi'(+-1).
+    The Sturm-Sylvester theorem (``algnum.signed_remainders``) gives
+    I = V(-2) - V(2) over the signed remainders of (Phi, Psi mod Phi) as
+    the sum of sign(Psi(t) Phi'(t)) over the roots in (-2, 2), so the
+    count of those roots cancels: pos = deg Phi - I + #{+1 lines} and
+    neg = deg Phi + I + #{-1 lines}.  phi is squarefree exactly when Phi is
+    and Phi(+-2) != 0, which one Sturm chain of Phi decides.  The raw
+    (pos, neg) stays on the model as trace_signature, for
+    signature_and_renormalize to check its elimination against.
+    """
+    tr_phi, tr_psi = trace_polynomial(model.phi), trace_polynomial(model.psi)
+    if tr_phi(2) == 0 or tr_phi(-2) == 0 or len(sturm_chain(tr_phi)[-1]) > 1:
+        return None
+    chain = signed_remainders(tr_phi, tr_psi.rem_monic(tr_phi))
+    if len(chain[-1]) != 1:
+        raise LatticeBuildError("trace polynomials of a coprime pair share a root")
+    index = _variations_at(chain, -TWO) - _variations_at(chain, TWO)
+    dphi = model.phi.derivative()
+    lines = [model.psi(z) * z * dphi(z) for z in (1, -1)]
+    if 0 in lines:
+        raise LatticeBuildError("phi'(+-1) psi(+-1) vanishes past the resultant gate")
+    pos = tr_phi.degree - index + sum(v > 0 for v in lines)
+    neg = tr_phi.degree + index + sum(v < 0 for v in lines)
+    model.trace_signature = (pos, neg)
+    return (neg, pos) if pos > neg else (pos, neg)
 
 
 def signature_and_renormalize(model: LatticeModel) -> LatticeModel:
-    """Certify the inertia of the form; negate it when the index is positive.
+    """Certify the inertia of the form by one symmetric elimination of the
+    Gram matrix; negate it when the index is positive.  Idempotent.
 
-    The renormalized bilinear form is the intersection form used by all
-    downstream Picard-lattice computations.
+    The elimination is checked three ways: the Gram is not singular, a
+    unit resultant gives |det gram| = 1, and its (pos, neg) is the
+    signature_gate's when that gate ran.  The renormalized bilinear form
+    is the intersection form used by all downstream Picard-lattice
+    computations.
     """
-    (pos, neg, zero), det = _eliminate(model)
+    if model.elimination is not None:
+        return model
+    (pos, neg, zero), det = model.elimination = linalg.inertia(model.gram)
     if zero:
         raise LatticeBuildError("singular Gram matrix past the unimodularity gate")
-    if pos - neg > 0:
+    if abs(model.resultant) == 1 and abs(det) != 1:
+        raise LatticeBuildError("unimodular resultant but non-unimodular Gram matrix")
+    if model.trace_signature not in (None, (pos, neg)):
+        raise LatticeBuildError(f"signature {model.trace_signature} from the trace "
+                                f"polynomials but {(pos, neg)} from the Gram elimination")
+    if pos > neg:
         model.gram = linalg.mat_neg(model.gram)
         model.renormalized = True
         pos, neg = neg, pos
-        model.elimination = (pos, neg, zero), det  # RANK is even
     model.signature = (pos, neg)
     return model
 

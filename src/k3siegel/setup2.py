@@ -29,10 +29,12 @@ map's range checked against the word bounds before it runs:
 2. The trace coefficients of the norm hits, one int64 matrix product.
 3. A Descartes bisection of the roots of Psi in (-2, 2), from
    ``_PIECES`` equal pieces (see ``_descartes_maps`` and
-   ``_root_counts``).  It counts the roots exactly or rejects the word
-   once its upper bound falls below eight; the few words it cannot
-   split (a leaf too large for the next shift, or too deep) are decided
-   by the package's one integer Sturm chain (``algnum.count_roots_in``).
+   ``_root_counts``), whose first level runs in float64 lanes that the
+   rows' bound keeps exact (``_first_leaves``).  It counts the roots
+   exactly or rejects the word once its upper bound falls below eight;
+   the few words it cannot split (a leaf too large for the next shift,
+   or too deep) are decided by the package's one integer Sturm chain
+   (``algnum.count_roots_in``).
 
 Survivors are sorted lexicographically by (c1, ..., c11) with the
 numeric order -2 < -1 < 0 < 1 < 2 and numbered from 1.
@@ -55,6 +57,7 @@ _LEAF_LIMIT = 1 << 48   # a leaf coefficient this large sends its word to Sturm
 _MAX_DEPTH = 24         # bisection levels before a word goes to Sturm
 _ROOT_COUNTS = (8, 10)
 _INT64 = 1 << 63
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 
 
 @dataclass(frozen=True)
@@ -167,6 +170,28 @@ def _shift_map() -> np.ndarray:
     return np.array(shift, dtype=np.int64)
 
 
+def _first_leaves(trace: np.ndarray, dmaps: np.ndarray) -> np.ndarray:
+    """The Descartes maps applied to each row, pieces x rows x 12, int64.
+
+    Every partial sum is at most max|row| times the largest row sum of
+    |dmap|.  numpy's integer matmul has no BLAS path, so while that bound
+    stays below 2^53, as it does far over the census rows, each piece is
+    one float64 product, exact: no product or sum is rounded and the cast
+    back to int64 is exact.  Larger rows take the int64 product, and
+    PolynomialDomainError is raised once the bound reaches 2^63.
+    """
+    bound = int(np.abs(trace).max(initial=0)) * int(np.abs(dmaps).sum(axis=2).max())
+    if bound >= _INT64:
+        raise PolynomialDomainError(f"Descartes leaf bound {bound} overflows int64")
+    if bound >= _FLOAT_EXACT:
+        return np.matmul(trace, dmaps.transpose(0, 2, 1))
+    q = np.empty((len(dmaps), len(trace), 12), dtype=np.int64)
+    lanes = trace.astype(np.float64)
+    for piece, dmap in zip(q, dmaps):
+        piece[...] = lanes @ dmap.T.astype(np.float64)
+    return q
+
+
 def _root_counts(trace: np.ndarray, dmaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct roots in (-2, 2) of each row of ascending coefficients
     (degree <= 11, not all zero), by Descartes bisection: (count, exact).
@@ -187,7 +212,7 @@ def _root_counts(trace: np.ndarray, dmaps: np.ndarray) -> tuple[np.ndarray, np.n
     """
     shift = _shift_map()
     n = len(trace)
-    q = np.matmul(trace, dmaps.transpose(0, 2, 1))   # pieces x rows x 12
+    q = _first_leaves(trace, dmaps)
     count = (q[:-1, :, 0] == 0).sum(axis=0)
     exact = np.ones(n, dtype=bool)
     leaves, row = q.reshape(-1, 12), np.tile(np.arange(n), len(q))

@@ -11,7 +11,8 @@ interpolated from it, the Newton interpolation in integers (and its
 refusal of values that no integer polynomial takes), the characteristic
 polynomial interpolated by it, the Newton power sums against traces of
 companion powers, the inertia and determinant read off the
-fraction-free symmetric elimination, the integer matrix of B on the
+fraction-free symmetric elimination, the lattice signature read off a
+Cauchy index of the trace polynomials, the integer matrix of B on the
 A-orbit basis and the PRS gcd of the rank-2 elimination over Z[w] with
 it on random inputs.  Over Z[w]/(st) that
 gcd is checked against Euclid's algorithm in the number field, and the
@@ -34,9 +35,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.subresultants_qq_zz import sylvester
 
@@ -60,7 +61,7 @@ from k3siegel.fpfsiegel import (
     jet_oracle,
     theta_iterate_closed_form,
 )
-from k3siegel.hyplattice import _b_matrix_in_a_basis
+from k3siegel.hyplattice import _b_matrix_in_a_basis, build, signature_gate
 from k3siegel.intpoly import (
     IntPoly,
     PolynomialDomainError,
@@ -502,11 +503,11 @@ def symmetric_matrices(draw):
     return m
 
 
-def descartes_inertia(m):
-    """(positive, negative, zero) eigenvalue counts from sympy's
-    characteristic polynomial: its roots are all real, so Descartes'
-    rule of signs counts them exactly."""
-    cp = [int(c) for c in sympy.Matrix(m).charpoly(X).all_coeffs()]
+def descartes_counts(cp):
+    """(positive, negative, zero) roots of a polynomial with only real
+    roots, from its descending integer coefficients: Descartes' rule of
+    signs counts them exactly."""
+    cp = [int(c) for c in cp]
     zero = 0
     while cp[-1] == 0:
         cp.pop()
@@ -520,10 +521,57 @@ def descartes_inertia(m):
     return changes(cp), changes([c * (-1) ** (deg - i) for i, c in enumerate(cp)]), zero
 
 
+def descartes_inertia(m):
+    """(positive, negative, zero) eigenvalue counts from sympy's
+    characteristic polynomial."""
+    return descartes_counts(sympy.Matrix(m).charpoly(X).all_coeffs())
+
+
 @EXAMPLES
 @given(symmetric_matrices())
 def test_inertia_matches_sympy(m):
     assert linalg.inertia(m) == (descartes_inertia(m), sympy.Matrix(m).det())
+
+
+Z2 = IntPoly([-1, 0, 1])
+STORE = load_store()
+CYCLOTOMIC_SETS = {d: cli.cyclotomic_sets(d) for d in {20 - e.degree
+                                                          for e in STORE.entries.values()}}
+
+
+def salem_cyclotomic_phi(entry, cset) -> IntPoly:
+    return math.prod((cyclotomic(j) for j in cset), start=Z2 * entry.salem_poly)
+
+
+# (z^2 - 1) S C, a store Salem factor times cyclotomics (traces real), and
+# (z^2 - 1) times a palindromic polynomial from a random trace polynomial,
+# whose trace roots are mostly not real and may repeat
+salem_cyclotomic_phis = st.sampled_from(list(STORE.entries.values())).flatmap(
+    lambda e: st.sampled_from(CYCLOTOMIC_SETS[20 - e.degree]).map(
+        lambda cset: salem_cyclotomic_phi(e, cset)))
+random_palindromic_phis = monic_polys(min_degree=10, max_degree=10, bound=6).map(
+    lambda tr: Z2 * from_trace_polynomial(tr))
+degree22_psis = monic_polys(min_degree=11, max_degree=11, bound=4).map(from_trace_polynomial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(salem_cyclotomic_phis, random_palindromic_phis), degree22_psis)
+@example(Z2 * STORE[(4, 1)].salem_poly * cyclotomic(8) * cyclotomic(12) * cyclotomic(30),
+         IntPoly([1, -1, -2, 0, 2, 1, 0, -1, -2, 0, 1, 1, 1, 0, -2, -1, 0, 1, 2, 0, -2, -1, 1]))
+@example(Z2 * from_trace_polynomial(IntPoly([-2, 0, 1]) ** 2 * IntPoly([1] * 7)),
+         from_trace_polynomial(IntPoly([1] * 12)))   # a double trace root: the gate declines
+def test_signature_gate_matches_sympy_inertia(phi, psi):
+    # the Cauchy-index signature, orientation included, against Descartes
+    # on sympy's characteristic polynomial of the Gram matrix
+    assume(zgcd(phi, psi).degree == 0)
+    model = build(phi, psi)
+    signature = signature_gate(model)
+    squarefree = to_sympy(phi).sqf_part().degree() == phi.degree
+    assert (signature is not None) == squarefree
+    if squarefree:
+        cp = DomainMatrix([[ZZ(x) for x in row] for row in model.gram], (22, 22), ZZ).charpoly()
+        assert descartes_counts(cp) == (*model.trace_signature, 0)
+        assert signature == tuple(sorted(model.trace_signature))
 
 
 B = sympy.Symbol("B")
@@ -705,9 +753,6 @@ def test_division_by_a_zero_divisor_of_a_reducible_modulus():
             ring.divide([IntPoly(v), c], c)
 
     check()
-
-
-STORE = load_store()
 
 
 def sympy_b_on_orbit_basis(phi, psi):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from k3siegel.intpoly import IntPoly, cyclotomic, from_trace_polynomial, resultant
-from k3siegel import hyplattice, linalg
+from k3siegel import cli, hyplattice, linalg
 from k3siegel.hyplattice import (
     LatticeBuildError,
     _b_matrix_in_a_basis,
@@ -11,9 +11,11 @@ from k3siegel.hyplattice import (
     reflection_factor,
     series_coefficients,
     signature_and_renormalize,
+    signature_gate,
     unimodularity_gate,
 )
 from k3siegel.salemlib import load_store
+from k3siegel.setup2 import enumerate_setup2
 
 STORE = load_store()
 Z2 = IntPoly([-1, 0, 1])  # (z-1)(z+1)
@@ -97,8 +99,8 @@ def test_resultant_computed_once_per_pair(monkeypatch):
 
 @pytest.mark.parametrize("order", ["gate first", "signature first"])
 def test_gram_eliminated_once_per_pair(monkeypatch, order):
-    # the gate's |det| = 1 cross-check and the signature read one symmetric
-    # elimination, in either call order (the pipeline's and demo 03's)
+    # the |det| = 1 cross-check and the signature read one symmetric
+    # elimination, in either call order (demo 02's and demo 03's)
     calls = []
     eliminate = linalg._symmetric_bareiss
 
@@ -127,11 +129,13 @@ def test_gram_eliminated_once_per_pair(monkeypatch, order):
 
 def test_gram_checks_keep_their_texts():
     # a unit resultant read against a Gram whose determinant is not a unit,
-    # and a singular Gram reaching the signature
+    # and a singular Gram reaching the signature: the gate reads |Res| only,
+    # and the one elimination in signature_and_renormalize catches both
     model = build(PHI_ROW1, PSI_ROW1)
     model.resultant, model.gram = 1, [[2, 1], [1, 2]]
+    assert unimodularity_gate(model)
     with pytest.raises(LatticeBuildError, match="non-unimodular Gram matrix"):
-        unimodularity_gate(model)
+        signature_and_renormalize(model)
     model = build(PHI_ROW1, PSI_ROW1)
     model.gram = [[2, 2], [2, 2]]
     with pytest.raises(LatticeBuildError, match="singular Gram matrix past the unimodularity gate"):
@@ -246,3 +250,93 @@ def test_det_equals_resultant_various():
 def test_renormalize_trivial_examples():
     assert linalg.inertia([[2, 0], [0, -2]])[0] == (1, 1, 0)
     assert linalg.inertia([[2, 0], [0, 2]])[0] == (2, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the signature gate: a Cauchy index of the trace polynomials
+# ---------------------------------------------------------------------------
+
+def gate_agrees_with_elimination(phi, psi) -> tuple[int, int]:
+    """The gate's raw (pos, neg) against an elimination of the Gram as
+    built, and its renormalized signature against signature_and_renormalize."""
+    model = build(phi, psi)
+    signature = signature_gate(model)
+    assert signature is not None
+    assert model.trace_signature == linalg.inertia(model.gram)[0][:2]
+    assert signature == signature_and_renormalize(build(phi, psi)).signature
+    return signature
+
+
+def pairs_reaching_the_pipeline(monkeypatch, search) -> list:
+    """The (phi, psi) of every pair a search hands to analyze_pair."""
+    pairs = []
+    pipeline = cli.analyze_pair
+
+    def record(phi, psi, *labels):
+        pairs.append((phi, psi))
+        return pipeline(phi, psi, *labels)
+
+    monkeypatch.setattr(cli, "analyze_pair", record)
+    search()
+    return pairs
+
+
+@pytest.mark.parametrize("search, unimodular", [
+    pytest.param(lambda: cli.search_setup1(STORE, 20), 9, id="setup1-20"),
+    pytest.param(lambda: cli.search_setup1(STORE, 18), 8, id="setup1-18"),
+    pytest.param(lambda: cli.search_setup2(candidates=random.Random(26).sample(
+        enumerate_setup2(), 40)), 143, id="setup2-slice"),
+])
+def test_signature_gate_matches_the_elimination_on_searched_pairs(monkeypatch, search,
+                                                                  unimodular):
+    pairs = pairs_reaching_the_pipeline(monkeypatch, search)
+    checked = [gate_agrees_with_elimination(phi, psi) for phi, psi in pairs
+               if resultant(phi, psi) in (1, -1)]
+    assert len(checked) == unimodular
+    assert (3, 19) in checked and any(signature != (3, 19) for signature in checked)
+
+
+def symmetric_bareiss_sizes(monkeypatch) -> list:
+    sizes = []
+    eliminate = linalg._symmetric_bareiss
+    monkeypatch.setattr(linalg, "_symmetric_bareiss",
+                        lambda m: sizes.append(len(m)) or eliminate(m))
+    return sizes
+
+
+def test_signature_rejected_pair_runs_no_gram_elimination(monkeypatch):
+    # a pair the gate rejects never eliminates its Gram; one it passes
+    # eliminates it exactly once (the LLL of the Picard form is smaller)
+    sizes = symmetric_bareiss_sizes(monkeypatch)
+    phi = Z2 * STORE[(18, 22)].salem_poly * cyclotomic(3)
+    psi = LEHMER * cyclotomic(36)
+    assert cli.analyze_pair(phi, psi).rejection == "signature (11, 11) after renormalization"
+    assert sizes == []
+    assert cli.analyze_pair(PHI_E9, PSI_523).accepted()
+    assert sizes.count(22) == 1
+
+
+def test_gate_and_elimination_disagreeing_is_an_internal_row(monkeypatch):
+    # a gate that passes id 523 with the wrong orientation is caught by the
+    # elimination's cross-check, and the row faults instead of passing
+    def flipped(model):
+        signature = signature_gate(model)
+        model.trace_signature = model.trace_signature[::-1]
+        return signature
+
+    monkeypatch.setattr(cli, "signature_gate", flipped)
+    row = cli.analyze_pair(PHI_E9, PSI_523)
+    assert row.rejection == ("internal: signature (3, 19) from the trace polynomials "
+                             "but (19, 3) from the Gram elimination")
+
+
+def test_non_squarefree_phi_is_left_to_the_elimination(monkeypatch):
+    # phi = (z^2 - 1) S4 C3^2 C5 C8 C12 has a double root, so the gate
+    # declines and the elimination alone gives the row its text
+    phi = Z2 * S4 * cyclotomic(3) ** 2 * cyclotomic(5) * cyclotomic(8) * cyclotomic(12)
+    psi = enumerate_setup2()[939].psi()
+    assert signature_gate(build(phi, psi)) is None
+    sizes = symmetric_bareiss_sizes(monkeypatch)
+    row = cli.analyze_pair(phi, psi)
+    assert row.rejection == "signature (7, 15) after renormalization"
+    assert sizes == [22]

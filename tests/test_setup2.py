@@ -14,6 +14,7 @@ from k3siegel.setup2 import (
     S4,
     Setup2Candidate,
     _descartes_maps,
+    _first_leaves,
     _norm_hits,
     _norm_map,
     _root_counts,
@@ -260,3 +261,25 @@ def test_descartes_maps_keep_every_lane_exact(monkeypatch):
     monkeypatch.setattr(setup2, "_WORD_BOUNDS", (1 << 31,) * 12)
     with pytest.raises(PolynomialDomainError):
         _descartes_maps()
+
+
+def test_first_leaves_in_float_lanes_are_the_int64_product():
+    # over the whole census the float64 product is exact, term for term
+    tmap, dmaps = _descartes_maps()
+    trace = _norm_hits() @ tmap.T
+    q = _first_leaves(trace, dmaps)
+    assert q.dtype == np.int64
+    assert np.array_equal(q, np.matmul(trace, dmaps.transpose(0, 2, 1)))
+
+
+def test_first_leaves_check_the_rows_they_are_given():
+    # rows past the float bound take the int64 product; past int64, a typed error
+    tmap, dmaps = _descartes_maps()
+    row_sum = int(abs(dmaps).sum(axis=2).max())
+    for top in (setup2._FLOAT_EXACT // row_sum, setup2._FLOAT_EXACT // row_sum + 1):
+        trace = np.array([[top] + [-1] * 11], dtype=np.int64)
+        assert np.array_equal(_first_leaves(trace, dmaps),
+                              np.matmul(trace, dmaps.transpose(0, 2, 1)))
+    with pytest.raises(PolynomialDomainError, match="overflows int64"):
+        _first_leaves(np.array([[setup2._INT64 // row_sum + 1] + [0] * 11]), dmaps)
+    assert _first_leaves(np.zeros((0, 12), dtype=np.int64), dmaps).shape == (8, 0, 12)
