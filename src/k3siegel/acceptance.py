@@ -26,8 +26,9 @@ from .intpoly import (
     PALINDROMIC,
 )
 from .algnum import RationalFunctionW, symmetric_descent
-from . import linalg
-from .hyplattice import build, reflection_factor
+from . import linalg, picardweyl
+from .hodgeclass import dissect_and_classify
+from .hyplattice import build, reflection_factor, signature_and_renormalize
 from .salemlib import compute_L0, is_unramified_salem, load_store, salem_lambda
 from .setup2 import S4, enumerate_setup2
 from . import cli
@@ -336,6 +337,23 @@ def criterion_structural_properties(n_pairs: int = 200):
         checked += 1
     if checked < n_pairs:
         return False, f"only {checked} of {n_pairs} lattice pairs were coprime"
+
+    # Atilde on all of L for one accepted pair (rho = 10, D9, a 41-step walk)
+    phi = cli.phi_of(store[(12, 1)].salem_poly, (4, 7))
+    psi = store[(6, 1)].salem_poly * cyclotomic(60)
+    model = signature_and_renormalize(build(phi, psi))
+    verdict = dissect_and_classify(phi, psi)
+    _, report = picardweyl.analyze_root_system(model, verdict)
+    a_tilde = picardweyl.assemble_full_isometry(model, report, verdict.salem_factor)
+    lifted = linalg.mat_mul(linalg.mat_mul(linalg.transpose(a_tilde), model.gram), a_tilde)
+    if not linalg.mat_eq(lifted, model.gram):
+        return False, "Atilde on L is not an isometry"
+    if linalg.trace(a_tilde) != report.trace_a_tilde:
+        return False, "trace of Atilde on L differs from tr(Atilde|Pic) - s_(deg S - 1)"
+    pic_l = linalg.transpose(picardweyl.pic_basis(verdict.salem_factor))
+    on_pic = linalg.mat_mul(pic_l, report.a_tilde_pic)
+    if not linalg.mat_eq(linalg.mat_mul(a_tilde, pic_l), on_pic):
+        return False, "Atilde on L does not restrict to Atilde|Pic"
 
     # polynomial-level properties on fresh random data
     for _ in range(60):

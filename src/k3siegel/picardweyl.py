@@ -8,10 +8,12 @@ lexicographic order in the standard basis.  A need not preserve the
 Weyl chamber picked out by Delta+, but a unique Weyl group element w_A
 does correct it: the chamber walk reflects the one regular vector
 A(2 rho_W) in simple roots until it lies in the chamber of Delta+, and
-each reflection is an integer rank-one update of the columns of A.
-The corrected isometry Atilde = w_A o A is the one that lifts
-to an automorphism; its characteristic polynomial is S(z) times a
-product of cyclotomic polynomials, and its action on the simple roots
+each reflection is an integer rank-one update of the columns of A|Pic.
+The corrected isometry Atilde = w_A o A is the one that lifts to an
+automorphism.  The reflections fix Pic^perp = ker S(A) pointwise, so
+the pipeline keeps Atilde on Pic: its characteristic polynomial is S(z)
+times a product of cyclotomic polynomials, its trace on H^2 is
+tr(Atilde|Pic) - s_(deg S - 1), and its action on the simple roots
 reads off how the automorphism permutes the (-2)-curves.
 """
 
@@ -29,7 +31,6 @@ from . import linalg
 @dataclass
 class PicardData:
     rho: int
-    basis_l: list            # rho vectors, L-coordinates (A-basis of L)
     gram_pic: list           # rho x rho, negative definite
     a_pic: list              # action of A on Pic: companion of phi / S = (z-1)(z+1) C(z)
 
@@ -44,19 +45,18 @@ def picard_lattice(model: LatticeModel, verdict: HodgeVerdict) -> PicardData:
     if not verdict.accepted:
         raise PipelineError("picard_lattice on a rejected pair")
     s_poly = verdict.salem_factor
-    rho = RANK - s_poly.degree
-    basis = []
-    for i in range(rho):
-        vec = [0] * RANK
-        for k, c in enumerate(s_poly.coeffs):
-            vec[i + k] = c
-        basis.append(vec)
+    basis = pic_basis(s_poly)
     gram_basis = [linalg.mat_vec(model.gram, v) for v in basis]
     gram_pic = [[sum(map(mul, u, gv)) for gv in gram_basis] for u in basis]
-    if any(gram_pic[i][i] % 2 for i in range(rho)):
+    if any(row[i] % 2 for i, row in enumerate(gram_pic)):
         raise PipelineError("Picard form is not even")
-    return PicardData(rho=rho, basis_l=basis, gram_pic=gram_pic,
-                      a_pic=companion(model.phi // s_poly))
+    return PicardData(rho=len(basis), gram_pic=gram_pic, a_pic=companion(model.phi // s_poly))
+
+
+def pic_basis(s_poly: IntPoly) -> list:
+    """s, As, ..., A^(rho-1) s in the A-basis of L: S's coefficients shifted by i."""
+    rho = RANK - s_poly.degree
+    return [[0] * i + list(s_poly.coeffs) + [0] * (rho - 1 - i) for i in range(rho)]
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,6 @@ class RootSystemReport:
     components: list = field(default_factory=list)    # list[Component]
     w_word: list = field(default_factory=list)        # chronological reflections
     a_tilde_pic: list = field(default_factory=list)   # rho x rho
-    a_tilde_l: list = field(default_factory=list)     # 22 x 22
     phi1_tilde: IntPoly = IntPoly([1])
     phi1_tilde_factors: dict = field(default_factory=dict)
     trace_a_tilde: int = 0
@@ -127,8 +126,6 @@ def enumerate_roots(pic: PicardData) -> RootSystemReport:
     Theory, 10.2).
     """
     report = RootSystemReport()
-    if pic.rho == 0:
-        return report
     neg_gram = [[-x for x in row] for row in pic.gram_pic]
     reps = linalg.short_vectors(neg_gram, 2)
     delta_plus = []
@@ -236,7 +233,7 @@ def _reflect_columns(m: list, word: list, gram: list) -> list:
 
 
 def chamber_walk(pic: PicardData, report: RootSystemReport) -> RootSystemReport:
-    """Find w_A with (w_A o A)(Delta+) = Delta+ and assemble Atilde.
+    """Find w_A with (w_A o A)(Delta+) = Delta+ and form Atilde|Pic.
 
     Walk one regular vector v = A(2 rho_W), 2 rho_W the sum of Delta+,
     whose chamber is the one of A(Delta+).  The form is negative
@@ -278,20 +275,14 @@ def chamber_walk(pic: PicardData, report: RootSystemReport) -> RootSystemReport:
     return report
 
 
-def assemble_full_isometry(model: LatticeModel, pic: PicardData,
-                           report: RootSystemReport, salem_factor: IntPoly) -> RootSystemReport:
-    """Atilde on all of L, its trace, and the factored char polynomial."""
-    word_l = [[sum(u[i] * pic.basis_l[i][k] for i in range(pic.rho)) for k in range(RANK)]
-              for u in report.w_word]
-    a_tilde_l = _reflect_columns(model.a_mat, word_l, model.gram)
-    report.a_tilde_l = a_tilde_l
-    report.trace_a_tilde = int(linalg.trace(a_tilde_l))
-    # cross-check: trace = trace on Pic + trace of the Salem companion
-    tr_pic = int(linalg.trace(report.a_tilde_pic)) if pic.rho else 0
-    tr_salem = -salem_factor[salem_factor.degree - 1]
-    if report.trace_a_tilde != tr_pic + tr_salem:
-        raise PipelineError("trace bookkeeping mismatch between L and Pic")
-    return report
+def assemble_full_isometry(model: LatticeModel, report: RootSystemReport,
+                           salem_factor: IntPoly) -> list:
+    """Atilde = w_A o A on all of L, on demand: the pipeline reads only Atilde|Pic, and the
+    one reader, acceptance.criterion_structural_properties, checks it against the form,
+    trace_a_tilde and Atilde|Pic."""
+    basis_t = linalg.transpose(pic_basis(salem_factor))
+    word_l = [linalg.mat_vec(basis_t, u) for u in report.w_word]
+    return _reflect_columns(model.a_mat, word_l, model.gram)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +296,8 @@ class ComponentAction:
     partner: int | None = None # index of the image component when moved
 
 
-def action_analysis(pic: PicardData, report: RootSystemReport) -> RootSystemReport:
+def action_analysis(report: RootSystemReport) -> RootSystemReport:
     """Permutation of the simple roots under Atilde, per component."""
-    if pic.rho == 0 or not report.simple_roots:
-        report.component_actions = []
-        return report
     index = {v: i for i, v in enumerate(report.simple_roots)}
     perm = []
     for v in report.simple_roots:
@@ -318,10 +306,7 @@ def action_analysis(pic: PicardData, report: RootSystemReport) -> RootSystemRepo
             raise PipelineError("image of a simple root is not simple")
         perm.append(index[img])
 
-    comp_of = {}
-    for ci, comp in enumerate(report.components):
-        for m in comp.members:
-            comp_of[m] = ci
+    comp_of = {m: ci for ci, comp in enumerate(report.components) for m in comp.members}
     actions = []
     for ci, comp in enumerate(report.components):
         images = {comp_of[perm[m]] for m in comp.members}
@@ -341,14 +326,10 @@ def action_analysis(pic: PicardData, report: RootSystemReport) -> RootSystemRepo
 
 
 def analyze_root_system(model: LatticeModel, verdict: HodgeVerdict) -> tuple[PicardData, RootSystemReport]:
-    """Full Picard/Weyl pipeline for an accepted pair."""
+    """Full Picard/Weyl pipeline for an accepted pair; TrA = tr(Atilde|Pic) + tr(A|T)."""
     pic = picard_lattice(model, verdict)
-    report = enumerate_roots(pic)
-    if pic.rho:
-        report = chamber_walk(pic, report)
-    else:
-        report.a_tilde_pic = []
-        report.phi1_tilde = IntPoly([1])
-    report = assemble_full_isometry(model, pic, report, verdict.salem_factor)
-    report = action_analysis(pic, report)
+    report = chamber_walk(pic, enumerate_roots(pic))
+    s_poly = verdict.salem_factor
+    report.trace_a_tilde = linalg.trace(report.a_tilde_pic) - s_poly[s_poly.degree - 1]
+    report = action_analysis(report)
     return pic, report

@@ -2,10 +2,12 @@
 
 The full Picard-number-18 search (``search --setup2``) is the suite's
 most expensive computation, so it runs once per session: serially, with
-its rejections, and with every ``hodgeclass.classify`` call that reached
-the Salem step recorded.  The special-trace oracle reads its records and
-the rho18-table criterion reads its rows; worker independence is checked
-on a census slice in ``test_cli``.
+its rejections, with every ``hodgeclass.classify`` call that reached
+the Salem step recorded, and with (model, verdict, report) recorded for
+each accepted pair.  The special-trace oracle reads the classify
+records, the isometry-lift oracle the accepted pairs, and the
+rho18-table criterion the rows; worker independence is checked on a
+census slice in ``test_cli``.
 """
 
 import pytest
@@ -35,15 +37,40 @@ def salem_step_records(monkeypatch, search):
     return search(), records
 
 
+def root_system_records(monkeypatch) -> list:
+    """A list that collects (model, verdict, report) from each
+    ``cli.analyze_root_system`` call, that is from each accepted pair of
+    a serial search."""
+    records = []
+
+    def recording(model, verdict):
+        pic, report = analyze(model, verdict)
+        records.append((model, verdict, report))
+        return pic, report
+
+    analyze = cli.analyze_root_system
+    monkeypatch.setattr(cli, "analyze_root_system", recording)
+    return records
+
+
 @pytest.fixture
 def salem_steps(monkeypatch):
     """salem_step_records for one search, undone after the test."""
     return lambda search: salem_step_records(monkeypatch, search)
 
 
+@pytest.fixture
+def accepted_pairs(monkeypatch):
+    """root_system_records, undone after the test."""
+    return root_system_records(monkeypatch)
+
+
 @pytest.fixture(scope="session")
 def setup2_search():
-    """(rows, records) of one serial ``search_setup2`` with rejections."""
+    """(rows, classify records, accepted-pair records) of one serial
+    ``search_setup2`` with rejections."""
     with pytest.MonkeyPatch.context() as mp:
-        return salem_step_records(
+        accepted = root_system_records(mp)
+        rows, records = salem_step_records(
             mp, lambda: cli.search_setup2(workers=1, include_rejections=True))
+        return rows, records, accepted

@@ -6,6 +6,7 @@ session's one setup2 search (``conftest.setup2_search``); the rank-2
 spot rows run their search on two workers.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -48,7 +49,7 @@ def test_criterion_6_rho18_table(monkeypatch, setup2_search):
     # the session's one setup2 search stands in for the criterion's own:
     # it keeps the accepted and faulted rows, as a search without
     # rejections does
-    rows, _ = setup2_search
+    rows, _, _ = setup2_search
     kept = [r for r in rows if r.accepted() or r.faulted()]
     monkeypatch.setattr(cli, "search_setup2", lambda workers, candidates: kept)
     _run("rho18-table", acceptance.criterion_rho18_table, WORKERS)
@@ -110,3 +111,32 @@ def test_structural_properties_fails_short_of_its_pairs(monkeypatch):
     ok, detail = acceptance.criterion_structural_properties(5)
     assert not ok
     assert detail == "only 0 of 5 lattice pairs were coprime"
+
+
+def _scaled_identity(c):
+    return lambda model, report, salem_factor: [[c * (i == j) for j in range(22)]
+                                                for i in range(22)]
+
+
+ASSEMBLE = picardweyl.assemble_full_isometry
+
+
+def _last_reflection_dropped(model, report, salem_factor):
+    short = dataclasses.replace(report, w_word=report.w_word[:-1])
+    return ASSEMBLE(model, short, salem_factor)
+
+
+@pytest.mark.parametrize("lift, detail", [
+    pytest.param(_scaled_identity(2), "Atilde on L is not an isometry", id="not-isometry"),
+    # -I preserves the form, but its trace is -22
+    pytest.param(_scaled_identity(-1),
+                 "trace of Atilde on L differs from tr(Atilde|Pic) - s_(deg S - 1)",
+                 id="wrong-trace"),
+    # w_A short of its last reflection: an isometry whose trace, on the
+    # criterion's pair, is still TrA
+    pytest.param(_last_reflection_dropped, "Atilde on L does not restrict to Atilde|Pic",
+                 id="short-word"),
+])
+def test_structural_properties_checks_the_isometry_lift(monkeypatch, lift, detail):
+    monkeypatch.setattr(picardweyl, "assemble_full_isometry", lift)
+    assert acceptance.criterion_structural_properties(1) == (False, detail)

@@ -15,7 +15,10 @@ from k3siegel.picardweyl import (
     Component,
     PicardData,
     RootSystemReport,
+    action_analysis,
     analyze_root_system,
+    assemble_full_isometry,
+    chamber_walk,
     enumerate_roots,
     picard_lattice,
 )
@@ -43,6 +46,56 @@ def run_pipeline(phi, psi):
     assert verdict.accepted
     pic, report = analyze_root_system(model, verdict)
     return model, verdict, pic, report
+
+
+def assert_isometry_lift(model, verdict, report, trace):
+    """Atilde on all of L preserves the form, has char poly S * phi1~
+    and has the trace TrA."""
+    at = assemble_full_isometry(model, report, verdict.salem_factor)
+    g = model.gram
+    assert linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(linalg.transpose(at), g), at), g)
+    assert linalg.charpoly(at) == verdict.salem_factor * report.phi1_tilde
+    assert linalg.trace(at) == trace
+
+
+def row_pair(row):
+    """(phi, psi) of a search row, rebuilt from its labels; a setup2 row
+    names its psi by census id."""
+    def salem(label):
+        index, degree = label[1:-1].split("^(")
+        return STORE[(int(degree), int(index))].salem_poly
+
+    def cset(label):
+        return () if label == "1" else tuple(int(tok[1:]) for tok in label.split())
+
+    phi = phi_of(salem(row.s_label), cset(row.c_label))
+    if not row.aux_s_label:
+        return phi, _setup2()[int(row.aux_c_label) - 1].psi()
+    psi = salem(row.aux_s_label)
+    for j in cset(row.aux_c_label):
+        psi = psi * cyclotomic(j)
+    return phi, psi
+
+
+def assert_lifts_on_rows(records, rows):
+    """The isometry lift of every accepted row's pair, against the row's TrA."""
+    by_pair = {(model.phi, model.psi): (model, verdict, report)
+               for model, verdict, report in records}
+    accepted = [row for row in rows if row.accepted()]
+    assert accepted and len(by_pair) == len(records) == len(accepted)
+    for row in accepted:
+        assert_isometry_lift(*by_pair[row_pair(row)], row.trace_a_tilde)
+
+
+def test_full_isometry_lifts_on_the_rho18_table(setup2_search):
+    rows, _, records = setup2_search
+    assert len(records) == 40
+    assert_lifts_on_rows(records, rows)
+
+
+@pytest.mark.parametrize("degree", [20, 18])
+def test_full_isometry_lifts_on_setup1_rows(accepted_pairs, degree):
+    assert_lifts_on_rows(accepted_pairs, cli.search_setup1(STORE, degree))
 
 
 def test_row1_weyl():
@@ -86,10 +139,28 @@ def test_entry6_weyl():
     assert all(a.kind == "moved" for a in report.component_actions)
 
 
+def test_analyze_pair_builds_no_full_isometry(monkeypatch):
+    # TrA, the Siegel verdict, the component actions and the rank-2
+    # routing all come from Atilde|Pic; the 22 x 22 Atilde is never built
+    def refuse(*args):
+        raise RuntimeError("the pipeline built Atilde on L")
+
+    monkeypatch.setattr(picardweyl, "assemble_full_isometry", refuse)
+    row = cli.analyze_pair(*ROWS["entry9"])
+    assert row.rejection is None
+    assert (row.trace_a_tilde, row.sd) == (11, "S")
+    assert sorted(row.actions) == [("A2", "moved"), ("A2", "moved"),
+                                   ("E6", "nontrivial"), ("E8", "trivial")]
+    row = cli.analyze_pair(*ROWS["row1"])
+    assert row.rejection is None
+    assert row.rank2_salem == STORE[(20, 1)].salem_poly
+    assert row.trace_a_tilde == 1
+
+
 def test_invariants_entry9():
     model, verdict, pic, report = run_pipeline(*ROWS["entry9"])
     # Atilde is an isometry of the intersection form
-    at = report.a_tilde_l
+    at = assemble_full_isometry(model, report, verdict.salem_factor)
     g = model.gram
     assert linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(linalg.transpose(at), g), at), g)
     # char(Atilde) = S * phi1_tilde with the same Salem factor as phi
@@ -113,10 +184,13 @@ def test_root_counts_match_dynkin():
 
 
 def test_rho_zero_degenerate():
-    pic = PicardData(rho=0, basis_l=[], gram_pic=[], a_pic=[])
+    pic = PicardData(rho=0, gram_pic=[], a_pic=[])
     report = enumerate_roots(pic)
     assert report.delta_plus == [] and report.simple_roots == []
     assert report.dynkin_name() == "0"
+    # the walk and the action analysis leave an empty Pic at the defaults:
+    # no word, Atilde|Pic empty with char poly 1, no component actions
+    assert action_analysis(chamber_walk(pic, report)) == RootSystemReport()
 
 
 def test_brute_force_equivalence_small_rank():
@@ -139,9 +213,11 @@ def test_brute_force_equivalence_small_rank():
     assert found == box
 
 
-def reference_walk(model, pic, report):
+def reference_walk(model, pic, report, salem_factor):
     """The walk on the whole image set A(Delta+), with every reflection
-    multiplied out as a full matrix on Pic and on L."""
+    multiplied out as a full matrix on Pic and on L.  Basis vector i of
+    Pic is S(A) A^i r, so a root u lifts to L as the coefficients of
+    u(z) S(z)."""
     def refl(gram, u):
         gu = linalg.mat_vec(gram, list(u))
         return [[(i == j) + u[i] * gu[j] for j in range(len(u))] for i in range(len(u))]
@@ -153,7 +229,8 @@ def reference_walk(model, pic, report):
         u = next(u for u in sorted(report.simple_roots) if tuple(-c for c in u) in sigma)
         s_pic = refl(pic.gram_pic, u)
         sigma = {tuple(linalg.mat_vec(s_pic, list(x))) for x in sigma}
-        u_l = [sum(u[i] * pic.basis_l[i][k] for i in range(pic.rho)) for k in range(22)]
+        u_l = list((IntPoly(u) * salem_factor).coeffs)
+        u_l += [0] * (22 - len(u_l))
         word.append(u)
         w_pic = linalg.mat_mul(s_pic, w_pic)
         w_l = linalg.mat_mul(refl(model.gram, u_l), w_l)
@@ -173,10 +250,11 @@ def test_walk_matches_set_based_reference(case):
         assert any(row[:2] == case for row in RHO18_TABLE)
         phi, psi = phi_of(STORE[(4, 1)].salem_poly, cset), _setup2()[pid - 1].psi()
     model, verdict, pic, report = run_pipeline(phi, psi)
-    word, a_tilde_pic, a_tilde_l = reference_walk(model, pic, report)
+    word, a_tilde_pic, a_tilde_l = reference_walk(model, pic, report, verdict.salem_factor)
     assert report.w_word == word
     assert report.a_tilde_pic == a_tilde_pic
-    assert report.a_tilde_l == a_tilde_l
+    assert assemble_full_isometry(model, report, verdict.salem_factor) == a_tilde_l
+    assert_isometry_lift(model, verdict, report, report.trace_a_tilde)
 
 
 def test_id523_runs_one_inertia_and_lll_certifies_the_picard_form(monkeypatch):
@@ -271,7 +349,7 @@ def root_lattices(draw):
 @given(root_lattices())
 def test_simple_roots_match_the_decomposition_rule_on_root_lattices(lattice):
     blocks, gram = lattice
-    pic = PicardData(rho=len(gram), basis_l=[], gram_pic=gram, a_pic=[])
+    pic = PicardData(rho=len(gram), gram_pic=gram, a_pic=[])
     report = enumerate_roots(pic)
     assert report.simple_roots == reference_simple_roots(report.delta_plus)
     assert len(report.simple_roots) == len(gram)
