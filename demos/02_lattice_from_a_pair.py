@@ -34,7 +34,7 @@ assert linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), g), a), 
 print("A^t G A = G holds")
 
 # the trace-cluster dissection and the admissible-pattern gate
-d = dissect(phi, psi)
+d = dissect(model.phi_trace, model.psi_trace)
 print("\ncluster data: s =", d.s,
       " [A_on] =", d.a_signature(), " [B_on] =", d.b_signature(),
       " |A_>2| =", d.a_gt2_count, " |B_off| =", d.b_off_count)

@@ -27,7 +27,7 @@ psi = enumerate_setup2()[522].psi()   # candidate number 523
 
 model = signature_and_renormalize(build(phi, psi))
 assert unimodularity_gate(model)
-verdict = dissect_and_classify(phi, psi)
+verdict = dissect_and_classify(model)
 assert verdict.accepted
 
 pic, report = analyze_root_system(model, verdict)

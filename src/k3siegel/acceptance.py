@@ -342,7 +342,7 @@ def criterion_structural_properties(n_pairs: int = 200):
     phi = cli.phi_of(store[(12, 1)].salem_poly, (4, 7))
     psi = store[(6, 1)].salem_poly * cyclotomic(60)
     model = signature_and_renormalize(build(phi, psi))
-    verdict = dissect_and_classify(phi, psi)
+    verdict = dissect_and_classify(model)
     _, report = picardweyl.analyze_root_system(model, verdict)
     a_tilde = picardweyl.assemble_full_isometry(model, report, verdict.salem_factor)
     lifted = linalg.mat_mul(linalg.mat_mul(linalg.transpose(a_tilde), model.gram), a_tilde)

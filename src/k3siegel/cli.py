@@ -24,9 +24,10 @@ Malformed input (polynomial text that is not a bracketed list of
 integers, a worker count that is not an integer of at least 1, a
 --setup1 degree that is not even from 4 to 20, an --index-min above
 --index-max, a --salem-data file that cannot be read or holds a bad
-entry, --st text that names no Salem number passing the rank-2 trace
-check, an --out file that cannot be opened for writing) exits 2 like
-any usage error, before any search runs; exit 1 means a row faulted.
+entry, an --st file that cannot be read or text that names no Salem
+number passing the rank-2 trace check, an --out file that cannot be
+opened for writing) exits 2 like any usage error, before any search
+runs; exit 1 means a row faulted.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
         if signature != (3, 19):
             row.rejection = f"signature {signature} after renormalization"
             return row
-        verdict = dissect_and_classify(phi, psi)
+        verdict = dissect_and_classify(model)
         if not verdict.accepted:
             row.rejection = verdict.rejection_reason
             return row
@@ -199,7 +200,7 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
                         f"{budget.free_multiplicity}")
             return row
         p_func = derive_P(contribs, budget.n_f_total)
-        taus = trace_conjugates(trace_polynomial(verdict.salem_factor))
+        taus = trace_conjugates(verdict.salem_trace)
         v = siegel_verdict_P(p_func, taus, row.st_index)
         row.verdicts = [v]
         row.sd = str(v)
@@ -380,14 +381,11 @@ def _resultant_unit_table(psis: list, factors: list) -> dict:
     factor is Z2, a Salem polynomial S, or a cyclotomic index j standing
     for C_j; a psi is an IntPoly or a census word, read through .psi().
 
-    Each flag is decided at half the degree, on trace polynomials, and
-    each psi's trace polynomial is taken once: for monic palindromic p
-    and q of even degree with trace polynomials P and Q, Res(p, q) =
-    Res(P, Q)^2, since the roots of p pair as a, 1/a and
-    q(a) = a^m Q(a + 1/a).  The factor z^2 - 1 is not palindromic; its
-    column is read on w^2 - 4, as Res(z^2 - 1, psi) =
-    psi(1) psi(-1) = (-1)^m Psi(2) Psi(-2) = (-1)^m Res(w^2 - 4, Psi)
-    for deg psi = 2m.
+    Each flag is decided at half the degree, on trace polynomials, by
+    the identities stated at ``hyplattice.unimodularity_gate``, and each
+    psi's trace polynomial is taken once.  The factor z^2 - 1 is not
+    palindromic; its column is read on w^2 - 4, as
+    (-1)^m Psi(2) Psi(-2) = (-1)^m Res(w^2 - 4, Psi).
     """
     traces = [trace_polynomial(p.psi() if isinstance(p, Setup2Candidate) else p)
               for p in psis]
@@ -509,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
                 ap.error(f"--index-min {rng[0]} exceeds --index-max {rng[1]}")
             try:
                 store = load_store(args.salem_data)
-            except (OSError, SalemDataError) as exc:
+            except (OSError, UnicodeDecodeError, SalemDataError) as exc:
                 ap.error(f"--salem-data: {exc}")
             out = _open_out(ap, args.out)
             rows = search_setup1(store, degree, rng,
@@ -535,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
             if not (is_salem(salem) and p2.trace_check(salem)):
                 ap.error("--st: not the trace polynomial of a Salem number "
                          "that passes the rank-2 trace check")
-        except PolynomialDomainError as exc:
+        except (OSError, UnicodeDecodeError, PolynomialDomainError) as exc:
             ap.error(f"--st: {exc}")
         out = _open_out(ap, args.out)
         report = p2.full_analysis(salem).to_json()

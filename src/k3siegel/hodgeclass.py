@@ -1,6 +1,7 @@
 """Trace-cluster dissection and the hyperbolic-isometry gate.
 
-Write phi = (z-1)(z+1) z^10 Phi(z + 1/z) and psi = z^11 Psi(z + 1/z).
+Write phi = (z-1)(z+1) z^10 Phi(z + 1/z) and psi = z^11 Psi(z + 1/z);
+``hyplattice.build`` derives Phi and Psi once per pair, on the model.
 The real roots of Phi and Psi inside (-2, 2) interleave into maximal
 blocks ("trace clusters") A_(s+1) < B_s < A_s < ... < B_1 < A_1, where
 the two end A-clusters may be empty.  The pair defines a K3 Hodge
@@ -20,20 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intpoly import (
-    IntPoly,
-    PolynomialDomainError,
-    cyclotomic_salem_split,
-    gcd,
-    trace_polynomial,
-)
-from .algnum import (
-    TWO,
-    AlgebraicReal,
-    _isolating_intervals,
-    _sign,
-    count_roots_in,
-)
+from .intpoly import IntPoly, PolynomialDomainError, cyclotomic_salem_split, gcd
+from .algnum import TWO, AlgebraicReal, _isolating_intervals, _sign, count_roots_in
+from .hyplattice import LatticeModel
 from .salemlib import salem_trace_poly
 
 
@@ -45,8 +35,6 @@ class PipelineError(RuntimeError):
 class ClusterDissection:
     """Root data of (Phi, Psi) split along [-2, 2]."""
 
-    phi_trace: IntPoly
-    psi_trace: IntPoly
     a_on: list = field(default_factory=list)     # descending roots of Phi in (-2,2)
     b_on: list = field(default_factory=list)     # descending roots of Psi in (-2,2)
     a_gt2_count: int = 0
@@ -77,16 +65,14 @@ class HodgeVerdict:
     special_trace: AlgebraicReal | None = None
     special_trace_index: int | None = None
     salem_factor: IntPoly | None = None
+    salem_trace: IntPoly | None = None      # the trace polynomial of salem_factor
     cyclo_indices: dict[int, int] | None = None
     rejection_reason: str | None = None
 
 
-def dissect(phi: IntPoly, psi: IntPoly) -> ClusterDissection:
-    """Compute the trace-cluster configuration of a valid (phi, psi) pair."""
-    v = phi // IntPoly([-1, 0, 1])
-    phi_tr = trace_polynomial(v)
-    psi_tr = trace_polynomial(psi)
-    d = ClusterDissection(phi_trace=phi_tr, psi_trace=psi_tr)
+def dissect(phi_tr: IntPoly, psi_tr: IntPoly) -> ClusterDissection:
+    """The trace-cluster configuration of a valid pair, from its trace polynomials."""
+    d = ClusterDissection()
 
     if gcd(phi_tr, phi_tr.derivative()).degree > 0:
         d.flags.append("multiple root of Phi")
@@ -192,11 +178,12 @@ _TABLE_ROWS = [
 def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
     """Match a dissection against the admissible configurations.
 
-    On acceptance the verdict carries the Salem factor S of phi, the
-    cyclotomic factor indices of phi, and the index j of the special
-    trace tau = tau_j in the numbering tau_1 > tau_2 > ... of
-    ``salemlib.trace_conjugates``; the conjugates themselves are
-    isolated only where a verdict reads them (``cli.analyze_pair``).
+    On acceptance the verdict carries the Salem factor S of phi, its
+    trace polynomial, the cyclotomic factor indices of phi, and the
+    index j of the special trace tau = tau_j in the numbering
+    tau_1 > tau_2 > ... of ``salemlib.trace_conjugates``; the conjugates
+    themselves are isolated only where a verdict reads them
+    (``cli.analyze_pair``, from the trace polynomial on the verdict).
 
     The dissection's interval (lo, hi) of tau decides both by Sturm's
     theorem.  Its endpoints are not roots of Phi, and the Salem trace
@@ -235,8 +222,9 @@ def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
     c_indices = {n: m for n, m in cyclo.items() if n not in (1, 2)}
     return HodgeVerdict(accepted=True, case_number=case, special_trace=tau,
                         special_trace_index=count_roots_in(salem_tr, tau.lo, TWO),
-                        salem_factor=residual, cyclo_indices=c_indices)
+                        salem_factor=residual, salem_trace=salem_tr,
+                        cyclo_indices=c_indices)
 
 
-def dissect_and_classify(phi: IntPoly, psi: IntPoly) -> HodgeVerdict:
-    return classify(dissect(phi, psi), phi)
+def dissect_and_classify(model: LatticeModel) -> HodgeVerdict:
+    return classify(dissect(model.phi_trace, model.psi_trace), model.phi)

@@ -10,13 +10,14 @@ after renormalization (negate if the index is positive) the accepted
 pairs carry the intersection form of a K3 lattice, of signature (3,19).
 
 The pipeline path (build, unimodularity gate, signature gate,
-signature) is integer arithmetic.  The signature gate reads the
-signature from a Cauchy index of the two trace polynomials; only the
-pairs it passes, or cannot decide (phi not squarefree), pay the one
-symmetric elimination of the Gram matrix, which cross-checks it.  The
-companion B of psi is built only for the structural check that
-C = A^(-1) B is a reflection, in integers: B = A (I - e_0 g_0^T), tied
-to psi by one integer matrix identity; no verdict reads it.
+signature) is integer arithmetic.  build derives the trace polynomials
+Phi, Psi of phi, psi once, for the resultant, the signature gate (a
+Cauchy index of Phi and Psi) and the trace-cluster dissection; only
+the pairs the gate passes, or cannot decide (phi not squarefree), pay
+the one symmetric elimination of the Gram matrix, which cross-checks
+it.  The companion B of psi is built only for the structural check
+that C = A^(-1) B is a reflection, in integers: B = A (I - e_0 g_0^T),
+tied to psi by one integer matrix identity; no verdict reads it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class LatticeModel:
     psi: IntPoly
     a_mat: list            # companion of phi (A-basis coordinates)
     gram: list             # xi_|i-j| Toeplitz form, possibly renormalized
+    phi_trace: IntPoly     # Phi, with phi = (z^2 - 1) z^10 Phi(z + 1/z)
+    psi_trace: IntPoly     # Psi, with psi = z^11 Psi(z + 1/z)
     resultant: int         # Res(phi, psi), nonzero; the unimodularity gate reads it
     signature: tuple[int, int] = (0, 0)
     renormalized: bool = False
@@ -124,7 +127,8 @@ def _b_matrix_in_a_basis(phi: IntPoly, psi: IntPoly) -> list:
 
 
 def build(phi: IntPoly, psi: IntPoly) -> LatticeModel:
-    """Construct the lattice model; raises LatticeBuildError on bad input."""
+    """The lattice model, Res(phi, psi) read off Phi and Psi; raises
+    LatticeBuildError on bad input."""
     if phi.degree != RANK or psi.degree != RANK:
         raise LatticeBuildError("both polynomials must have degree 22")
     if not (phi.is_monic() and psi.is_monic()):
@@ -133,19 +137,26 @@ def build(phi: IntPoly, psi: IntPoly) -> LatticeModel:
         raise LatticeBuildError("phi must be anti-palindromic")
     if palindrome_kind(psi) != PALINDROMIC:
         raise LatticeBuildError("psi must be palindromic")
-    res = resultant(phi, psi)
+    tr_phi, tr_psi = trace_polynomial(phi), trace_polynomial(psi)
+    res = (-1) ** tr_psi.degree * tr_psi(2) * tr_psi(-2) * resultant(tr_phi, tr_psi) ** 2
     if res == 0:
         raise LatticeBuildError("phi and psi must be coprime")
 
     xs = [2] + series_coefficients(psi, phi, RANK - 1)
     gram = [[xs[abs(i - j)] for j in range(RANK)] for i in range(RANK)]
     return LatticeModel(phi=phi, psi=psi, a_mat=companion(phi), gram=gram,
-                        resultant=res)
+                        phi_trace=tr_phi, psi_trace=tr_psi, resultant=res)
 
 
 def unimodularity_gate(model: LatticeModel) -> bool:
     """Res(phi, psi) = +-1; signature_and_renormalize cross-checks it
-    against |det gram| = 1 on the one elimination it runs."""
+    against |det gram| = 1 on the one elimination it runs.
+
+    build reads Res(phi, psi) at half the degree.  For monic palindromic
+    p, q of even degree with trace polynomials P, Q, Res(p, q) = Res(P, Q)^2
+    (the roots of p pair as a, 1/a, and q(a) = a^m Q(a + 1/a)); and
+    Res(z^2 - 1, psi) = psi(1) psi(-1) = (-1)^m Psi(2) Psi(-2) for
+    deg psi = 2m.  So Res(phi, psi) = -Psi(2) Psi(-2) Res(Phi, Psi)^2."""
     return abs(model.resultant) == 1
 
 
@@ -156,11 +167,12 @@ def signature_gate(model: LatticeModel) -> tuple[int, int] | None:
 
     The form is diagonal over C on the eigenvectors of A, one per root
     lam of phi, with weight psi(lam) / (lam phi'(lam)) (Beukers-Heckman).
-    With Phi, Psi the trace polynomials of phi, psi and t = lam + 1/lam:
+    With Phi, Psi the model's trace polynomials and t = lam + 1/lam:
     a root t of Phi in (-2, 2) is a conjugate pair on the unit circle
     spanning a definite plane of sign -sign(Psi(t) Phi'(t)); every other
     root of Phi, real outside [-2, 2] or not real, spans a split plane,
-    (1, 1); and z = +-1 adds one line of sign psi(+-1) (+-1) phi'(+-1).
+    (1, 1); and z = +-1 adds one line of sign psi(+-1) (+-1) phi'(+-1),
+    which is 2 Phi(2) Psi(2) at 1 and -2 Phi(-2) Psi(-2) at -1.
     The Sturm-Sylvester theorem (``algnum.signed_remainders``) gives
     I = V(-2) - V(2) over the signed remainders of (Phi, Psi mod Phi) as
     the sum of sign(Psi(t) Phi'(t)) over the roots in (-2, 2), so the
@@ -170,15 +182,14 @@ def signature_gate(model: LatticeModel) -> tuple[int, int] | None:
     (pos, neg) stays on the model as trace_signature, for
     signature_and_renormalize to check its elimination against.
     """
-    tr_phi, tr_psi = trace_polynomial(model.phi), trace_polynomial(model.psi)
+    tr_phi, tr_psi = model.phi_trace, model.psi_trace
     if tr_phi(2) == 0 or tr_phi(-2) == 0 or len(sturm_chain(tr_phi)[-1]) > 1:
         return None
     chain = signed_remainders(tr_phi, tr_psi.rem_monic(tr_phi))
     if len(chain[-1]) != 1:
         raise LatticeBuildError("trace polynomials of a coprime pair share a root")
     index = _variations_at(chain, -TWO) - _variations_at(chain, TWO)
-    dphi = model.phi.derivative()
-    lines = [model.psi(z) * z * dphi(z) for z in (1, -1)]
+    lines = [2 * tr_phi(2) * tr_psi(2), -2 * tr_phi(-2) * tr_psi(-2)]
     if 0 in lines:
         raise LatticeBuildError("phi'(+-1) psi(+-1) vanishes past the resultant gate")
     pos = tr_phi.degree - index + sum(v > 0 for v in lines)

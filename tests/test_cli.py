@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from k3siegel.intpoly import IntPoly, cyclotomic
-from k3siegel import algnum, cli, hyplattice, picard2, salemlib
+from k3siegel import algnum, cli, hyplattice, intpoly, picard2, salemlib
 from k3siegel.picardweyl import PipelineError
 from k3siegel.salemlib import load_store
 from k3siegel.setup2 import S4, enumerate_setup2
@@ -69,6 +69,31 @@ def test_conjugates_isolated_only_for_a_verdict(monkeypatch, cset, pid, note, sd
     assert len(isolated) == calls
 
 
+@pytest.mark.parametrize("cset, pid, rejection", [
+    ((8, 12, 30), 523, None),
+    ((10, 12, 15), 592, "signature (7, 15) after renormalization"),
+], ids=["id523", "signature-rejected"])
+def test_trace_view_derived_once_per_pair(monkeypatch, cset, pid, rejection):
+    # build derives Phi and Psi once and every later stage reads them off
+    # the model; the Salem trace polynomial is derived once, by classify,
+    # for the verdict; Res(phi, psi) is read at half the degree
+    traced, degrees = [], []
+    trace_polynomial, resultant = intpoly.trace_polynomial, intpoly.resultant
+    for module in [m for key, m in sys.modules.items() if key.startswith("k3siegel")]:
+        for key, value in list(vars(module).items()):
+            if value is trace_polynomial:
+                monkeypatch.setattr(module, key, lambda u: traced.append(u) or trace_polynomial(u))
+            elif value is resultant:
+                monkeypatch.setattr(module, key, lambda u, v: degrees.append(max(u.degree, v.degree))
+                                    or resultant(u, v))
+    phi, psi = cli.phi_of(S4, cset), CANDS[pid - 1].psi()
+    row = cli.analyze_pair(phi, psi)
+    assert row.rejection == rejection
+    assert (traced.count(phi), traced.count(psi)) == (1, 1)
+    assert traced.count(S4) == (0 if rejection else 1)
+    assert degrees and max(degrees) < 22
+
+
 def test_analyze_entry6():
     phi = Z2 * STORE[(10, 1)].salem_poly * cyclotomic(4) * cyclotomic(16)
     psi = STORE[(6, 1)].salem_poly * cyclotomic(40)
@@ -98,7 +123,7 @@ def test_pipeline_never_builds_b(monkeypatch):
 
 
 def test_fault_in_a_stage_becomes_an_internal_row(monkeypatch, capsys):
-    def broken(phi, psi):
+    def broken(model):
         raise PipelineError("cluster stage failed")
 
     monkeypatch.setattr(cli, "dissect_and_classify", broken)
@@ -113,7 +138,7 @@ def test_fault_in_a_stage_becomes_an_internal_row(monkeypatch, capsys):
 
 def test_search_keeps_internal_rows_and_fails(monkeypatch, tmp_path):
     # a fault is never filtered out with the rejections, so it fails the run
-    def broken(phi, psi):
+    def broken(model):
         raise PipelineError("cluster stage failed")
 
     monkeypatch.setattr(cli, "dissect_and_classify", broken)
@@ -421,15 +446,21 @@ def test_poly_arg_accepts_files(tmp_path):
     (["search", "--setup1", "--degree", "22"], None),
     (["search", "--degree", "7"], None),
     (["search", "--setup1", "--index-min", "5", "--index-max", "3"], None),
+    (["picard2", "--st", "a_directory"], None),
+    (["picard2", "--st", "binary.salem"], None),
+    (["search", "--setup1", "--salem-data", "binary.salem"], None),
 ])
 def test_cli_input_errors_exit_2(monkeypatch, capsys, tmp_path, argv, workers):
     # a malformed argument is a usage error (2), not a faulted row (1);
     # workers, when given, is the --workers text; the Salem data files
-    # hold a wrong coefficient count and a non-monic trace polynomial,
-    # and S4's trace polynomial fails the rank-2 check
+    # hold a wrong coefficient count, a non-monic trace polynomial and
+    # bytes that are not UTF-8, an --st path names a directory, and S4's
+    # trace polynomial fails the rank-2 check
     monkeypatch.chdir(tmp_path)
     (tmp_path / "count.salem").write_text("10 2 : 1 0 -5\n")
     (tmp_path / "non_monic.salem").write_text("10 1 : 2 1 -5 -5 4 3\n")
+    (tmp_path / "binary.salem").write_bytes(b"\xff[-3,-1,1]\n")
+    (tmp_path / "a_directory").mkdir()
     if workers is not None:
         argv = [*argv, "--workers", workers]
     with pytest.raises(SystemExit) as exc:

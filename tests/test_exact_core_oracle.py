@@ -61,7 +61,7 @@ from k3siegel.fpfsiegel import (
     jet_oracle,
     theta_iterate_closed_form,
 )
-from k3siegel.hyplattice import _b_matrix_in_a_basis, build, signature_gate
+from k3siegel.hyplattice import LatticeBuildError, _b_matrix_in_a_basis, build, signature_gate
 from k3siegel.intpoly import (
     IntPoly,
     PolynomialDomainError,
@@ -117,7 +117,8 @@ def sylvester_resultant(u, v):
     """The resultant by definition: the Sylvester determinant.  (sympy's
     own ``resultant`` gets the sign wrong for some degree patterns, such
     as Res(x - 2, x^3 + 1) = 9, which it gives as -9.)"""
-    return sylvester(to_sympy(u).as_expr(), to_sympy(v).as_expr(), X).det()
+    m = sylvester(to_sympy(u).as_expr(), to_sympy(v).as_expr(), X)
+    return DomainMatrix.from_Matrix(m).convert_to(ZZ).det()
 
 
 def sympy_roots_in_open(p: IntPoly, a: Fraction, b: Fraction) -> int:
@@ -250,8 +251,7 @@ def trace_pairs(draw):
 @given(trace_pairs())
 def test_dissect_matches_sympy(pair):
     big_phi, big_psi = pair
-    d = dissect(IntPoly([-1, 0, 1]) * from_trace_polynomial(big_phi),
-                from_trace_polynomial(big_psi))
+    d = dissect(big_phi, big_psi)
     assert not d.flags
     tagged = [(r, tag) for p, tag in ((big_phi, "A"), (big_psi, "B"))
               for r in sympy.real_roots(to_sympy(p).as_expr(), X)]
@@ -348,9 +348,13 @@ def test_resultant_vanishes_iff_gcd_is_nontrivial(a, b, c):
 @given(monic_polys(max_degree=5), monic_polys(max_degree=5))
 def test_resultant_of_palindromic_pair_is_square_of_trace_resultant(tp, tq):
     # monic palindromic p, q of even degree with trace polynomials P, Q:
-    # Res(p, q) = Res(P, Q)^2, the identity the census and the prefilter use
+    # Res(p, q) = Res(P, Q)^2, the identity the census, the prefilter and
+    # the lattice build use; and, for the anti-palindromic (z^2 - 1) p,
+    # Res((z^2 - 1) p, q) = (-1)^deg Q Q(2) Q(-2) Res(P, Q)^2
     p, q = from_trace_polynomial(tp), from_trace_polynomial(tq)
     assert resultant(tp, tq) ** 2 == sylvester_resultant(p, q)
+    assert (sylvester_resultant(IntPoly([-1, 0, 1]) * p, q)
+            == (-1) ** tq.degree * tq(2) * tq(-2) * resultant(tp, tq) ** 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -572,6 +576,25 @@ def test_signature_gate_matches_sympy_inertia(phi, psi):
         cp = DomainMatrix([[ZZ(x) for x in row] for row in model.gram], (22, 22), ZZ).charpoly()
         assert descartes_counts(cp) == (*model.trace_signature, 0)
         assert signature == tuple(sorted(model.trace_signature))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(salem_cyclotomic_phis, random_palindromic_phis), degree22_psis)
+@example(Z2 * STORE[(4, 1)].salem_poly * cyclotomic(8) * cyclotomic(12) * cyclotomic(30),
+         IntPoly([1, -1, -2, 0, 2, 1, 0, -1, -2, 0, 1, 1, 1, 0, -2, -1, 0, 1, 2, 0, -2, -1, 1]))
+@example(Z2 * STORE[(20, 1)].salem_poly,                          # psi(1) = -70: not a unit
+         STORE[(10, 1)].salem_poly * cyclotomic(4) * cyclotomic(5) * cyclotomic(7))
+@example(Z2 * STORE[(20, 1)].salem_poly,                          # a shared Salem factor
+         STORE[(20, 1)].salem_poly * cyclotomic(3))
+def test_build_resultant_matches_sympy(phi, psi):
+    # the signed Res(phi, psi) that build reads off the trace polynomials,
+    # against the Sylvester determinant of the degree-22 pair
+    want = sylvester_resultant(phi, psi)
+    if want == 0:
+        with pytest.raises(LatticeBuildError, match="phi and psi must be coprime"):
+            build(phi, psi)
+    else:
+        assert build(phi, psi).resultant == want
 
 
 B = sympy.Symbol("B")

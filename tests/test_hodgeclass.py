@@ -1,7 +1,7 @@
 import pytest
 
 from k3siegel import algnum, hodgeclass, salemlib
-from k3siegel.intpoly import IntPoly, cyclotomic
+from k3siegel.intpoly import IntPoly, cyclotomic, trace_polynomial
 from k3siegel.hodgeclass import (
     ClusterDissection,
     PipelineError,
@@ -9,6 +9,7 @@ from k3siegel.hodgeclass import (
     dissect,
     dissect_and_classify,
 )
+from k3siegel.hyplattice import LatticeBuildError, build
 from k3siegel.salemlib import load_store, trace_conjugates
 
 STORE = load_store()
@@ -17,10 +18,14 @@ Z2 = IntPoly([-1, 0, 1])
 PSI_523 = IntPoly([1, -1, -2, 0, 2, 1, 0, -1, -2, 0, 1, 1, 1, 0, -2, -1, 0, 1, 2, 0, -2, -1, 1])
 
 
+def dissect_pair(phi, psi):
+    return dissect(trace_polynomial(phi), trace_polynomial(psi))
+
+
 def test_row1_classification():
     phi = Z2 * STORE[(20, 1)].salem_poly
     psi = STORE[(10, 1)].salem_poly * cyclotomic(21)
-    d = dissect(phi, psi)
+    d = dissect_pair(phi, psi)
     assert not d.flags
     assert d.a_gt2_count == 1
     assert len(d.a_on) == 9
@@ -34,7 +39,7 @@ def test_row1_classification():
 
 def test_entry9_classification():
     phi = Z2 * STORE[(4, 1)].salem_poly * cyclotomic(8) * cyclotomic(12) * cyclotomic(30)
-    v = dissect_and_classify(phi, PSI_523)
+    v = dissect_and_classify(build(phi, PSI_523))
     assert v.accepted
     assert v.special_trace_index == 1
     assert v.cyclo_indices == {8: 1, 12: 1, 30: 1}
@@ -45,7 +50,7 @@ def test_entry2_classification():
     # degree-18 Salem factor with C_4, psi = S_1^(6) C_48
     phi = Z2 * STORE[(18, 22)].salem_poly * cyclotomic(4)
     psi = STORE[(6, 1)].salem_poly * cyclotomic(48)
-    v = dissect_and_classify(phi, psi)
+    v = dissect_and_classify(build(phi, psi))
     assert v.accepted
     assert v.special_trace_index == 4
 
@@ -53,7 +58,7 @@ def test_entry2_classification():
 def test_entry6_classification():
     phi = Z2 * STORE[(10, 1)].salem_poly * cyclotomic(4) * cyclotomic(16)
     psi = STORE[(6, 1)].salem_poly * cyclotomic(40)
-    v = dissect_and_classify(phi, psi)
+    v = dissect_and_classify(build(phi, psi))
     assert v.accepted
     assert v.special_trace_index == 2
 
@@ -63,7 +68,7 @@ def test_phi_at_pm2_flagged():
     # Phi(2) = 0 (and a double trace root), so the dissection is flagged
     phi = Z2 * (cyclotomic(1) ** 2) * STORE[(18, 22)].salem_poly
     assert phi.degree == 22
-    d = dissect(phi, PSI_523)
+    d = dissect_pair(phi, PSI_523)
     assert d.flags
     v = classify(d, phi)
     assert not v.accepted
@@ -73,7 +78,7 @@ def test_repeated_cyclotomic_factor_flagged():
     # a repeated factor gives the trace polynomial a multiple root
     phi = Z2 * STORE[(16, 1)].salem_poly * cyclotomic(3) * cyclotomic(3)
     assert phi.degree == 22
-    d = dissect(phi, PSI_523)
+    d = dissect_pair(phi, PSI_523)
     assert any("multiple root" in f for f in d.flags)
     assert not classify(d, phi).accepted
 
@@ -84,7 +89,7 @@ def test_wrong_cluster_count_rejected():
     psi = cyclotomic(3) * cyclotomic(5) * cyclotomic(7) * cyclotomic(11)
     assert psi.degree == 22
     phi = Z2 * STORE[(20, 1)].salem_poly
-    v = dissect_and_classify(phi, psi)
+    v = dissect_and_classify(build(phi, psi))
     assert not v.accepted
 
 
@@ -98,8 +103,10 @@ def test_dissect_builds_one_sturm_chain(monkeypatch):
         return chain(p)
 
     monkeypatch.setattr(algnum, "sturm_chain", counting)
-    d = dissect(Z2 * STORE[(20, 1)].salem_poly, STORE[(10, 1)].salem_poly * cyclotomic(21))
-    assert calls == [d.phi_trace * d.psi_trace]
+    phi_tr = trace_polynomial(Z2 * STORE[(20, 1)].salem_poly)
+    psi_tr = trace_polynomial(STORE[(10, 1)].salem_poly * cyclotomic(21))
+    dissect(phi_tr, psi_tr)
+    assert calls == [phi_tr * psi_tr]
 
 
 def test_classify_splits_phi_once(monkeypatch):
@@ -114,18 +121,19 @@ def test_classify_splits_phi_once(monkeypatch):
     monkeypatch.setattr(hodgeclass, "cyclotomic_salem_split", counting)
     monkeypatch.setattr(salemlib, "cyclotomic_salem_split", counting)
     phi = Z2 * STORE[(4, 1)].salem_poly * cyclotomic(8) * cyclotomic(12) * cyclotomic(30)
-    assert dissect_and_classify(phi, PSI_523).accepted
+    assert dissect_and_classify(build(phi, PSI_523)).accepted
     assert calls == [phi]
 
 
 def test_shared_root_is_a_typed_error():
-    # Phi and Psi share the Salem trace roots: Phi * Psi is not squarefree
+    # Phi and Psi share the Salem trace roots: Phi * Psi is not squarefree;
+    # on the pipeline path build rejects the pair before the dissection
     s20 = STORE[(20, 1)].salem_poly
     phi, psi = Z2 * s20, s20 * cyclotomic(3)
     with pytest.raises(PipelineError, match="Phi and Psi share a root"):
-        dissect(phi, psi)
-    with pytest.raises(PipelineError, match="Phi and Psi share a root"):
-        dissect_and_classify(phi, psi)
+        dissect_pair(phi, psi)
+    with pytest.raises(LatticeBuildError, match="phi and psi must be coprime"):
+        build(phi, psi)
 
 
 # Hand-built dissections for the nine admissible rows.  phi = (z^2-1) S20
@@ -139,7 +147,7 @@ TAUS20 = trace_conjugates(STORE[(20, 1)].trace_poly)
 def hand_dissection(a_sizes, b_sizes, b_off):
     taus = iter(TAUS20)
     return ClusterDissection(
-        phi_trace=None, psi_trace=None, a_gt2_count=1, b_off_count=b_off,
+        a_gt2_count=1, b_off_count=b_off,
         a_clusters=[[next(taus) for _ in range(n)] for n in a_sizes],
         b_clusters=[[object() for _ in range(n)] for n in b_sizes],
         s=len(b_sizes))

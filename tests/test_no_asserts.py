@@ -93,7 +93,8 @@ def test_typed_error_under_optimize():
             "from k3siegel import hodgeclass\n"
             "s20 = store[(20, 1)].salem_poly\n"
             "try:\n"
-            "    hodgeclass.dissect(IntPoly([-1, 0, 1]) * s20, s20 * cyclotomic(3))\n"
+            "    hodgeclass.dissect(intpoly.trace_polynomial(IntPoly([-1, 0, 1]) * s20),\n"
+            "                       intpoly.trace_polynomial(s20 * cyclotomic(3)))\n"
             "except hodgeclass.PipelineError:\n"
             "    print('typed error')\n"
             "try:\n"

@@ -1,5 +1,6 @@
 """Every function, method and module-level name in ``src/k3siegel`` has
-a reader in ``src/``.
+a reader in ``src/``, and every dataclass field one in ``src/`` or
+``demos/``.
 
 A module-level function or a class method, dunders aside, must be named
 somewhere in ``src/`` outside its own definition, as an ``ast.Name`` id
@@ -11,7 +12,9 @@ nothing in ``src/`` calls; the name allow-list holds the package's
 ``__version__`` and ``__all__``, which importers read.  Names are
 matched by text alone, so a definition that shares its name with
 another name read in ``src/`` passes unseen (``np.sign`` reads
-``sign``).
+``sign``).  A dataclass field must be read as an attribute somewhere in
+``src/`` or ``demos/``: a field that is only written holds data no
+reader wants.
 """
 
 import ast
@@ -77,3 +80,24 @@ def test_the_demos_read_the_allowed_methods():
     demos = Counter(name for p in sorted((ROOT / "demos").glob("*.py"))
                     for name in _names(ast.parse(p.read_text())))
     assert all(demos[qualname.split(".")[1]] for qualname in ALLOWED)
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(qualified name, name) of each annotated field of a ``@dataclass``."""
+    for node in tree.body:
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in getattr(node, "decorator_list", [])]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield f"{node.name}.{stmt.target.id}", stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    files = sorted(SRC.rglob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    read = {n.attr for p in files for n in ast.walk(ast.parse(p.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    fields = [f for p in sorted((SRC / "k3siegel").glob("*.py"))
+              for f in _dataclass_fields(ast.parse(p.read_text()))]
+    assert fields
+    assert [qualname for qualname, name in fields if name not in read] == []

@@ -42,7 +42,7 @@ def run_pipeline(phi, psi):
     model = build(phi, psi)
     assert unimodularity_gate(model)
     model = signature_and_renormalize(model)
-    verdict = dissect_and_classify(phi, psi)
+    verdict = dissect_and_classify(model)
     assert verdict.accepted
     pic, report = analyze_root_system(model, verdict)
     return model, verdict, pic, report
@@ -292,7 +292,7 @@ def test_simple_roots_match_the_decomposition_rule_on_the_rho18_table():
     for cset, pid, _, dynkin, _, _ in RHO18_TABLE:
         phi, psi = phi_of(STORE[(4, 1)].salem_poly, cset), _setup2()[pid - 1].psi()
         model = signature_and_renormalize(build(phi, psi))
-        report = enumerate_roots(picard_lattice(model, dissect_and_classify(phi, psi)))
+        report = enumerate_roots(picard_lattice(model, dissect_and_classify(model)))
         assert report.simple_roots == reference_simple_roots(report.delta_plus)
         assert report.dynkin_name() == dynkin
 
