@@ -11,7 +11,7 @@ two trace polynomials interlace in one of nine admissible patterns.
 
 from k3siegel.intpoly import IntPoly, cyclotomic
 from k3siegel import linalg
-from k3siegel.hyplattice import build, signature_and_renormalize, unimodularity_gate
+from k3siegel.hyplattice import build, companion, signature_and_renormalize, unimodularity_gate
 from k3siegel.hodgeclass import classify, dissect
 from k3siegel.salemlib import load_store
 
@@ -29,7 +29,7 @@ model = signature_and_renormalize(model)
 print("signature:", model.signature, " renormalized:", model.renormalized)
 
 # A preserves the form
-a, g = model.a_mat, model.gram
+a, g = companion(model.phi), model.gram
 assert linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), g), a), g)
 print("A^t G A = G holds")
 

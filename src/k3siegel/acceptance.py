@@ -28,7 +28,7 @@ from .intpoly import (
 from .algnum import RationalFunctionW, symmetric_descent
 from . import linalg, picardweyl
 from .hodgeclass import dissect_and_classify
-from .hyplattice import build, reflection_factor, signature_and_renormalize
+from .hyplattice import build, companion, reflection_factor, signature_and_renormalize
 from .salemlib import compute_L0, is_unramified_salem, load_store, salem_lambda
 from .setup2 import S4, enumerate_setup2
 from . import cli
@@ -314,7 +314,7 @@ def criterion_structural_properties(n_pairs: int = 200):
             continue
         model = build(phi, psi)
         g = model.gram
-        a = model.a_mat
+        a = companion(model.phi)
         if not all(g[i][j] == g[j][i] for i in range(22) for j in range(22)):
             return False, "gram not symmetric"
         if not all(g[i][i] % 2 == 0 for i in range(22)):

@@ -1,7 +1,7 @@
 """Search drivers, the per-pair analysis pipeline, and the command line.
 
 A pair (phi, psi) runs through: lattice build -> unimodularity gate ->
-signature gate (a Cauchy index of the trace polynomials, so only the
+signature stage (a Cauchy index of the trace polynomials; only the
 pairs it passes pay the Gram elimination) -> trace-cluster
 classification -> Picard/Weyl analysis -> fixed-point verdicts.
 Failures at any stage become structured rejection rows, so bulk
@@ -59,13 +59,7 @@ from .fpfsiegel import (
     siegel_verdict_P,
 )
 from .hodgeclass import dissect_and_classify
-from .hyplattice import (
-    LatticeBuildError,
-    build,
-    signature_and_renormalize,
-    signature_gate,
-    unimodularity_gate,
-)
+from .hyplattice import LatticeBuildError, build, signature_and_renormalize, unimodularity_gate
 from .picardweyl import analyze_root_system
 from .salemlib import SalemDataError, SalemStore, is_salem, load_store, trace_conjugates
 from .setup2 import S4, Setup2Candidate, enumerate_setup2
@@ -163,11 +157,8 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
         if not unimodularity_gate(model):
             row.rejection = "resultant is not a unit"
             return row
-        signature = signature_gate(model)
-        if signature in (None, (3, 19)):
-            signature = signature_and_renormalize(model).signature
-        if signature != (3, 19):
-            row.rejection = f"signature {signature} after renormalization"
+        if signature_and_renormalize(model).signature != (3, 19):
+            row.rejection = f"signature {model.signature} after renormalization"
             return row
         verdict = dissect_and_classify(model)
         if not verdict.accepted:
@@ -320,23 +311,26 @@ def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple[IntPoly, str, st
     set of degree 20 - deg S, with every (psi, s label, c label).
 
     Res is multiplicative, so a pair is unimodular exactly when each factor
-    resultant, Res(z^2-1, psi), Res(S, psi) and every Res(C_j, psi), is
-    +-1; a pair's flags are the columns of _resultant_unit_table for its
-    factors.  When none is 0 and one is not +-1, the pair is rejected here
-    with the row analyze_pair would give; a zero one leaves the pair to
-    analyze_pair, the one place that rejects it as not coprime.  Rows are
-    sorted by their labels, psi ids numerically.
+    resultant, Res(z^2-1, psi) = psi(1) psi(-1), Res(S, psi) and every
+    Res(C_j, psi), is +-1.  The flags of S and the C_j are the columns of
+    _resultant_unit_table; z^2 - 1 is flagged only where psi(1) psi(-1)
+    is 0, as a ramified psi gets the same row from analyze_pair's
+    unimodularity gate.  When no flag is 0 and one is not +-1, the pair is
+    rejected here with the row analyze_pair would give; a zero one leaves
+    the pair to analyze_pair, the one place that rejects it as not
+    coprime.  Rows are sorted by their labels, psi ids numerically.
     """
     csets = {s.degree: cyclotomic_sets(20 - s.degree) for s, _ in salems}
     pool = sorted({j for sets in csets.values() for cs in sets for j in cs})
     units = _resultant_unit_table([psi for psi, _, _ in psis],
-                                  [Z2, *(s_poly for s_poly, _ in salems), *pool])
+                                  [*(s_poly for s_poly, _ in salems), *pool])
+    z2_flags = [psi(1) * psi(-1) != 0 or None for psi, _, _ in psis]
     rows, tasks = [], []
     for s_poly, s_lab in salems:
         for cset in csets[s_poly.degree]:
             phi = phi_of(s_poly, cset)
             c_lab = cyclo_label(list(cset))
-            columns = [units[Z2], units[s_poly]] + [units[j] for j in cset]
+            columns = [z2_flags, units[s_poly]] + [units[j] for j in cset]
             for (psi, s_aux, c_aux), flags in zip(psis, zip(*columns)):
                 if all(flags) or None in flags:
                     tasks.append((phi, psi, s_lab, c_lab, s_aux, c_aux))
@@ -375,24 +369,23 @@ def _factor_unit(f: IntPoly, psi: IntPoly) -> bool | None:
 
 
 def _resultant_unit_table(psis: list, factors: list) -> dict:
-    """{f: [flag of factor f against each psi]} for each factor f of phi:
-    the prefilter's grid, one column per factor, positional in the psi
-    list; a flag is _factor_unit(f, psi), None where f divides psi.  A
-    factor is Z2, a Salem polynomial S, or a cyclotomic index j standing
-    for C_j; a psi is an IntPoly or a census word, read through .psi().
+    """{f: [flag of factor f against each psi]} for the palindromic
+    factors f of phi: the prefilter's grid, one column per factor,
+    positional in the psi list; a flag is _factor_unit(f, psi), None where
+    f divides psi.  A factor is a Salem polynomial S, or a cyclotomic
+    index j standing for C_j; a psi is an IntPoly or a census word, read
+    through .psi().
 
-    Each flag is decided at half the degree, on trace polynomials, by
-    the identities stated at ``hyplattice.unimodularity_gate``, and each
-    psi's trace polynomial is taken once.  The factor z^2 - 1 is not
-    palindromic; its column is read on w^2 - 4, as
-    (-1)^m Psi(2) Psi(-2) = (-1)^m Res(w^2 - 4, Psi).
+    Each flag is decided at half the degree, as _factor_unit on the trace
+    polynomials, by Res(f, psi) = Res(F, Psi)^2 (stated at
+    ``hyplattice.unimodularity_gate``), and each psi's trace polynomial
+    is taken once.
     """
     traces = [trace_polynomial(p.psi() if isinstance(p, Setup2Candidate) else p)
               for p in psis]
     table = {}
     for f in factors:
-        t = (trace_polynomial(cyclotomic(f)) if isinstance(f, int)
-             else IntPoly([-4, 0, 1]) if f == Z2 else trace_polynomial(f))
+        t = trace_polynomial(cyclotomic(f) if isinstance(f, int) else f)
         table[f] = [_factor_unit(t, q) for q in traces]
     return table
 

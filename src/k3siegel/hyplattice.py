@@ -9,15 +9,17 @@ to 2).  The lattice is unimodular exactly when Res(phi, psi) = +-1, and
 after renormalization (negate if the index is positive) the accepted
 pairs carry the intersection form of a K3 lattice, of signature (3,19).
 
-The pipeline path (build, unimodularity gate, signature gate,
-signature) is integer arithmetic.  build derives the trace polynomials
-Phi, Psi of phi, psi once, for the resultant, the signature gate (a
-Cauchy index of Phi and Psi) and the trace-cluster dissection; only
-the pairs the gate passes, or cannot decide (phi not squarefree), pay
-the one symmetric elimination of the Gram matrix, which cross-checks
-it.  The companion B of psi is built only for the structural check
-that C = A^(-1) B is a reflection, in integers: B = A (I - e_0 g_0^T),
-tied to psi by one integer matrix identity; no verdict reads it.
+The pipeline path (build, unimodularity gate, signature stage) is
+integer arithmetic.  build derives the trace polynomials Phi, Psi of
+phi, psi once, for the resultant, the signature and the trace-cluster
+dissection.  The one signature stage, signature_and_renormalize, reads
+the signature off a Cauchy index of Phi and Psi; only a pair whose
+index gives (3, 19), or whose phi is not squarefree so that no index
+is read, pays the one symmetric elimination of the Gram matrix, which
+cross-checks the index.  The companion B of psi is built only for the
+structural check that C = A^(-1) B is a reflection, in integers:
+B = A (I - e_0 g_0^T), tied to psi by one integer matrix identity; no
+verdict reads it.
 """
 
 from __future__ import annotations
@@ -57,21 +59,19 @@ def series_coefficients(psi: IntPoly, phi: IntPoly, count: int) -> list[int]:
 class LatticeModel:
     """The lattice data for one pair, in the A-orbit basis r, Ar, ...
 
-    Only what the pipeline reads; the matrix of B is computed on demand
-    by reflection_factor, for the structural checks.
+    Only what the pipeline reads; the companion A of phi is
+    companion(phi), and the matrix of B is computed on demand by
+    reflection_factor, for the structural checks.
     """
 
     phi: IntPoly
     psi: IntPoly
-    a_mat: list            # companion of phi (A-basis coordinates)
     gram: list             # xi_|i-j| Toeplitz form, possibly renormalized
     phi_trace: IntPoly     # Phi, with phi = (z^2 - 1) z^10 Phi(z + 1/z)
     psi_trace: IntPoly     # Psi, with psi = z^11 Psi(z + 1/z)
     resultant: int         # Res(phi, psi), nonzero; the unimodularity gate reads it
-    signature: tuple[int, int] = (0, 0)
+    signature: tuple[int, int] | None = None  # set by signature_and_renormalize
     renormalized: bool = False
-    elimination: tuple | None = None        # (inertia, det) of the Gram as built
-    trace_signature: tuple[int, int] | None = None  # raw (pos, neg), see signature_gate
 
 
 def companion(p: IntPoly) -> list:
@@ -144,13 +144,13 @@ def build(phi: IntPoly, psi: IntPoly) -> LatticeModel:
 
     xs = [2] + series_coefficients(psi, phi, RANK - 1)
     gram = [[xs[abs(i - j)] for j in range(RANK)] for i in range(RANK)]
-    return LatticeModel(phi=phi, psi=psi, a_mat=companion(phi), gram=gram,
-                        phi_trace=tr_phi, psi_trace=tr_psi, resultant=res)
+    return LatticeModel(phi=phi, psi=psi, gram=gram, phi_trace=tr_phi, psi_trace=tr_psi,
+                        resultant=res)
 
 
 def unimodularity_gate(model: LatticeModel) -> bool:
     """Res(phi, psi) = +-1; signature_and_renormalize cross-checks it
-    against |det gram| = 1 on the one elimination it runs.
+    against |det gram| = 1 whenever it eliminates the Gram.
 
     build reads Res(phi, psi) at half the degree.  For monic palindromic
     p, q of even degree with trace polynomials P, Q, Res(p, q) = Res(P, Q)^2
@@ -160,10 +160,10 @@ def unimodularity_gate(model: LatticeModel) -> bool:
     return abs(model.resultant) == 1
 
 
-def signature_gate(model: LatticeModel) -> tuple[int, int] | None:
-    """The signature after renormalization, from one Cauchy index of the
+def _index_signature(model: LatticeModel) -> tuple[int, int] | None:
+    """The (pos, neg) of the form as built, from one Cauchy index of the
     trace polynomials and no elimination; None when phi is not
-    squarefree, where the elimination decides alone.
+    squarefree.
 
     The form is diagonal over C on the eigenvectors of A, one per root
     lam of phi, with weight psi(lam) / (lam phi'(lam)) (Beukers-Heckman).
@@ -178,9 +178,7 @@ def signature_gate(model: LatticeModel) -> tuple[int, int] | None:
     the sum of sign(Psi(t) Phi'(t)) over the roots in (-2, 2), so the
     count of those roots cancels: pos = deg Phi - I + #{+1 lines} and
     neg = deg Phi + I + #{-1 lines}.  phi is squarefree exactly when Phi is
-    and Phi(+-2) != 0, which one Sturm chain of Phi decides.  The raw
-    (pos, neg) stays on the model as trace_signature, for
-    signature_and_renormalize to check its elimination against.
+    and Phi(+-2) != 0, which one Sturm chain of Phi decides.
     """
     tr_phi, tr_psi = model.phi_trace, model.psi_trace
     if tr_phi(2) == 0 or tr_phi(-2) == 0 or len(sturm_chain(tr_phi)[-1]) > 1:
@@ -192,32 +190,36 @@ def signature_gate(model: LatticeModel) -> tuple[int, int] | None:
     lines = [2 * tr_phi(2) * tr_psi(2), -2 * tr_phi(-2) * tr_psi(-2)]
     if 0 in lines:
         raise LatticeBuildError("phi'(+-1) psi(+-1) vanishes past the resultant gate")
-    pos = tr_phi.degree - index + sum(v > 0 for v in lines)
-    neg = tr_phi.degree + index + sum(v < 0 for v in lines)
-    model.trace_signature = (pos, neg)
-    return (neg, pos) if pos > neg else (pos, neg)
+    return (tr_phi.degree - index + sum(v > 0 for v in lines),
+            tr_phi.degree + index + sum(v < 0 for v in lines))
 
 
 def signature_and_renormalize(model: LatticeModel) -> LatticeModel:
-    """Certify the inertia of the form by one symmetric elimination of the
-    Gram matrix; negate it when the index is positive.  Idempotent.
+    """The signature stage: the signature of the form, negated when the
+    index is positive.  Idempotent.
 
-    The elimination is checked three ways: the Gram is not singular, a
-    unit resultant gives |det gram| = 1, and its (pos, neg) is the
-    signature_gate's when that gate ran.  The renormalized bilinear form
-    is the intersection form used by all downstream Picard-lattice
-    computations.
+    The signature is read off _index_signature.  Only when that gives
+    (3, 19) after renormalization, or gives nothing (phi not
+    squarefree), does one symmetric elimination of the Gram matrix
+    certify it, checked three ways: the Gram is not singular, a unit
+    resultant gives |det gram| = 1, and its (pos, neg) is the index's
+    when there is one.  The renormalized bilinear form is the
+    intersection form used by all downstream Picard-lattice computations.
     """
-    if model.elimination is not None:
+    if model.signature is not None:
         return model
-    (pos, neg, zero), det = model.elimination = linalg.inertia(model.gram)
-    if zero:
-        raise LatticeBuildError("singular Gram matrix past the unimodularity gate")
-    if abs(model.resultant) == 1 and abs(det) != 1:
-        raise LatticeBuildError("unimodular resultant but non-unimodular Gram matrix")
-    if model.trace_signature not in (None, (pos, neg)):
-        raise LatticeBuildError(f"signature {model.trace_signature} from the trace "
-                                f"polynomials but {(pos, neg)} from the Gram elimination")
+    index = _index_signature(model)
+    if index is None or sorted(index) == [3, 19]:
+        (pos, neg, zero), det = linalg.inertia(model.gram)
+        if zero:
+            raise LatticeBuildError("singular Gram matrix past the unimodularity gate")
+        if abs(model.resultant) == 1 and abs(det) != 1:
+            raise LatticeBuildError("unimodular resultant but non-unimodular Gram matrix")
+        if index not in (None, (pos, neg)):
+            raise LatticeBuildError(f"signature {index} from the trace polynomials "
+                                    f"but {(pos, neg)} from the Gram elimination")
+    else:
+        pos, neg = index
     if pos > neg:
         model.gram = linalg.mat_neg(model.gram)
         model.renormalized = True

@@ -282,7 +282,7 @@ def assemble_full_isometry(model: LatticeModel, report: RootSystemReport,
     trace_a_tilde and Atilde|Pic."""
     basis_t = linalg.transpose(pic_basis(salem_factor))
     word_l = [linalg.mat_vec(basis_t, u) for u in report.w_word]
-    return _reflect_columns(model.a_mat, word_l, model.gram)
+    return _reflect_columns(companion(model.phi), word_l, model.gram)
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,9 @@ def test_prefilter_table_matches_full_degree_resultants():
 
 
 def test_base_factor_split_matches_full_degree_resultant():
-    # Res((z^2-1) S, psi) = Res(z^2-1, psi) Res(S, psi), the z^2 - 1 column
-    # as w^2 - 4: for a Salem factor of every store degree, against units,
-    # a ramified psi, a psi sharing S and a psi vanishing at -1
+    # the S column of the base factor (z^2-1) S, for a Salem factor of
+    # every store degree, against units, a ramified psi, a psi sharing S
+    # and a psi vanishing at -1
     lehmer = STORE[(10, 1)].salem_poly
     degrees = sorted({key[0] for key in STORE.keys()})
     salems = [STORE.of_degree(d)[0].salem_poly for d in degrees]
@@ -284,14 +284,35 @@ def test_base_factor_split_matches_full_degree_resultant():
     psis = [c.psi() for c in CANDS[::101]]
     psis += [lehmer * cyclotomic(4) * cyclotomic(5) * cyclotomic(7), vanishing]
     psis += [s_poly * lehmer for s_poly in salems]
-    table = cli._resultant_unit_table(psis, [Z2, *salems])
-    assert table[Z2] == [cli._factor_unit(Z2, psi) for psi in psis]
-    assert table[Z2][psis.index(vanishing)] is None
+    table = cli._resultant_unit_table(psis, salems)
     for s_poly in salems:
         assert table[s_poly] == [cli._factor_unit(s_poly, psi) for psi in psis]
-        for psi, z2_flag, s_flag in zip(psis, table[Z2], table[s_poly]):
-            split = None if None in (z2_flag, s_flag) else z2_flag and s_flag
-            assert split == cli._factor_unit(Z2 * s_poly, psi)
+
+
+@pytest.mark.parametrize("include_rejections", [False, True])
+def test_search_rows_for_psi_ramified_or_vanishing_at_minus_one(include_rejections):
+    # z^2 - 1 has no prefilter column: a ramified psi and a psi with
+    # psi(-1) = 0 get the rows analyze_pair gives, also where another
+    # factor resultant is not a unit
+    s_poly, s_lab = STORE[(18, 22)].salem_poly, "S22^(18)"
+    ramified = STORE[(10, 1)].salem_poly * cyclotomic(4) * cyclotomic(5) * cyclotomic(7)
+    vanishing = IntPoly([1, 2, 1]) * STORE[(20, 1)].salem_poly
+    assert (ramified(1), vanishing(-1)) == (-70, 0)
+    psis = [(ramified, "", "ramified"), (vanishing, "", "vanishing")]
+    rows = cli._search([(s_poly, s_lab)], psis, include_rejections, 1)
+    want = [cli.analyze_pair(cli.phi_of(s_poly, cset), psi, s_lab, cli.cyclo_label(list(cset)),
+                             s_aux, c_aux)
+            for cset in cli.cyclotomic_sets(2) for psi, s_aux, c_aux in psis]
+    want = [r for r in want if include_rejections or r.accepted() or r.faulted()]
+    assert sorted(json.dumps(r.to_json()) for r in rows) == \
+        sorted(json.dumps(r.to_json()) for r in want)
+    if include_rejections:
+        assert {(r.aux_c_label, r.rejection) for r in rows} == {
+            ("ramified", "resultant is not a unit"),
+            ("ramified", "phi and psi must be coprime"),    # C4 divides it
+            ("vanishing", "phi and psi must be coprime")}
+        units = cli._resultant_unit_table([vanishing], [s_poly, 3, 4, 6])
+        assert False in [units[s_poly][0]] + [units[j][0] for j in (3, 4, 6)]
 
 
 def test_setup2_shared_cyclotomic_factor_is_not_coprime():

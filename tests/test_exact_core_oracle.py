@@ -61,7 +61,13 @@ from k3siegel.fpfsiegel import (
     jet_oracle,
     theta_iterate_closed_form,
 )
-from k3siegel.hyplattice import LatticeBuildError, _b_matrix_in_a_basis, build, signature_gate
+from k3siegel.hyplattice import (
+    LatticeBuildError,
+    _b_matrix_in_a_basis,
+    _index_signature,
+    build,
+    signature_and_renormalize,
+)
 from k3siegel.intpoly import (
     IntPoly,
     PolynomialDomainError,
@@ -563,19 +569,19 @@ degree22_psis = monic_polys(min_degree=11, max_degree=11, bound=4).map(from_trac
 @example(Z2 * STORE[(4, 1)].salem_poly * cyclotomic(8) * cyclotomic(12) * cyclotomic(30),
          IntPoly([1, -1, -2, 0, 2, 1, 0, -1, -2, 0, 1, 1, 1, 0, -2, -1, 0, 1, 2, 0, -2, -1, 1]))
 @example(Z2 * from_trace_polynomial(IntPoly([-2, 0, 1]) ** 2 * IntPoly([1] * 7)),
-         from_trace_polynomial(IntPoly([1] * 12)))   # a double trace root: the gate declines
+         from_trace_polynomial(IntPoly([1] * 12)))   # a double trace root: no index is read
 def test_signature_gate_matches_sympy_inertia(phi, psi):
     # the Cauchy-index signature, orientation included, against Descartes
     # on sympy's characteristic polynomial of the Gram matrix
     assume(zgcd(phi, psi).degree == 0)
     model = build(phi, psi)
-    signature = signature_gate(model)
+    index = _index_signature(model)
     squarefree = to_sympy(phi).sqf_part().degree() == phi.degree
-    assert (signature is not None) == squarefree
+    assert (index is not None) == squarefree
     if squarefree:
         cp = DomainMatrix([[ZZ(x) for x in row] for row in model.gram], (22, 22), ZZ).charpoly()
-        assert descartes_counts(cp) == (*model.trace_signature, 0)
-        assert signature == tuple(sorted(model.trace_signature))
+        assert descartes_counts(cp) == (*index, 0)
+        assert signature_and_renormalize(model).signature == tuple(sorted(index))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,13 +5,15 @@ import pytest
 from k3siegel.intpoly import IntPoly, cyclotomic, from_trace_polynomial, resultant
 from k3siegel import cli, hyplattice, linalg
 from k3siegel.hyplattice import (
+    RANK,
     LatticeBuildError,
     _b_matrix_in_a_basis,
+    _index_signature,
     build,
+    companion,
     reflection_factor,
     series_coefficients,
     signature_and_renormalize,
-    signature_gate,
     unimodularity_gate,
 )
 from k3siegel.salemlib import load_store
@@ -28,6 +30,7 @@ PSI_ROW1 = LEHMER * cyclotomic(21)
 S4 = STORE[(4, 1)].salem_poly
 PSI_523 = IntPoly([1, -1, -2, 0, 2, 1, 0, -1, -2, 0, 1, 1, 1, 0, -2, -1, 0, 1, 2, 0, -2, -1, 1])
 PHI_E9 = Z2 * S4 * cyclotomic(8) * cyclotomic(12) * cyclotomic(30)
+PHI_DOUBLE_ROOT = Z2 * S4 * cyclotomic(3) ** 2 * cyclotomic(5) * cyclotomic(8) * cyclotomic(12)
 
 
 def test_series_consistency():
@@ -144,7 +147,7 @@ def test_gram_checks_keep_their_texts():
 
 def test_isometry_invariants_row1():
     model = signature_and_renormalize(build(PHI_ROW1, PSI_ROW1))
-    a, g = model.a_mat, model.gram
+    a, g = companion(model.phi), model.gram
     b = _b_matrix_in_a_basis(model.phi, model.psi)
     at_g_a = linalg.mat_mul(linalg.mat_mul(linalg.transpose(a), g), a)
     assert linalg.mat_eq(at_g_a, g)
@@ -253,16 +256,17 @@ def test_renormalize_trivial_examples():
 
 
 # ---------------------------------------------------------------------------
-# the signature gate: a Cauchy index of the trace polynomials
+# the signature stage: a Cauchy index of the trace polynomials
 # ---------------------------------------------------------------------------
 
 def gate_agrees_with_elimination(phi, psi) -> tuple[int, int]:
-    """The gate's raw (pos, neg) against an elimination of the Gram as
-    built, and its renormalized signature against signature_and_renormalize."""
+    """The index's raw (pos, neg) against an elimination of the Gram as
+    built, and its renormalization against signature_and_renormalize."""
     model = build(phi, psi)
-    signature = signature_gate(model)
-    assert signature is not None
-    assert model.trace_signature == linalg.inertia(model.gram)[0][:2]
+    index = _index_signature(model)
+    assert index is not None
+    assert index == linalg.inertia(model.gram)[0][:2]
+    signature = tuple(sorted(index))
     assert signature == signature_and_renormalize(build(phi, psi)).signature
     return signature
 
@@ -305,7 +309,7 @@ def symmetric_bareiss_sizes(monkeypatch) -> list:
 
 
 def test_signature_rejected_pair_runs_no_gram_elimination(monkeypatch):
-    # a pair the gate rejects never eliminates its Gram; one it passes
+    # a pair the index rejects never eliminates its Gram; one it passes
     # eliminates it exactly once (the LLL of the Picard form is smaller)
     sizes = symmetric_bareiss_sizes(monkeypatch)
     phi = Z2 * STORE[(18, 22)].salem_poly * cyclotomic(3)
@@ -317,26 +321,66 @@ def test_signature_rejected_pair_runs_no_gram_elimination(monkeypatch):
 
 
 def test_gate_and_elimination_disagreeing_is_an_internal_row(monkeypatch):
-    # a gate that passes id 523 with the wrong orientation is caught by the
-    # elimination's cross-check, and the row faults instead of passing
-    def flipped(model):
-        signature = signature_gate(model)
-        model.trace_signature = model.trace_signature[::-1]
-        return signature
-
-    monkeypatch.setattr(cli, "signature_gate", flipped)
+    # an index that passes id 523 with the wrong orientation is caught by
+    # the elimination's cross-check, and the row faults instead of passing
+    index_signature = hyplattice._index_signature
+    monkeypatch.setattr(hyplattice, "_index_signature",
+                        lambda model: index_signature(model)[::-1])
     row = cli.analyze_pair(PHI_E9, PSI_523)
     assert row.rejection == ("internal: signature (3, 19) from the trace polynomials "
                              "but (19, 3) from the Gram elimination")
 
 
 def test_non_squarefree_phi_is_left_to_the_elimination(monkeypatch):
-    # phi = (z^2 - 1) S4 C3^2 C5 C8 C12 has a double root, so the gate
-    # declines and the elimination alone gives the row its text
-    phi = Z2 * S4 * cyclotomic(3) ** 2 * cyclotomic(5) * cyclotomic(8) * cyclotomic(12)
+    # phi = (z^2 - 1) S4 C3^2 C5 C8 C12 has a double root, so no index
+    # is read and the elimination alone gives the row its text
     psi = enumerate_setup2()[939].psi()
-    assert signature_gate(build(phi, psi)) is None
+    assert _index_signature(build(PHI_DOUBLE_ROOT, psi)) is None
     sizes = symmetric_bareiss_sizes(monkeypatch)
-    row = cli.analyze_pair(phi, psi)
+    row = cli.analyze_pair(PHI_DOUBLE_ROOT, psi)
     assert row.rejection == "signature (7, 15) after renormalization"
     assert sizes == [22]
+
+
+@pytest.mark.parametrize("degree", [20, 18])
+def test_signature_stage_runs_once_per_unimodular_pair(monkeypatch, degree):
+    # every pair past the resultant gate enters the one signature stage
+    # once; a pair it rejects eliminates no 22x22 Gram, one it passes one
+    stage, pipeline = cli.signature_and_renormalize, cli.analyze_pair
+    entered, sizes, pairs = [], symmetric_bareiss_sizes(monkeypatch), []
+
+    def record(phi, psi, *labels):
+        before = len(entered), sizes.count(RANK)
+        row = pipeline(phi, psi, *labels)
+        pairs.append((abs(resultant(phi, psi)) == 1, row.rejection,
+                      len(entered) - before[0], sizes.count(RANK) - before[1]))
+        return row
+
+    monkeypatch.setattr(cli, "signature_and_renormalize",
+                        lambda model: entered.append(model) or stage(model))
+    monkeypatch.setattr(cli, "analyze_pair", record)
+    cli.search_setup1(STORE, degree)
+    for unit, rejection, stages, eliminations in pairs:
+        assert stages == unit
+        if unit:
+            passed = not (rejection or "").startswith("signature")
+            assert eliminations == passed
+    outcomes = {(unit, eliminations) for unit, _, _, eliminations in pairs}
+    assert {(True, 0), (True, 1)} <= outcomes
+
+
+@pytest.mark.parametrize("phi, psi, signature, renormalized", [
+    pytest.param(PHI_ROW1, LEHMER * cyclotomic(12) * cyclotomic(24), (7, 15), True,
+                 id="index-rejected"),
+    pytest.param(PHI_E9, PSI_523, (3, 19), True, id="id523"),
+    pytest.param(PHI_DOUBLE_ROOT, None, (7, 15), False, id="double-root"),
+])
+def test_signature_stage_leaves_a_consistent_model(phi, psi, signature, renormalized):
+    # whichever path decides the signature, the model carries a form of
+    # that signature, negated exactly when it says renormalized
+    model = build(phi, psi or enumerate_setup2()[939].psi())
+    gram = model.gram
+    assert signature_and_renormalize(model) is model
+    assert (model.signature, model.renormalized) == (signature, renormalized)
+    assert model.gram == (linalg.mat_neg(gram) if model.renormalized else gram)
+    assert linalg.inertia(model.gram)[0] == (*model.signature, 0)

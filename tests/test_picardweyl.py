@@ -10,7 +10,7 @@ from k3siegel.cli import phi_of
 from k3siegel.intpoly import IntPoly, cyclotomic
 from k3siegel import cli, linalg, picardweyl
 from k3siegel.hodgeclass import dissect_and_classify
-from k3siegel.hyplattice import build, signature_and_renormalize, unimodularity_gate
+from k3siegel.hyplattice import build, companion, signature_and_renormalize, unimodularity_gate
 from k3siegel.picardweyl import (
     Component,
     PicardData,
@@ -234,7 +234,7 @@ def reference_walk(model, pic, report, salem_factor):
         word.append(u)
         w_pic = linalg.mat_mul(s_pic, w_pic)
         w_l = linalg.mat_mul(refl(model.gram, u_l), w_l)
-    return word, linalg.mat_mul(w_pic, pic.a_pic), linalg.mat_mul(w_l, model.a_mat)
+    return word, linalg.mat_mul(w_pic, pic.a_pic), linalg.mat_mul(w_l, companion(model.phi))
 
 
 # published rho = 18 rows (cyclotomic set, psi id), with 73, 52 and 1 walk steps
