@@ -81,12 +81,16 @@ class AnalysisRow:
     dynkin: str = ""
     phi1_tilde: str = ""
     trace_a_tilde: int | None = None
-    sd: str = ""
     verdicts: list = field(default_factory=list)
     note: str = ""
     rejection: str | None = None
     rank2_salem: IntPoly | None = None  # a rank-2 row's Salem factor, not emitted
     actions: list = field(default_factory=list)  # (component name, kind), not emitted
+
+    @property
+    def sd(self) -> str:
+        """The SD column: the verdicts' S/H letters."""
+        return "".join(map(str, self.verdicts))
 
     def accepted(self) -> bool:
         return self.rejection is None
@@ -192,9 +196,7 @@ def analyze_pair(phi: IntPoly, psi: IntPoly,
             return row
         p_func = derive_P(contribs, budget.n_f_total)
         taus = trace_conjugates(verdict.salem_trace)
-        v = siegel_verdict_P(p_func, taus, row.st_index)
-        row.verdicts = [v]
-        row.sd = str(v)
+        row.verdicts = [siegel_verdict_P(p_func, taus, row.st_index)]
     except NeedsManualAnalysis as exc:  # raised by component_contribution
         row.note = f"needs manual analysis: {exc}"
     except Exception as exc:  # the per-pair fault boundary
@@ -210,7 +212,6 @@ def rank2_verdicts(rows: list[AnalysisRow]) -> None:
             grid = p2.full_analysis(salem).grid
             for row in group:
                 row.verdicts = [grid[("p_pm", row.st_index)], grid[("p", row.st_index)]]
-                row.sd = "".join(map(str, row.verdicts))
         except Exception as exc:  # the per-pair fault boundary, for the group
             for row in group:
                 row.rejection = f"internal: {exc}"
@@ -328,11 +329,12 @@ def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple[IntPoly, str, st
     rows, tasks = [], []
     for s_poly, s_lab in salems:
         for cset in csets[s_poly.degree]:
-            phi = phi_of(s_poly, cset)
+            phi = None  # built at the set's first task; rejection rows read none
             c_lab = cyclo_label(list(cset))
             columns = [z2_flags, units[s_poly]] + [units[j] for j in cset]
             for (psi, s_aux, c_aux), flags in zip(psis, zip(*columns)):
                 if all(flags) or None in flags:
+                    phi = phi or phi_of(s_poly, cset)
                     tasks.append((phi, psi, s_lab, c_lab, s_aux, c_aux))
                 elif include_rejections:
                     rows.append(AnalysisRow(s_label=s_lab, c_label=c_lab,
@@ -363,7 +365,7 @@ def _map_tasks(fn, tasks, workers: int):
 def _factor_unit(f: IntPoly, psi: IntPoly) -> bool | None:
     """|Res(f, psi)| == 1 for a monic f, None when it is 0; psi is reduced
     modulo f first, so the resultant is small."""
-    _, r = psi.divmod(f)
+    r = psi.rem_monic(f)
     res = 0 if r.is_zero() else resultant(f, r)
     return None if res == 0 else abs(res) == 1
 

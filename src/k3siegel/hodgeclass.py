@@ -19,6 +19,7 @@ a root of Phi exactly when Phi changes sign across it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .intpoly import IntPoly, PolynomialDomainError, cyclotomic_salem_split, gcd
@@ -35,8 +36,6 @@ class PipelineError(RuntimeError):
 class ClusterDissection:
     """Root data of (Phi, Psi) split along [-2, 2]."""
 
-    a_on: list = field(default_factory=list)     # descending roots of Phi in (-2,2)
-    b_on: list = field(default_factory=list)     # descending roots of Psi in (-2,2)
     a_gt2_count: int = 0
     b_off_count: int = 0
     a_clusters: list = field(default_factory=list)   # A_1 .. A_(s+1), descending
@@ -45,17 +44,10 @@ class ClusterDissection:
     flags: list = field(default_factory=list)
 
     def a_signature(self) -> dict[int, int]:
-        return _signature(self.a_clusters)
+        return dict(Counter(map(len, self.a_clusters)))
 
     def b_signature(self) -> dict[int, int]:
-        return _signature(self.b_clusters)
-
-
-def _signature(clusters: list) -> dict[int, int]:
-    sig: dict[int, int] = {}
-    for c in clusters:
-        sig[len(c)] = sig.get(len(c), 0) + 1
-    return sig
+        return dict(Counter(map(len, self.b_clusters)))
 
 
 @dataclass
@@ -100,16 +92,14 @@ def dissect(phi_tr: IntPoly, psi_tr: IntPoly) -> ClusterDissection:
             continue
         tag = "A" if is_a else "B"
         r = AlgebraicReal(phi_tr if is_a else psi_tr, lo, hi)
-        (d.a_on if is_a else d.b_on).append(r)
         if runs and runs[-1][0] == tag:
             runs[-1][1].append(r)
         else:
             runs.append((tag, [r]))
-    d.b_off_count = psi_tr.degree - len(d.b_on)
-
     b_runs = [block for tag, block in runs if tag == "B"]
     d.s = len(b_runs)
     d.b_clusters = b_runs
+    d.b_off_count = psi_tr.degree - sum(map(len, b_runs))
     # maximal runs alternate, so an empty A-cluster stands only at an end
     d.a_clusters = [block for tag, block in runs if tag == "A"]
     if not runs or runs[0][0] == "B":

@@ -4,9 +4,12 @@ For an accepted pair the Picard lattice has rank rho = 22 - deg S and
 standard basis s, As, ..., A^(rho-1) s with s = S(A) r; the intersection
 form is negative definite there.  The root system is
 Delta = {u in Pic : (u,u) = -2}, split into positive/negative roots by
-lexicographic order in the standard basis.  A need not preserve the
-Weyl chamber picked out by Delta+, but a unique Weyl group element w_A
-does correct it: the chamber walk reflects the one regular vector
+lexicographic order in the standard basis.  The Cartan matrix of the
+simple roots splits into connected blocks, the Dynkin components, and
+each block's type is named by its rank and determinant (n + 1 for A_n,
+4 for D_n, 9 - n for E_n).  A need not preserve the Weyl chamber
+picked out by Delta+, but a unique Weyl group element w_A does correct
+it: the chamber walk reflects the one regular vector
 A(2 rho_W) in simple roots until it lies in the chamber of Delta+, and
 each reflection is an integer rank-one update of the columns of A|Pic.
 The corrected isometry Atilde = w_A o A is the one that lifts to an
@@ -19,6 +22,7 @@ reads off how the automorphism permutes the (-2)-curves.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -88,20 +92,9 @@ class RootSystemReport:
 
     def dynkin_name(self) -> str:
         """Canonical serialization like "A1^2+D4"; empty system is "0"."""
-        if not self.components:
-            return "0"
-        counts: dict[str, int] = {}
-        for c in self.components:
-            counts[c.name] = counts.get(c.name, 0) + 1
-
-        def key(name):
-            return (name[0], int(name[1:]))
-
-        parts = []
-        for name in sorted(counts, key=key):
-            m = counts[name]
-            parts.append(name if m == 1 else f"{name}^{m}")
-        return "+".join(parts)
+        counts = Counter((c.label, c.rank) for c in self.components)
+        return "+".join(f"{label}{rank}" if m == 1 else f"{label}{rank}^{m}"
+                        for (label, rank), m in sorted(counts.items())) or "0"
 
 
 def _lex_positive(v: tuple) -> bool:
@@ -123,7 +116,9 @@ def enumerate_roots(pic: PicardData) -> RootSystemReport:
     sum Delta+: the form is negative definite, so s_i(rho) = rho - alpha_i
     gives (2 rho, alpha_i) = -2, and a positive root of height h pairs
     to -2h (Humphreys, Introduction to Lie Algebras and Representation
-    Theory, 10.2).
+    Theory, 10.2).  The Cartan matrix of the simple roots is their
+    negated pairing matrix; its connected blocks are the components,
+    each named by dynkin_label.
     """
     report = RootSystemReport()
     neg_gram = [[-x for x in row] for row in pic.gram_pic]
@@ -138,78 +133,42 @@ def enumerate_roots(pic: PicardData) -> RootSystemReport:
     simple = [u for u in delta_plus if sum(map(mul, g_rho, u)) == -2]
     report.simple_roots = simple
 
-    # components of the graph with edges (u, v) = 1
     n = len(simple)
-    g_simple = [linalg.mat_vec(pic.gram_pic, u) for u in simple]
-    adj = [[] for _ in range(n)]
+    cartan = linalg.mat_mul(linalg.mat_mul(simple, neg_gram), linalg.transpose(simple))
+    if any(cartan[i][j] not in (0, -1) for i in range(n) for j in range(i)):
+        raise PipelineError("simple roots with pairing outside {0, 1}")
+    blocks = []  # connected blocks of the Cartan matrix, as sorted index lists
     for i in range(n):
-        for j in range(i + 1, n):
-            val = sum(map(mul, g_simple[i], simple[j]))
-            if val == 1:
-                adj[i].append(j)
-                adj[j].append(i)
-            elif val not in (0, 1):
-                raise PipelineError("simple roots with pairing outside {0, 1}")
-    seen = [False] * n
-    comps = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        stack, members = [i], []
-        seen[i] = True
-        while stack:
-            k = stack.pop()
-            members.append(k)
-            for j in adj[k]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(members))
-    report.components = [_label_component(adj, members) for members in comps]
+        linked = [b for b in blocks if any(cartan[i][j] for j in b)]
+        blocks = [b for b in blocks if b not in linked] + [sorted([i, *sum(linked, [])])]
+    for members in sorted(blocks):
+        block = [[cartan[a][b] for b in members] for a in members]
+        report.components.append(Component(dynkin_label(block), len(members), members))
 
     expected = sum(ROOT_COUNTS[c.label](c.rank) for c in report.components)
     if expected != 2 * len(delta_plus):
         raise PipelineError("root count disagrees with the Dynkin type")
-    if sum(c.rank for c in report.components) != n:
-        raise PipelineError("simple root count disagrees with component ranks")
     return report
 
 
-def _label_component(adj, members) -> Component:
-    """Classify a connected simply-laced diagram by its arm structure."""
-    degs = {m: sum(1 for j in adj[m] if j in set(members)) for m in members}
-    n = len(members)
-    tri = [m for m in members if degs[m] == 3]
-    if any(degs[m] > 3 for m in members):
-        raise PipelineError("diagram vertex of degree > 3")
-    if not tri:
-        # a chain: two endpoints of degree 1 (none for a single vertex)
-        endpoints = sum(1 for m in members if degs[m] == 1)
-        if n > 1 and endpoints != 2:
-            raise PipelineError("cyclic or broken A-chain")
-        return Component("A", n, members)
-    if len(tri) > 1:
-        raise PipelineError("more than one trivalent node")
-    node = tri[0]
-    mem = set(members)
-    arms = []
-    for start in adj[node]:
-        if start not in mem:
-            continue
-        length, prev, cur = 1, node, start
-        while True:
-            nxt = [j for j in adj[cur] if j != prev and j in mem]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return Component("D", n, members)
-    if arms[0] == 1 and arms[1] == 2 and n in (6, 7, 8):
-        return Component("E", n, members)
-    raise PipelineError(f"unrecognized arm pattern {arms}")
+def dynkin_label(cartan: list) -> str:
+    """"A", "D" or "E": the type of a connected simply-laced Cartan
+    matrix of roots in a definite lattice, which is positive
+    semidefinite.  Its rank n and determinant name the type: n + 1 for
+    A_n, 4 for D_n (n >= 4) and 9 - n for E_6, E_7, E_8 (Humphreys,
+    11.4), and no two of these share both.  A positive determinant
+    makes the matrix positive definite, and a connected positive
+    definite one is of type A, D or E; every other pair, such as det 0
+    for dependent roots, raises PipelineError.
+    """
+    n, det = len(cartan), linalg.bareiss_det(cartan)
+    if det == n + 1:
+        return "A"
+    if det == 4 and n >= 4:
+        return "D"
+    if det == 9 - n and n in (6, 7, 8):
+        return "E"
+    raise PipelineError(f"no A, D or E type has rank {n} and Cartan determinant {det}")
 
 
 # ---------------------------------------------------------------------------

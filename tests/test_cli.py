@@ -315,6 +315,20 @@ def test_search_rows_for_psi_ramified_or_vanishing_at_minus_one(include_rejectio
         assert False in [units[s_poly][0]] + [units[j][0] for j in (3, 4, 6)]
 
 
+def test_phi_is_built_only_for_a_cyclotomic_set_with_a_task(monkeypatch):
+    # rejection rows read no phi, so phi_of runs once for each cyclotomic
+    # set that hands out a task, at its first task, and for no other set
+    built, tasks = [], []
+    phi_of = cli.phi_of
+    monkeypatch.setattr(cli, "phi_of", lambda s_poly, cset: built.append(cset) or phi_of(s_poly, cset))
+    monkeypatch.setattr(cli, "_map_tasks", lambda fn, ts, workers: tasks.extend(ts) or [])
+    rows = cli.search_setup2(include_rejections=True, candidates=CANDS[500:560])
+    assert built == list(dict.fromkeys(_cset(task[3]) for task in tasks))
+    assert 0 < len(built) < len(cli.cyclotomic_sets(16))
+    assert all(task[0] == phi_of(S4, _cset(task[3])) for task in tasks)
+    assert len(rows) + len(tasks) == 60 * len(cli.cyclotomic_sets(16))
+
+
 def test_setup2_shared_cyclotomic_factor_is_not_coprime():
     cand = CANDS[68]
     assert cand.id == 69 and cyclotomic(30).divides(cand.psi())

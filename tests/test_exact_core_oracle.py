@@ -269,7 +269,7 @@ def test_dissect_matches_sympy(pair):
     assert len(a_runs) == len(b_runs) + 1
     assert d.a_gt2_count == sum(1 for r, t in tagged if t == "A" and r > 2)
     assert d.b_off_count == big_psi.degree - expected.count("B")
-    for r in d.a_on + d.b_on:
+    for r in [r for cluster in a_runs + b_runs for r in cluster]:
         lo = sympy.Rational(r.lo.numerator, r.lo.denominator)
         hi = sympy.Rational(r.hi.numerator, r.hi.denominator)
         assert to_sympy(r.minpoly).count_roots(lo, hi) == 1

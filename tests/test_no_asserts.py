@@ -97,6 +97,11 @@ def test_typed_error_under_optimize():
             "                       intpoly.trace_polynomial(s20 * cyclotomic(3)))\n"
             "except hodgeclass.PipelineError:\n"
             "    print('typed error')\n"
+            "from k3siegel import picardweyl\n"
+            "try:\n"
+            "    picardweyl.dynkin_label([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])\n"
+            "except hodgeclass.PipelineError:\n"
+            "    print('typed error')\n"
             "try:\n"
             "    salemlib.trace_conjugates(IntPoly([-5, 0, 1]))\n"
             "except salemlib.SalemDataError:\n"
@@ -106,4 +111,4 @@ def test_typed_error_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 13
+    assert done.stdout.split() == ["typed", "error"] * 14

@@ -9,7 +9,7 @@ from k3siegel.acceptance import RHO18_TABLE, _setup2
 from k3siegel.cli import phi_of
 from k3siegel.intpoly import IntPoly, cyclotomic
 from k3siegel import cli, linalg, picardweyl
-from k3siegel.hodgeclass import dissect_and_classify
+from k3siegel.hodgeclass import PipelineError, dissect_and_classify
 from k3siegel.hyplattice import build, companion, signature_and_renormalize, unimodularity_gate
 from k3siegel.picardweyl import (
     Component,
@@ -19,6 +19,7 @@ from k3siegel.picardweyl import (
     analyze_root_system,
     assemble_full_isometry,
     chamber_walk,
+    dynkin_label,
     enumerate_roots,
     picard_lattice,
 )
@@ -297,6 +298,14 @@ def test_simple_roots_match_the_decomposition_rule_on_the_rho18_table():
         assert report.dynkin_name() == dynkin
 
 
+def graph_cartan(n, edges):
+    """The Cartan matrix of the simply-laced diagram on n nodes with the given edges."""
+    m = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = -1
+    return m
+
+
 def cartan(label, n):
     """The Cartan matrix of A_n, D_n or E_n: a chain of n nodes for A;
     for D and E a chain of n - 1 nodes with node n - 1 hung on the
@@ -306,10 +315,33 @@ def cartan(label, n):
         edges[-1] = (n - 3, n - 1)
     elif label == "E":
         edges[-1] = (2, n - 1)
-    m = [[2 * (i == j) for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        m[i][j] = m[j][i] = -1
-    return m
+    return graph_cartan(n, edges)
+
+
+ADE_UP_TO_22 = ([("A", n) for n in range(1, 23)] + [("D", n) for n in range(4, 23)]
+                + [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("label, n", ADE_UP_TO_22)
+def test_dynkin_label_names_every_ade_cartan_matrix(label, n):
+    assert dynkin_label(cartan(label, n)) == label
+
+
+# connected diagrams of no A, D or E type: the cycles (affine A_(n-1),
+# det 0), the star with four arms of length one (affine D4, det 0) and
+# T(2, 3, 7), the tree with arms of 1, 2 and 6 nodes off its centre
+# (E10, det -1)
+NON_ADE = {
+    **{f"cycle{n}": graph_cartan(n, [(i, (i + 1) % n) for i in range(n)]) for n in (3, 4, 9, 22)},
+    "star4": graph_cartan(5, [(0, j) for j in range(1, 5)]),
+    "T237": graph_cartan(10, [(0, 1), (0, 2), (2, 3), (0, 4), *((i, i + 1) for i in range(4, 9))]),
+}
+
+
+@pytest.mark.parametrize("name", NON_ADE)
+def test_dynkin_label_rejects_connected_non_ade_diagrams(name):
+    with pytest.raises(PipelineError):
+        dynkin_label(NON_ADE[name])
 
 
 @st.composite
