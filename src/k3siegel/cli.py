@@ -319,7 +319,9 @@ def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple[IntPoly, str, st
     unimodularity gate.  When no flag is 0 and one is not +-1, the pair is
     rejected here with the row analyze_pair would give; a zero one leaves
     the pair to analyze_pair, the one place that rejects it as not
-    coprime.  Rows are sorted by their labels, psi ids numerically.
+    coprime.  The pool gets one task per cyclotomic set with a pair left:
+    (phi, s label, c label, [(psi, s label, c label), ...]).  Rows are
+    sorted by their labels, psi ids numerically.
     """
     csets = {s.degree: cyclotomic_sets(20 - s.degree) for s, _ in salems}
     pool = sorted({j for sets in csets.values() for cs in sets for j in cs})
@@ -329,18 +331,20 @@ def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple[IntPoly, str, st
     rows, tasks = [], []
     for s_poly, s_lab in salems:
         for cset in csets[s_poly.degree]:
-            phi = None  # built at the set's first task; rejection rows read none
             c_lab = cyclo_label(list(cset))
             columns = [z2_flags, units[s_poly]] + [units[j] for j in cset]
+            block = []
             for (psi, s_aux, c_aux), flags in zip(psis, zip(*columns)):
                 if all(flags) or None in flags:
-                    phi = phi or phi_of(s_poly, cset)
-                    tasks.append((phi, psi, s_lab, c_lab, s_aux, c_aux))
+                    block.append((psi, s_aux, c_aux))
                 elif include_rejections:
                     rows.append(AnalysisRow(s_label=s_lab, c_label=c_lab,
                                             aux_s_label=s_aux, aux_c_label=c_aux,
                                             rejection="resultant is not a unit"))
-    results = _map_tasks(_run_analysis_task, tasks, workers)
+            if block:
+                tasks.append((phi_of(s_poly, cset), s_lab, c_lab, block))
+    results = [row for block in _map_tasks(_run_analysis_task, tasks, workers)
+               for row in block]
     rank2_verdicts(results)
     rows += [r for r in results if r.accepted() or r.faulted() or include_rejections]
     rows.sort(key=lambda r: (r.s_label, r.c_label, r.aux_s_label,
@@ -350,7 +354,8 @@ def _search(salems: list[tuple[IntPoly, str]], psis: list[tuple[IntPoly, str, st
 
 
 def _run_analysis_task(task):
-    return analyze_pair(*task)
+    phi, s_lab, c_lab, block = task
+    return [analyze_pair(phi, psi, s_lab, c_lab, s_aux, c_aux) for psi, s_aux, c_aux in block]
 
 
 def _map_tasks(fn, tasks, workers: int):

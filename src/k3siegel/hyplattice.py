@@ -12,11 +12,12 @@ pairs carry the intersection form of a K3 lattice, of signature (3,19).
 The pipeline path (build, unimodularity gate, signature stage) is
 integer arithmetic.  build derives the trace polynomials Phi, Psi of
 phi, psi once, for the resultant, the signature and the trace-cluster
-dissection.  The one signature stage, signature_and_renormalize, reads
-the signature off a Cauchy index of Phi and Psi; only a pair whose
-index gives (3, 19), or whose phi is not squarefree so that no index
-is read, pays the one symmetric elimination of the Gram matrix, which
-cross-checks the index.  The companion B of psi is built only for the
+dissection; the Gram is built by its first reader (LatticeModel.gram).
+The one signature stage, signature_and_renormalize, reads the signature
+off a Cauchy index of Phi and Psi; only a pair whose index gives
+(3, 19), or whose phi is not squarefree so that no index is read, reads
+the Gram, for the one symmetric elimination that cross-checks the
+index.  The companion B of psi is built only for the
 structural check that C = A^(-1) B is a reflection, in integers:
 B = A (I - e_0 g_0^T), tied to psi by one integer matrix identity; no
 verdict reads it.
@@ -25,6 +26,7 @@ verdict reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algnum import TWO, _variations_at, signed_remainders, sturm_chain
 from .intpoly import (
@@ -61,17 +63,25 @@ class LatticeModel:
 
     Only what the pipeline reads; the companion A of phi is
     companion(phi), and the matrix of B is computed on demand by
-    reflection_factor, for the structural checks.
+    reflection_factor, for the structural checks.  The Gram is a view,
+    built on first read.
     """
 
     phi: IntPoly
     psi: IntPoly
-    gram: list             # xi_|i-j| Toeplitz form, possibly renormalized
     phi_trace: IntPoly     # Phi, with phi = (z^2 - 1) z^10 Phi(z + 1/z)
     psi_trace: IntPoly     # Psi, with psi = z^11 Psi(z + 1/z)
     resultant: int         # Res(phi, psi), nonzero; the unimodularity gate reads it
     signature: tuple[int, int] | None = None  # set by signature_and_renormalize
     renormalized: bool = False
+
+    @cached_property
+    def gram(self) -> list:
+        """The xi_|i-j| Toeplitz form, negated when renormalized."""
+        xs = [2] + series_coefficients(self.psi, self.phi, RANK - 1)
+        if self.renormalized:
+            xs = [-x for x in xs]
+        return [[xs[abs(i - j)] for j in range(RANK)] for i in range(RANK)]
 
 
 def companion(p: IntPoly) -> list:
@@ -127,8 +137,8 @@ def _b_matrix_in_a_basis(phi: IntPoly, psi: IntPoly) -> list:
 
 
 def build(phi: IntPoly, psi: IntPoly) -> LatticeModel:
-    """The lattice model, Res(phi, psi) read off Phi and Psi; raises
-    LatticeBuildError on bad input."""
+    """The lattice model, Res(phi, psi) read off Phi and Psi, no Gram;
+    raises LatticeBuildError on bad input."""
     if phi.degree != RANK or psi.degree != RANK:
         raise LatticeBuildError("both polynomials must have degree 22")
     if not (phi.is_monic() and psi.is_monic()):
@@ -141,11 +151,7 @@ def build(phi: IntPoly, psi: IntPoly) -> LatticeModel:
     res = (-1) ** tr_psi.degree * tr_psi(2) * tr_psi(-2) * resultant(tr_phi, tr_psi) ** 2
     if res == 0:
         raise LatticeBuildError("phi and psi must be coprime")
-
-    xs = [2] + series_coefficients(psi, phi, RANK - 1)
-    gram = [[xs[abs(i - j)] for j in range(RANK)] for i in range(RANK)]
-    return LatticeModel(phi=phi, psi=psi, gram=gram, phi_trace=tr_phi, psi_trace=tr_psi,
-                        resultant=res)
+    return LatticeModel(phi=phi, psi=psi, phi_trace=tr_phi, psi_trace=tr_psi, resultant=res)
 
 
 def unimodularity_gate(model: LatticeModel) -> bool:
@@ -203,7 +209,8 @@ def signature_and_renormalize(model: LatticeModel) -> LatticeModel:
     squarefree), does one symmetric elimination of the Gram matrix
     certify it, checked three ways: the Gram is not singular, a unit
     resultant gives |det gram| = 1, and its (pos, neg) is the index's
-    when there is one.  The renormalized bilinear form is the
+    when there is one.  Renormalizing sets the flag and drops a Gram
+    already read, so the next read builds the negated form: the
     intersection form used by all downstream Picard-lattice computations.
     """
     if model.signature is not None:
@@ -221,7 +228,7 @@ def signature_and_renormalize(model: LatticeModel) -> LatticeModel:
     else:
         pos, neg = index
     if pos > neg:
-        model.gram = linalg.mat_neg(model.gram)
+        vars(model).pop("gram", None)
         model.renormalized = True
         pos, neg = neg, pos
     model.signature = (pos, neg)

@@ -174,17 +174,15 @@ def _first_leaves(trace: np.ndarray, dmaps: np.ndarray) -> np.ndarray:
     """The Descartes maps applied to each row, pieces x rows x 12, int64.
 
     Every partial sum is at most max|row| times the largest row sum of
-    |dmap|.  numpy's integer matmul has no BLAS path, so while that bound
-    stays below 2^53, as it does far over the census rows, each piece is
-    one float64 product, exact: no product or sum is rounded and the cast
-    back to int64 is exact.  Larger rows take the int64 product, and
-    PolynomialDomainError is raised once the bound reaches 2^63.
+    |dmap|.  numpy's integer matmul has no BLAS path, so each piece is one
+    float64 product, exact while that bound stays below 2^53: no product
+    or sum is rounded and the cast back to int64 is exact.  The census
+    rows stay far below it (the word bounds cap it near 1.7e11); past it,
+    PolynomialDomainError.
     """
     bound = int(np.abs(trace).max(initial=0)) * int(np.abs(dmaps).sum(axis=2).max())
-    if bound >= _INT64:
-        raise PolynomialDomainError(f"Descartes leaf bound {bound} overflows int64")
     if bound >= _FLOAT_EXACT:
-        return np.matmul(trace, dmaps.transpose(0, 2, 1))
+        raise PolynomialDomainError(f"Descartes leaf bound {bound} is not exact in float64")
     q = np.empty((len(dmaps), len(trace), 12), dtype=np.int64)
     lanes = trace.astype(np.float64)
     for piece, dmap in zip(q, dmaps):

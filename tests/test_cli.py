@@ -317,16 +317,20 @@ def test_search_rows_for_psi_ramified_or_vanishing_at_minus_one(include_rejectio
 
 def test_phi_is_built_only_for_a_cyclotomic_set_with_a_task(monkeypatch):
     # rejection rows read no phi, so phi_of runs once for each cyclotomic
-    # set that hands out a task, at its first task, and for no other set
+    # set that hands out a task, and for no other set; the pool gets one
+    # task per set, (phi, s label, c label, [(psi, s label, c label), ...])
     built, tasks = [], []
     phi_of = cli.phi_of
     monkeypatch.setattr(cli, "phi_of", lambda s_poly, cset: built.append(cset) or phi_of(s_poly, cset))
     monkeypatch.setattr(cli, "_map_tasks", lambda fn, ts, workers: tasks.extend(ts) or [])
     rows = cli.search_setup2(include_rejections=True, candidates=CANDS[500:560])
-    assert built == list(dict.fromkeys(_cset(task[3]) for task in tasks))
+    assert built == [_cset(c_lab) for _, _, c_lab, _ in tasks]
     assert 0 < len(built) < len(cli.cyclotomic_sets(16))
-    assert all(task[0] == phi_of(S4, _cset(task[3])) for task in tasks)
-    assert len(rows) + len(tasks) == 60 * len(cli.cyclotomic_sets(16))
+    assert all(phi == phi_of(S4, _cset(c_lab)) and block for phi, _, c_lab, block in tasks)
+    assert len(rows) + sum(len(block) for *_, block in tasks) == 60 * len(cli.cyclotomic_sets(16))
+    tasks.clear()
+    cli.search_setup2(candidates=CANDS)
+    assert len(tasks) == len({phi for phi, *_ in tasks}) == 333
 
 
 def test_setup2_shared_cyclotomic_factor_is_not_coprime():

@@ -369,18 +369,52 @@ def test_signature_stage_runs_once_per_unimodular_pair(monkeypatch, degree):
     assert {(True, 0), (True, 1)} <= outcomes
 
 
-@pytest.mark.parametrize("phi, psi, signature, renormalized", [
-    pytest.param(PHI_ROW1, LEHMER * cyclotomic(12) * cyclotomic(24), (7, 15), True,
+@pytest.mark.parametrize("phi, psi, signature, renormalized, eliminated", [
+    pytest.param(PHI_ROW1, LEHMER * cyclotomic(12) * cyclotomic(24), (7, 15), True, False,
                  id="index-rejected"),
-    pytest.param(PHI_E9, PSI_523, (3, 19), True, id="id523"),
-    pytest.param(PHI_DOUBLE_ROOT, None, (7, 15), False, id="double-root"),
+    pytest.param(PHI_E9, PSI_523, (3, 19), True, True, id="id523"),
+    pytest.param(PHI_DOUBLE_ROOT, None, (7, 15), False, True, id="double-root"),
 ])
-def test_signature_stage_leaves_a_consistent_model(phi, psi, signature, renormalized):
+def test_signature_stage_leaves_a_consistent_model(monkeypatch, phi, psi, signature,
+                                                   renormalized, eliminated):
     # whichever path decides the signature, the model carries a form of
-    # that signature, negated exactly when it says renormalized
-    model = build(phi, psi or enumerate_setup2()[939].psi())
-    gram = model.gram
+    # that signature, negated exactly when it says renormalized: the stage
+    # builds a Gram only to eliminate it, and the first read after it, or
+    # after a read before it, gives the renormalized form
+    psi = psi or enumerate_setup2()[939].psi()
+    raw = build(phi, psi).gram
+    calls, series = [], hyplattice.series_coefficients
+    monkeypatch.setattr(hyplattice, "series_coefficients",
+                        lambda *args: calls.append(args) or series(*args))
+    model = build(phi, psi)
     assert signature_and_renormalize(model) is model
     assert (model.signature, model.renormalized) == (signature, renormalized)
-    assert model.gram == (linalg.mat_neg(gram) if model.renormalized else gram)
+    assert len(calls) == eliminated
+    assert model.gram == ([[-x for x in row] for row in raw] if renormalized else raw)
     assert linalg.inertia(model.gram)[0] == (*model.signature, 0)
+    read_first = build(phi, psi)
+    assert read_first.gram == raw
+    assert signature_and_renormalize(read_first).gram == model.gram
+
+
+def test_gram_is_built_only_where_it_is_read(monkeypatch):
+    # build makes no Gram; over a census slice the search builds one for a
+    # pair whose Gram is eliminated and, after renormalization drops that
+    # one, once more for an accepted pair's Picard lattice
+    calls, in_build = [], []
+    series, lattice = hyplattice.series_coefficients, cli.build
+    monkeypatch.setattr(hyplattice, "series_coefficients",
+                        lambda *args: calls.append(args) or series(*args))
+
+    def counting_build(phi, psi):
+        before = len(calls)
+        model = lattice(phi, psi)
+        in_build.append(len(calls) - before)
+        return model
+
+    monkeypatch.setattr(cli, "build", counting_build)
+    sizes = symmetric_bareiss_sizes(monkeypatch)
+    rows = cli.search_setup2(candidates=enumerate_setup2()[500:560])
+    accepted = sum(row.accepted() for row in rows)
+    assert in_build and set(in_build) == {0}
+    assert accepted and 0 < len(calls) <= sizes.count(RANK) + accepted

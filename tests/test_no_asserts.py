@@ -75,6 +75,12 @@ def test_typed_error_under_optimize():
             "except hyplattice.LatticeBuildError:\n"
             "    print('typed error')\n"
             "from k3siegel import setup2\n"
+            "import numpy as np\n"
+            "try:\n"
+            "    setup2._first_leaves(np.array([[setup2._FLOAT_EXACT] + [0] * 11]),\n"
+            "                         setup2._descartes_maps()[1])\n"
+            "except intpoly.PolynomialDomainError:\n"
+            "    print('typed error')\n"
             "setup2._WORD_BOUNDS = (1 << 31,) * 12\n"
             "try:\n"
             "    setup2._descartes_maps()\n"
@@ -111,4 +117,4 @@ def test_typed_error_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 14
+    assert done.stdout.split() == ["typed", "error"] * 15

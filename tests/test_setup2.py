@@ -273,13 +273,13 @@ def test_first_leaves_in_float_lanes_are_the_int64_product():
 
 
 def test_first_leaves_check_the_rows_they_are_given():
-    # rows past the float bound take the int64 product; past int64, a typed error
+    # rows up to the float bound are exact; one row past it, a typed error
     tmap, dmaps = _descartes_maps()
     row_sum = int(abs(dmaps).sum(axis=2).max())
-    for top in (setup2._FLOAT_EXACT // row_sum, setup2._FLOAT_EXACT // row_sum + 1):
-        trace = np.array([[top] + [-1] * 11], dtype=np.int64)
-        assert np.array_equal(_first_leaves(trace, dmaps),
-                              np.matmul(trace, dmaps.transpose(0, 2, 1)))
-    with pytest.raises(PolynomialDomainError, match="overflows int64"):
-        _first_leaves(np.array([[setup2._INT64 // row_sum + 1] + [0] * 11]), dmaps)
+    top = setup2._FLOAT_EXACT // row_sum
+    trace = np.array([[top] + [-1] * 11], dtype=np.int64)
+    assert np.array_equal(_first_leaves(trace, dmaps),
+                          np.matmul(trace, dmaps.transpose(0, 2, 1)))
+    with pytest.raises(PolynomialDomainError, match="not exact in float64"):
+        _first_leaves(np.array([[top + 1] + [-1] * 11]), dmaps)
     assert _first_leaves(np.zeros((0, 12), dtype=np.int64), dmaps).shape == (8, 0, 12)
