@@ -35,7 +35,7 @@ print("A^t G A = G holds")
 
 # the trace-cluster dissection and the admissible-pattern gate
 d = dissect(model.phi_trace, model.psi_trace)
-print("\ncluster data: s =", d.s,
+print("\ncluster data: s =", len(d.b_clusters),
       " [A_on] =", d.a_signature(), " [B_on] =", d.b_signature(),
       " |A_>2| =", d.a_gt2_count, " |B_off| =", d.b_off_count)
 verdict = classify(d, phi)

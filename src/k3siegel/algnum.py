@@ -5,8 +5,10 @@ case of one integer signed remainder sequence of a pair
 (``signed_remainders``, read off ``intpoly.prem``), and carried
 around as (squarefree minimal polynomial, isolating interval) pairs
 that can be refined on demand.
-One bisection isolates them, with -2 and 2 as fixed cut points, so an
-interval holds -2 or 2 inside it only when that point is its root.
+One bisection on that chain isolates the roots of a polynomial, with
+-2 and 2 as fixed cut points, so an interval holds -2 or 2 inside it
+only when that point is its root; two distinct roots are ordered by
+refining both until their intervals part (``separate``).
 Every sign at a rational point n/d, of a Sturm term or of any other
 polynomial, is taken by one integer evaluation (``_scaled_value``).
 Sign evaluation of a polynomial at an algebraic point is decided
@@ -205,27 +207,29 @@ class AlgebraicReal:
         return f"AlgebraicReal({self.minpoly.text()}, ({self.lo}, {self.hi}))"
 
 
-def _isolating_intervals(sf: IntPoly) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals (lo, hi) of the real roots of a squarefree sf,
-    in descending order, by Sturm bisection on one chain.
+def isolate_real_roots(p: IntPoly) -> list[AlgebraicReal]:
+    """All real roots of p in strictly descending order.
 
-    Each open interval holds exactly one root, its endpoints are never
-    roots, and two intervals share at most an endpoint.  -2 and 2 are
-    cut points unless they are roots, so every other interval lies on
-    one side of each.  Raises PolynomialDomainError when sf is not
-    squarefree (the chain ends in gcd(sf, sf') of positive degree).
+    One Sturm bisection on ``sturm_chain(p)``, whose last term, gcd(p, p')
+    up to a positive factor, also gives the squarefree part that each
+    root carries: the open isolating intervals share at most an endpoint,
+    their rational endpoints are never roots, and none holds -2 or 2
+    inside unless that point is the root it isolates.
     """
-    chain = sturm_chain(sf)
-    if len(chain[-1]) > 1:
-        raise PolynomialDomainError("polynomial is not squarefree")
+    if p.is_zero():
+        raise PolynomialDomainError("zero polynomial")
+    if p.degree == 0:
+        return []
+    chain = sturm_chain(p)
+    sf = p.primitive() // IntPoly(chain[-1]).primitive()
     bound = root_bound(sf)
     cuts = [-bound] + [c for c in (-TWO, TWO) if -bound < c < bound and _sign(sf, c)] + [bound]
-    out: list[tuple[Fraction, Fraction]] = []
+    out: list[AlgebraicReal] = []
 
     def split(a: Fraction, va: int, b: Fraction, vb: int):
         # va - vb roots in (a, b); the upper half goes first, so out descends
         if va - vb == 1:
-            out.append((a, b))
+            out.append(AlgebraicReal(sf, a, b))
         elif va > vb:
             mid = (a + b) / 2
             while _sign(sf, mid) == 0:
@@ -240,20 +244,13 @@ def _isolating_intervals(sf: IntPoly) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def isolate_real_roots(p: IntPoly) -> list[AlgebraicReal]:
-    """All real roots of p in strictly descending order.
-
-    One Sturm bisection of the squarefree part (``_isolating_intervals``):
-    the open isolating intervals share at most an endpoint, their
-    rational endpoints are never roots, and none holds -2 or 2 inside
-    unless that point is the root it isolates.
-    """
-    if p.is_zero():
-        raise PolynomialDomainError("zero polynomial")
-    if p.degree == 0:
-        return []
-    sf = squarefree_part(p)
-    return [AlgebraicReal(sf, a, b) for a, b in _isolating_intervals(sf)]
+def separate(x: AlgebraicReal, y: AlgebraicReal) -> None:
+    """Refine x and y until their isolating intervals share at most an
+    endpoint, so (lo, hi) orders them.  Ends only when x != y: each pass
+    quarters both widths until they sum to less than the distance."""
+    while x.lo < y.hi and y.lo < x.hi:
+        x.refine((x.hi - x.lo) / 4)
+        y.refine((y.hi - y.lo) / 4)
 
 
 def _sign_on(q: IntPoly, x: AlgebraicReal) -> int:

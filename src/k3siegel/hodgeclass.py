@@ -11,19 +11,22 @@ one of nine admissible patterns; the pattern also locates the special
 trace tau (the trace of the eigenvalue acting on the holomorphic
 2-form), which must be a root of the Salem trace factor of Phi.
 
-All root comparisons are exact and need no refinement: one Sturm
-bisection of the squarefree product Phi * Psi, cut at -2 and 2, gives
-disjoint isolating intervals in descending order, and an interval holds
-a root of Phi exactly when Phi changes sign across it.
+All root comparisons are exact.  ``algnum.isolate_real_roots`` isolates
+the roots of Phi and of Psi, each by one Sturm bisection cut at -2 and
+2, and ``algnum.separate`` refines every overlapping pair of a Phi root
+and a Psi root until the two intervals share at most an endpoint; the
+roots then descend in the order of their intervals' (lo, hi).  Phi and
+Psi are checked coprime first, so every such pair parts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 
-from .intpoly import IntPoly, PolynomialDomainError, cyclotomic_salem_split, gcd
-from .algnum import TWO, AlgebraicReal, _isolating_intervals, _sign, count_roots_in
+from .intpoly import IntPoly, cyclotomic_salem_split, gcd
+from .algnum import TWO, AlgebraicReal, _sign, count_roots_in, isolate_real_roots, separate
 from .hyplattice import LatticeModel
 from .salemlib import salem_trace_poly
 
@@ -40,7 +43,6 @@ class ClusterDissection:
     b_off_count: int = 0
     a_clusters: list = field(default_factory=list)   # A_1 .. A_(s+1), descending
     b_clusters: list = field(default_factory=list)   # B_1 .. B_s
-    s: int = 0
     flags: list = field(default_factory=list)
 
     def a_signature(self) -> dict[int, int]:
@@ -77,29 +79,24 @@ def dissect(phi_tr: IntPoly, psi_tr: IntPoly) -> ClusterDissection:
     if d.flags:
         return d
 
-    # Phi and Psi are squarefree here, so their product is unless they
-    # share a root; each interval holds one root of the product
-    try:
-        intervals = _isolating_intervals(phi_tr * psi_tr)
-    except PolynomialDomainError as exc:
-        raise PipelineError("Phi and Psi share a root") from exc
-    runs: list[tuple[str, list]] = []
-    for lo, hi in intervals:
-        is_a = _sign(phi_tr, lo) != _sign(phi_tr, hi)
-        if not (-TWO <= lo and hi <= TWO):
-            if is_a and lo >= TWO:
-                d.a_gt2_count += 1
-            continue
-        tag = "A" if is_a else "B"
-        r = AlgebraicReal(phi_tr if is_a else psi_tr, lo, hi)
-        if runs and runs[-1][0] == tag:
-            runs[-1][1].append(r)
-        else:
-            runs.append((tag, [r]))
-    b_runs = [block for tag, block in runs if tag == "B"]
-    d.s = len(b_runs)
-    d.b_clusters = b_runs
-    d.b_off_count = psi_tr.degree - sum(map(len, b_runs))
+    # coprime Phi and Psi share no root, so ``separate`` ends
+    if gcd(phi_tr, psi_tr).degree > 0:
+        raise PipelineError("Phi and Psi share a root")
+    a_roots, b_roots = isolate_real_roots(phi_tr), isolate_real_roots(psi_tr)
+    d.a_gt2_count = sum(1 for r in a_roots if r.lo >= TWO)
+    # -2 and 2 are cut points, so each interval lies on one side of each
+    a_on, b_on = ([r for r in roots if -TWO <= r.lo and r.hi <= TWO]
+                  for roots in (a_roots, b_roots))
+    d.b_off_count = psi_tr.degree - len(b_on)
+    for x in a_on:
+        for y in b_on:
+            separate(x, y)
+    # parted intervals order their roots by (lo, hi); by lo alone a point
+    # interval (c, c) would tie with an open (c, hi) above it
+    tagged = sorted([(r, "A") for r in a_on] + [(r, "B") for r in b_on],
+                    key=lambda rt: (rt[0].lo, rt[0].hi), reverse=True)
+    runs = [(tag, [r for r, _ in run]) for tag, run in groupby(tagged, key=lambda rt: rt[1])]
+    d.b_clusters = [block for tag, block in runs if tag == "B"]
     # maximal runs alternate, so an empty A-cluster stands only at an end
     d.a_clusters = [block for tag, block in runs if tag == "A"]
     if not runs or runs[0][0] == "B":
@@ -146,21 +143,21 @@ def _a_last_double(d: ClusterDissection) -> bool:
     return len(d.a_clusters[-1]) == 2
 
 
-# The nine admissible configurations: (case, s, [A_on], [B_on], |A_>2|,
+# The nine admissible configurations: (case, [A_on], [B_on], |A_>2|,
 # |B_off|, constraint, special trace), the last two as functions of the
-# dissection.
+# dissection.  The number s of B-clusters is the sum of the [B_on] counts.
 _TABLE_ROWS = [
-    (1, 8, {0: 2, 1: 6, 3: 1}, {1: 8}, 1, 3, lambda d: True, _middle_of_triple),
-    (2, 8, {0: 2, 1: 6, 3: 1}, {1: 7, 3: 1}, 1, 1, lambda d: True, _middle_of_triple),
-    (3, 8, {0: 1, 1: 7, 2: 1}, {1: 8}, 1, 3, _a_first_double, _first_a),
-    (4, 8, {0: 1, 1: 7, 2: 1}, {1: 8}, 1, 3, _a_last_double, _last_a),
-    (5, 8, {0: 1, 1: 7, 2: 1}, {1: 7, 3: 1}, 1, 1, _a_first_double, _first_a),
-    (6, 8, {0: 1, 1: 7, 2: 1}, {1: 7, 3: 1}, 1, 1, _a_last_double, _last_a),
-    (7, 9, {0: 2, 1: 7, 2: 1}, {1: 8, 2: 1}, 1, 1,
+    (1, {0: 2, 1: 6, 3: 1}, {1: 8}, 1, 3, lambda d: True, _middle_of_triple),
+    (2, {0: 2, 1: 6, 3: 1}, {1: 7, 3: 1}, 1, 1, lambda d: True, _middle_of_triple),
+    (3, {0: 1, 1: 7, 2: 1}, {1: 8}, 1, 3, _a_first_double, _first_a),
+    (4, {0: 1, 1: 7, 2: 1}, {1: 8}, 1, 3, _a_last_double, _last_a),
+    (5, {0: 1, 1: 7, 2: 1}, {1: 7, 3: 1}, 1, 1, _a_first_double, _first_a),
+    (6, {0: 1, 1: 7, 2: 1}, {1: 7, 3: 1}, 1, 1, _a_last_double, _last_a),
+    (7, {0: 2, 1: 7, 2: 1}, {1: 8, 2: 1}, 1, 1,
      lambda d: _facing_double(d) is not None, _facing_double),
-    (8, 9, {0: 1, 1: 9}, {1: 8, 2: 1}, 1, 1,
+    (8, {0: 1, 1: 9}, {1: 8, 2: 1}, 1, 1,
      lambda d: len(d.a_clusters[0]) == 1 and len(d.b_clusters[0]) == 2, _first_a),
-    (9, 9, {0: 1, 1: 9}, {1: 8, 2: 1}, 1, 1,
+    (9, {0: 1, 1: 9}, {1: 8, 2: 1}, 1, 1,
      lambda d: len(d.a_clusters[-1]) == 1 and len(d.b_clusters[-1]) == 2, _last_a),
 ]
 
@@ -176,19 +173,19 @@ def classify(d: ClusterDissection, phi: IntPoly) -> HodgeVerdict:
     (``cli.analyze_pair``, from the trace polynomial on the verdict).
 
     The dissection's interval (lo, hi) of tau decides both by Sturm's
-    theorem.  Its endpoints are not roots of Phi, and the Salem trace
-    polynomial S_tr divides Phi, so tau is a Salem conjugate exactly
-    when S_tr changes sign across (lo, hi), and then j is the number of
-    roots of S_tr in (lo, 2).  The (z-1)(z+1) factor of phi is simple:
-    v(+-1) = Phi(+-2) for v = phi / (z^2 - 1) of degree 20, and the
-    dissection flags Phi(+-2) = 0.
+    theorem.  Its endpoints are not roots of Phi unless tau is a rational
+    point, and the Salem trace polynomial S_tr divides Phi, so tau is a
+    Salem conjugate exactly when S_tr changes sign across (lo, hi), and
+    then j is the number of roots of S_tr in (lo, 2).  The (z-1)(z+1)
+    factor of phi is simple: v(+-1) = Phi(+-2) for v = phi / (z^2 - 1)
+    of degree 20, and the dissection flags Phi(+-2) = 0.
     """
     if d.flags:
         return HodgeVerdict(accepted=False, rejection_reason="; ".join(d.flags))
     matches = []
     asig, bsig = d.a_signature(), d.b_signature()
-    for (case, s, arow, brow, agt2, boff, holds, special) in _TABLE_ROWS:
-        if (d.s == s and asig == arow and bsig == brow
+    for (case, arow, brow, agt2, boff, holds, special) in _TABLE_ROWS:
+        if (asig == arow and bsig == brow
                 and d.a_gt2_count == agt2 and d.b_off_count == boff
                 and holds(d)):
             matches.append((case, special))

@@ -50,6 +50,7 @@ from .algnum import (
     count_roots_in,
     isolate_real_roots,
     root_bound,
+    separate,
     sturm_chain,
 )
 
@@ -230,9 +231,7 @@ class SalemStore:
                     raise SalemDataError(f"degree {d}: entries i={a.index} and i={b.index} "
                                          "hold one Salem polynomial")
                 x, y = a.lam, b.lam
-                while x.lo < y.hi and y.lo < x.hi:
-                    x.refine((x.hi - x.lo) / 4)
-                    y.refine((y.hi - y.lo) / 4)
+                separate(x, y)
                 if y.hi <= x.lo:
                     raise SalemDataError(
                         f"degree {d}: lambda order disagrees with index order "

@@ -16,6 +16,7 @@ from k3siegel.algnum import (
     is_algebraic_integer,
     isolate_real_roots,
     minpoly_of_value,
+    separate,
     sign_at,
     symmetric_descent,
 )
@@ -54,6 +55,43 @@ def test_isolate_descending_order():
         assert vals == sorted(vals, reverse=True)
         for a, b in zip(roots, roots[1:]):
             assert a.lo >= b.hi
+
+
+def test_isolate_reads_the_squarefree_part_off_its_one_chain(monkeypatch):
+    # (w - 1)^2 (w^2 - w - 3)(w^2 + 1): one Sturm chain of p itself both
+    # counts its three distinct real roots and gives gcd(p, p'), so no gcd
+    p = IntPoly([-1, 1]) ** 2 * ST4_1 * IntPoly([1, 0, 1])
+    sf = intpoly.squarefree_part(p)
+    chains, gcds = [], []
+    chain, gcd = algnum.sturm_chain, intpoly.gcd
+    monkeypatch.setattr(algnum, "sturm_chain", lambda q: chains.append(q) or chain(q))
+    for module in (algnum, intpoly):
+        monkeypatch.setattr(module, "gcd", lambda a, b: gcds.append((a, b)) or gcd(a, b))
+    roots = isolate_real_roots(p)
+    assert chains == [p] and gcds == []
+    assert len(roots) == 3 and all(r.minpoly == sf for r in roots)
+    assert abs(roots[1].approx() - 1) < 1e-8
+
+
+def test_separate_parts_overlapping_roots():
+    # sqrt 2 and sqrt 3 share the isolating interval (1, 2)
+    x = AlgebraicReal(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2))
+    y = AlgebraicReal(IntPoly([-3, 0, 1]), Fraction(1), Fraction(2))
+    separate(x, y)
+    assert x.hi <= y.lo
+    assert sorted([x, y], key=lambda r: (r.lo, r.hi), reverse=True) == [y, x]
+    assert count_roots_in(x.minpoly, x.lo, x.hi) == count_roots_in(y.minpoly, y.lo, y.hi) == 1
+
+
+def test_separate_orders_a_point_interval_that_ties_on_lo():
+    # -1 as the point (-1, -1) and -9/10 refined to (-1, -1/2): the two
+    # tie on lo, and only (lo, hi) puts -9/10 first
+    x = AlgebraicReal(IntPoly([1, 1]), Fraction(-1), Fraction(-1))
+    y = AlgebraicReal(IntPoly([9, 10]), Fraction(-2), Fraction(0))
+    separate(x, y)
+    assert (x.lo, x.hi) == (-1, -1) and y.lo == -1 < y.hi
+    assert sorted([x, y], key=lambda r: (r.lo, r.hi), reverse=True) == [y, x]
+    assert sorted([x, y], key=lambda r: r.lo, reverse=True) == [x, y]
 
 
 def test_count_roots_examples():

@@ -2,7 +2,8 @@
 
 sympy is an independent implementation: these tests compare the one
 integer Sturm chain (root counting, and isolation cut at -2 and 2),
-the trace-cluster interleaving read off one bisection of Phi * Psi,
+the trace-cluster interleaving read off the isolations of Phi and of
+Psi, parted by refinement,
 the resultant and the gcd read off the one subresultant PRS, the
 census's Descartes bisection of the roots in (-2, 2), the coprime normal
 form of rational functions, number field sums, products and inverses,
@@ -253,8 +254,19 @@ def trace_pairs(draw):
     return math.prod(chosen[:k], start=IntPoly([1])), math.prod(chosen[k:], start=IntPoly([1]))
 
 
+C3_TR, C4_TR, C7_TR, C9_TR = (trace_polynomial(cyclotomic(n)) for n in (3, 4, 7, 9))
+
+
 @EXAMPLES
 @given(trace_pairs())
+# a rational root of Phi refined to a point on an endpoint of a Psi
+# interval: (-1, -1) beside (-1, 0), and (0, 0) beside (0, 1); the two tie
+# on lo, and sorting by lo alone leaves the point, the smaller root, first
+@example((C3_TR, C7_TR))
+@example((IntPoly([-3, 1]) * C4_TR, C9_TR))
+# the roles swapped: Psi's point -1 or 0 on an endpoint of a Phi interval
+@example((C7_TR, C3_TR))
+@example((C9_TR, C4_TR))
 def test_dissect_matches_sympy(pair):
     big_phi, big_psi = pair
     d = dissect(big_phi, big_psi)

@@ -93,8 +93,9 @@ def test_wrong_cluster_count_rejected():
     assert not v.accepted
 
 
-def test_dissect_builds_one_sturm_chain(monkeypatch):
-    # Phi * Psi is bisected once; no per-factor isolation, no refinement
+def test_dissect_isolates_each_trace_polynomial_once(monkeypatch):
+    # Phi and Psi are isolated apart and their roots parted by refinement;
+    # no Sturm chain of the product Phi * Psi
     calls = []
     chain = algnum.sturm_chain
 
@@ -106,7 +107,7 @@ def test_dissect_builds_one_sturm_chain(monkeypatch):
     phi_tr = trace_polynomial(Z2 * STORE[(20, 1)].salem_poly)
     psi_tr = trace_polynomial(STORE[(10, 1)].salem_poly * cyclotomic(21))
     dissect(phi_tr, psi_tr)
-    assert calls == [phi_tr * psi_tr]
+    assert calls == [phi_tr, psi_tr]
 
 
 def test_classify_splits_phi_once(monkeypatch):
@@ -149,8 +150,7 @@ def hand_dissection(a_sizes, b_sizes, b_off):
     return ClusterDissection(
         a_gt2_count=1, b_off_count=b_off,
         a_clusters=[[next(taus) for _ in range(n)] for n in a_sizes],
-        b_clusters=[[object() for _ in range(n)] for n in b_sizes],
-        s=len(b_sizes))
+        b_clusters=[[object() for _ in range(n)] for n in b_sizes])
 
 
 B8, B8_TRIPLE = [1] * 8, [1, 1, 3, 1, 1, 1, 1, 1]
