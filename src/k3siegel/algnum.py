@@ -11,10 +11,10 @@ only when that point is its root; two distinct roots are ordered by
 refining both until their intervals part (``separate``).
 Every sign at a rational point n/d, of a Sturm term or of any other
 polynomial, is taken by one integer evaluation (``_scaled_value``).
-Sign evaluation of a polynomial at an algebraic point is decided
-exactly: by the signs at the interval's endpoints and a Sturm count
-when these show no root, else a gcd test for the zero case and
-interval refinement otherwise.
+The sign of a polynomial q at an algebraic point is one Tarski query:
+the sign variations at the interval's endpoints of the signed remainder
+sequence of (m, m' q mod m), for the minimal polynomial m, with no gcd
+and no refinement (``sign_at``).
 On top of that sit elements of a number field QQ[w]/(m(w)), kept as an
 integer polynomial reduced mod m over a positive integer, univariate
 rational functions kept as coprime pairs of integer polynomials (the
@@ -157,9 +157,11 @@ def root_bound(p: IntPoly) -> Fraction:
 class AlgebraicReal:
     """A real algebraic number: squarefree primitive minimal polynomial
     plus a rational interval (lo, hi) isolating exactly one of its real
-    roots.  ``refine`` narrows the interval in place; all other state is
-    immutable, so concurrent readers can only ever see a stale (wider)
-    interval, never an inconsistent one.  ``==`` is identity.
+    roots.  ``refine`` narrows the interval in place, and only
+    ``separate`` and ``approx`` call it in the package (and the id-523
+    acceptance check, on its own root); all other state is immutable, so
+    concurrent readers can only ever see a stale (wider) interval, never
+    an inconsistent one.  ``==`` is identity.
     """
 
     minpoly: IntPoly
@@ -253,42 +255,23 @@ def separate(x: AlgebraicReal, y: AlgebraicReal) -> None:
         y.refine((y.hi - y.lo) / 4)
 
 
-def _sign_on(q: IntPoly, x: AlgebraicReal) -> int:
-    """The sign of q on x's closed isolating interval when q has no root
-    there (both endpoints the same nonzero sign, no root between them),
-    else 0."""
-    s = _sign(q, x.lo)
-    if s and s == _sign(q, x.hi) and count_roots_in(q, x.lo, x.hi) == 0:
-        return s
-    return 0
-
-
 def sign_at(q: IntPoly, x: AlgebraicReal) -> int:
-    """Exact sign of q(x).
+    """Exact sign of q(x), by one Tarski query; x is left as it is.
 
-    The endpoint test (``_sign_on``) decides first, with no gcd.  Only
-    when it cannot is zero decided by a gcd test (zero iff gcd(minpoly,
-    q) has a root in the isolating interval); otherwise the interval is
-    refined until the endpoint test decides.  Always terminates.
+    For m = x.minpoly, taken with a positive leading coefficient, and
+    r = m' q reduced mod m by ``intpoly.prem`` (a positive multiple of
+    the remainder), V(lo) - V(hi) on ``signed_remainders(m, r)`` is the
+    Cauchy index of m' q / m on (lo, hi): by Sturm-Tarski, the sum of
+    sign q(t) over the roots t of m there.  The interval holds one root,
+    x, and no endpoint is a root of m; a root of q is no pole, so adds 0.
     """
-    if q.is_zero():
-        return 0
     if x.is_point():
         return _sign(q, x.lo)
-    s = _sign_on(q, x)
-    if s:
-        return s
-    g = gcd(x.minpoly, q)
-    # roots of g are roots of the squarefree minpoly, and the only such
-    # root in the (open) isolating interval is x itself
-    if g.degree > 0 and count_roots_in(g, x.lo, x.hi) == 1:
-        return 0
-    while not s:
-        x.refine((x.hi - x.lo) / 4)
-        if x.is_point():
-            return _sign(q, x.lo)
-        s = _sign_on(q, x)
-    return s
+    m = x.minpoly if x.minpoly.leading() > 0 else -x.minpoly
+    mq = m.derivative() * q
+    r = prem(Z, mq.coeffs, m.coeffs) if mq.degree >= m.degree else mq.coeffs
+    chain = signed_remainders(m, IntPoly(r))
+    return _variations_at(chain, x.lo) - _variations_at(chain, x.hi)
 
 
 # ---------------------------------------------------------------------------

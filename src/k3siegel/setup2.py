@@ -206,7 +206,9 @@ def _root_counts(trace: np.ndarray, dmaps: np.ndarray) -> tuple[np.ndarray, np.n
     roots plus the variations of its open leaves fall below the smallest
     of _ROOT_COUNTS, once a leaf reaches _LEAF_LIMIT (the next shift
     could leave int64), or at depth _MAX_DEPTH (a multiple root never
-    splits down to one variation).
+    splits down to one variation).  Rows whose max|row| times the largest
+    row sum of |dmap| reaches 2^53 (max|row| of about 8.3e6 on the
+    _PIECES maps) raise PolynomialDomainError in _first_leaves.
     """
     shift = _shift_map()
     n = len(trace)

@@ -110,23 +110,27 @@ def test_sign_at_examples():
     assert sign_at(IntPoly([0, 1]), t1) == -1       # tau1 < 0
 
 
-def test_sign_at_takes_a_gcd_only_when_the_endpoints_cannot_decide(monkeypatch):
-    calls = []
-    gcd = algnum.gcd
-
-    def counting(a, b):
-        calls.append(b)
-        return gcd(a, b)
-
-    monkeypatch.setattr(algnum, "gcd", counting)
+def test_sign_at_is_one_tarski_query(monkeypatch):
+    # each sign reads one signed remainder sequence of (minpoly, m' q mod
+    # m): no gcd, no Sturm count of q, and the interval is not refined
     t0, t1 = isolate_real_roots(ST4_1)
-    # w + 10 and w - 3 keep one sign on every isolating interval
+    intervals = [(t.lo, t.hi) for t in (t0, t1)]
+    calls, chains = [], []
+    gcd, count, refine = algnum.gcd, algnum.count_roots_in, AlgebraicReal.refine
+    remainders = algnum.signed_remainders
+    monkeypatch.setattr(algnum, "gcd", lambda a, b: calls.append("gcd") or gcd(a, b))
+    monkeypatch.setattr(algnum, "count_roots_in",
+                        lambda p, a, b: calls.append("count") or count(p, a, b))
+    monkeypatch.setattr(AlgebraicReal, "refine",
+                        lambda x, w: calls.append("refine") or refine(x, w))
+    monkeypatch.setattr(algnum, "signed_remainders",
+                        lambda f, g: chains.append(f) or remainders(f, g))
     assert sign_at(IntPoly([10, 1]), t1) == 1
     assert sign_at(IntPoly([-3, 1]), t1) == -1
-    assert calls == []
-    # a zero leaves the endpoint test undecided, and the gcd decides it
     assert sign_at(ST4_1 * IntPoly([1, 1]), t0) == 0
-    assert len(calls) == 1
+    assert calls == []
+    assert chains == [t1.minpoly, t1.minpoly, t0.minpoly]
+    assert [(t.lo, t.hi) for t in (t0, t1)] == intervals
 
 
 def test_sign_at_rational_points():
