@@ -10,8 +10,10 @@ Sylvester's law) and drive the all-integer LLL reduction.  The
 reduction updates those minors in place through size reduction and
 swaps (Cohen's integral LLL), and ends with the LDL^T decomposition of
 the reduced Gram matrix on which a Fincke-Pohst enumeration in scaled
-integers finds its short vectors.  Nothing here ever touches floating
-point.
+integers finds its short vectors.  The characteristic polynomial is one
+Hessenberg reduction modulo a Mersenne prime above a Hadamard bound on
+its coefficients (Cohen, Algorithm 2.2.9), lifted to the symmetric
+residues.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from math import isqrt, lcm
 from operator import mul
 
-from .intpoly import IntPoly, interpolate
+from .intpoly import IntPoly
 
 Matrix = list  # list[list[int]]
 
@@ -178,20 +180,84 @@ def inertia(m: Matrix) -> tuple[tuple[int, int, int], int]:
     return (len(minors) - 1 - neg, neg, zero), 0 if zero else minors[-1]
 
 
+# Exponents e of Mersenne primes 2^e - 1, the moduli charpoly may work in.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
+
+def _charpoly_modulus(bound: int) -> int:
+    """The least listed Mersenne prime p with p > 2 bound, so that an
+    integer c with |c| <= bound is the one residue of c mod p in
+    (-p/2, p/2).  Raises MatrixDomainError when no listed p is that large.
+    """
+    for e in _MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
+        if p > 2 * bound:
+            return p
+    raise MatrixDomainError(f"coefficient bound of {bound.bit_length()} bits exceeds "
+                            f"every listed modulus")
+
+
 def charpoly(m: Matrix) -> IntPoly:
     """Characteristic polynomial det(zI - M) of an integer matrix.
 
-    Evaluated at the n+1 integer points 0..n by Bareiss and interpolated
-    in integers; the result is checked to be monic of degree n.
+    Computed modulo a prime p and lifted to (-p/2, p/2).  With
+    r_i = isqrt(sum_j m_ij^2) + 1 >= the norm of row i, Hadamard's
+    inequality on each k x k principal minor bounds the coefficient of
+    z^(n-k) by e_k(r) <= B = prod_i (1 + r_i); p is the least Mersenne
+    prime 2^e - 1, e in _MERSENNE_EXPONENTS, with p > 2B.  Modulo p, m is
+    brought to upper Hessenberg form H by elementary similarities
+    (pivoting on the first nonzero entry below the subdiagonal; a column
+    with none is skipped), and the characteristic polynomials p_k of
+    H's leading k x k blocks follow from
+
+        p_k = (z - h_kk) p_(k-1) - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) p_(i-1),
+
+    in O(n^3) steps (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 2.2.9).
     """
     n = len(m)
-    if n == 0:
-        return IntPoly([1])
-    p = interpolate([bareiss_det([[(x if i == j else 0) - m[i][j] for j in range(n)]
-                                  for i in range(n)]) for x in range(n + 1)])
-    if p.degree != n or p.leading() != 1:
-        raise MatrixDomainError("interpolated characteristic polynomial is not monic of degree n")
-    return p
+    bound = 1
+    for row in m:
+        bound *= isqrt(sum(x * x for x in row)) + 2
+    p = _charpoly_modulus(bound)
+    h = [[x % p for x in row] for row in m]
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        if piv != k + 1:
+            h[piv], h[k + 1] = h[k + 1], h[piv]
+            for row in h:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+        pivot = h[k + 1]
+        inv = pow(pivot[k], -1, p)
+        for i in range(k + 2, n):
+            u = h[i][k] * inv % p
+            if u:
+                # row i -= u row (k+1), then column k+1 += u column i
+                h[i][k:] = [(x - u * y) % p for x, y in zip(h[i][k:], pivot[k:])]
+                for row in h:
+                    row[k + 1] = (row[k + 1] + u * row[i]) % p
+    # polys[k] holds p_k, ascending, modulo p
+    polys = [[1]]
+    for k in range(n):
+        prev = polys[k]
+        cur = [0] + prev
+        hkk = h[k][k]
+        for j, c in enumerate(prev):
+            cur[j] -= hkk * c
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            f = t * h[i][k] % p
+            if f:
+                for j, c in enumerate(polys[i]):
+                    cur[j] -= f * c
+        polys.append([c % p for c in cur])
+    half = p >> 1
+    return IntPoly([c - p if c > half else c for c in polys[n]])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ form of rational functions, number field sums, products and inverses,
 the resultant's halving on trace polynomials, the minimal polynomials
 interpolated from it, the Newton interpolation in integers (and its
 refusal of values that no integer polynomial takes), the characteristic
-polynomial interpolated by it, the Newton power sums against traces of
+polynomial from the Hessenberg reduction modulo a Mersenne prime (on
+matrices up to 22 x 22, on each of the three least moduli, and where a
+column has no pivot), the Newton power sums against traces of
 companion powers, the inertia and determinant read off the
 fraction-free symmetric elimination, the lattice signature read off a
 Cauchy index of the trace polynomials, the integer matrix of B on the
@@ -472,13 +474,79 @@ def test_series_quotient_matches_sympy_series(u, v, count):
     assert series_quotient(num, den, count) == want + [0] * (count - len(want))
 
 
+def seeded_matrix(seed: int, n: int, width: int, density: float = 1.0) -> list:
+    """An n x n matrix with entries in [-width, width], each nonzero draw
+    kept with probability density."""
+    rng = random.Random(seed)
+    return [[rng.randint(-width, width) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)]
+
+
+def block_diagonal(*blocks) -> list:
+    n = sum(map(len, blocks))
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+# matrices with a column that has no nonzero entry below the subdiagonal,
+# where the Hessenberg reduction finds no pivot and skips the column, or
+# whose first nonzero entry there is not on the subdiagonal, where it swaps
+ZERO_PIVOT_MATRICES = {
+    "zero": [[0] * 7 for _ in range(7)],
+    "diagonal": [[(3 - i) * (i == j) for j in range(7)] for i in range(7)],
+    "upper": [[(i + 2 * j - 5) * (i <= j) for j in range(7)] for i in range(7)],
+    "lower": [[(i - 3 * j + 4) * (i >= j) for j in range(7)] for i in range(7)],
+    "block-diagonal": block_diagonal([[1, 2], [3, 4]], [[5]], [[0, 1, 0], [0, 0, 1], [1, -1, 2]],
+                                     [[-2, 7], [0, 3]]),
+    "permutation": [[int(j == (3 * i + 2) % 7) for j in range(7)] for i in range(7)],
+    "nilpotent-jordan": [[int(j == i + 1) for j in range(7)] for i in range(7)],
+    "nilpotent-jordan-transposed": [[int(i == j + 1) for j in range(7)] for i in range(7)],
+    "jordan-blocks": block_diagonal([[2, 1, 0], [0, 2, 1], [0, 0, 2]], [[0, 1], [0, 0]], [[-1]]),
+    "pivot-below-subdiagonal": [[1, 0, 0, 2], [0, 0, 0, 0], [0, 0, 0, 0], [3, 4, 0, -1]],
+}
+
+
+def sympy_charpoly(m: list) -> list:
+    """Coefficients of det(xI - m), highest first, by sympy."""
+    n = len(m)
+    return [int(c) for c in DomainMatrix([[ZZ(x) for x in row] for row in m], (n, n), ZZ).charpoly()]
+
+
+def zero_pivot_examples(f):
+    for m in ZERO_PIVOT_MATRICES.values():
+        f = example(m)(f)
+    return f
+
+
 @EXAMPLES
-@given(st.integers(1, 5).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
+@given(st.builds(seeded_matrix, st.integers(0, 2 ** 32), st.integers(0, 22),
+                 st.sampled_from([1, 2, 4, 16, 1 << 10, 1 << 40]), st.sampled_from([1.0, 0.5, 0.1])))
+@zero_pivot_examples
+@example([])
+@example([[2 ** 200]])
 def test_charpoly_matches_sympy(m):
-    want = sympy.Matrix(m).charpoly(X).all_coeffs()
-    assert list(reversed(linalg.charpoly(m).coeffs)) == want
+    assert list(reversed(linalg.charpoly(m).coeffs)) == sympy_charpoly(m)
+
+
+@pytest.mark.parametrize("n, width, exponent", [
+    (22, 1, 61), (22, 4, 89), (22, 16, 127), (12, 3, 61), (16, 7, 89), (8, 1 << 14, 127),
+])
+def test_charpoly_bound_selects_modulus(monkeypatch, n, width, exponent):
+    # dense matrices whose Hadamard bound picks 2^61 - 1, 2^89 - 1 and 2^127 - 1
+    picked = []
+    pick = linalg._charpoly_modulus
+    monkeypatch.setattr(linalg, "_charpoly_modulus", lambda b: picked.append(pick(b)) or picked[-1])
+    m = seeded_matrix(exponent * n, n, width)
+    assert list(reversed(linalg.charpoly(m).coeffs)) == sympy_charpoly(m)
+    assert picked == [(1 << exponent) - 1]
+
+
+def test_charpoly_moduli_are_prime():
+    assert all(sympy.isprime((1 << e) - 1) for e in linalg._MERSENNE_EXPONENTS)
 
 
 def sympy_salem_conjugates(phi: IntPoly) -> list:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
-from k3siegel import linalg
+from k3siegel import intpoly, linalg
 from k3siegel.intpoly import IntPoly
 from k3siegel.linalg import (
     MatrixDomainError,
@@ -167,13 +167,43 @@ def test_charpoly_companion():
 
 def test_charpoly_random_trace_det():
     rng = random.Random(17)
-    for _ in range(20):
-        n = rng.randint(1, 5)
+    for _ in range(40):
+        n = rng.randint(1, 22)
         m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         p = charpoly(m)
         tr = sum(m[i][i] for i in range(n))
         assert p[n - 1] == -tr
         assert p[0] == (-1) ** n * bareiss_det(m)
+
+
+def test_charpoly_modulus_boundary():
+    # the coefficients lie in [-B, B], which fits (-p/2, p/2) iff B <= (p - 1)/2
+    primes = [(1 << e) - 1 for e in linalg._MERSENNE_EXPONENTS]
+    for p, after in zip(primes, primes[1:]):
+        half = (p - 1) // 2
+        assert linalg._charpoly_modulus(half - 1) == linalg._charpoly_modulus(half) == p
+        assert linalg._charpoly_modulus(half + 1) == after
+    assert linalg._charpoly_modulus(0) == primes[0]
+    with pytest.raises(MatrixDomainError):
+        linalg._charpoly_modulus((primes[-1] - 1) // 2 + 1)
+
+
+def test_charpoly_past_every_modulus_is_a_typed_error():
+    assert charpoly([[2 ** 4000]]) == IntPoly([-(2 ** 4000), 1])
+    with pytest.raises(MatrixDomainError):
+        charpoly([[2 ** 5000]])
+
+
+def test_charpoly_makes_no_determinant_and_no_interpolation(monkeypatch):
+    calls = []
+    for module in (linalg, intpoly):
+        for name in ("bareiss_det", "interpolate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
+    rng = random.Random(18)
+    m = [[rng.randint(-24, 24) for _ in range(18)] for _ in range(18)]
+    assert charpoly(m).degree == 18
+    assert calls == []
 
 
 def box_short_vectors(gram, norm):

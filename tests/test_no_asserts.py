@@ -40,6 +40,10 @@ def test_typed_error_under_optimize():
             "        linalg.short_vectors(gram, 2)\n"
             "    except linalg.MatrixDomainError:\n"
             "        print('typed error')\n"
+            "try:\n"
+            "    linalg.charpoly([[2 ** 5000]])\n"
+            "except linalg.MatrixDomainError:\n"
+            "    print('typed error')\n"
             "ring = picard2.IntegralRing(IntPoly([-3, -1, 1]))\n"
             "try:\n"
             "    ring.divide([IntPoly([1])], IntPoly([2]))\n"
@@ -117,4 +121,4 @@ def test_typed_error_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 15
+    assert done.stdout.split() == ["typed", "error"] * 16

@@ -4,6 +4,8 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from k3siegel.acceptance import RHO18_TABLE, _setup2
 from k3siegel.cli import phi_of
@@ -49,13 +51,19 @@ def run_pipeline(phi, psi):
     return model, verdict, pic, report
 
 
+def sympy_charpoly(m) -> IntPoly:
+    n = len(m)
+    cp = DomainMatrix([[ZZ(x) for x in row] for row in m], (n, n), ZZ).charpoly()
+    return IntPoly(reversed([int(c) for c in cp]))
+
+
 def assert_isometry_lift(model, verdict, report, trace):
     """Atilde on all of L preserves the form, has char poly S * phi1~
-    and has the trace TrA."""
+    (by sympy) and has the trace TrA."""
     at = assemble_full_isometry(model, report, verdict.salem_factor)
     g = model.gram
     assert linalg.mat_eq(linalg.mat_mul(linalg.mat_mul(linalg.transpose(at), g), at), g)
-    assert linalg.charpoly(at) == verdict.salem_factor * report.phi1_tilde
+    assert sympy_charpoly(at) == verdict.salem_factor * report.phi1_tilde
     assert linalg.trace(at) == trace
 
 
@@ -92,6 +100,17 @@ def test_full_isometry_lifts_on_the_rho18_table(setup2_search):
     rows, _, records = setup2_search
     assert len(records) == 40
     assert_lifts_on_rows(records, rows)
+
+
+def test_phi1_tilde_matches_sympy_on_the_rho18_table(setup2_search):
+    # the 18 x 18 Atilde|Pic of each accepted pair, against an independent
+    # characteristic polynomial
+    _, _, records = setup2_search
+    assert len(records) == 40
+    for _, _, report in records:
+        want = sympy_charpoly(report.a_tilde_pic)
+        assert want.degree == 18
+        assert linalg.charpoly(report.a_tilde_pic) == report.phi1_tilde == want
 
 
 @pytest.mark.parametrize("degree", [20, 18])
