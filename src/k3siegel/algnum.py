@@ -183,11 +183,14 @@ class AlgebraicReal:
         return self.lo == self.hi
 
     def refine(self, width: Fraction) -> None:
-        """Shrink the isolating interval below the requested width."""
+        """Shrink the isolating interval to at most the requested width; a
+        point interval is left as it is, and any other needs width > 0."""
         p = self.minpoly
         lo, hi = self.lo, self.hi
         if lo == hi:
             return
+        if width <= 0:
+            raise PolynomialDomainError(f"refine to width {width} never ends")
         s_lo = _sign(p, lo)
         while hi - lo > width:
             mid = (lo + hi) / 2

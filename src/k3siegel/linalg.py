@@ -8,12 +8,14 @@ integer matrix goes through one fraction-free symmetric elimination,
 whose integer minors give the inertia (Jacobi's sign rule and
 Sylvester's law) and drive the all-integer LLL reduction.  The
 reduction updates those minors in place through size reduction and
-swaps (Cohen's integral LLL), and ends with the LDL^T decomposition of
-the reduced Gram matrix on which a Fincke-Pohst enumeration in scaled
-integers finds its short vectors.  The characteristic polynomial is one
-Hessenberg reduction modulo a Mersenne prime above a Hadamard bound on
-its coefficients (Cohen, Algorithm 2.2.9), lifted to the symmetric
-residues.  Nothing here ever touches floating point.
+swaps (Cohen's integral LLL), beside the unimodular U alone, and ends
+with the LDL^T decomposition of the reduced Gram U gram U^T, never
+formed, on which a Fincke-Pohst enumeration in scaled integers finds
+its short vectors, each with its first nonzero coordinate positive.
+The characteristic polynomial is one Hessenberg reduction modulo a
+Mersenne prime above a Hadamard bound on its coefficients (Cohen,
+Algorithm 2.2.9), lifted to the symmetric residues.  Nothing here ever
+touches floating point.
 """
 
 from __future__ import annotations
@@ -264,38 +266,22 @@ def charpoly(m: Matrix) -> IntPoly:
 # lattice reduction and short vector enumeration
 # ---------------------------------------------------------------------------
 
-def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix, list[int], Matrix]:
+def lll_reduce(gram: Matrix) -> tuple[Matrix, list[int], Matrix]:
     """LLL-reduce a positive definite integer Gram matrix, with delta = 3/4.
 
-    Returns (reduced Gram, U, minors, lambda) with U unimodular and
-    reduced = U * gram * U^T.  Gram-matrix formulation: the running Gram
-    matrix is updated in place under the congruence row operations, so
-    no basis vectors are ever needed.  All-integer (Cohen, section 2.6):
-    size reduction and the Lovasz test read the minors d_i and bordered
-    minors lambda_ij (i > j) of one symmetric elimination, which size
-    reduction and every swap then update in place by exact integer
-    divisions (Cohen, Algorithm 2.6.7), so the minors and lambda
-    returned are those of the reduced Gram.  Raises MatrixDomainError
-    unless every minor is positive (Sylvester's criterion).
+    Returns (U, minors, lambda) with U unimodular; the reduced Gram is
+    U * gram * U^T, which is never formed.  All-integer (Cohen, A Course
+    in Computational Algebraic Number Theory, Algorithm 2.6.7): size
+    reduction and the Lovasz test read only the minors d_i and bordered
+    minors lambda_ij (i > j) of one symmetric elimination of gram, and
+    size reduction and every swap update U, d and lambda in place by
+    exact integer divisions, so the minors and lambda returned are those
+    of the reduced Gram.  Raises MatrixDomainError unless every minor is
+    positive (Sylvester's criterion).
     """
     n = len(gram)
     u = identity(n)
-    cur = [list(row) for row in gram]  # = U gram U^T
-
-    def row_op(k, j, q):
-        u[k] = [a - q * b for a, b in zip(u[k], u[j])]
-        for c in range(n):
-            cur[k][c] -= q * cur[j][c]
-        for r_ in range(n):
-            cur[r_][k] -= q * cur[r_][j]
-
-    def swap(k):
-        u[k], u[k - 1] = u[k - 1], u[k]
-        cur[k], cur[k - 1] = cur[k - 1], cur[k]
-        for r_ in range(n):
-            cur[r_][k], cur[r_][k - 1] = cur[r_][k - 1], cur[r_][k]
-
-    d, lam, zero = _symmetric_bareiss(cur)
+    d, lam, zero = _symmetric_bareiss(gram)
     if zero or any(x <= 0 for x in d):
         raise MatrixDomainError("lll_reduce requires a positive definite Gram matrix")
     k = 1
@@ -303,7 +289,7 @@ def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix, list[int], Matrix]:
         for j in range(k - 1, -1, -1):
             if 2 * abs(lam[k][j]) > d[j + 1]:
                 q = _round_half(lam[k][j], d[j + 1])
-                row_op(k, j, q)
+                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
                 # size reduction leaves d fixed and shifts lambda row k
                 for l in range(j):
                     lam[k][l] -= q * lam[j][l]
@@ -311,10 +297,10 @@ def lll_reduce(gram: Matrix) -> tuple[Matrix, Matrix, list[int], Matrix]:
         if 4 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= 3 * d[k] ** 2:
             k += 1
         else:
-            swap(k)
+            u[k], u[k - 1] = u[k - 1], u[k]
             _swap_minors(d, lam, k)
             k = max(k - 1, 1)
-    return cur, u, d, lam
+    return u, d, lam
 
 
 def _swap_minors(d: list[int], lam: Matrix, k: int) -> None:
@@ -352,11 +338,11 @@ def _round_half(num: int, den: int) -> int:
 def short_vectors(gram: Matrix, norm: int) -> list[tuple[int, ...]]:
     """All integer vectors x != 0 with x^T gram x == norm, up to sign.
 
-    gram must be positive definite.  One representative per +-pair is
-    returned (last nonzero coordinate positive), sorted; callers close
-    under negation when they need the full set.  Exact Fincke-Pohst on
-    the LLL-reduced Gram matrix, in integers: with D_i the minors the
-    reduction ends with (D_0 = 1) and s_i = sum_{j>i} lambda_ji x_j,
+    gram must be positive definite.  One representative per +-pair, first
+    nonzero coordinate positive, is returned, so the sorted list is their
+    lexicographic positive system.  Exact Fincke-Pohst on the LLL-reduced
+    red = U gram U^T, in integers: with D_i the minors the reduction
+    ends with (D_0 = 1) and s_i = sum_{j>i} lambda_ji x_j,
 
         L x^T red x = sum_i w_i (D_(i+1) x_i + s_i)^2,
         w_i = L / (D_i D_(i+1)),  L = lcm_i(D_i D_(i+1)),
@@ -368,7 +354,7 @@ def short_vectors(gram: Matrix, norm: int) -> list[tuple[int, ...]]:
     n = len(gram)
     if n == 0:
         return []
-    _, u, minors, lam = lll_reduce(gram)
+    u, minors, lam = lll_reduce(gram)
     if norm <= 0:
         return []
     scale = lcm(*(p * q for p, q in zip(minors, minors[1:])))
@@ -397,11 +383,7 @@ def short_vectors(gram: Matrix, norm: int) -> list[tuple[int, ...]]:
         w = mat_vec(ut, v)
         if sum(wi * sum(map(mul, row, w)) for row, wi in zip(gram, w) if wi) != norm:
             raise MatrixDomainError("short vector off its norm: the reduction or the descent is broken")
-        # canonical sign: last nonzero coordinate positive
-        for c in reversed(w):
-            if c != 0:
-                if c < 0:
-                    w = [-t for t in w]
-                break
+        if next(c for c in w if c) < 0:  # canonical sign: first nonzero coordinate positive
+            w = [-t for t in w]
         out.append(tuple(w))
     return sorted(out)

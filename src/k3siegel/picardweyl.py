@@ -97,13 +97,6 @@ class RootSystemReport:
                         for (label, rank), m in sorted(counts.items())) or "0"
 
 
-def _lex_positive(v: tuple) -> bool:
-    for c in v:
-        if c:
-            return c > 0
-    return False
-
-
 ROOT_COUNTS = {"A": lambda n: n * (n + 1), "D": lambda n: 2 * n * (n - 1),
                "E": lambda n: {6: 72, 7: 126, 8: 240}[n]}
 
@@ -111,23 +104,22 @@ ROOT_COUNTS = {"A": lambda n: n * (n + 1), "D": lambda n: 2 * n * (n - 1),
 def enumerate_roots(pic: PicardData) -> RootSystemReport:
     """Delta, Delta+, simple roots and Dynkin components of Pic.
 
-    The lexicographic Delta+ is a positive system; its simple roots are
-    its roots of height one, picked out by one Gram image of 2 rho =
-    sum Delta+: the form is negative definite, so s_i(rho) = rho - alpha_i
-    gives (2 rho, alpha_i) = -2, and a positive root of height h pairs
-    to -2h (Humphreys, Introduction to Lie Algebras and Representation
-    Theory, 10.2).  The Cartan matrix of the simple roots is their
-    negated pairing matrix; its connected blocks are the components,
-    each named by dynkin_label.
+    Delta+ is the enumeration itself: ``linalg.short_vectors`` of the
+    negated form at norm 2 returns each +-pair of roots once, the one
+    whose first nonzero coordinate is positive, sorted, so its list is
+    the lexicographic positive system in lexicographic order.  Its
+    simple roots, kept in that order, are its roots of height one,
+    picked out by one Gram image of 2 rho = sum Delta+: the form is
+    negative definite, so s_i(rho) = rho - alpha_i gives
+    (2 rho, alpha_i) = -2, and a positive root of height h pairs to -2h
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.2).  The Cartan matrix of the simple roots is their negated
+    pairing matrix; its connected blocks are the components, each named
+    by dynkin_label.
     """
     report = RootSystemReport()
     neg_gram = [[-x for x in row] for row in pic.gram_pic]
-    reps = linalg.short_vectors(neg_gram, 2)
-    delta_plus = []
-    for v in reps:
-        delta_plus.append(v if _lex_positive(v) else tuple(-c for c in v))
-    delta_plus.sort()
-    report.delta_plus = delta_plus
+    report.delta_plus = delta_plus = linalg.short_vectors(neg_gram, 2)
 
     g_rho = linalg.mat_vec(pic.gram_pic, [sum(col) for col in zip(*delta_plus)])
     simple = [u for u in delta_plus if sum(map(mul, g_rho, u)) == -2]
@@ -179,13 +171,13 @@ def _reflect_columns(m: list, word: list, gram: list) -> list:
     """w o M for w = s_(u_k) ... s_(u_1), the word listed u_1 first.
 
     Each reflection s_u(x) = x + (x, u) u, (u, u) = -2, is a rank-one
-    update of every column of M, in place on a copy: O(n^2) a step.
+    update of every column x of M, in place on a copy, whose (x, u) are
+    one product of the columns with gram u: O(n^2) a step.
     """
     cols = linalg.transpose(m)
     for u in word:
         gu = linalg.mat_vec(gram, u)
-        for col in cols:
-            c = sum(g * x for g, x in zip(gu, col))
+        for col, c in zip(cols, linalg.mat_vec(cols, gu)):
             if c:
                 col[:] = [x + c * y for x, y in zip(col, u)]
     return linalg.transpose(cols)
@@ -197,18 +189,19 @@ def chamber_walk(pic: PicardData, report: RootSystemReport) -> RootSystemReport:
     Walk one regular vector v = A(2 rho_W), 2 rho_W the sum of Delta+,
     whose chamber is the one of A(Delta+).  The form is negative
     definite, so a simple root u is negated in the current chamber
-    exactly when (u, v) > 0; reflect v in the least such u until none
-    is left.  Each step reduces the number of negated positive roots by
-    one, so the walk ends after at most |Delta+| steps.
+    exactly when (u, v) > 0; reflect v in the least such u (the simple
+    roots are in Delta+ order) until none is left.  Each step reduces
+    the number of negated positive roots by one, so the walk ends after
+    at most |Delta+| steps.
     """
     gram = pic.gram_pic
-    g_simple = [(u, linalg.mat_vec(gram, u)) for u in sorted(report.simple_roots)]
+    g_simple = [(u, linalg.mat_vec(gram, u)) for u in report.simple_roots]
     v = linalg.mat_vec(pic.a_pic, [sum(col) for col in zip(*report.delta_plus)])
     word = []
     guard = len(report.delta_plus) + 1
     while True:
         for u, gu in g_simple:
-            c = sum(g * x for g, x in zip(gu, v))
+            c = sum(map(mul, gu, v))
             if c > 0:
                 break
         else:

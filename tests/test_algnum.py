@@ -94,6 +94,24 @@ def test_separate_orders_a_point_interval_that_ties_on_lo():
     assert sorted([x, y], key=lambda r: r.lo, reverse=True) == [x, y]
 
 
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1)])
+def test_refine_to_a_width_it_cannot_reach_is_a_typed_error(width):
+    # bisection never shrinks (1, 2) around sqrt 2 to width <= 0
+    x = isolate_real_roots(IntPoly([-2, 0, 1]))[0]
+    before = (x.lo, x.hi)
+    assert x.lo < x.hi
+    with pytest.raises(PolynomialDomainError, match="never ends"):
+        x.refine(width)
+    assert (x.lo, x.hi) == before
+
+
+def test_refine_leaves_a_point_interval_at_width_zero():
+    # separate hands a point interval its own width, 0
+    x = AlgebraicReal(IntPoly([1, 1]), Fraction(-1), Fraction(-1))
+    x.refine(Fraction(0))
+    assert (x.lo, x.hi) == (-1, -1)
+
+
 def test_count_roots_examples():
     assert count_roots_in(ST4_1, -2, 2) == 1
     assert count_roots_in(IntPoly([-5, 0, 1]), -2, 2) == 0

@@ -1,4 +1,5 @@
 import ast
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -217,7 +218,7 @@ def box_short_vectors(gram, norm):
         q = sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
         if q == norm:
             w = list(v)
-            for c in reversed(w):
+            for c in w:
                 if c != 0:
                     if c < 0:
                         w = [-t for t in w]
@@ -290,7 +291,7 @@ def mat_vec_int(m, v):
 
 
 def canonical(v):
-    for c in reversed(v):
+    for c in v:
         if c != 0:
             return tuple(v) if c > 0 else tuple(-t for t in v)
     return tuple(v)
@@ -375,9 +376,9 @@ def test_short_vector_off_its_norm_is_a_typed_error(monkeypatch):
     lll = linalg.lll_reduce
 
     def wrong_u(gram):
-        red, u, d, lam = lll(gram)
+        u, d, lam = lll(gram)
         u[0] = [x + y for x, y in zip(u[0], u[1])]
-        return red, u, d, lam
+        return u, d, lam
 
     monkeypatch.setattr(linalg, "lll_reduce", wrong_u)
     with pytest.raises(MatrixDomainError, match="off its norm"):
@@ -391,8 +392,11 @@ def test_lll_preserves_lattice():
         g = mat_mul(b, transpose(b))
         for i in range(n):
             g[i][i] += 2
-        red, u, _, _ = lll_reduce(g)
-        assert mat_eq(red, mat_mul(mat_mul(u, g), transpose(u)))
+        u, minors, lam = lll_reduce(g)
+        red = mat_mul(mat_mul(u, g), transpose(u))
+        want_minors, want_lam, zero = _symmetric_bareiss(red)
+        assert zero == 0 and minors == want_minors
+        assert all(lam[i][j] == want_lam[i][j] for i in range(n) for j in range(i))
         assert abs(bareiss_det(u)) == 1
         assert bareiss_det(red) == bareiss_det(g)
         # the LLL conditions, on a Gram-Schmidt of red computed here
@@ -414,7 +418,8 @@ def test_lll_hands_over_the_elimination_of_the_reduced_gram():
         g = mat_mul(b, transpose(b))
         for i in range(n):
             g[i][i] += 1  # force positive definite
-        red, u, minors, lam = lll_reduce(g)
+        u, minors, lam = lll_reduce(g)
+        red = mat_mul(mat_mul(u, g), transpose(u))
         want_minors, want_lam, zero = _symmetric_bareiss(red)
         assert zero == 0 and minors == want_minors
         assert all(lam[i][j] == want_lam[i][j] for i in range(n) for j in range(i))
@@ -445,3 +450,22 @@ def test_semidefinite_or_indefinite_gram_is_a_typed_error(gram):
         lll_reduce(gram)
     with pytest.raises(MatrixDomainError, match="positive definite"):
         short_vectors(gram, 2)
+
+
+def test_linalg_never_mutates_its_arguments():
+    # every entry point works on its own copies: each argument equals a
+    # deep copy taken before the call
+    rng = random.Random(53)
+    for trial in range(12):
+        n = 1 + trial % 6
+        gram = unreduced_gram(rng, n, even=trial % 2 == 1)[0]
+        m = [[0]]
+        while bareiss_det(m) == 0:
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rhs = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)]
+        calls = [(lll_reduce, (gram,)), (short_vectors, (gram, 4)), (inertia, (m,)),
+                 (inertia, (gram,)), (bareiss_det, (m,)), (solve, (m, rhs)), (charpoly, (m,))]
+        for fn, args in calls:
+            before = copy.deepcopy(args)
+            fn(*args)
+            assert args == before, fn.__name__

@@ -54,6 +54,12 @@ def test_typed_error_under_optimize():
             "    NumberFieldElem(IntPoly([-1, 0, 1]), IntPoly([-1, 1])).inverse()\n"
             "except ZeroDivisionError:\n"
             "    print('typed error')\n"
+            "from k3siegel.algnum import isolate_real_roots\n"
+            "from fractions import Fraction\n"
+            "try:\n"
+            "    isolate_real_roots(IntPoly([-2, 0, 1]))[0].refine(Fraction(0))\n"
+            "except PolynomialDomainError:\n"
+            "    print('typed error')\n"
             "from k3siegel.algnum import RationalFunctionW, symmetric_descent\n"
             "try:\n"
             "    symmetric_descent(RationalFunctionW.variable())\n"
@@ -121,4 +127,4 @@ def test_typed_error_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["typed", "error"] * 16
+    assert done.stdout.split() == ["typed", "error"] * 17

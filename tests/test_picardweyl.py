@@ -213,6 +213,26 @@ def test_rho_zero_degenerate():
     assert action_analysis(chamber_walk(pic, report)) == RootSystemReport()
 
 
+def test_delta_plus_is_the_enumeration(setup2_search):
+    # Delta+ is short_vectors' own list, each root's first nonzero
+    # coordinate positive, and equals the construction that flips each
+    # last-nonzero-positive representative to lexicographically positive
+    # and sorts
+    def sign_by(v, c):
+        return v if c > 0 else tuple(-x for x in v)
+
+    _, _, records = setup2_search
+    assert len(records) == 40
+    for model, verdict, report in records:
+        neg = [[-x for x in row] for row in picard_lattice(model, verdict).gram_pic]
+        roots = linalg.short_vectors(neg, 2)
+        assert report.delta_plus == roots
+        assert all(next(c for c in v if c) > 0 for v in report.delta_plus)
+        last_positive = [sign_by(v, next(c for c in reversed(v) if c)) for v in roots]
+        reference = sorted(sign_by(v, next(c for c in v if c)) for v in last_positive)
+        assert report.delta_plus == reference
+
+
 def test_brute_force_equivalence_small_rank():
     # rank <= 4 lattices: exhaustive box search agrees with Fincke-Pohst
     model, verdict, pic, report = run_pipeline(*ROWS["entry2"])
@@ -224,7 +244,7 @@ def test_brute_force_equivalence_small_rank():
     for v in itertools.product(range(-bound, bound + 1), repeat=4):
         if any(v) and sum(v[i] * neg[i][j] * v[j] for i in range(4) for j in range(4)) == 2:
             w = list(v)
-            for c in reversed(w):
+            for c in w:
                 if c != 0:
                     if c < 0:
                         w = [-t for t in w]
